@@ -25,9 +25,9 @@ __all__ = ["UnyieldedEventRule", "GeneratorContractRule", "EVENT_RETURNING_APIS"
 
 #: Method names whose result is an Event / generator that is inert unless
 #: yielded (or explicitly bound for later yielding).  Deliberately excludes
-#: the fire-and-forget surface — ``Simulator.defer``, ``Endpoint.send``,
-#: ``Endpoint.reply``, ``Simulator.call_later`` — which is *designed* to be
-#: called as a bare statement.
+#: the fire-and-forget surface — ``Simulator.defer`` (the kernel's only
+#: timer API), ``Endpoint.send``, ``Endpoint.reply`` — which is *designed*
+#: to be called as a bare statement.
 EVENT_RETURNING_APIS = frozenset({
     # TxnContext / coordinator surface
     "broadcast", "collect_votes",

@@ -340,7 +340,7 @@ class FaultInjector:
         authored against t=0 and installed after bring-up has consumed a
         little simulated time.
         """
-        self.sim.call_later(max(at - self.sim.now, 0.0), fn)
+        self.sim.defer(max(at - self.sim.now, 0.0), fn)
 
     # -- reporting -----------------------------------------------------------------
     def crash_count(self) -> int:

@@ -197,5 +197,5 @@ class MultiversionTimestampController(WorkspaceController):
                     self.stats.rejections += 1
                     event.fail(ConcurrencyAbort("MVTO wait timeout"))
 
-            self.sim.call_later(self.wait_timeout, _expire)
+            self.sim.defer(self.wait_timeout, _expire)
         return event

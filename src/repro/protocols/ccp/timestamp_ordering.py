@@ -169,5 +169,5 @@ class TimestampOrderingController(WorkspaceController):
                     self.stats.rejections += 1
                     event.fail(ConcurrencyAbort("TSO wait timeout"))
 
-            self.sim.call_later(self.wait_timeout, _expire)
+            self.sim.defer(self.wait_timeout, _expire)
         return event

@@ -117,8 +117,8 @@ class Event:
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        # Inlined Simulator._schedule(0.0, self): succeed() is the hottest
-        # call in the kernel, so it queues itself without a method hop.
+        # succeed() is the hottest call in the kernel, so it queues itself
+        # on the heap directly, without a method hop.
         sim = self.sim
         sim._sequence += 1
         _heappush(sim._heap, (sim._now, sim._sequence, self))
@@ -431,23 +431,12 @@ class Simulator:
             raise SimulationError("process() requires a generator (did you call the function?)")
         return Process(self, generator, name=name)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` after ``delay`` time units (a lightweight timer)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        event = Event(self, name="call_later")
-        event._ok = True
-        event._state = TRIGGERED
-        event.add_callback(lambda _ev: fn())
-        self._schedule(delay, event)
-        return event
-
     def defer(self, delay: float, fn: Callable, arg: Any = _NO_ARG) -> None:
         """Schedule ``fn(arg)`` (or ``fn()``) after ``delay`` time units.
 
-        The fire-and-forget counterpart of :meth:`call_later`: nothing is
-        returned and no :class:`Event` is allocated, so hot paths (message
-        delivery, per-message timers) avoid the full event machinery.
+        The kernel's one timer API: fire-and-forget, so nothing is returned
+        and no :class:`Event` is allocated.  A callback that must be waited
+        on should trigger an event of its own.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -461,11 +450,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have succeeded."""
         return AllOf(self, events)
-
-    # -- scheduling ---------------------------------------------------------
-    def _schedule(self, delay: float, event: Event) -> None:
-        self._sequence += 1
-        _heappush(self._heap, (self._now + delay, self._sequence, event))
 
     # -- execution ----------------------------------------------------------
     def step(self) -> bool:

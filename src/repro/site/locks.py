@@ -29,6 +29,7 @@ asynchronous aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.errors import ConcurrencyAbort, ProtocolError
@@ -61,10 +62,15 @@ class _Request:
     enqueued_at: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: the index keys on entries
 class _ItemLock:
+    item: str
+    rank: int  # creation order in the table: walks visit entries by rank
     holders: dict[int, str] = field(default_factory=dict)  # txn -> mode
     queue: list[_Request] = field(default_factory=list)
+
+
+_by_rank = attrgetter("rank")
 
 
 @dataclass
@@ -104,6 +110,13 @@ class LockManager:
         self.stats = LockStats()
         self._table: dict[str, _ItemLock] = {}
         self._ts_of: dict[int, float] = {}
+        # Index so that no walk scans the whole table: the entries each
+        # txn has held or queued on since its last release_all, and the
+        # entries that have had waiters (drained ones are pruned lazily).
+        # Entries are never dropped, so a rank stays fixed for the table's
+        # lifetime and walks by rank keep the table's visiting order.
+        self._entries: dict[int, dict[_ItemLock, None]] = {}
+        self._waiting: dict[_ItemLock, None] = {}
 
     # -- public API -----------------------------------------------------------
     def acquire(self, txn_id: int, ts: float, item: str, mode: str) -> Event:
@@ -115,7 +128,9 @@ class LockManager:
         if mode not in (LockMode.S, LockMode.X):
             raise ProtocolError(f"unknown lock mode {mode!r}")
         self._ts_of[txn_id] = ts
-        entry = self._table.setdefault(item, _ItemLock())
+        entry = self._table.get(item)
+        if entry is None:
+            entry = self._table[item] = _ItemLock(item, len(self._table))
         event = self.sim.event(name=f"lock:{item}:{mode}:txn{txn_id}")
 
         held = entry.holders.get(txn_id)
@@ -136,6 +151,7 @@ class LockManager:
 
         if self._grantable(entry, txn_id, mode):
             entry.holders[txn_id] = mode
+            self._index(txn_id, entry)
             self.stats.acquired += 1
             event.succeed((item, mode))
             return event
@@ -145,7 +161,7 @@ class LockManager:
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock and cancel every queued request of ``txn_id``."""
-        for item, entry in self._table.items():
+        for entry in self._entries_of(txn_id):
             dirty = False
             if txn_id in entry.holders:
                 del entry.holders[txn_id]
@@ -156,19 +172,20 @@ class LockManager:
                 dirty = True
             if dirty:
                 self._grant_from_queue(entry)
+        self._entries.pop(txn_id, None)
         self._ts_of.pop(txn_id, None)
 
     def held_locks(self, txn_id: int) -> dict[str, str]:
         """Items currently locked by ``txn_id`` mapped to mode."""
         return {
-            item: entry.holders[txn_id]
-            for item, entry in self._table.items()
+            entry.item: entry.holders[txn_id]
+            for entry in self._entries_of(txn_id)
             if txn_id in entry.holders
         }
 
     def waiting_count(self) -> int:
         """Number of queued (blocked) requests across all items."""
-        return sum(len(entry.queue) for entry in self._table.values())
+        return sum(len(entry.queue) for entry in self._waiting_entries())
 
     def waiting_info(self) -> list[tuple[int, float, str, set[int], float]]:
         """Every queued request: (txn, ts, item, blockers, enqueued_at).
@@ -176,13 +193,13 @@ class LockManager:
         Used by the distributed-deadlock re-probe pass.
         """
         info = []
-        for item, entry in self._table.items():
+        for entry in self._waiting_entries():
             for request in entry.queue:
                 info.append(
                     (
                         request.txn_id,
                         request.ts,
-                        item,
+                        entry.item,
                         self._blockers_of(entry, request),
                         request.enqueued_at,
                     )
@@ -196,7 +213,7 @@ class LockManager:
     def blockers_of(self, txn_id: int) -> set[int]:
         """Union of blockers over all of ``txn_id``'s queued requests."""
         blockers: set[int] = set()
-        for entry in self._table.values():
+        for entry in self._entries_of(txn_id):
             for request in entry.queue:
                 if request.txn_id == txn_id:
                     blockers |= self._blockers_of(entry, request)
@@ -220,11 +237,7 @@ class LockManager:
 
         Returns True if the transaction was actually waiting here.
         """
-        waiting = any(
-            request.txn_id == txn_id
-            for entry in self._table.values()
-            for request in entry.queue
-        )
+        waiting = self._is_waiting(txn_id)
         if waiting:
             self.stats.deadlocks += 1
             self._abort_waiter(txn_id, reason)
@@ -238,6 +251,34 @@ class LockManager:
                     request.event.fail(ConcurrencyAbort("lock manager cleared (site crash)"))
         self._table.clear()
         self._ts_of.clear()
+        self._entries.clear()
+        self._waiting.clear()
+
+    # -- index ----------------------------------------------------------------------
+    def _index(self, txn_id: int, entry: _ItemLock) -> None:
+        entries = self._entries.get(txn_id)
+        if entries is None:
+            entries = self._entries[txn_id] = {}
+        entries[entry] = None
+
+    def _entries_of(self, txn_id: int) -> list[_ItemLock]:
+        """Entries ``txn_id`` may hold or queue on, in table order."""
+        entries = self._entries.get(txn_id)
+        return sorted(entries, key=_by_rank) if entries else []
+
+    def _waiting_entries(self) -> list[_ItemLock]:
+        """Entries with queued requests, in table order."""
+        waiting = [entry for entry in self._waiting if entry.queue]
+        if len(waiting) != len(self._waiting):
+            self._waiting = dict.fromkeys(waiting)
+        return sorted(waiting, key=_by_rank)
+
+    def _is_waiting(self, txn_id: int) -> bool:
+        return any(
+            request.txn_id == txn_id
+            for entry in self._entries_of(txn_id)
+            for request in entry.queue
+        )
 
     # -- granting -----------------------------------------------------------------
     def _grantable(self, entry: _ItemLock, txn_id: int, mode: str) -> bool:
@@ -277,6 +318,8 @@ class LockManager:
                     self._wound(blocker)
 
         entry.queue.append(request)
+        self._index(request.txn_id, entry)
+        self._waiting[entry] = None
         self.stats.waits += 1
         if self.on_block is not None:
             self.on_block(request.txn_id, request.ts, self._blockers_of(entry, request))
@@ -290,9 +333,7 @@ class LockManager:
                     return request.event
 
         if self.wait_timeout is not None:
-            self.sim.call_later(
-                self.wait_timeout, lambda: self._expire(item, request)
-            )
+            self.sim.defer(self.wait_timeout, lambda: self._expire(item, request))
         return request.event
 
     def _blockers_of(self, entry: _ItemLock, request: _Request) -> set[int]:
@@ -353,7 +394,7 @@ class LockManager:
     # -- deadlock machinery ----------------------------------------------------------
     def _wait_for_graph(self) -> dict[int, set[int]]:
         graph: dict[int, set[int]] = {}
-        for entry in self._table.values():
+        for entry in self._waiting_entries():
             for request in entry.queue:
                 graph.setdefault(request.txn_id, set()).update(
                     self._blockers_of(entry, request)
@@ -389,25 +430,23 @@ class LockManager:
         return max(cycle, key=lambda txn: (self._ts_of.get(txn, 0.0), txn))
 
     def _abort_waiter(self, txn_id: int, reason: str) -> None:
-        for entry in self._table.values():
+        for entry in self._entries_of(txn_id):
             for request in list(entry.queue):
                 if request.txn_id == txn_id:
                     entry.queue.remove(request)
                     if not request.event.triggered:
                         request.event.fail(ConcurrencyAbort(reason))
-        for entry in self._table.values():
+        # Every entry with waiters, not only the victim's: a request queued
+        # behind a pending upgrade can be grantable without its entry having
+        # changed.  Entries with empty queues have nothing to grant.
+        for entry in self._waiting_entries():
             self._grant_from_queue(entry)
 
     def _wound(self, txn_id: int) -> None:
         self.stats.wounds += 1
         # If the victim is waiting here, unwind it immediately; otherwise
         # report it so the controller dooms the transaction.
-        waiting = any(
-            request.txn_id == txn_id
-            for entry in self._table.values()
-            for request in entry.queue
-        )
-        if waiting:
+        if self._is_waiting(txn_id):
             self._abort_waiter(txn_id, reason="wounded by older transaction")
         if self.on_wound is not None:
             self.on_wound(txn_id)

@@ -6,9 +6,11 @@ capability to concurrently process multiple transactions."
 
 A :class:`Site` owns:
 
-* a network endpoint and a server process that spawns one handler process
-  per incoming message (the paper's "one thread per transaction" model —
-  here one process per request plus one per home transaction);
+* a network endpoint and a server process that answers commit-protocol
+  and control messages inline and spawns one handler process per data
+  access, the only requests that can wait on the CCP (the paper's "one
+  thread per transaction" model — here one process per access plus one
+  per home transaction);
 * the committed :class:`~repro.site.storage.LocalStore` and durable
   :class:`~repro.site.wal.WriteAheadLog` (the simulated disk);
 * a pluggable concurrency controller (2PL / TSO / MVTO) guarding the local
@@ -126,7 +128,9 @@ class Site:
 
         self._prepared: dict[int, PreparedState] = {}
         self._activity: dict[int, float] = {}
-        self._handlers: set[Process] = set()
+        # Live processes of this site, in spawn order: a crash interrupts
+        # them in that order, so teardown is the same in every run.
+        self._handlers: dict[Process, None] = {}
         # Same-host sibling sites (the paper's shared Sitelet): the instance
         # wires this map so one BATCH_ACCESS can fan out to co-located
         # copies without extra network hops.
@@ -199,8 +203,8 @@ class Site:
 
     def _spawn(self, generator, name: str) -> Process:
         process = self.sim.process(generator, name=name)
-        self._handlers.add(process)
-        process.add_callback(lambda _ev: self._handlers.discard(process))
+        self._handlers[process] = None
+        process.add_callback(lambda _ev: self._handlers.pop(process, None))
         return process
 
     def spawn_home_transaction(self, generator, name: str) -> Process:
@@ -283,9 +287,15 @@ class Site:
             except (NetworkError, Interrupt):
                 return
             self.stats.messages_handled += 1
-            self._spawn(self._handle(msg), name=f"site:{self.name}:{msg.mtype}")
+            self._dispatch(msg)
 
-    def _handle(self, msg: Message):
+    def _dispatch(self, msg: Message) -> None:
+        """Handle one incoming message.
+
+        Only an access can wait on the CCP (a lock queue, a TSO wait), so
+        only READ, PREWRITE and BATCH_ACCESS run as their own process;
+        every other type is answered inline by the server loop.
+        """
         if msg.reply_to is not None:
             # A reply whose RPC already timed out at this endpoint: the
             # caller has moved on.  Drop it (answering would bounce replies
@@ -293,18 +303,9 @@ class Site:
             return
         payload = msg.payload or {}
         mtype = msg.mtype
-        if mtype == MessageType.READ:
-            self._note_home(payload)
-            self._note_span(msg, payload)
-            yield from self._handle_read(msg, payload)
-        elif mtype == MessageType.PREWRITE:
-            self._note_home(payload)
-            self._note_span(msg, payload)
-            yield from self._handle_prewrite(msg, payload)
-        elif mtype == MessageType.BATCH_ACCESS:
-            self._note_home(payload)
-            self._note_span(msg, payload)
-            yield from self._handle_batch_access(msg, payload)
+        access = self._ACCESS_HANDLERS.get(mtype)
+        if access is not None:
+            self._spawn(access(self, msg, payload), name=f"site:{self.name}:{mtype}")
         elif mtype == MessageType.VOTE_REQ:
             self._note_span(msg, payload)
             self._handle_vote_req(msg, payload)
@@ -330,6 +331,7 @@ class Site:
             self.endpoint.reply(msg, MessageType.ACK, {"ok": False, "reason": "bad type"})
 
     def _handle_read(self, msg: Message, payload: dict):
+        self._note_access(msg, payload)
         txn, ts, item = payload["txn"], payload["ts"], payload["item"]
         try:
             value, version = yield from self.local_read(txn, ts, item)
@@ -343,6 +345,7 @@ class Site:
         self.endpoint.reply(msg, MessageType.READ_REPLY, reply)
 
     def _handle_prewrite(self, msg: Message, payload: dict):
+        self._note_access(msg, payload)
         txn, ts = payload["txn"], payload["ts"]
         item, value = payload["item"], payload["value"]
         try:
@@ -387,6 +390,7 @@ class Site:
         its own process (a lock wait at one sibling must not serialize the
         others); the single reply carries one entry per requested site.
         """
+        self._note_access(msg, payload)
         sites = payload.get("sites") or []
         prepares = payload.get("prepare") or {}
         write = payload.get("kind") == "W"
@@ -795,15 +799,24 @@ class Site:
     def _touch(self, txn: int) -> None:
         self._activity[txn] = self.sim.now
 
-    def _note_home(self, payload: dict) -> None:
+    def _note_access(self, msg: Message, payload: dict) -> None:
+        """Record an access request's home site and trace context."""
         home = payload.get("home")
         if home is not None:
             self._txn_home[payload["txn"]] = home
+        self._note_span(msg, payload)
 
     def _note_span(self, msg: Message, payload: dict) -> None:
         """Adopt the request's trace context for the txn's next local op."""
         if self.tracer is not None and "txn" in payload:
             self._span_ctx[payload["txn"]] = msg.span
+
+    #: The handlers that may block on the CCP, one process per message.
+    _ACCESS_HANDLERS = {
+        MessageType.READ: _handle_read,
+        MessageType.PREWRITE: _handle_prewrite,
+        MessageType.BATCH_ACCESS: _handle_batch_access,
+    }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.up else "down"

@@ -86,7 +86,7 @@ class Test2PL:
             log.append(sim.now)
 
         process = sim.process(second())
-        sim.call_later(5, lambda: cc.commit(1, {}))
+        sim.defer(5, lambda: cc.commit(1, {}))
         sim.run(until=process)
         assert log == [5.0]
 
@@ -168,7 +168,7 @@ class TestTSO:
             results.append((value, sim.now))
 
         process = sim.process(reader())
-        sim.call_later(4, lambda: cc.commit(1, {}))
+        sim.defer(4, lambda: cc.commit(1, {}))
         sim.run(until=process)
         assert results == [(77, 4.0)]  # saw the committed value, after waiting
 
@@ -188,7 +188,7 @@ class TestTSO:
             results.append(value)
 
         process = sim.process(reader())
-        sim.call_later(3, lambda: cc.abort(1))
+        sim.defer(3, lambda: cc.abort(1))
         sim.run(until=process)
         assert results == [0]  # writer aborted; committed value unchanged
 
@@ -240,7 +240,7 @@ class TestTSO:
             waited.append((value, sim.now))
 
         process = sim.process(reader())
-        sim.call_later(6, lambda: cc.commit(3, {"x": 1}))
+        sim.defer(6, lambda: cc.commit(3, {"x": 1}))
         sim.run(until=process)
         assert waited == [(50, 6.0)]
 
@@ -286,7 +286,7 @@ class TestMVTO:
             seen.append((value, sim.now))
 
         process = sim.process(reader())
-        sim.call_later(4, lambda: cc.commit(1, {}))
+        sim.defer(4, lambda: cc.commit(1, {}))
         sim.run(until=process)
         assert seen == [(55, 4.0)]
 

@@ -190,7 +190,7 @@ class TestTimeoutStrategy:
         locks = LockManager(sim, strategy="timeout", wait_timeout=10.0)
         locks.acquire(1, 1.0, "x", LockMode.X)
         event = locks.acquire(2, 2.0, "x", LockMode.X)
-        sim.call_later(3, lambda: locks.release_all(1))
+        sim.defer(3, lambda: locks.release_all(1))
         sim.run()
         assert grant_state(event) == "granted"
         assert locks.stats.timeouts == 0
@@ -287,6 +287,41 @@ class TestReleaseAndClear:
     def test_wait_time_accounted(self, sim, locks):
         locks.acquire(1, 1.0, "x", LockMode.X)
         locks.acquire(2, 2.0, "x", LockMode.X)
-        sim.call_later(7, lambda: locks.release_all(1))
+        sim.defer(7, lambda: locks.release_all(1))
         sim.run()
         assert locks.stats.total_wait_time == 7.0
+
+
+class TestIndexedWalks:
+    """Walks over several entries visit them in table (creation) order."""
+
+    def test_release_all_grants_in_table_order(self, sim, locks):
+        locks.acquire(2, 2.0, "a", LockMode.S)  # creates "a" first
+        locks.acquire(1, 1.0, "b", LockMode.X)
+        locks.acquire(1, 1.0, "a", LockMode.S)  # txn 1 reaches "a" after "b"
+        fired = []
+        locks.acquire(3, 3.0, "a", LockMode.X).add_callback(lambda _ev: fired.append("a"))
+        locks.acquire(4, 4.0, "b", LockMode.S).add_callback(lambda _ev: fired.append("b"))
+        locks.release_all(2)
+        locks.release_all(1)
+        sim.run()
+        assert fired == ["a", "b"]
+        assert locks.held_locks(3) == {"a": "X"}
+        assert locks.held_locks(4) == {"b": "S"}
+
+    def test_abort_waiter_grant_pass_covers_every_waiting_entry(self, sim, locks):
+        # On "x", txn 3's S request queues behind txn 1's pending upgrade
+        # although no holder conflicts with it.
+        locks.acquire(1, 1.0, "x", LockMode.S)
+        locks.acquire(2, 2.0, "x", LockMode.S)
+        locks.acquire(1, 1.0, "x", LockMode.X)
+        reader = locks.acquire(3, 3.0, "x", LockMode.S)
+        # Txn 4 waits on an unrelated item.
+        locks.acquire(5, 5.0, "y", LockMode.X)
+        locks.acquire(4, 4.0, "y", LockMode.X)
+        sim.run()
+        assert grant_state(reader) == "waiting"
+        assert locks.abort_waiter(4, "victim")
+        sim.run()
+        assert grant_state(reader) == "granted"
+        assert locks.waiting_count() == 1  # the upgrade still waits for txn 2

@@ -207,7 +207,7 @@ class TestFailureModes:
             return "failed as expected"
 
         process = sim.process(receiver())
-        sim.call_later(1, b.set_down)
+        sim.defer(1, b.set_down)
         assert sim.run(until=process) == "failed as expected"
 
     def test_down_endpoint_fails_pending_rpcs(self, sim, network):
@@ -220,7 +220,7 @@ class TestFailureModes:
             return sim.now
 
         process = sim.process(client())
-        sim.call_later(2, a.set_down)
+        sim.defer(2, a.set_down)
         assert sim.run(until=process) == 2.0
 
     def test_source_down_drops_sends(self, sim, network):

@@ -198,6 +198,92 @@ def test_lock_manager_never_grants_conflicting_locks(seed, n_txns, n_items, n_st
     check_invariant()
 
 
+class _ScanLockManager(LockManager):
+    """Reference model: every multi-entry walk scans the whole lock table."""
+
+    def _entries_of(self, txn_id):
+        return list(self._table.values())
+
+    def _waiting_entries(self):
+        return list(self._table.values())
+
+
+# Acquires dominate so that queues, upgrades and multi-item holders build up.
+_LOCK_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["acquire"] * 5 + ["release_all", "abort_waiter", "wound", "advance"]),
+        st.integers(1, 4),
+        st.sampled_from("abc"),
+        st.sampled_from("SX"),
+        st.floats(0, 3),
+    ),
+    min_size=10,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    strategy=st.sampled_from(["detect", "timeout", "wait_die", "wound_wait"]),
+    ops=_LOCK_OPS,
+)
+def test_lock_index_matches_full_table_scan(strategy, ops):
+    """The per-txn / waiter index changes no observable lock-manager behaviour.
+
+    The indexed manager and a full-scan reference run the same random
+    schedule side by side; after every step their answers, hook calls and
+    the order in which lock events fire must agree.
+    """
+    runs = []
+    for cls in (LockManager, _ScanLockManager):
+        sim = Simulator()
+        log: list = []
+        locks = cls(
+            sim,
+            strategy=strategy,
+            wait_timeout=5.0,
+            on_wound=lambda txn, log=log: log.append(("wounded", txn)),
+            on_block=lambda txn, ts, blockers, log=log: log.append(
+                ("block", txn, sorted(blockers))
+            ),
+        )
+        runs.append((sim, locks, log))
+
+    def observe(sim, locks, log):
+        txns = range(1, 5)
+        return (
+            sim.now,
+            list(log),
+            {txn: locks.held_locks(txn) for txn in txns},
+            {txn: locks.blockers_of(txn) for txn in txns},
+            locks.waiting_info(),
+            locks.waiting_count(),
+            locks.wait_for_graph_dot(),
+            locks.stats,
+        )
+
+    for step, op in enumerate(ops):
+        kind, txn, item, mode, delay = op
+        for sim, locks, log in runs:
+            if kind == "acquire":
+                event = locks.acquire(txn, float(txn), item, mode)
+                event.add_callback(
+                    lambda ev, step=step, log=log: log.append(
+                        ("fired", step, ev.ok, str(ev.value))
+                    )
+                )
+            elif kind == "release_all":
+                locks.release_all(txn)
+            elif kind == "abort_waiter":
+                log.append(("was_waiting", locks.abort_waiter(txn, "test victim")))
+            elif kind == "wound":
+                locks._wound(txn)
+            else:
+                sim.run(until=sim.now + delay)
+        indexed, reference = (observe(*run) for run in runs)
+        assert indexed == reference, f"diverged after step {step}: {op}"
+
+
 # ---------------------------------------------------------------------------
 # Storage and WAL
 

@@ -196,7 +196,7 @@ class TestAtomicCommit:
         # vote request arrives.
         txn = Transaction(ops=[Operation.write("x1", 1)], home_site="site1")
         process = instance.submit(txn)
-        instance.sim.call_later(2.5, site2.crash)
+        instance.sim.defer(2.5, site2.crash)
         instance.sim.run(until=process)
         assert txn.aborted
 

@@ -118,7 +118,7 @@ class TestProcess:
                 return f"caught {error}"
 
         process = sim.process(proc())
-        sim.call_later(1, lambda: event.fail(ValueError("bad")))
+        sim.defer(1, lambda: event.fail(ValueError("bad")))
         assert sim.run(until=process) == "caught bad"
 
     def test_uncaught_exception_fails_process(self, sim):
@@ -182,7 +182,7 @@ class TestInterrupt:
                 return f"interrupted: {interrupt.cause}"
 
         process = sim.process(proc())
-        sim.call_later(5, lambda: process.interrupt("crash"))
+        sim.defer(5, lambda: process.interrupt("crash"))
         assert sim.run(until=process) == "interrupted: crash"
         assert sim.now == 5.0
 
@@ -191,7 +191,7 @@ class TestInterrupt:
             yield sim.timeout(100)
 
         process = sim.process(proc())
-        sim.call_later(5, lambda: process.interrupt())
+        sim.defer(5, lambda: process.interrupt())
         value = sim.run(until=process)
         assert isinstance(value, Interrupt)
 
@@ -218,7 +218,7 @@ class TestInterrupt:
                 resumed.append("post-interrupt")
 
         process = sim.process(proc())
-        sim.call_later(5, lambda: process.interrupt())
+        sim.defer(5, lambda: process.interrupt())
         sim.run()
         assert resumed == ["post-interrupt"]
         assert sim.now >= 25.0
@@ -277,7 +277,7 @@ class TestConditions:
                 return sim.now
 
         process = sim.process(proc())
-        sim.call_later(1, lambda: bad.fail(ValueError()))
+        sim.defer(1, lambda: bad.fail(ValueError()))
         assert sim.run(until=process) == 1.0
 
     def test_any_of_fails_only_when_all_fail(self, sim):
@@ -291,8 +291,8 @@ class TestConditions:
                 return "all failed"
 
         process = sim.process(proc())
-        sim.call_later(1, lambda: e1.fail(RuntimeError()))
-        sim.call_later(2, lambda: e2.fail(RuntimeError()))
+        sim.defer(1, lambda: e1.fail(RuntimeError()))
+        sim.defer(2, lambda: e2.fail(RuntimeError()))
         assert sim.run(until=process) == "all failed"
 
     def test_any_of_with_one_failure_and_one_success(self, sim):
@@ -303,8 +303,8 @@ class TestConditions:
             return list(results.values())
 
         process = sim.process(proc())
-        sim.call_later(1, lambda: e1.fail(RuntimeError()))
-        sim.call_later(2, lambda: e2.succeed("late win"))
+        sim.defer(1, lambda: e1.fail(RuntimeError()))
+        sim.defer(2, lambda: e2.succeed("late win"))
         assert sim.run(until=process) == ["late win"]
 
     def test_condition_rejects_foreign_events(self, sim):
@@ -363,15 +363,15 @@ class TestRun:
         sim.run()
         assert sim.processed_events == 2
 
-    def test_call_later_runs_function(self, sim):
+    def test_defer_runs_function(self, sim):
         seen = []
-        sim.call_later(3, lambda: seen.append(sim.now))
+        sim.defer(3, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [3.0]
 
-    def test_call_later_negative_rejected(self, sim):
+    def test_defer_negative_rejected(self, sim):
         with pytest.raises(SimulationError):
-            sim.call_later(-1, lambda: None)
+            sim.defer(-1, lambda: None)
 
     def test_determinism_two_identical_runs(self):
         def build():

@@ -1,9 +1,12 @@
 """Unit tests for the Rainbow site: server, participant, crash/recovery."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConcurrencyAbort
 from repro.net.message import MessageType
+from repro.sim.kernel import Process
 from repro.site.site import Site
 from tests.conftest import drive
 
@@ -14,6 +17,19 @@ def site(sim, network):
     site.store.create_copy("x", initial_value=0)
     site.store.create_copy("y", initial_value=5)
     return site
+
+
+def record_spawns(sim):
+    """Wrap ``sim.process``; returns the list of processes it launches."""
+    spawned = []
+    launch = sim.process
+
+    def process(generator, name=""):
+        spawned.append(launch(generator, name=name))
+        return spawned[-1]
+
+    sim.process = process
+    return spawned
 
 
 class TestLocalOperations:
@@ -304,3 +320,127 @@ class TestSweepers:
         assert site.stats.orphan_events == 1
         assert site.in_doubt_count() == 0
         assert site.store.read("x") == (0, 0)
+
+
+class TestDispatch:
+    """Only accesses, which can block on the CCP, get a handler process."""
+
+    @pytest.mark.parametrize(
+        "mtype, payload",
+        [
+            (MessageType.COMMIT, {"txn": 1}),
+            (MessageType.ABORT, {"txn": 1}),
+            (MessageType.PRECOMMIT, {"txn": 1}),
+            (MessageType.VOTE_REQ, {"txn": 1, "ts": 1.0, "versions": {}}),
+            (MessageType.DECISION_REQ, {"txn": 1, "presume_abort": True}),
+        ],
+    )
+    def test_non_blocking_message_spawns_no_process(
+        self, sim, network, site, mtype, payload
+    ):
+        client = network.endpoint("hc", "client")
+
+        def run():
+            reply = yield client.request(site.address, mtype, payload, timeout=20)
+            return reply
+
+        caller = sim.process(run())
+        spawned = record_spawns(sim)
+        assert sim.run(until=caller).mtype != mtype
+        assert spawned == []
+        assert site.stats.messages_handled == 1
+
+    def test_txn_submit_spawns_only_its_coordinator(self, sim, network, site):
+        client = network.endpoint("hc", "client")
+
+        def coordinator(_site, spec):
+            yield sim.timeout(3)
+            return {"txn": spec.txn_id, "reads": {}}
+
+        site.coordinator_factory = coordinator
+
+        def run():
+            reply = yield client.request(
+                site.address,
+                MessageType.TXN_SUBMIT,
+                {"txn_spec": SimpleNamespace(txn_id=7)},
+                timeout=20,
+            )
+            return reply.payload
+
+        caller = sim.process(run())
+        spawned = record_spawns(sim)
+        payload = sim.run(until=caller)
+        assert payload["ok"] and payload["outcome"]["txn"] == 7
+        assert [process.name for process in spawned] == ["txn@s1"]
+
+    def test_blocked_read_queues_while_server_keeps_answering(self, sim, network, site):
+        client = network.endpoint("hc", "client")
+        drive(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+        log = []
+
+        def reader():
+            reply = yield client.request(
+                site.address, MessageType.READ,
+                {"txn": 2, "ts": 2.0, "item": "x"}, timeout=100,
+            )
+            log.append(("read", reply.payload["ok"]))
+
+        def other():
+            yield sim.timeout(5)
+            reply = yield client.request(
+                site.address, MessageType.DECISION_REQ,
+                {"txn": 3, "presume_abort": True}, timeout=20,
+            )
+            log.append(("decision", reply.payload["decision"]))
+            log.append(("waiting", site.cc.locks.waiting_count()))
+            ack = yield client.request(
+                site.address, MessageType.COMMIT, {"txn": 1}, timeout=20
+            )
+            log.append(("commit", ack.payload["ok"]))
+
+        callers = [sim.process(reader()), sim.process(other())]
+        spawned = record_spawns(sim)
+        sim.run(until=sim.all_of(callers))
+        assert log == [
+            ("decision", "ABORT"),
+            ("waiting", 1),
+            ("commit", True),
+            ("read", True),
+        ]
+        assert [process.name for process in spawned] == ["site:s1:READ"]
+
+
+class TestCrashTeardown:
+    def test_crash_interrupts_live_processes_in_spawn_order(
+        self, sim, network, monkeypatch
+    ):
+        spawned = record_spawns(sim)
+        site = Site(sim, network, "s9", "h9", gc_interval=10, uncertainty_timeout=50)
+        site.store.create_copy("x")
+        drive(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+        client = network.endpoint("hc", "client")
+        for txn in (4, 2, 3):
+            client.send(site.address, MessageType.READ, {"txn": txn, "ts": 1.0, "item": "x"})
+        sim.run(until=sim.now + 5)
+        assert site.cc.locks.waiting_count() == 3
+
+        interrupted = []
+        interrupt = Process.interrupt
+
+        def recording_interrupt(process, cause=None):
+            interrupted.append(process)
+            interrupt(process, cause)
+
+        monkeypatch.setattr(Process, "interrupt", recording_interrupt)
+        live = [process for process in spawned if process.is_alive]
+        site.crash()
+        assert [process.name for process in live] == [
+            "site:s9:server",
+            "site:s9:gc",
+            "site:s9:uncertain",
+            "site:s9:READ",
+            "site:s9:READ",
+            "site:s9:READ",
+        ]
+        assert interrupted == live
