@@ -7,12 +7,13 @@
 #   make chaos       chaos suite: 25 nemesis seeds, all safety invariants
 #   make trace       traced session: phase breakdown + trace.json (Perfetto)
 #   make rules       print the rainbow-lint rule catalog
+#   make golden      regenerate tests/fixtures/golden/ (golden replay gate)
 
 PY       ?= python
 PYPATH   := PYTHONPATH=src
 LINTDIRS := src benchmarks examples
 
-.PHONY: test lint lint-all bench chaos trace rules
+.PHONY: test lint lint-all bench chaos trace rules golden
 
 test:
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -44,3 +45,6 @@ trace:
 
 rules:
 	$(PYPATH) $(PY) -m repro lint --list-rules
+
+golden:
+	$(PY) -m tests.golden

@@ -63,68 +63,20 @@ def format_history(events: Iterable[TraceEvent], max_events: int | None = None) 
 class ExecutionTracer:
     """Collects local histories from instrumented sites.
 
-    Attach with :meth:`attach`; it wraps the site's ``local_*`` entry points
-    so every CCP-mediated operation and every termination event is recorded.
-    Tracing is opt-in (it costs memory) — sessions that only need statistics
-    skip it.
+    Attach with :meth:`attach`: the site then reports every CCP-mediated
+    operation and every termination event through :meth:`record`.  Tracing
+    is opt-in (it costs memory) — sessions that only need statistics skip
+    it.
     """
 
     def __init__(self, sim):
         self.sim = sim
         self.events: list[TraceEvent] = []
-        self._attached: set[str] = set()
 
     # -- instrumentation ----------------------------------------------------
     def attach(self, site) -> None:
-        """Instrument one site (idempotent per site name)."""
-        if site.name in self._attached:
-            return
-        self._attached.add(site.name)
-        tracer = self
-
-        original_read = site.local_read
-        original_prewrite = site.local_prewrite
-        original_prepare = site.local_prepare
-        original_precommit = site.local_precommit
-        original_commit = site.local_commit
-        original_abort = site.local_abort
-
-        def traced_read(txn, ts, item):
-            result = yield from original_read(txn, ts, item)
-            value, version = result
-            tracer.record("read", site.name, txn, item=item, value=value, version=version)
-            return result
-
-        def traced_prewrite(txn, ts, item, value):
-            version = yield from original_prewrite(txn, ts, item, value)
-            tracer.record("prewrite", site.name, txn, item=item, value=value,
-                          version=version)
-            return version
-
-        def traced_prepare(txn, versions, coordinator, ts, acp="2PC", peers=None):
-            vote = original_prepare(txn, versions, coordinator, ts, acp=acp, peers=peers)
-            if vote[0]:
-                tracer.record("prepare", site.name, txn)
-            return vote
-
-        def traced_precommit(txn):
-            original_precommit(txn)
-            tracer.record("precommit", site.name, txn)
-
-        def traced_commit(txn):
-            original_commit(txn)
-            tracer.record("commit", site.name, txn)
-
-        def traced_abort(txn):
-            original_abort(txn)
-            tracer.record("abort", site.name, txn)
-
-        site.local_read = traced_read
-        site.local_prewrite = traced_prewrite
-        site.local_prepare = traced_prepare
-        site.local_precommit = traced_precommit
-        site.local_commit = traced_commit
-        site.local_abort = traced_abort
+        """Record the local history of one site (idempotent)."""
+        site.history = self
 
     def attach_all(self, instance) -> None:
         """Instrument every site of a RainbowInstance."""

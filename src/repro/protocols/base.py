@@ -55,6 +55,10 @@ class ConcurrencyController:
     """
 
     name = "abstract"
+    #: True when a write installs the writer's timestamp as its version
+    #: (the coordinator then knows the version before the prewrite reply).
+    #: False means counter versions: one past the highest version seen.
+    timestamp_versions = False
 
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
         """Yield until readable; return ``(value, version)``."""

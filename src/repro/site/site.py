@@ -8,9 +8,11 @@ A :class:`Site` owns:
 
 * a network endpoint and a server process that answers commit-protocol
   and control messages inline and spawns one handler process per data
-  access, the only requests that can wait on the CCP (the paper's "one
-  thread per transaction" model — here one process per access plus one
-  per home transaction);
+  access request, the only requests that can wait on the CCP (the paper's
+  "one thread per transaction" model — here one process per access plus
+  one per home transaction).  READ, PREWRITE and BATCH_ACCESS share one
+  path: a plain request is one access here, a batch is one access per
+  co-located target, each run by ``_run_access``;
 * the committed :class:`~repro.site.storage.LocalStore` and durable
   :class:`~repro.site.wal.WriteAheadLog` (the simulated disk);
 * a pluggable concurrency controller (2PL / TSO / MVTO) guarding the local
@@ -25,6 +27,10 @@ Everything above the dashed line in the paper's Figure 1 — the web tier and
 GUI — talks to sites only through messages; the coordinator for a *home*
 transaction runs as a process on its site and uses the ``local_*`` methods
 directly (no self-messages, so message counts match the real system).
+Those methods are also where the site is observed: with tracing on they
+open ``ccp.*`` spans under the caller's explicit ``span`` argument, and an
+attached :class:`~repro.monitor.tracing.ExecutionTracer` (``history``)
+records each completed operation.
 """
 
 from __future__ import annotations
@@ -36,12 +42,15 @@ from repro.errors import ConcurrencyAbort, NetworkError, RpcTimeout
 from repro.net.message import Message, MessageType
 from repro.site.deadlock import ProbeTypes as _ProbeTypesModule
 
-_PROBE_TYPES = _ProbeTypesModule.ALL
 from repro.net.network import Network
 from repro.protocols.base import make_ccp
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
 from repro.sim.kernel import Interrupt, Process, Simulator
+
+_PROBE_TYPES = _ProbeTypesModule.ALL
+#: The requests that may wait on the CCP; each runs as its own process.
+_ACCESS_TYPES = frozenset({MessageType.READ, MessageType.PREWRITE, MessageType.BATCH_ACCESS})
 
 __all__ = ["Site", "SiteStats", "PreparedState"]
 
@@ -144,14 +153,13 @@ class Site:
         self._txn_home: dict[int, str] = {}
         self._home_ctxs: dict[int, object] = {}
         self.directory: dict[str, str] = {}
-        # Causal tracing (``RainbowInstance.enable_tracing``): the shared
-        # span tracer, plus the parent span id under which the next local
-        # CCP operation of a transaction should nest.  ``local_read`` and
-        # friends keep fixed signatures (``ExecutionTracer`` wraps them),
-        # so the trace context arrives through this side channel instead of
-        # a parameter; per (site, txn) at most one access runs at a time.
+        # The two observers of local operations, both off by default: the
+        # causal span tracer (``RainbowInstance.enable_tracing``), which
+        # nests each CCP operation under the span passed in by its caller,
+        # and the textbook history (``ExecutionTracer.attach``), which
+        # records every operation that completed.
         self.tracer = None
-        self._span_ctx: dict[int, Optional[str]] = {}
+        self.history = None
         self._start_background()
         self.deadlock_detector = None
         if distributed_deadlock:
@@ -231,7 +239,6 @@ class Site:
         self._activity.clear()
         self._home_ctxs.clear()
         self._txn_home.clear()
-        self._span_ctx.clear()
 
     def recover(self) -> None:
         """Restart from durable state; resolve in-doubt transactions."""
@@ -303,11 +310,9 @@ class Site:
             return
         payload = msg.payload or {}
         mtype = msg.mtype
-        access = self._ACCESS_HANDLERS.get(mtype)
-        if access is not None:
-            self._spawn(access(self, msg, payload), name=f"site:{self.name}:{mtype}")
+        if mtype in _ACCESS_TYPES:
+            self._spawn(self._handle_access(msg, payload), name=f"site:{self.name}:{mtype}")
         elif mtype == MessageType.VOTE_REQ:
-            self._note_span(msg, payload)
             self._handle_vote_req(msg, payload)
         elif mtype == MessageType.PRECOMMIT:
             self.local_precommit(payload["txn"])
@@ -330,90 +335,35 @@ class Site:
         else:
             self.endpoint.reply(msg, MessageType.ACK, {"ok": False, "reason": "bad type"})
 
-    def _handle_read(self, msg: Message, payload: dict):
-        self._note_access(msg, payload)
-        txn, ts, item = payload["txn"], payload["ts"], payload["item"]
-        try:
-            value, version = yield from self.local_read(txn, ts, item)
-        except ConcurrencyAbort as abort:
-            self.endpoint.reply(
-                msg, MessageType.READ_REPLY, {"ok": False, "reason": str(abort)}
-            )
-            return
-        reply = {"ok": True, "value": value, "version": version}
-        self._fold_prepare(txn, ts, payload.get("prepare"), reply)
-        self.endpoint.reply(msg, MessageType.READ_REPLY, reply)
+    def _handle_access(self, msg: Message, payload: dict):
+        """Serve a READ, PREWRITE or BATCH_ACCESS request.
 
-    def _handle_prewrite(self, msg: Message, payload: dict):
-        self._note_access(msg, payload)
-        txn, ts = payload["txn"], payload["ts"]
-        item, value = payload["item"], payload["value"]
-        try:
-            version = yield from self.local_prewrite(txn, ts, item, value)
-        except ConcurrencyAbort as abort:
-            self.endpoint.reply(
-                msg, MessageType.PREWRITE_REPLY, {"ok": False, "reason": str(abort)}
-            )
-            return
-        reply = {"ok": True, "version": version}
-        self._fold_prepare(txn, ts, payload.get("prepare"), reply)
-        self.endpoint.reply(msg, MessageType.PREWRITE_REPLY, reply)
-
-    def _fold_prepare(
-        self, txn: int, ts: float, prepare: Optional[dict], reply: dict
-    ) -> None:
-        """Run a piggybacked prepare and fold the vote into ``reply``.
-
-        The last-agent optimization: the coordinator attached the VOTE_REQ
-        payload to the transaction's final access, so the access reply
-        doubles as this participant's vote and the explicit round is
-        skipped.  Only reached after a successful access — a failed access
-        aborts the transaction before any vote matters.
+        A plain request is one access at this site, answered with its entry.
+        A BATCH_ACCESS names several sites on this host: this site is the
+        gateway, each access runs as its own process (a lock wait at one
+        sibling must not serialize the others), and the single reply
+        carries one entry per requested site.
         """
-        if prepare is None:
+        write = msg.mtype == MessageType.PREWRITE or payload.get("kind") == "W"
+        if msg.mtype != MessageType.BATCH_ACCESS:
+            entry = yield from self._run_access(
+                self.name, msg, payload, write, payload.get("prepare")
+            )
+            reply_type = MessageType.PREWRITE_REPLY if write else MessageType.READ_REPLY
+            self.endpoint.reply(msg, reply_type, entry)
             return
-        vote, reason = self.local_prepare(
-            txn,
-            prepare.get("versions", {}),
-            prepare.get("coordinator"),
-            ts,
-            acp=prepare.get("acp", "2PC"),
-            peers=prepare.get("peers", []),
-        )
-        reply["vote"] = vote
-        reply["vote_reason"] = reason
-
-    def _handle_batch_access(self, msg: Message, payload: dict):
-        """Gateway for one BATCH_ACCESS: fan sub-ops out over the host.
-
-        Each sub-op targets this site or a co-located sibling and runs as
-        its own process (a lock wait at one sibling must not serialize the
-        others); the single reply carries one entry per requested site.
-        """
-        self._note_access(msg, payload)
         sites = payload.get("sites") or []
         prepares = payload.get("prepare") or {}
-        write = payload.get("kind") == "W"
         procs = [
             self._spawn(
-                self._batch_sub_op(
-                    target,
-                    payload["txn"],
-                    payload["ts"],
-                    payload["item"],
-                    payload.get("value"),
-                    write,
-                    prepares.get(target),
-                    payload.get("home"),
-                    msg.span,
-                ),
+                self._run_access(target, msg, payload, write, prepares.get(target)),
                 name=f"site:{self.name}:batch:{target}",
             )
             for target in sites
         ]
         if procs:
             yield self.sim.all_of(procs)
-        results = [process.value for process in procs]
+        results = [{"site": target, **process.value} for target, process in zip(sites, procs)]
         self.endpoint.reply(
             msg,
             MessageType.BATCH_REPLY,
@@ -421,48 +371,60 @@ class Site:
             size=max(1, len(results)),
         )
 
-    def _batch_sub_op(
-        self,
-        target_name: str,
-        txn: int,
-        ts: float,
-        item: str,
-        value: Any,
-        write: bool,
-        prepare: Optional[dict],
-        home: Optional[str],
-        span: Optional[str] = None,
+    def _run_access(
+        self, target_name: str, msg: Message, payload: dict, write: bool, prepare: Optional[dict]
     ):
-        """One sub-op of a batch, dispatched to self or a same-host sibling."""
+        """One requested access at this site or a same-host sibling.
+
+        Returns the reply entry (generator): ``ok`` with the value and/or
+        version read, plus the folded vote when the request carried a
+        piggybacked prepare; or not ``ok`` with a ``reason``.  A failure
+        marked ``kind="net"`` means the target could not be reached; an
+        unmarked failure is a CCP rejection.
+        """
         target = self if target_name == self.name else self.colocated.get(target_name)
         if target is None or not target.up:
             return {
-                "site": target_name,
                 "ok": False,
                 "kind": "net",
                 "reason": f"{target_name} unavailable at gateway {self.name}",
             }
+        txn, ts, item = payload["txn"], payload["ts"], payload["item"]
+        home = payload.get("home")
         if home is not None:
             target._txn_home[txn] = home
-        if target.tracer is not None:
-            target._span_ctx[txn] = span
-        entry: dict[str, Any] = {"site": target_name}
         try:
             if write:
-                version = yield from target.local_prewrite(txn, ts, item, value)
-                entry.update(ok=True, version=version)
+                version = yield from target.local_prewrite(
+                    txn, ts, item, payload.get("value"), span=msg.span
+                )
+                entry = {"ok": True, "version": version}
             else:
-                read_value, version = yield from target.local_read(txn, ts, item)
-                entry.update(ok=True, value=read_value, version=version)
+                value, version = yield from target.local_read(txn, ts, item, span=msg.span)
+                entry = {"ok": True, "value": value, "version": version}
         except ConcurrencyAbort as abort:
-            return {
-                "site": target_name,
-                "ok": False,
-                "kind": "ccp",
-                "reason": str(abort),
-            }
+            if not target.up:
+                # A sibling crashed mid-wait (its lock table was cleared):
+                # like an unanswered request, the copy was unreachable.
+                return {"ok": False, "kind": "net", "reason": str(abort)}
+            return {"ok": False, "reason": str(abort)}
         if prepare is not None:
-            target._fold_prepare(txn, ts, prepare, entry)
+            # The last-agent optimization: the coordinator attached the
+            # VOTE_REQ payload to the transaction's final access, so this
+            # reply doubles as the participant's vote and the explicit round
+            # is skipped.  A failed access aborts the transaction before any
+            # vote matters, so only a successful one prepares.
+            vote, reason = target.local_prepare(
+                txn,
+                prepare.get("versions", {}),
+                prepare.get("coordinator"),
+                ts,
+                acp=prepare.get("acp", "2PC"),
+                peers=prepare.get("peers", []),
+                span=msg.span,
+            )
+            entry["vote"] = vote
+            entry["vote_reason"] = reason
         return entry
 
     def _handle_vote_req(self, msg: Message, payload: dict) -> None:
@@ -473,6 +435,7 @@ class Site:
             payload.get("ts", 0.0),
             acp=payload.get("acp", "2PC"),
             peers=payload.get("peers", []),
+            span=msg.span,
         )
         self.endpoint.reply(msg, MessageType.VOTE, {"vote": vote, "reason": reason})
 
@@ -506,36 +469,44 @@ class Site:
         self.spawn_home_transaction(_run_and_report(), name=f"txn@{self.name}")
 
     # ------------------------------------------------------------------ local ops
-    def local_read(self, txn: int, ts: float, item: str):
-        """CCP-mediated read of the local copy (generator)."""
+    def local_read(self, txn: int, ts: float, item: str, span: Optional[str] = None):
+        """CCP-mediated read of the local copy (generator).
+
+        ``span`` is the caller's trace context: the id of the span this
+        operation nests under when tracing is on.
+        """
         self._touch(txn)
         self.stats.reads_served += 1
         if self.tracer is None:
-            result = yield from self.cc.read(txn, ts, item)
-            return result
-        span = self.tracer.begin(
-            txn, self.name, "ccp.read", parent=self._span_ctx.get(txn), item=item
-        )
-        try:
-            result = yield from self.cc.read(txn, ts, item)
-        finally:
-            self.tracer.finish(span)
-        return result
+            value, version = yield from self.cc.read(txn, ts, item)
+        else:
+            opened = self.tracer.begin(txn, self.name, "ccp.read", parent=span, item=item)
+            try:
+                value, version = yield from self.cc.read(txn, ts, item)
+            finally:
+                self.tracer.finish(opened)
+        if self.history is not None:
+            self.history.record("read", self.name, txn, item=item, value=value, version=version)
+        return value, version
 
-    def local_prewrite(self, txn: int, ts: float, item: str, value: Any):
+    def local_prewrite(
+        self, txn: int, ts: float, item: str, value: Any, span: Optional[str] = None
+    ):
         """CCP-mediated pre-write of the local copy (generator)."""
         self._touch(txn)
         self.stats.prewrites_served += 1
         if self.tracer is None:
             version = yield from self.cc.prewrite(txn, ts, item, value)
-            return version
-        span = self.tracer.begin(
-            txn, self.name, "ccp.prewrite", parent=self._span_ctx.get(txn), item=item
-        )
-        try:
-            version = yield from self.cc.prewrite(txn, ts, item, value)
-        finally:
-            self.tracer.finish(span)
+        else:
+            opened = self.tracer.begin(txn, self.name, "ccp.prewrite", parent=span, item=item)
+            try:
+                version = yield from self.cc.prewrite(txn, ts, item, value)
+            finally:
+                self.tracer.finish(opened)
+        if self.history is not None:
+            self.history.record(
+                "prewrite", self.name, txn, item=item, value=value, version=version
+            )
         return version
 
     def local_prepare(
@@ -546,6 +517,7 @@ class Site:
         ts: float,
         acp: str = "2PC",
         peers: Optional[list[str]] = None,
+        span: Optional[str] = None,
     ) -> tuple[bool, str]:
         """Participant prepare: force the PREPARE record and vote.
 
@@ -556,14 +528,10 @@ class Site:
         if self.tracer is not None:
             now = self.sim.now
             self.tracer.record(
-                txn,
-                self.name,
-                "ccp.prepare",
-                start=now,
-                end=now,
-                parent=self._span_ctx.get(txn),
-                vote=vote,
+                txn, self.name, "ccp.prepare", start=now, end=now, parent=span, vote=vote
             )
+        if vote and self.history is not None:
+            self.history.record("prepare", self.name, txn)
         return vote, reason
 
     def _prepare_vote(
@@ -609,32 +577,33 @@ class Site:
     def local_precommit(self, txn: int) -> None:
         """3PC pre-commit: durable, moves the participant out of uncertainty."""
         state = self._prepared.get(txn)
-        if state is None:
-            return
-        self.wal.log_precommit(txn, self.sim.now)
-        state.precommitted = True
+        if state is not None:
+            self.wal.log_precommit(txn, self.sim.now)
+            state.precommitted = True
+        if self.history is not None:
+            self.history.record("precommit", self.name, txn)
 
     def local_commit(self, txn: int) -> None:
         """Apply the global COMMIT decision at this participant."""
         state = self._prepared.pop(txn, None)
-        if state is None and self.wal.decision_for(txn) == "COMMIT":
-            return  # duplicate decision (retry); already applied
-        if state is not None:
-            # Tag the record as a participant's copy of the decision so
-            # checkpointing knows how long it must survive (see
-            # WriteAheadLog.checkpoint).
-            self.wal.log_commit(
-                txn, self.sim.now, coordinator=state.coordinator, acp=state.acp
-            )
-        else:
-            self.wal.log_commit(txn, self.sim.now)
-        versions = state.versions if state is not None else {}
-        self.cc.commit(txn, versions)
-        self._activity.pop(txn, None)
-        self._span_ctx.pop(txn, None)
-        self.stats.commits_applied += 1
-        if state is not None and state.resolving:
-            self.stats.orphans_resolved += 1
+        # A duplicate decision (a retry) finds the commit already applied.
+        if state is not None or self.wal.decision_for(txn) != "COMMIT":
+            if state is not None:
+                # Tag the record as a participant's copy of the decision so
+                # checkpointing knows how long it must survive (see
+                # WriteAheadLog.checkpoint).
+                self.wal.log_commit(
+                    txn, self.sim.now, coordinator=state.coordinator, acp=state.acp
+                )
+            else:
+                self.wal.log_commit(txn, self.sim.now)
+            self.cc.commit(txn, state.versions if state is not None else {})
+            self._activity.pop(txn, None)
+            self.stats.commits_applied += 1
+            if state is not None and state.resolving:
+                self.stats.orphans_resolved += 1
+        if self.history is not None:
+            self.history.record("commit", self.name, txn)
 
     def local_abort(self, txn: int) -> None:
         """Apply the global ABORT decision (idempotent, presumed abort)."""
@@ -643,10 +612,11 @@ class Site:
             self.wal.log_abort(txn, self.sim.now)
         self.cc.abort(txn)
         self._activity.pop(txn, None)
-        self._span_ctx.pop(txn, None)
         self.stats.aborts_applied += 1
         if state is not None and state.resolving:
             self.stats.orphans_resolved += 1
+        if self.history is not None:
+            self.history.record("abort", self.name, txn)
 
     def decision_of(self, txn: int, presume_abort: bool = False) -> str:
         """Answer a DECISION_REQ about ``txn`` from durable + volatile state.
@@ -798,25 +768,6 @@ class Site:
     # ------------------------------------------------------------------ helpers
     def _touch(self, txn: int) -> None:
         self._activity[txn] = self.sim.now
-
-    def _note_access(self, msg: Message, payload: dict) -> None:
-        """Record an access request's home site and trace context."""
-        home = payload.get("home")
-        if home is not None:
-            self._txn_home[payload["txn"]] = home
-        self._note_span(msg, payload)
-
-    def _note_span(self, msg: Message, payload: dict) -> None:
-        """Adopt the request's trace context for the txn's next local op."""
-        if self.tracer is not None and "txn" in payload:
-            self._span_ctx[payload["txn"]] = msg.span
-
-    #: The handlers that may block on the CCP, one process per message.
-    _ACCESS_HANDLERS = {
-        MessageType.READ: _handle_read,
-        MessageType.PREWRITE: _handle_prewrite,
-        MessageType.BATCH_ACCESS: _handle_batch_access,
-    }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.up else "down"

@@ -136,7 +136,7 @@ class TxnContext:
         # the transaction's root span, and the innermost open span.  The
         # current span's id rides on every outgoing message so network and
         # site spans nest under the coordinator phase that caused them.
-        self.tracer = getattr(home, "tracer", None)
+        self.tracer = home.tracer
         self.root_span = None
         self.current_span = None
 
@@ -176,11 +176,6 @@ class TxnContext:
             return None
         active = self.current_span or self.root_span
         return None if active is None else active.span_id
-
-    def _home_span_ctx(self) -> None:
-        """Hand the active span to the home site before a direct local call."""
-        if self.tracer is not None:
-            self.home._span_ctx[self.txn.txn_id] = self.trace_context()
 
     @property
     def blocked_site(self) -> Optional[str]:
@@ -227,14 +222,10 @@ class TxnContext:
         """Sort key for copy holders: (expected delay from home, name).
 
         Uses the model's deterministic expectation — never a random draw —
-        so routing cannot perturb the network's latency stream.  Models
-        without ``expected_delay`` fall back to alphabetical order.
+        so routing cannot perturb the network's latency stream.
         """
-        expected = getattr(self.home.network.latency, "expected_delay", None)
-        delay = 0.0
-        if expected is not None:
-            delay = expected(self.home.host, self.host_of(site))
-        return (delay, site)
+        latency = self.home.network.latency
+        return (latency.expected_delay(self.home.host, self.host_of(site)), site)
 
     def address_of(self, site: str) -> str:
         return self.directory[site]
@@ -262,183 +253,94 @@ class TxnContext:
         self._spec_cache.clear()
 
     # -- copy access ---------------------------------------------------------------
+    #
+    # Every copy access goes through one planner: ``_plan`` splits the
+    # target sites into groups, ``_access_group`` issues one request per
+    # group, and ``_access_result`` classifies each reply entry.  Batching
+    # is only a grouping policy; a group of one is the plain message.
     def access_read(self, site: str, item: str):
         """Read the copy of ``item`` at ``site`` (generator → AccessResult)."""
-        if site == self.home.name:
-            self._block_enter(site)
-            self._home_span_ctx()
-            try:
-                value, version = yield from self.home.local_read(
-                    self.txn.txn_id, self.txn.ts, item
-                )
-            except TransactionAborted as abort:
-                return AccessResult(False, site, kind="ccp", reason=str(abort))
-            finally:
-                self._block_exit(site)
-            self._register(site)
-            return AccessResult(True, site, value=value, version=version)
-        request = {
-            "txn": self.txn.txn_id,
-            "ts": self.txn.ts,
-            "item": item,
-            "home": self.home.address,
-        }
-        prepare = self._piggyback_payload(site, item, write=False)
-        if prepare is not None:
-            request["prepare"] = prepare
-        self._block_enter(site)
-        try:
-            reply = yield self.home.endpoint.request(
-                self.address_of(site),
-                MessageType.READ,
-                request,
-                timeout=self.config.op_timeout,
-                txn_id=self.txn.txn_id,
-                span=self.trace_context(),
-            )
-        except (RpcTimeout, NetworkError) as failure:
-            return AccessResult(False, site, kind="net", reason=str(failure))
-        finally:
-            self._block_exit(site)
-        payload = reply.payload or {}
-        if not payload.get("ok"):
-            return AccessResult(False, site, kind="ccp", reason=payload.get("reason", ""))
-        self._register(site)
-        self._absorb_vote(site, payload)
-        return AccessResult(
-            True, site, value=payload.get("value"), version=payload.get("version", 0)
-        )
+        (result,) = yield from self._access_group([site], item, write=False)
+        return result
 
     def access_prewrite(self, site: str, item: str, value: Any):
         """Pre-write ``item`` at ``site`` (generator → AccessResult)."""
-        if site == self.home.name:
-            self._block_enter(site)
-            self._home_span_ctx()
-            try:
-                version = yield from self.home.local_prewrite(
-                    self.txn.txn_id, self.txn.ts, item, value
-                )
-            except TransactionAborted as abort:
-                return AccessResult(False, site, kind="ccp", reason=str(abort))
-            finally:
-                self._block_exit(site)
-            self._register(site)
-            return AccessResult(True, site, version=version)
-        request = {
-            "txn": self.txn.txn_id,
-            "ts": self.txn.ts,
-            "item": item,
-            "value": value,
-            "home": self.home.address,
-        }
-        prepare = self._piggyback_payload(site, item, write=True)
-        if prepare is not None:
-            request["prepare"] = prepare
-        self._block_enter(site)
-        try:
-            reply = yield self.home.endpoint.request(
-                self.address_of(site),
-                MessageType.PREWRITE,
-                request,
-                timeout=self.config.op_timeout,
-                txn_id=self.txn.txn_id,
-                span=self.trace_context(),
-            )
-        except (RpcTimeout, NetworkError) as failure:
-            return AccessResult(False, site, kind="net", reason=str(failure))
-        finally:
-            self._block_exit(site)
-        payload = reply.payload or {}
-        if not payload.get("ok"):
-            return AccessResult(False, site, kind="ccp", reason=payload.get("reason", ""))
-        self._register(site)
-        self._absorb_vote(site, payload)
-        return AccessResult(True, site, version=payload.get("version", 0))
+        (result,) = yield from self._access_group([site], item, write=True, value=value)
+        return result
 
     def access_read_many(self, sites: list[str], item: str):
         """Concurrent reads at several sites (generator → list[AccessResult])."""
-        if self.config.batch_site_ops:
-            return (yield from self._access_many(sites, item, write=False))
-        return (yield from self._gather([self.access_read(site, item) for site in sites]))
+        return (yield from self._access_many(sites, item, write=False))
 
     def access_prewrite_many(self, sites: list[str], item: str, value: Any):
         """Concurrent pre-writes at several sites (generator → results)."""
-        if self.config.batch_site_ops:
-            return (yield from self._access_many(sites, item, write=True, value=value))
-        return (
-            yield from self._gather(
-                [self.access_prewrite(site, item, value) for site in sites]
-            )
-        )
+        return (yield from self._access_many(sites, item, write=True, value=value))
 
     def _access_many(self, sites: list[str], item: str, write: bool, value: Any = None):
-        """Batched access plan: one BATCH_ACCESS per multi-site host group.
-
-        Remote sites sharing a host are coalesced into a single message to
-        the group's gateway; the home copy and singleton hosts keep the
-        plain per-site path (their message counts are already minimal).
-        Results come back in the order of ``sites``.
-        """
-        groups: dict[str, list[str]] = {}
-        plans = []
-        for site in sites:
-            if site == self.home.name:
-                plans.append(
-                    self.access_prewrite(site, item, value)
-                    if write
-                    else self.access_read(site, item)
-                )
-            else:
-                groups.setdefault(self.host_of(site), []).append(site)
-        for host in sorted(groups):
-            members = groups[host]
-            if len(members) == 1:
-                plans.append(
-                    self.access_prewrite(members[0], item, value)
-                    if write
-                    else self.access_read(members[0], item)
-                )
-            else:
-                plans.append(self._batch_access(members, item, write, value))
-        results = yield from self._gather(plans)
-        by_site: dict[str, AccessResult] = {}
-        for result in results:
-            for access in result if isinstance(result, list) else (result,):
-                by_site[access.site] = access
+        """Run every group of the plan concurrently; results in ``sites`` order."""
+        results = yield from self._gather(
+            [self._access_group(group, item, write, value) for group in self._plan(sites)]
+        )
+        by_site = {access.site: access for group in results for access in group}
         return [by_site[site] for site in sites]
 
-    def _batch_access(self, group: list[str], item: str, write: bool, value: Any):
-        """One BATCH_ACCESS round trip covering all of ``group`` (same host).
+    def _plan(self, sites: list[str]) -> list[list[str]]:
+        """Split ``sites`` into access groups, one request each.
 
-        The first (name-ordered) member acts as the gateway and fans the
-        sub-ops out to its co-located siblings; the reply carries one entry
-        per site.  A lost batch is a net failure for every member — the same
-        classification each unbatched RPC would have produced on timeout.
+        Without ``batch_site_ops`` every site is its own group, in the order
+        of ``sites``.  With it, the home copy comes first and the remote
+        sites are grouped by host (hosts in name order), so co-located
+        copies share one BATCH_ACCESS.
         """
-        gateway = min(group)
+        if not self.config.batch_site_ops:
+            return [[site] for site in sites]
+        home = self.home.name
+        groups = [[home]] if home in sites else []
+        by_host: dict[str, list[str]] = {}
+        for site in sites:
+            if site != home:
+                by_host.setdefault(self.host_of(site), []).append(site)
+        return groups + [by_host[host] for host in sorted(by_host)]
+
+    def _access_group(self, group: list[str], item: str, write: bool, value: Any = None):
+        """One request for ``group`` (generator → list[AccessResult]).
+
+        The home copy is a direct local call.  A remote group of one is a
+        plain READ/PREWRITE; a larger group (one host) is a BATCH_ACCESS to
+        its first (name-ordered) member, which fans the sub-ops out to its
+        co-located siblings.  A lost request is a net failure for every
+        member of the group.
+        """
+        if group == [self.home.name]:
+            return [(yield from self._access_home(item, write, value))]
         request: dict[str, Any] = {
             "txn": self.txn.txn_id,
             "ts": self.txn.ts,
             "item": item,
-            "kind": "W" if write else "R",
-            "sites": list(group),
             "home": self.home.address,
         }
         if write:
             request["value"] = value
-        prepare = {}
+        prepares = {}
         for site in group:
-            attached = self._piggyback_payload(site, item, write=write)
-            if attached is not None:
-                prepare[site] = attached
-        if prepare:
-            request["prepare"] = prepare
+            prepare = self._piggyback_payload(site, item, write)
+            if prepare is not None:
+                prepares[site] = prepare
+        if len(group) == 1:
+            mtype = MessageType.PREWRITE if write else MessageType.READ
+            if prepares:
+                request["prepare"] = prepares[group[0]]
+        else:
+            mtype = MessageType.BATCH_ACCESS
+            request.update(kind="W" if write else "R", sites=list(group))
+            if prepares:
+                request["prepare"] = prepares
         for site in group:
             self._block_enter(site)
         try:
             reply = yield self.home.endpoint.request(
-                self.address_of(gateway),
-                MessageType.BATCH_ACCESS,
+                self.address_of(min(group)),
+                mtype,
                 request,
                 timeout=self.config.op_timeout,
                 txn_id=self.txn.txn_id,
@@ -446,47 +348,51 @@ class TxnContext:
                 span=self.trace_context(),
             )
         except (RpcTimeout, NetworkError) as failure:
-            return [
-                AccessResult(False, site, kind="net", reason=str(failure))
-                for site in group
-            ]
+            return [AccessResult(False, site, kind="net", reason=str(failure)) for site in group]
         finally:
             for site in group:
                 self._block_exit(site)
+        payload = reply.payload or {}
+        if len(group) == 1:
+            return [self._access_result(group[0], payload)]
         if self.monitor is not None:
             self.monitor.note_batched_ops(len(group), saved=len(group) - 1)
-        entries = {
-            entry.get("site"): entry
-            for entry in (reply.payload or {}).get("results", [])
-        }
-        results = []
-        for site in group:
-            entry = entries.get(site)
-            if entry is None:
-                results.append(
-                    AccessResult(False, site, kind="net", reason="no batch result")
-                )
-            elif entry.get("ok"):
-                self._register(site)
-                self._absorb_vote(site, entry)
-                results.append(
-                    AccessResult(
-                        True,
-                        site,
-                        value=entry.get("value"),
-                        version=entry.get("version", 0),
-                    )
-                )
+        entries = {entry.get("site"): entry for entry in payload.get("results", [])}
+        return [self._access_result(site, entries.get(site)) for site in group]
+
+    def _access_home(self, item: str, write: bool, value: Any):
+        """Access the home copy by a direct local call (no message)."""
+        site = self.home.name
+        txn_id, ts, span = self.txn.txn_id, self.txn.ts, self.trace_context()
+        self._block_enter(site)
+        try:
+            if write:
+                version = yield from self.home.local_prewrite(txn_id, ts, item, value, span=span)
+                value = None
             else:
-                results.append(
-                    AccessResult(
-                        False,
-                        site,
-                        kind=entry.get("kind", "ccp"),
-                        reason=entry.get("reason", ""),
-                    )
-                )
-        return results
+                value, version = yield from self.home.local_read(txn_id, ts, item, span=span)
+        except TransactionAborted as abort:
+            return AccessResult(False, site, kind="ccp", reason=str(abort))
+        finally:
+            self._block_exit(site)
+        self._register(site)
+        return AccessResult(True, site, value=value, version=version)
+
+    def _access_result(self, site: str, entry: Optional[dict]) -> AccessResult:
+        """Classify one reply entry (a plain reply or one batch entry).
+
+        A missing entry is a net failure; a rejection is a CCP failure
+        unless the site marked it ``kind="net"`` (target unreachable).
+        """
+        if entry is None:
+            return AccessResult(False, site, kind="net", reason="no batch result")
+        if not entry.get("ok"):
+            return AccessResult(
+                False, site, kind=entry.get("kind", "ccp"), reason=entry.get("reason", "")
+            )
+        self._register(site)
+        self._absorb_vote(site, entry)
+        return AccessResult(True, site, value=entry.get("value"), version=entry.get("version", 0))
 
     def _gather(self, generators):
         processes = [self.sim.process(g, name="access") for g in generators]
@@ -516,7 +422,7 @@ class TxnContext:
         """
         if not self._piggyback_armed or site == self.home.name:
             return None
-        if write and not getattr(self.home.cc, "timestamp_versions", False):
+        if write and not self.home.cc.timestamp_versions:
             return None
         participant = self.participants.get(site)
         versions = dict(participant.versions) if participant is not None else {}
@@ -545,11 +451,12 @@ class TxnContext:
     def assign_version(self, results) -> float:
         """The version a write will install, from its prewrite results.
 
-        Counter semantics (2PL, TSO): one past the highest committed
-        version seen in the written copy set.  Timestamp semantics (MVTO):
-        the writer's own timestamp — the version chain is ordered by ts.
+        Counter semantics (2PL, OCC): one past the highest committed
+        version seen in the written copy set.  Timestamp semantics (TSO,
+        MVTO — CCPs declaring ``timestamp_versions``): the writer's own
+        timestamp, so versions are ordered by ts.
         """
-        if getattr(self.home.cc, "timestamp_versions", False):
+        if self.home.cc.timestamp_versions:
             return self.txn.ts
         return max(result.version for result in results) + 1
 
@@ -591,7 +498,6 @@ class TxnContext:
         detail = []
         for participant in sorted(self.participants.values(), key=lambda p: p.site):
             if participant.site == self.home.name:
-                self._home_span_ctx()
                 vote, reason = self.home.local_prepare(
                     self.txn.txn_id,
                     participant.versions,
@@ -599,6 +505,7 @@ class TxnContext:
                     self.txn.ts,
                     acp=acp_name,
                     peers=peers,
+                    span=self.trace_context(),
                 )
                 if not vote:
                     all_yes = False

@@ -1,0 +1,87 @@
+"""Golden replay outputs: CLI runs whose stdout must not drift.
+
+Each case is one ``python -m repro`` invocation.  Its stdout, minus the
+lines that read the host clock, is kept byte for byte under
+``tests/fixtures/golden/<case>.txt``; ``tests/test_golden.py`` replays every
+case and compares.  A ``trace`` case also records the sha256 of the JSON it
+writes with ``--out``, so the Perfetto export is pinned too.
+
+Regenerate the fixtures (only for an intended output change, and say which
+outputs changed and why in the change log)::
+
+    make golden
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = REPO_ROOT / "tests" / "fixtures" / "golden"
+
+#: All three message-economy flags on, two sites per host (docs/PERF.md).
+ECONOMY_FLAGS = [
+    "--sites-per-host", "2",
+    "--batch-site-ops", "--piggyback-prepare", "--latency-aware-routing",
+]
+
+CASES: dict[str, list[str]] = {
+    "trace_seed7": ["trace", "--seed", "7"],
+    "quickstart_flags_off": ["quickstart", "--transactions", "300"],
+    "quickstart_flags_on": ["quickstart", "--transactions", "300", *ECONOMY_FLAGS],
+    "chaos_flags_on": ["chaos", "--seeds", "10", "-j", "1", "--no-shrink", *ECONOMY_FLAGS],
+    "classroom": ["classroom"],
+}
+
+#: Output lines derived from the host clock (they differ on every run).
+HOST_CLOCK_MARKERS = ("Wall clock (s)", "Kernel events per second")
+
+
+def render(case: str) -> str:
+    """Run one case and return its normalized stdout."""
+    argv = list(CASES[case])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if part
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "trace.json" if argv[0] == "trace" else None
+        if out is not None:
+            argv += ["--out", str(out)]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        lines = [
+            line
+            for line in completed.stdout.splitlines(keepends=True)
+            if not any(marker in line for marker in HOST_CLOCK_MARKERS)
+        ]
+        if out is not None:
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            lines.append(f"sha256(--out JSON) {digest}\n")
+    return "".join(lines)
+
+
+def fixture_path(case: str) -> Path:
+    return FIXTURES / f"{case}.txt"
+
+
+def main() -> None:
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for case in CASES:
+        fixture_path(case).write_text(render(case))
+        print(f"wrote {fixture_path(case).relative_to(REPO_ROOT)}")
+
+
+if __name__ == "__main__":
+    main()

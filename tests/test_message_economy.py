@@ -365,3 +365,76 @@ class TestMessageEconomyExperiment:
         assert rows["all"]["round_trips_per_txn"] < (
             rows["none"]["round_trips_per_txn"] - 1.0
         )
+
+
+class TestOneAccessPath:
+    """Batching is a grouping policy over one access path (docs/PERF.md §1)."""
+
+    WAVE = ["site1", "site2", "site3", "site4"]
+
+    def _context(self, batch_site_ops):
+        # site1/site2 share host1, site3/site4 share host2.  From home site1
+        # the wave is: the home copy, host1 as a singleton (site2) and host2
+        # as a two-site group (site3, site4).
+        instance = econ_instance(
+            n_sites=4, sites_per_host=2, ccp="2PL", batch_site_ops=batch_site_ops
+        )
+        instance.start()
+        txn = Transaction(ops=[Operation.read("x1")], home_site="site1")
+        txn.ts = instance.sim.now
+        ctx = TxnContext(
+            txn,
+            instance.sites["site1"],
+            instance.catalog,
+            instance.directory,
+            instance.coordinator_config,
+        )
+        return instance, ctx
+
+    @staticmethod
+    def _rows(results):
+        return [(r.site, r.ok, r.kind, r.value, r.version) for r in results]
+
+    def _run_wave(self, batch_site_ops):
+        instance, ctx = self._context(batch_site_ops)
+        instance.sites["site4"].cc.doom(ctx.txn.txn_id)  # a CCP rejection
+
+        def wave():
+            reads = yield from ctx.access_read_many(self.WAVE, "x1")
+            writes = yield from ctx.access_prewrite_many(self.WAVE, "x1", 7)
+            return reads, writes
+
+        reads, writes = drive(instance.sim, wave())
+        batches = instance.network.stats.by_type.get(MessageType.BATCH_ACCESS, 0)
+        return self._rows(reads), self._rows(writes), batches, sorted(ctx.participants)
+
+    def test_batched_wave_matches_unbatched(self):
+        reads_p, writes_p, batches_p, participants_p = self._run_wave(False)
+        reads_b, writes_b, batches_b, participants_b = self._run_wave(True)
+        assert reads_b == reads_p
+        assert writes_b == writes_p
+        assert participants_b == participants_p == ["site1", "site2", "site3"]
+        assert [row[:3] for row in reads_p] == [
+            ("site1", True, None),
+            ("site2", True, None),
+            ("site3", True, None),
+            ("site4", False, "ccp"),
+        ]
+        assert batches_p == 0
+        assert batches_b == 2  # one per wave: only host2 has two targets
+
+    @pytest.mark.parametrize("batch_site_ops", [False, True])
+    def test_target_crash_mid_wait_is_a_net_failure(self, batch_site_ops):
+        # Txn 999 holds X on x1 at site4; our read queues behind it, then
+        # site4 crashes.  Unbatched, the RPC times out; batched, the gateway
+        # site3 sees its sibling go down.  Both must read as unreachable
+        # ("net"), so QC tries another holder instead of aborting.
+        instance, ctx = self._context(batch_site_ops)
+        site4 = instance.sites["site4"]
+        drive(instance.sim, site4.local_prewrite(999, 0.5, "x1", 1))
+        instance.sim.defer(2.0, site4.crash)
+        results = drive(instance.sim, ctx.access_read_many(["site3", "site4"], "x1"))
+        assert [(r.site, r.ok, r.kind) for r in results] == [
+            ("site3", True, None),
+            ("site4", False, "net"),
+        ]

@@ -108,3 +108,81 @@ class TestTracerWithInstance:
         counts = tracer.operation_counts()
         assert counts["prewrite"] >= 1
         assert counts["commit"] >= 1
+
+
+class TestAttachHook:
+    """``attach`` sets ``site.history``; the site reports to it directly."""
+
+    LOCAL_OPS = (
+        "local_read",
+        "local_prewrite",
+        "local_prepare",
+        "local_precommit",
+        "local_commit",
+        "local_abort",
+    )
+
+    def _two_txns(self, instance):
+        txns = [
+            Transaction(
+                ops=[Operation.read("x1"), Operation.write("x3", 5)], home_site="site1"
+            ),
+            Transaction(
+                ops=[Operation.write("x3", 6), Operation.read("x2")], home_site="site2"
+            ),
+        ]
+        processes = [instance.submit(txn) for txn in txns]
+        instance.sim.run(until=instance.sim.all_of(processes))
+        assert all(txn.committed for txn in txns)
+        return txns
+
+    def test_attach_leaves_site_methods_alone(self):
+        instance = quick_instance(n_items=8, settle_time=20)
+        tracer = ExecutionTracer(instance.sim)
+        tracer.attach_all(instance)
+        for site in instance.sites.values():
+            assert site.history is tracer
+            for name in self.LOCAL_OPS:
+                assert name not in vars(site)
+
+    def test_class_level_wrapper_sees_every_call(self, monkeypatch):
+        from repro.site.site import Site
+
+        instance = quick_instance(n_items=8, settle_time=20)
+        instance.start()
+        tracer = ExecutionTracer(instance.sim)
+        tracer.attach_all(instance)
+        calls = {"read": 0, "commit": 0}
+        local_read, local_commit = Site.local_read, Site.local_commit
+
+        def counted_read(site, *args, **kwargs):
+            calls["read"] += 1
+            return (yield from local_read(site, *args, **kwargs))
+
+        def counted_commit(site, *args, **kwargs):
+            calls["commit"] += 1
+            return local_commit(site, *args, **kwargs)
+
+        monkeypatch.setattr(Site, "local_read", counted_read)
+        monkeypatch.setattr(Site, "local_commit", counted_commit)
+        self._two_txns(instance)
+        counts = tracer.operation_counts()
+        assert calls["read"] == counts["read"] == 4
+        assert calls["commit"] == counts["commit"] == 6
+
+    def test_recorded_history(self):
+        instance = quick_instance(n_items=8, settle_time=20)
+        instance.start()
+        tracer = ExecutionTracer(instance.sim)
+        tracer.attach_all(instance)
+        a, b = (txn.txn_id for txn in self._two_txns(instance))
+        assert tracer.local_history("site1") == (
+            f"r{a}[x1]  w{b}[x3=6]  p{b}  w{a}[x3=5]  c{b}  p{a}  c{a}"
+        )
+        assert tracer.local_history("site2") == (
+            f"r{a}[x1]  r{b}[x2]  p{b}  c{b}  p{a}  c{a}"
+        )
+        assert tracer.local_history("site3") == (
+            f"w{b}[x3=6]  r{b}[x2]  p{b}  w{a}[x3=5]  c{b}  p{a}  c{a}"
+        )
+        assert tracer.local_history("site4") == ""
