@@ -206,15 +206,17 @@ class Endpoint:
         result = self.network.sim.event(name=mtype)
         msg = self.send(dst, mtype, payload, txn_id=txn_id, size=size, span=span)
         self._pending_rpcs[msg.msg_id] = result
-
-        def _expire() -> None:
-            pending = self._pending_rpcs.pop(msg.msg_id, None)
-            if pending is not None and not pending.triggered:
-                self.network.stats.rpc_timeouts += 1
-                pending.fail(RpcTimeout(f"{mtype} to {dst} timed out", destination=dst))
-
-        self.network.sim.defer(timeout, _expire)
+        self.network.sim.defer(timeout, self._expire, msg)
         return result
+
+    def _expire(self, msg: Message) -> None:
+        """Fail the RPC for ``msg`` if its reply has not arrived yet."""
+        pending = self._pending_rpcs.pop(msg.msg_id, None)
+        if pending is not None and not pending.triggered:
+            self.network.stats.rpc_timeouts += 1
+            pending.fail(
+                RpcTimeout(f"{msg.mtype} to {msg.dst} timed out", destination=msg.dst)
+            )
 
 
 class Network:

@@ -16,7 +16,8 @@ The kernel is intentionally SimPy-like but self-contained:
 * :class:`Process` wraps a generator; yielding an event suspends the process
   until the event fires.  A failed event is re-raised inside the generator so
   processes handle protocol failures with ordinary ``try/except``.
-* :class:`AnyOf` / :class:`AllOf` compose events.
+* :class:`AnyOf` / :class:`AllOf` compose events; :class:`Countdown` joins
+  a fan-out whose children may fail.
 * :meth:`Process.interrupt` throws :class:`Interrupt` into a suspended
   process — used to kill in-flight work when a site crashes.
 
@@ -39,6 +40,7 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
+    "Countdown",
     "Interrupt",
     "Simulator",
     "PENDING",
@@ -280,6 +282,30 @@ class AllOf(_ConditionEvent):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._results())
+
+
+class Countdown(Event):
+    """Succeeds once ``count`` children have reported; never fails.
+
+    The join of a fan-out whose children may fail (an RPC timeout is an
+    outcome, not an error): unlike :class:`AllOf` it neither fails early
+    nor needs its children up front.  A child reports by calling
+    :meth:`tick`, directly or as a callback of the event it waits on.
+    """
+
+    __slots__ = ("_remaining",)
+
+    def __init__(self, sim: "Simulator", count: int):
+        super().__init__(sim, name="Countdown")
+        self._remaining = count
+        if count <= 0:
+            self.succeed()
+
+    def tick(self, _event: Optional[Event] = None) -> None:
+        """Report one child outcome."""
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed()
 
 
 class Process(Event):

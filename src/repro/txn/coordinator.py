@@ -21,6 +21,7 @@ timeout), SYSTEM (the home site crashed mid-flight).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import (
@@ -32,7 +33,7 @@ from repro.errors import (
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
 from repro.protocols.base import make_acp, make_rcp
-from repro.sim.kernel import Interrupt
+from repro.sim.kernel import Countdown, Interrupt
 from repro.site.site import Site
 from repro.txn.transaction import OpKind, Transaction, TxnStatus
 
@@ -255,18 +256,16 @@ class TxnContext:
     # -- copy access ---------------------------------------------------------------
     #
     # Every copy access goes through one planner: ``_plan`` splits the
-    # target sites into groups, ``_access_group`` issues one request per
-    # group, and ``_access_result`` classifies each reply entry.  Batching
+    # target sites into groups, ``_request_group`` issues one request per
+    # remote group, and ``_group_results`` classifies its reply.  Batching
     # is only a grouping policy; a group of one is the plain message.
     def access_read(self, site: str, item: str):
         """Read the copy of ``item`` at ``site`` (generator → AccessResult)."""
-        (result,) = yield from self._access_group([site], item, write=False)
-        return result
+        return (yield from self._access_one(site, item, write=False))
 
     def access_prewrite(self, site: str, item: str, value: Any):
         """Pre-write ``item`` at ``site`` (generator → AccessResult)."""
-        (result,) = yield from self._access_group([site], item, write=True, value=value)
-        return result
+        return (yield from self._access_one(site, item, write=True, value=value))
 
     def access_read_many(self, sites: list[str], item: str):
         """Concurrent reads at several sites (generator → list[AccessResult])."""
@@ -276,13 +275,61 @@ class TxnContext:
         """Concurrent pre-writes at several sites (generator → results)."""
         return (yield from self._access_many(sites, item, write=True, value=value))
 
+    def _access_one(self, site: str, item: str, write: bool, value: Any = None):
+        """One copy access, waited on directly (generator → AccessResult)."""
+        if site == self.home.name:
+            return (yield from self._access_home(item, write, value))
+        event = self._request_group([site], item, write, value)
+        try:
+            yield event
+        except (RpcTimeout, NetworkError):
+            pass  # classified as a net failure below
+        (result,) = self._group_results([site], event)
+        return result
+
     def _access_many(self, sites: list[str], item: str, write: bool, value: Any = None):
-        """Run every group of the plan concurrently; results in ``sites`` order."""
-        results = yield from self._gather(
-            [self._access_group(group, item, write, value) for group in self._plan(sites)]
-        )
-        by_site = {access.site: access for group in results for access in group}
-        return [by_site[site] for site in sites]
+        """Run every group of the plan concurrently; results in ``sites`` order.
+
+        Only the home copy runs as a process (its CCP call can block).  The
+        remote requests all leave from one zero-delay callback scheduled
+        right after that process, not inline: work already queued for this
+        instant (lock grants, replies) runs first, so its network random
+        draws keep their place ahead of this wave's.  Each reply is
+        classified by a callback on its RPC event, which then counts down
+        the wave's join.
+        """
+        groups = self._plan(sites)
+        join = Countdown(self.sim, len(groups))
+        results: dict[str, AccessResult] = {}
+        home_access = None
+        remote = []
+        for group in groups:
+            if group == [self.home.name]:
+                home_access = self.sim.process(
+                    self._access_home(item, write, value), name="access"
+                )
+                home_access.add_callback(join.tick)
+            else:
+                remote.append(group)
+
+        def launch() -> None:
+            for group in remote:
+                event = self._request_group(group, item, write, value)
+                event.add_callback(partial(settle, group))
+
+        def settle(group: list[str], event) -> None:
+            for access in self._group_results(group, event):
+                results[access.site] = access
+            join.tick()
+
+        if remote:
+            self.sim.defer(0, launch)
+        yield join
+        if home_access is not None:
+            if not home_access.ok:
+                raise home_access.value
+            results[self.home.name] = home_access.value
+        return [results[site] for site in sites]
 
     def _plan(self, sites: list[str]) -> list[list[str]]:
         """Split ``sites`` into access groups, one request each.
@@ -302,17 +349,14 @@ class TxnContext:
                 by_host.setdefault(self.host_of(site), []).append(site)
         return groups + [by_host[host] for host in sorted(by_host)]
 
-    def _access_group(self, group: list[str], item: str, write: bool, value: Any = None):
-        """One request for ``group`` (generator → list[AccessResult]).
+    def _request_group(self, group: list[str], item: str, write: bool, value: Any = None):
+        """Send one request for a remote ``group``; returns its RPC event.
 
-        The home copy is a direct local call.  A remote group of one is a
-        plain READ/PREWRITE; a larger group (one host) is a BATCH_ACCESS to
-        its first (name-ordered) member, which fans the sub-ops out to its
-        co-located siblings.  A lost request is a net failure for every
-        member of the group.
+        A group of one is a plain READ/PREWRITE; a larger group (one host)
+        is a BATCH_ACCESS to its first (name-ordered) member, which fans the
+        sub-ops out to its co-located siblings.  The group's sites count as
+        blocked until :meth:`_group_results` classifies the reply.
         """
-        if group == [self.home.name]:
-            return [(yield from self._access_home(item, write, value))]
         request: dict[str, Any] = {
             "txn": self.txn.txn_id,
             "ts": self.txn.ts,
@@ -337,22 +381,29 @@ class TxnContext:
                 request["prepare"] = prepares
         for site in group:
             self._block_enter(site)
-        try:
-            reply = yield self.home.endpoint.request(
-                self.address_of(min(group)),
-                mtype,
-                request,
-                timeout=self.config.op_timeout,
-                txn_id=self.txn.txn_id,
-                size=len(group),
-                span=self.trace_context(),
-            )
-        except (RpcTimeout, NetworkError) as failure:
-            return [AccessResult(False, site, kind="net", reason=str(failure)) for site in group]
-        finally:
-            for site in group:
-                self._block_exit(site)
-        payload = reply.payload or {}
+        return self.home.endpoint.request(
+            self.address_of(min(group)),
+            mtype,
+            request,
+            timeout=self.config.op_timeout,
+            txn_id=self.txn.txn_id,
+            size=len(group),
+            span=self.trace_context(),
+        )
+
+    def _group_results(self, group: list[str], event) -> list[AccessResult]:
+        """Classify the fired RPC event of :meth:`_request_group`.
+
+        A failed request (timeout, endpoint down) is a net failure for
+        every member of the group.
+        """
+        for site in group:
+            self._block_exit(site)
+        if not event.ok:
+            return [
+                AccessResult(False, site, kind="net", reason=str(event.value)) for site in group
+            ]
+        payload = event.value.payload or {}
         if len(group) == 1:
             return [self._access_result(group[0], payload)]
         if self.monitor is not None:
@@ -393,11 +444,6 @@ class TxnContext:
         self._register(site)
         self._absorb_vote(site, entry)
         return AccessResult(True, site, value=entry.get("value"), version=entry.get("version", 0))
-
-    def _gather(self, generators):
-        processes = [self.sim.process(g, name="access") for g in generators]
-        yield self.sim.all_of(processes)
-        return [p.value for p in processes]
 
     # -- piggybacked prepare -----------------------------------------------------
     def arm_piggyback(self) -> None:
@@ -542,13 +588,16 @@ class TxnContext:
                 )
                 for participant in remote
             ]
-            results = yield from self._gather(self._settle(event) for event in events)
-            for participant, result in zip(remote, results):
-                if isinstance(result, Exception):
+            join = Countdown(self.sim, len(events))
+            for event in events:
+                event.add_callback(join.tick)
+            yield join
+            for participant, event in zip(remote, events):
+                if not event.ok:
                     all_yes = False
-                    detail.append(f"{participant.site}: no vote ({result})")
+                    detail.append(f"{participant.site}: no vote ({event.value})")
                     continue
-                payload = result.payload or {}
+                payload = event.value.payload or {}
                 if not payload.get("vote"):
                     all_yes = False
                     detail.append(f"{participant.site}: {payload.get('reason', 'NO')}")
@@ -559,14 +608,6 @@ class TxnContext:
             self.home.crash()
             raise Interrupt("failpoint: after_votes")
         return all_yes, "; ".join(detail)
-
-    def _settle(self, event):
-        """Convert an RPC event into a value-or-exception (never raises)."""
-        try:
-            reply = yield event
-        except (RpcTimeout, NetworkError) as failure:
-            return failure
-        return reply
 
     def broadcast(self, mtype: str, *, retries: Optional[int] = None):
         """Send a decision/phase message to every participant, with retries.
@@ -585,7 +626,8 @@ class TxnContext:
         return result
 
     def _broadcast(self, mtype: str, *, retries: Optional[int] = None):
-        attempts = self.config.ack_retries if retries is None else retries
+        attempts = max(1, self.config.ack_retries if retries is None else retries)
+        crashes = self.home.stats.crashes
         acked = 0
         remote = []
         for participant in sorted(self.participants.values(), key=lambda p: p.site):
@@ -595,10 +637,19 @@ class TxnContext:
             else:
                 remote.append(participant)
 
-        results = yield from self._gather(
-            self._broadcast_one(participant, mtype, attempts) for participant in remote
-        )
-        acked += sum(1 for ok in results if ok)
+        join = Countdown(self.sim, len(remote))
+        acks: list[str] = []
+
+        def launch() -> None:
+            for participant in remote:
+                self._deliver(participant.address, mtype, attempts, crashes, join, acks)
+
+        if remote:
+            # Not inline: the local decision may have granted waiting locks
+            # at this instant, and those waiters must run first.
+            self.sim.defer(0, launch)
+        yield join
+        acked += len(acks)
         if mtype == MessageType.PRECOMMIT and self.config.hit_failpoint("after_precommit"):
             # Crash between PRECOMMIT and COMMIT: under 3PC the termination
             # protocol lets the precommitted participants commit without us.
@@ -614,21 +665,38 @@ class TxnContext:
         elif mtype == MessageType.PRECOMMIT:
             self.home.local_precommit(self.txn.txn_id)
 
-    def _broadcast_one(self, participant: Participant, mtype: str, attempts: int):
-        for _attempt in range(max(1, attempts)):
-            try:
-                yield self.home.endpoint.request(
-                    participant.address,
-                    mtype,
-                    {"txn": self.txn.txn_id},
-                    timeout=self.config.ack_timeout,
-                    txn_id=self.txn.txn_id,
-                    span=self.trace_context(),
-                )
-                return True
-            except (RpcTimeout, NetworkError):
-                continue
-        return False
+    def _deliver(
+        self, address: str, mtype: str, attempts: int, crashes: int, join, acks: list
+    ) -> None:
+        """Request ``mtype`` at ``address``; on failure, retry from the callback.
+
+        At most ``attempts`` tries; the participant's one outcome
+        (``address`` appended to ``acks`` or not) ticks ``join``.  Once the
+        home site has crashed since the broadcast began (its crash count is
+        no longer ``crashes``, even if it has recovered since), the dead
+        coordinator sends nothing more and the participant counts as not
+        acknowledged; it resolves through DECISION_REQ.
+        """
+        if self.home.stats.crashes != crashes:
+            join.tick()
+            return
+
+        def settle(event) -> None:
+            if event.ok:
+                acks.append(address)
+            elif attempts > 1:
+                self._deliver(address, mtype, attempts - 1, crashes, join, acks)
+                return
+            join.tick()
+
+        self.home.endpoint.request(
+            address,
+            mtype,
+            {"txn": self.txn.txn_id},
+            timeout=self.config.ack_timeout,
+            txn_id=self.txn.txn_id,
+            span=self.trace_context(),
+        ).add_callback(settle)
 
     def log_decision(self, decision: str) -> None:
         """Force the coordinator's decision record at the home site."""

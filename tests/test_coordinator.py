@@ -1,7 +1,10 @@
 """Tests for the transaction coordinator and its context."""
 
+import sys
+
 import pytest
 
+from repro.net.message import MessageType
 from repro.txn.coordinator import AccessResult, CoordinatorConfig, TxnContext
 from repro.txn.transaction import Operation, Transaction, TxnStatus
 from tests.conftest import quick_instance
@@ -155,6 +158,166 @@ class TestContextHelpers:
             if instance.sites[name].store.read("x1")[0] == 1
         ]
         assert len(updated) == 2
+
+
+def _home_context(instance, home, ops):
+    instance.start()
+    txn = Transaction(ops=ops, home_site=home)
+    txn.ts = 1.0
+    return TxnContext(
+        txn,
+        instance.sites[home],
+        instance.catalog,
+        instance.directory,
+        instance.coordinator_config,
+        instance.monitor,
+    )
+
+
+def _coordinator_processes(monkeypatch, sim):
+    """Names of the kernel processes the coordinator module starts."""
+    started = []
+    original = sim.process
+
+    def process(generator, name=""):
+        if sys._getframe(1).f_globals.get("__name__") == "repro.txn.coordinator":
+            started.append(name)
+        return original(generator, name=name)
+
+    monkeypatch.setattr(sim, "process", process)
+    return started
+
+
+def _prepare_remote_write(ctx, sites, item):
+    """Prewrite ``item`` at ``sites`` and collect the votes (generator)."""
+    results = yield from ctx.access_prewrite_many(sites, item, 5)
+    assert all(result.ok for result in results)
+    for result in results:
+        ctx.note_prewrite(result.site, item, 1)
+    all_yes, _detail = yield from ctx.collect_votes("2PC")
+    assert all_yes
+    ctx.log_decision("COMMIT")
+
+
+class TestProcessFreeFanOut:
+    """Waves, vote rounds and broadcasts wait on RPC events, not processes."""
+
+    def test_remote_wave_votes_and_broadcast_start_no_process(self, monkeypatch):
+        instance = quick_instance(n_items=8)
+        holders = instance.catalog.sites_holding("x1")  # site4 holds no x1
+        ctx = _home_context(instance, "site4", [Operation.write("x1", 5)])
+        started = _coordinator_processes(monkeypatch, instance.sim)
+
+        def run():
+            reads = yield from ctx.access_read_many(holders, "x1")
+            yield from _prepare_remote_write(ctx, holders, "x1")
+            acked = yield from ctx.broadcast(MessageType.COMMIT)
+            return reads, acked
+
+        reads, acked = instance.sim.run(until=instance.sim.process(run()))
+        assert [result.site for result in reads] == holders
+        assert all(result.ok for result in reads)
+        assert acked == len(holders)
+        assert started == []
+
+    def test_wave_with_home_copy_starts_one_process(self, monkeypatch):
+        instance = quick_instance(n_items=8)
+        ctx = _home_context(instance, "site1", [Operation.read("x1")])
+        sites = ctx.order_local_first(instance.catalog.sites_holding("x1"))
+        started = _coordinator_processes(monkeypatch, instance.sim)
+
+        def run():
+            return (yield from ctx.access_read_many(sites, "x1"))
+
+        results = instance.sim.run(until=instance.sim.process(run()))
+        assert [result.site for result in results] == sites
+        assert all(result.ok for result in results)
+        assert started == ["access"]
+
+
+class TestDecisionBroadcast:
+    """Per-participant retries of the decision round (``ack_retries``)."""
+
+    def _committed_context(self, instance):
+        """A txn homed at site4, prepared at the holders of x1."""
+        ctx = _home_context(instance, "site4", [Operation.write("x1", 5)])
+        holders = instance.catalog.sites_holding("x1")
+        instance.sim.run(until=instance.sim.process(_prepare_remote_write(ctx, holders, "x1")))
+        return ctx, holders
+
+    def _decision_log(self, instance):
+        """(time, src, dst, outcome) of every COMMIT/ACK send."""
+        log = []
+        instance.network.add_observer(
+            lambda msg, outcome: log.append((instance.sim.now, msg.src, msg.dst, outcome))
+            if msg.mtype in (MessageType.COMMIT, MessageType.ACK)
+            else None
+        )
+        return log
+
+    def test_silent_participant_gets_exactly_ack_retries_attempts(self):
+        instance = quick_instance(n_items=8)
+        ctx, holders = self._committed_context(instance)
+        log = self._decision_log(instance)
+        instance.network.cut_link("host4", "host2")
+
+        acked = instance.sim.run(until=instance.sim.process(ctx.broadcast(MessageType.COMMIT)))
+        silent = instance.directory["site2"]
+        attempts = [entry for entry in log if entry[2] == silent]
+        assert len(attempts) == ctx.config.ack_retries
+        assert {entry[3] for entry in attempts} == {"partitioned"}
+        assert acked == len(holders) - 1
+        ctx.log_end_if_complete(acked)
+        assert not [r for r in ctx.home.wal.records if r.kind == "END"]
+
+    def test_lossy_participant_is_retried_until_it_acks(self):
+        # With this seed the first ACK and the second COMMIT are lost; the
+        # third attempt gets through, so the round is complete.
+        instance = quick_instance(n_items=8)
+        ctx, holders = self._committed_context(instance)
+        log = self._decision_log(instance)
+        instance.network.set_link_flakiness("host4", "host3", loss=0.7)
+
+        start = instance.sim.now
+        acked = instance.sim.run(until=instance.sim.process(ctx.broadcast(MessageType.COMMIT)))
+        lossy = instance.directory["site3"]
+        sent_at = [when - start for when, _src, dst, _outcome in log if dst == lossy]
+        timeout = ctx.config.ack_timeout
+        assert sent_at == [0.0, timeout, 2 * timeout]
+        assert acked == len(holders)
+        ctx.log_end_if_complete(acked)
+        assert [r.kind for r in ctx.home.wal.records if r.kind == "END"] == ["END"]
+
+    @pytest.mark.parametrize("recover", [False, True], ids=["down", "recovered"])
+    def test_crashed_coordinator_stops_retrying(self, recover):
+        # Regression: the retry loop outlived a home-site crash, so a dead
+        # coordinator kept sending COMMITs (live ones, after a recovery).
+        instance = quick_instance(n_items=8)
+        ctx, holders = self._committed_context(instance)
+        home = ctx.home
+        sent = []
+        instance.network.add_observer(
+            lambda msg, _outcome: sent.append((instance.sim.now, msg.src, msg.mtype))
+        )
+        instance.network.cut_link("host4", "host2")
+        crash_at = instance.sim.now + 10
+        instance.sim.defer(10, home.crash)
+        if recover:
+            instance.sim.defer(12, home.recover)
+
+        broadcast = instance.sim.process(ctx.broadcast(MessageType.COMMIT))
+        acked = instance.sim.run(until=broadcast)
+        instance.sim.run(until=crash_at + 4 * ctx.config.ack_timeout)
+        assert acked == len(holders) - 1
+        assert [m for m in sent if m[0] >= crash_at and m[1] == home.address] == []
+
+    def test_all_acked_logs_end(self):
+        instance = quick_instance(n_items=8)
+        ctx, holders = self._committed_context(instance)
+        acked = instance.sim.run(until=instance.sim.process(ctx.broadcast(MessageType.COMMIT)))
+        assert acked == len(holders)
+        ctx.log_end_if_complete(acked)
+        assert [r.kind for r in ctx.home.wal.records if r.kind == "END"] == ["END"]
 
 
 class TestConfig:

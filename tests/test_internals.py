@@ -166,25 +166,29 @@ class TestGatherSemantics:
         assert [result.site for result in results] == ["site1", "site2"]
         assert all(result.ok for result in results)
 
-    def test_settle_converts_failures_to_values(self):
+    def test_join_settles_failed_children(self):
+        # The fan-out join: an RPC timeout is a failed child, and the join
+        # still succeeds once every child has fired.
+        from repro.errors import RpcTimeout
+        from repro.sim.kernel import Countdown
+
         instance = quick_instance(n_items=8)
         instance.start()
-        from repro.errors import RpcTimeout
-        from repro.txn.coordinator import TxnContext
-
-        txn = Transaction(ops=[Operation.read("x1")], home_site="site1")
-        ctx = TxnContext(
-            txn, instance.sites["site1"], instance.catalog,
-            instance.directory, instance.coordinator_config, None,
-        )
-        event = instance.sites["site1"].endpoint.request(
-            "ghost/address", "READ", {}, timeout=5
-        )
+        endpoint = instance.sites["site1"].endpoint
+        lost = endpoint.request("ghost/address", "READ", {}, timeout=5)
+        answered = endpoint.request(instance.directory["site2"], "READ",
+                                    {"txn": 1, "ts": 1.0, "item": "x1", "home": endpoint.address},
+                                    timeout=50)
+        join = Countdown(instance.sim, 2)
+        for event in (lost, answered):
+            event.add_callback(join.tick)
 
         def run():
-            value = yield from ctx._settle(event)
-            return value
+            yield join
+            return instance.sim.now
 
         process = instance.sim.process(run())
-        value = instance.sim.run(until=process)
-        assert isinstance(value, RpcTimeout)
+        instance.sim.run(until=process)
+        assert process.ok
+        assert not lost.ok and isinstance(lost.value, RpcTimeout)
+        assert answered.ok
