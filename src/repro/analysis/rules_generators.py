@@ -26,8 +26,10 @@ __all__ = ["UnyieldedEventRule", "GeneratorContractRule", "EVENT_RETURNING_APIS"
 #: Method names whose result is an Event / generator that is inert unless
 #: yielded (or explicitly bound for later yielding).  Deliberately excludes
 #: the fire-and-forget surface — ``Simulator.defer`` (the kernel's only
-#: timer API), ``Endpoint.send``, ``Endpoint.reply`` — which is *designed*
-#: to be called as a bare statement.
+#: timer API; its handle is kept only to cancel), ``Endpoint.send``,
+#: ``Endpoint.reply`` — which is *designed* to be called as a bare
+#: statement.  Incoming messages reach a handler installed with
+#: ``Endpoint.serve``, so no receive event exists to be dropped.
 EVENT_RETURNING_APIS = frozenset({
     # TxnContext / coordinator surface
     "broadcast", "collect_votes",
@@ -37,7 +39,7 @@ EVENT_RETURNING_APIS = frozenset({
     # kernel event constructors
     "timeout", "event", "any_of", "all_of",
     # endpoint RPC surface
-    "request", "receive",
+    "request",
 })
 
 #: Return-annotation names treated as "this is a generator".

@@ -5,8 +5,8 @@ end point specifications.  Also maintained in the name server are the
 database fragmentation, replication and distribution schema.  Any site can
 query the name server to get pertinent information."
 
-The name server is a normal networked component: it owns an endpoint, runs
-a server process answering ``NS_*`` messages, and is crashable by the fault
+The name server is a normal networked component: it owns an endpoint whose
+served mailbox answers ``NS_*`` messages, and is crashable by the fault
 injector.  There is exactly one name server per Rainbow instance (as in the
 paper); its metadata survives crashes (it is the *service* that goes down,
 not the catalog).
@@ -50,7 +50,7 @@ class NameServer:
         self._registry: dict[str, SiteInfo] = {}
         self.up = True
         self.queries_served = 0
-        self._server = sim.process(self._serve(), name=f"ns:{name}")
+        self.endpoint.serve(self._handle)
 
     @property
     def address(self) -> str:
@@ -92,20 +92,12 @@ class NameServer:
         self.endpoint.set_down()
 
     def recover(self) -> None:
-        """Bring the service back; restart the server process."""
+        """Bring the service back; serve the mailbox again."""
         self.up = True
         self.endpoint.set_up()
-        self._server = self.sim.process(self._serve(), name=f"ns:{self.name}")
+        self.endpoint.serve(self._handle)
 
     # -- network service -----------------------------------------------------------
-    def _serve(self):
-        while self.up:
-            try:
-                msg = yield self.endpoint.receive()
-            except Exception:
-                return  # endpoint went down under us
-            self._handle(msg)
-
     def _handle(self, msg: Message) -> None:
         self.queries_served += 1
         if msg.mtype == MessageType.NS_REGISTER:

@@ -82,7 +82,7 @@ class MessageType:
         return "other"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message in flight on the simulated network.
 
@@ -98,7 +98,7 @@ class Message:
     reply_to: Optional[int] = None
     txn_id: Optional[int] = None
     size: int = 1
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     sent_at: float = 0.0
     # Causal trace context: the sender's active span id, so the network and
     # the receiving site can parent their spans under the coordinator's.

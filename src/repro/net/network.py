@@ -2,9 +2,11 @@
 
 This is the reproduction of Rainbow's network simulator.  Components obtain
 an :class:`Endpoint` (addressed ``host/name``), exchange :class:`Message`
-objects through :meth:`Network.send`, and block on :meth:`Endpoint.receive`.
+objects through :meth:`Network.send`, and answer requests from a served
+mailbox (:meth:`Endpoint.serve`): each delivered request is handed to the
+owner's handler from a kernel call, one at a time, with no server process.
 Request/reply exchanges go through :meth:`Endpoint.request`, which handles
-correlation ids, timeouts, and round-trip accounting.
+correlation ids, cancellable expiry timers, and round-trip accounting.
 
 Failure semantics (driven by the fault injector):
 
@@ -83,6 +85,10 @@ class Endpoint:
     Addresses have the form ``host/name`` (e.g. ``"hostA/site1"``); the host
     part drives the latency model and partitioning, mirroring Rainbow's
     "several sites may share one physical host" deployment.
+
+    Incoming requests queue until the owner installs a handler with
+    :meth:`serve`; a served mailbox hands them to it one at a time, each
+    from its own kernel call, so no server process is needed.
     """
 
     def __init__(self, network: "Network", host: str, name: str):
@@ -92,27 +98,33 @@ class Endpoint:
         self.address = f"{host}/{name}"
         self.up = True
         self._queue: deque[Message] = deque()
-        self._receivers: deque[Event] = deque()
-        self._pending_rpcs: dict[int, Event] = {}
-        # Receive events are created per message; format their label once.
-        self._recv_name = f"recv:{self.address}"
+        self._handler: Optional[Callable[[Message], None]] = None
+        # The scheduled call that arms the mailbox or serves one message;
+        # None while the mailbox is idle (or has no handler).
+        self._serving = None
+        # msg_id -> (reply event, expiry timer) of each outstanding RPC.
+        self._pending_rpcs: dict[int, tuple[Event, object]] = {}
 
     # -- lifecycle ----------------------------------------------------------
     def set_down(self) -> None:
-        """Crash the endpoint: lose queued messages, wake receivers with errors.
+        """Crash the endpoint: lose queued messages and stop serving.
 
-        Pending RPCs issued *by* this endpoint are failed too — the caller
-        process died with its site, and Rainbow counts the resulting
+        The handler is dropped (a recovering owner calls :meth:`serve`
+        again) and a message already scheduled for it is lost with the
+        queue.  Pending RPCs issued *by* this endpoint are failed too — the
+        caller process died with its site, and Rainbow counts the resulting
         half-done transactions as orphans.
         """
+        sim = self.network.sim
         self.up = False
         self._queue.clear()
-        receivers, self._receivers = self._receivers, deque()
-        for event in receivers:
-            if not event.triggered:
-                event.fail(NetworkError(f"endpoint {self.address} went down"))
+        self._handler = None
+        if self._serving is not None:
+            sim.cancel(self._serving)
+            self._serving = None
         pending, self._pending_rpcs = self._pending_rpcs, {}
-        for event in pending.values():
+        for event, expiry in pending.values():
+            sim.cancel(expiry)
             if not event.triggered:
                 event.fail(NetworkError(f"endpoint {self.address} went down"))
 
@@ -121,18 +133,33 @@ class Endpoint:
         self.up = True
 
     # -- receive path ---------------------------------------------------------
-    def receive(self) -> Event:
-        """Event that fires with the next incoming request message."""
-        event = self.network.sim.event(name=self._recv_name)
-        if self._queue:
-            event.succeed(self._queue.popleft())
-        else:
-            self._receivers.append(event)
-        return event
+    def serve(self, handler: Callable[[Message], None]) -> None:
+        """Hand every incoming request to ``handler(msg)``, one at a time.
+
+        The mailbox is armed from a call scheduled at the current instant,
+        so messages delivered before it runs queue up and are served in
+        arrival order, the first as soon as it runs.
+        """
+        self._handler = handler
+        if self._serving is None:
+            self._serving = self.network.sim.defer(0, self._serve_next)
 
     def pending_count(self) -> int:
-        """Number of queued (undelivered-to-process) messages."""
+        """Number of queued messages not yet handed to a handler."""
         return len(self._queue)
+
+    def _serve_next(self) -> None:
+        """Schedule the next queued message for the handler, or go idle."""
+        if self._queue:
+            self._serving = self.network.sim.defer(0, self._serve_one, self._queue.popleft())
+        else:
+            self._serving = None
+
+    def _serve_one(self, msg: Message) -> None:
+        call = self._serving
+        self._handler(msg)
+        if self._serving is call:  # not crashed or re-armed by the handler
+            self._serve_next()
 
     def _deliver(self, msg: Message) -> None:
         if not self.up:
@@ -140,17 +167,16 @@ class Endpoint:
             return
         self.network.stats.delivered += 1
         if msg.reply_to is not None and msg.reply_to in self._pending_rpcs:
-            event = self._pending_rpcs.pop(msg.reply_to)
+            event, expiry = self._pending_rpcs.pop(msg.reply_to)
+            self.network.sim.cancel(expiry)
             self.network.stats.round_trips += 1
             if not event.triggered:
                 event.succeed(msg)
             return
-        while self._receivers:
-            event = self._receivers.popleft()
-            if not event.triggered:
-                event.succeed(msg)
-                return
-        self._queue.append(msg)
+        if self._serving is None and self._handler is not None:
+            self._serving = self.network.sim.defer(0, self._serve_one, msg)
+        else:
+            self._queue.append(msg)
 
     # -- send path -------------------------------------------------------------
     def send(
@@ -203,20 +229,20 @@ class Endpoint:
         """
         if timeout <= 0:
             raise SimulationError(f"rpc timeout must be positive, got {timeout}")
-        result = self.network.sim.event(name=mtype)
+        sim = self.network.sim
+        result = sim.event(name=mtype)
         msg = self.send(dst, mtype, payload, txn_id=txn_id, size=size, span=span)
-        self._pending_rpcs[msg.msg_id] = result
-        self.network.sim.defer(timeout, self._expire, msg)
+        # The reply (or a crash of this endpoint) cancels the expiry timer,
+        # so the heap only holds timers that may still fire.
+        self._pending_rpcs[msg.msg_id] = (result, sim.defer(timeout, self._expire, msg))
         return result
 
     def _expire(self, msg: Message) -> None:
-        """Fail the RPC for ``msg`` if its reply has not arrived yet."""
-        pending = self._pending_rpcs.pop(msg.msg_id, None)
-        if pending is not None and not pending.triggered:
+        """Fail the RPC for ``msg``: its reply has not arrived in time."""
+        event, _expiry = self._pending_rpcs.pop(msg.msg_id)
+        if not event.triggered:
             self.network.stats.rpc_timeouts += 1
-            pending.fail(
-                RpcTimeout(f"{msg.mtype} to {msg.dst} timed out", destination=msg.dst)
-            )
+            event.fail(RpcTimeout(f"{msg.mtype} to {msg.dst} timed out", destination=msg.dst))
 
 
 class Network:
@@ -268,6 +294,8 @@ class Network:
         self.stats = NetworkStats()
         self._endpoints: dict[str, Endpoint] = {}
         self._partition_of: dict[str, int] = {}
+        #: Group of the hosts an active partition does not mention.
+        self._implicit_group = 0
         self._cut_links: set[frozenset[str]] = set()
         #: host-pair -> (loss, duplicate) probabilities overriding the
         #: network-wide rates for messages crossing that link.
@@ -321,6 +349,7 @@ class Network:
                 if host in self._partition_of:
                     raise NetworkError(f"host {host!r} appears in two partition groups")
                 self._partition_of[host] = index
+        self._implicit_group = max(self._partition_of.values(), default=-1) + 1
 
     def heal_partition(self) -> None:
         """Remove any active partition."""
@@ -369,10 +398,9 @@ class Network:
         if frozenset((src_host, dst_host)) in self._cut_links and src_host != dst_host:
             return False
         if self._partition_of:
-            default = max(self._partition_of.values(), default=-1) + 1
-            src_group = self._partition_of.get(src_host, default)
-            dst_group = self._partition_of.get(dst_host, default)
-            return src_group == dst_group
+            group_of = self._partition_of.get
+            default = self._implicit_group
+            return group_of(src_host, default) == group_of(dst_host, default)
         return True
 
     # -- transmission -----------------------------------------------------------

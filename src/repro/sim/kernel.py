@@ -20,6 +20,10 @@ The kernel is intentionally SimPy-like but self-contained:
   a fan-out whose children may fail.
 * :meth:`Process.interrupt` throws :class:`Interrupt` into a suspended
   process — used to kill in-flight work when a site crashes.
+* :meth:`Simulator.defer` schedules a bare callback (the one timer API)
+  and returns a handle for :meth:`Simulator.cancel`, so an RPC answered
+  in time takes its expiry timer off the heap instead of letting it fire
+  for nothing.
 
 Determinism: events scheduled for the same instant fire in scheduling order
 (a monotonically increasing sequence number breaks ties), so a given seed
@@ -79,6 +83,10 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "name")
+
+    #: Every heap entry answers ``_live``; only a cancelled :class:`_Call`
+    #: (see :meth:`Simulator.cancel`) is ever dead.
+    _live = True
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -198,19 +206,22 @@ _NO_ARG = object()
 class _Call:
     """A scheduled bare callback: the cheapest thing the heap can hold.
 
-    Used by :meth:`Simulator.defer` for fire-and-forget timers (message
-    delivery, lightweight expirations) where a full :class:`Event` — with
-    its callback list, state machine, and waiter support — is overhead.
-    The event loop only requires ``_run_callbacks``.
+    Used by :meth:`Simulator.defer` for timers (message delivery, RPC and
+    lock-wait expirations) where a full :class:`Event` — with its callback
+    list, state machine, and waiter support — is overhead.  The event loop
+    only requires ``_live`` and ``_run_callbacks``.  A call is live from
+    scheduling until it runs or is cancelled.
     """
 
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn", "arg", "_live")
 
     def __init__(self, fn: Callable, arg: Any = _NO_ARG):
         self.fn = fn
         self.arg = arg
+        self._live = True
 
     def _run_callbacks(self) -> None:
+        self._live = False
         if self.arg is _NO_ARG:
             self.fn()
         else:
@@ -430,6 +441,9 @@ class Simulator:
         self._heap: list[tuple[float, int, Event]] = []
         self._sequence = 0
         self._processed_events = 0
+        # Cancelled calls still on the heap: the loop skips them, and the
+        # heap is compacted once they outnumber the live entries.
+        self._dead = 0
 
     # -- clock -------------------------------------------------------------
     @property
@@ -457,17 +471,38 @@ class Simulator:
             raise SimulationError("process() requires a generator (did you call the function?)")
         return Process(self, generator, name=name)
 
-    def defer(self, delay: float, fn: Callable, arg: Any = _NO_ARG) -> None:
+    def defer(self, delay: float, fn: Callable, arg: Any = _NO_ARG) -> _Call:
         """Schedule ``fn(arg)`` (or ``fn()``) after ``delay`` time units.
 
-        The kernel's one timer API: fire-and-forget, so nothing is returned
-        and no :class:`Event` is allocated.  A callback that must be waited
-        on should trigger an event of its own.
+        The kernel's one timer API.  No :class:`Event` is allocated; the
+        returned handle only serves :meth:`cancel`.  A callback that must be
+        waited on should trigger an event of its own.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
+        call = _Call(fn, arg)
         self._sequence += 1
-        _heappush(self._heap, (self._now + delay, self._sequence, _Call(fn, arg)))
+        _heappush(self._heap, (self._now + delay, self._sequence, call))
+        return call
+
+    def cancel(self, call: _Call) -> None:
+        """Stop a :meth:`defer` call from running.
+
+        A no-op once the call has run or been cancelled.  The entry stays on
+        the heap, dead, until it is popped or the heap is compacted; since
+        ``(when, seq)`` keys are unique, neither changes the pop order of
+        the live entries.
+        """
+        if not call._live:
+            return
+        call._live = False
+        self._dead += 1
+        heap = self._heap
+        if self._dead * 2 > len(heap):
+            # In place: a running loop holds a reference to this list.
+            heap[:] = [entry for entry in heap if entry[2]._live]
+            heapq.heapify(heap)
+            self._dead = 0
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` succeeds."""
@@ -479,16 +514,20 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
     def step(self) -> bool:
-        """Process one event.  Returns False if the heap is empty."""
-        if not self._heap:
-            return False
-        when, _seq, event = _heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        self._processed_events += 1
-        event._run_callbacks()
-        return True
+        """Process one event.  Returns False if no live event remains."""
+        heap = self._heap
+        while heap:
+            when, _seq, event = _heappop(heap)
+            if not event._live:
+                self._dead -= 1
+                continue
+            if when < self._now:
+                raise SimulationError("event scheduled in the past")
+            self._now = when
+            self._processed_events += 1
+            event._run_callbacks()
+            return True
+        return False
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -501,16 +540,21 @@ class Simulator:
 
         All three modes drain the heap with inlined loops rather than
         per-event :meth:`step` calls — scheduling guarantees events are
-        never in the past, so the loop only pops, advances the clock, and
+        never in the past, so the loop only pops, skips cancelled calls
+        (they neither move the clock nor count), advances the clock, and
         runs callbacks.
         """
         heap = self._heap
         heappop = _heappop
         if until is None:
             while heap:
-                self._now, _seq, event = heappop(heap)
-                self._processed_events += 1
-                event._run_callbacks()
+                when, _seq, event = heappop(heap)
+                if event._live:
+                    self._now = when
+                    self._processed_events += 1
+                    event._run_callbacks()
+                else:
+                    self._dead -= 1
             return None
 
         if isinstance(until, Event):
@@ -518,9 +562,13 @@ class Simulator:
             while sentinel._state != PROCESSED:
                 if not heap:
                     raise SimulationError("simulation ran dry before the awaited event fired")
-                self._now, _seq, event = heappop(heap)
-                self._processed_events += 1
-                event._run_callbacks()
+                when, _seq, event = heappop(heap)
+                if event._live:
+                    self._now = when
+                    self._processed_events += 1
+                    event._run_callbacks()
+                else:
+                    self._dead -= 1
             if sentinel._ok:
                 return sentinel._value
             raise sentinel._value
@@ -529,12 +577,20 @@ class Simulator:
         if deadline < self._now:
             raise SimulationError(f"cannot run to {deadline}: clock already at {self._now}")
         while heap and heap[0][0] <= deadline:
-            self._now, _seq, event = heappop(heap)
-            self._processed_events += 1
-            event._run_callbacks()
+            when, _seq, event = heappop(heap)
+            if event._live:
+                self._now = when
+                self._processed_events += 1
+                event._run_callbacks()
+            else:
+                self._dead -= 1
         self._now = deadline
         return None
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        """Time of the next live event, or +inf if none."""
+        heap = self._heap
+        while heap and not heap[0][2]._live:
+            _heappop(heap)
+            self._dead -= 1
+        return heap[0][0] if heap else float("inf")

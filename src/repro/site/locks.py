@@ -60,6 +60,7 @@ class _Request:
     event: Event
     upgrade: bool = False
     enqueued_at: float = 0.0
+    expiry: object = None  # the wait-timeout timer, cancelled on leaving the queue
 
 
 @dataclass(eq=False)  # hashed by identity: the index keys on entries
@@ -131,7 +132,7 @@ class LockManager:
         entry = self._table.get(item)
         if entry is None:
             entry = self._table[item] = _ItemLock(item, len(self._table))
-        event = self.sim.event(name=f"lock:{item}:{mode}:txn{txn_id}")
+        event = self.sim.event(name="lock")
 
         held = entry.holders.get(txn_id)
         if held is not None:
@@ -166,7 +167,12 @@ class LockManager:
             if txn_id in entry.holders:
                 del entry.holders[txn_id]
                 dirty = True
-            kept = [r for r in entry.queue if r.txn_id != txn_id]
+            kept = []
+            for request in entry.queue:
+                if request.txn_id != txn_id:
+                    kept.append(request)
+                else:
+                    self._disarm(request)
             if len(kept) != len(entry.queue):
                 entry.queue = kept
                 dirty = True
@@ -247,6 +253,7 @@ class LockManager:
         """Drop all lock state (site crash: volatile state is lost)."""
         for entry in self._table.values():
             for request in entry.queue:
+                self._disarm(request)
                 if not request.event.triggered:
                     request.event.fail(ConcurrencyAbort("lock manager cleared (site crash)"))
         self._table.clear()
@@ -332,9 +339,17 @@ class LockManager:
                 if victim == request.txn_id:
                     return request.event
 
-        if self.wait_timeout is not None:
-            self.sim.defer(self.wait_timeout, lambda: self._expire(item, request))
+        # The victim's abort above may already have granted this request.
+        if self.wait_timeout is not None and not request.event.triggered:
+            request.expiry = self.sim.defer(
+                self.wait_timeout, lambda: self._expire(item, request)
+            )
         return request.event
+
+    def _disarm(self, request: _Request) -> None:
+        """Cancel the wait timeout of a request that left its queue."""
+        if request.expiry is not None:
+            self.sim.cancel(request.expiry)
 
     def _blockers_of(self, entry: _ItemLock, request: _Request) -> set[int]:
         blockers = {
@@ -386,6 +401,7 @@ class LockManager:
         )
 
     def _grant(self, request: _Request) -> None:
+        self._disarm(request)
         self.stats.acquired += 1
         self.stats.total_wait_time += self.sim.now - request.enqueued_at
         if not request.event.triggered:
@@ -434,6 +450,7 @@ class LockManager:
             for request in list(entry.queue):
                 if request.txn_id == txn_id:
                     entry.queue.remove(request)
+                    self._disarm(request)
                     if not request.event.triggered:
                         request.event.fail(ConcurrencyAbort(reason))
         # Every entry with waiters, not only the victim's: a request queued

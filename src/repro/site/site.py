@@ -6,8 +6,8 @@ capability to concurrently process multiple transactions."
 
 A :class:`Site` owns:
 
-* a network endpoint and a server process that answers commit-protocol
-  and control messages inline and spawns one handler process per data
+* a network endpoint whose served mailbox answers commit-protocol and
+  control messages inline and spawns one handler process per data
   access request, the only requests that can wait on the CCP (the paper's
   "one thread per transaction" model — here one process per access plus
   one per home transaction).  READ, PREWRITE and BATCH_ACCESS share one
@@ -46,7 +46,7 @@ from repro.net.network import Network
 from repro.protocols.base import make_ccp
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
-from repro.sim.kernel import Interrupt, Process, Simulator
+from repro.sim.kernel import Process, Simulator
 
 _PROBE_TYPES = _ProbeTypesModule.ALL
 #: The requests that may wait on the CCP; each runs as its own process.
@@ -201,7 +201,7 @@ class Site:
 
     # ------------------------------------------------------------------ lifecycle
     def _start_background(self) -> None:
-        self._spawn(self._serve(), name=f"site:{self.name}:server")
+        self.endpoint.serve(self._dispatch)
         if self.gc_interval:
             self._spawn(self._gc_loop(), name=f"site:{self.name}:gc")
         if self.uncertainty_timeout is not None:
@@ -287,26 +287,18 @@ class Site:
             )
 
     # ------------------------------------------------------------------ server
-    def _serve(self):
-        while self.up:
-            try:
-                msg = yield self.endpoint.receive()
-            except (NetworkError, Interrupt):
-                return
-            self.stats.messages_handled += 1
-            self._dispatch(msg)
-
     def _dispatch(self, msg: Message) -> None:
-        """Handle one incoming message.
+        """Handle one incoming message (the endpoint's served mailbox).
 
         Only an access can wait on the CCP (a lock queue, a TSO wait), so
         only READ, PREWRITE and BATCH_ACCESS run as their own process;
-        every other type is answered inline by the server loop.
+        every other type is answered inline.
         """
+        self.stats.messages_handled += 1
         if msg.reply_to is not None:
             # A reply whose RPC already timed out at this endpoint: the
             # caller has moved on.  Drop it (answering would bounce replies
-            # between server loops forever).
+            # between servers forever).
             return
         payload = msg.payload or {}
         mtype = msg.mtype

@@ -24,7 +24,7 @@ from typing import Generator, Optional
 from repro.errors import NetworkError, RpcTimeout, WebTierError
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
-from repro.sim.kernel import Interrupt, Simulator
+from repro.sim.kernel import Simulator
 from repro.web.requests import WebRequest, WebResponse
 
 __all__ = ["Servlet", "ServletRunner"]
@@ -59,7 +59,7 @@ class ServletRunner:
         self.servlets: dict[str, Servlet] = {}
         self.requests_served = 0
         self.up = True
-        self._server = sim.process(self._serve(), name=f"runner:{host}")
+        self.endpoint.serve(self._on_message)
 
     # -- lifecycle -----------------------------------------------------------
     # "It is essential that the Rainbow home host must have the
@@ -72,8 +72,6 @@ class ServletRunner:
             return
         self.up = False
         self.endpoint.set_down()
-        if self._server.is_alive:
-            self._server.interrupt("runner crash")
 
     def recover(self) -> None:
         """Restart the web server (servlet registrations survive)."""
@@ -81,7 +79,7 @@ class ServletRunner:
             return
         self.up = True
         self.endpoint.set_up()
-        self._server = self.sim.process(self._serve(), name=f"runner:{self.host}")
+        self.endpoint.serve(self._on_message)
 
     @property
     def address(self) -> str:
@@ -99,16 +97,11 @@ class ServletRunner:
         return name in self.servlets
 
     # -- serving ---------------------------------------------------------------
-    def _serve(self):
-        while self.up:
-            try:
-                msg = yield self.endpoint.receive()
-            except (NetworkError, Interrupt):
-                return
-            if msg.mtype != MessageType.WEB_REQUEST or msg.reply_to is not None:
-                continue
-            self.requests_served += 1
-            self.sim.process(self._dispatch(msg), name=f"runner:{self.host}:req")
+    def _on_message(self, msg: Message) -> None:
+        if msg.mtype != MessageType.WEB_REQUEST or msg.reply_to is not None:
+            return
+        self.requests_served += 1
+        self.sim.process(self._dispatch(msg), name=f"runner:{self.host}:req")
 
     def _dispatch(self, msg: Message):
         request = WebRequest.from_payload(msg.payload or {})

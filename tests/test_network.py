@@ -1,8 +1,11 @@
 """Unit tests for the simulated network, messages, latency, RPC."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError, RpcTimeout
 from repro.net.latency import (
@@ -99,15 +102,11 @@ class TestEndpoints:
     def test_send_and_receive(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
-
-        def receiver():
-            msg = yield b.receive()
-            return (msg.mtype, msg.payload)
-
-        process = sim.process(receiver())
+        received = []
+        b.serve(lambda msg: received.append((msg.mtype, msg.payload, sim.now)))
         a.send(b.address, "PING", payload=123)
-        assert sim.run(until=process) == ("PING", 123)
-        assert sim.now == 1.0  # ConstantLatency(1.0)
+        sim.run()
+        assert received == [("PING", 123, 1.0)]  # ConstantLatency(1.0)
 
     def test_receive_queued_message_immediately(self, sim, network):
         a = network.endpoint("h1", "a")
@@ -116,12 +115,165 @@ class TestEndpoints:
         sim.run()
         assert b.pending_count() == 1
 
-        def receiver():
-            msg = yield b.receive()
-            return msg.mtype
-
-        assert drive(sim, receiver()) == "PING"
+        received = []
+        b.serve(lambda msg: received.append((msg.mtype, sim.now)))
+        sim.run()
+        assert received == [("PING", 1.0)]
         assert b.pending_count() == 0
+
+
+class _ReceiveLoop:
+    """Reference mailbox: a server process blocked on one receive event.
+
+    This is how endpoints were served before :meth:`Endpoint.serve`: a
+    delivery to a waiting receiver succeeds its receive event, and the
+    process takes the next queued message as soon as it asks again.  It
+    takes over the endpoint's deliveries at once and queues them until
+    :meth:`start` launches the server process.
+    """
+
+    def __init__(self, sim, endpoint):
+        self.sim = sim
+        self.queue = deque()
+        self.receivers = deque()
+        endpoint._deliver = self.deliver
+
+    def start(self, handler):
+        self.sim.process(self.loop(handler))
+
+    def receive(self):
+        event = self.sim.event()
+        if self.queue:
+            event.succeed(self.queue.popleft())
+        else:
+            self.receivers.append(event)
+        return event
+
+    def deliver(self, msg):
+        if self.receivers:
+            self.receivers.popleft().succeed(msg)
+        else:
+            self.queue.append(msg)
+
+    def loop(self, handler):
+        while True:
+            msg = yield self.receive()
+            handler(msg)
+
+
+def _mailbox_session(reference: bool, latency: float, script) -> list:
+    """Log every same-instant occurrence around one served mailbox.
+
+    ``script`` is run at time 0: sends to the mailbox, bare timers and
+    processes waking at chosen delays, and the point where the mailbox is
+    armed.  The handler reacts to each message by logging it and, by
+    payload, deferring a call, triggering an event or sending again.
+    """
+    sim = Simulator()
+    network = Network(sim, ConstantLatency(latency))
+    a = network.endpoint("h1", "a")
+    b = network.endpoint("h2", "b")
+    serve = _ReceiveLoop(sim, b).start if reference else b.serve
+    log = []
+
+    def handler(msg):
+        log.append((sim.now, "handle", msg.payload))
+        reaction = msg.payload % 4
+        if reaction == 1:
+            sim.defer(0, log.append, (sim.now, "deferred", msg.payload))
+        elif reaction == 2:
+            event = sim.event()
+            event.add_callback(lambda _ev: log.append((sim.now, "event", msg.payload)))
+            event.succeed()
+        elif reaction == 3 and msg.payload < 40:
+            a.send(b.address, "AGAIN", payload=msg.payload + 10)
+
+    def sleeper(tag, delay):
+        yield sim.timeout(delay)
+        log.append((sim.now, "process", tag))
+
+    for step, (kind, value) in enumerate(script):
+        if kind == "serve":
+            serve(handler)
+        elif kind == "send":
+            a.send(b.address, "PING", payload=value)
+        elif kind == "timer":
+            sim.defer(value, log.append, (value, "timer", step))
+        else:
+            sim.process(sleeper(step, value))
+    sim.run()
+    return log
+
+
+_script_steps = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 40)),
+    st.tuples(st.sampled_from(["timer", "process"]), st.sampled_from([0.0, 1.0, 2.0])),
+)
+
+
+class TestServedMailbox:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        latency=st.sampled_from([0.0, 1.0]),
+        steps=st.lists(_script_steps, max_size=25),
+        serve_at=st.integers(0, 25),
+    )
+    def test_interleaving_matches_a_receive_loop(self, latency, steps, serve_at):
+        script = list(steps)
+        script.insert(min(serve_at, len(script)), ("serve", None))
+        assert _mailbox_session(True, latency, script) == _mailbox_session(
+            False, latency, script
+        )
+
+    def test_crash_between_delivery_and_service_drops_message(self, sim, network):
+        a = network.endpoint("h1", "a")
+        b = network.endpoint("h2", "b")
+        served = []
+        b.serve(served.append)
+        sim.run()
+        a.send(b.address, "PING")
+        # Delivered at t=1 first (sent earlier), then the crash, all before
+        # the delivery's service call runs at the same instant.
+        sim.defer(1.0, b.set_down)
+        sim.run()
+        assert served == []
+        assert network.stats.delivered == 1
+        assert b.pending_count() == 0
+
+    def test_crash_and_recovery_at_same_instant_drops_message(self, sim, network):
+        a = network.endpoint("h1", "a")
+        b = network.endpoint("h2", "b")
+        served = []
+        b.serve(served.append)
+        sim.run()
+
+        def crash_and_recover():
+            b.set_down()
+            b.set_up()
+            b.serve(served.append)
+
+        a.send(b.address, "LOST")
+        sim.defer(1.0, crash_and_recover)
+        sim.run()
+        assert served == []
+        a.send(b.address, "SERVED")
+        sim.run()
+        assert [msg.mtype for msg in served] == ["SERVED"]
+
+    def test_answered_rpc_leaves_no_live_expiry_timer(self, sim, network):
+        a = network.endpoint("h1", "a")
+        b = network.endpoint("h2", "b")
+        b.serve(lambda msg: b.reply(msg, "PONG"))
+
+        def client():
+            yield a.request(b.address, "PING", timeout=90)
+
+        drive(sim, client())
+        assert sim.now == 2.0
+        live = [entry for entry in sim._heap if entry[2]._live]
+        assert not [entry for entry in live if getattr(entry[2], "fn", None) == a._expire]
+        sim.run()
+        assert sim.now == 2.0  # the expiry never fires, so the clock stays put
 
 
 class TestRpc:
@@ -129,15 +281,12 @@ class TestRpc:
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
 
-        def server():
-            msg = yield b.receive()
-            b.reply(msg, "PONG", payload=msg.payload + 1)
+        b.serve(lambda msg: b.reply(msg, "PONG", payload=msg.payload + 1))
 
         def client():
             reply = yield a.request(b.address, "PING", payload=1, timeout=10)
             return reply.payload
 
-        sim.process(server())
         assert drive(sim, client()) == 2
         assert network.stats.round_trips == 1
 
@@ -167,16 +316,16 @@ class TestRpc:
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
 
-        def slow_server():
-            msg = yield b.receive()
+        def slow_reply(msg):
             yield sim.timeout(10)
             b.reply(msg, "PONG")
+
+        b.serve(lambda msg: sim.process(slow_reply(msg)))
 
         def client():
             with pytest.raises(RpcTimeout):
                 yield a.request(b.address, "PING", timeout=3)
 
-        sim.process(slow_server())
         drive(sim, client())
         sim.run()
         # Late reply is delivered to a's queue as an orphan message.
@@ -198,17 +347,20 @@ class TestFailureModes:
         assert network.stats.dropped == 1
         assert b.pending_count() == 0
 
-    def test_down_endpoint_fails_waiting_receivers(self, sim, network):
+    def test_down_endpoint_stops_serving(self, sim, network):
+        a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
-
-        def receiver():
-            with pytest.raises(NetworkError):
-                yield b.receive()
-            return "failed as expected"
-
-        process = sim.process(receiver())
-        sim.defer(1, b.set_down)
-        assert sim.run(until=process) == "failed as expected"
+        served = []
+        b.serve(served.append)
+        sim.defer(1.5, b.set_down)
+        sim.defer(1.5, b.set_up)
+        a.send(b.address, "BEFORE")
+        sim.run()
+        a.send(b.address, "AFTER")
+        sim.run()
+        # The crash dropped the handler: the recovered mailbox only queues.
+        assert [msg.mtype for msg in served] == ["BEFORE"]
+        assert b.pending_count() == 1
 
     def test_down_endpoint_fails_pending_rpcs(self, sim, network):
         a = network.endpoint("h1", "a")

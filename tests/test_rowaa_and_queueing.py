@@ -106,13 +106,7 @@ class TestHostQueueing:
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
         arrivals = []
-
-        def receiver():
-            while True:
-                yield b.receive()
-                arrivals.append(sim.now)
-
-        sim.process(receiver())
+        b.serve(lambda _msg: arrivals.append(sim.now))
         for _ in range(4):
             a.send(b.address, "X")
         sim.run(until=20)
@@ -127,13 +121,8 @@ class TestHostQueueing:
         b = network.endpoint("h2", "b")
         c = network.endpoint("h3", "c")
         times = {}
-
-        def receiver(endpoint, key):
-            yield endpoint.receive()
-            times[key] = sim.now
-
-        sim.process(receiver(b, "b"))
-        sim.process(receiver(c, "c"))
+        b.serve(lambda _msg: times.setdefault("b", sim.now))
+        c.serve(lambda _msg: times.setdefault("c", sim.now))
         a.send(b.address, "X")
         a.send(c.address, "X")
         sim.run(until=10)
@@ -145,13 +134,7 @@ class TestHostQueueing:
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
         arrivals = []
-
-        def receiver():
-            while True:
-                yield b.receive()
-                arrivals.append(sim.now)
-
-        sim.process(receiver())
+        b.serve(lambda _msg: arrivals.append(sim.now))
         a.send(b.address, "BIG", size=4)
         sim.run(until=10)
         assert arrivals == [3.0]  # 1 latency + 4 * 0.5 service

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.kernel import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
@@ -391,3 +393,118 @@ class TestRun:
             return log
 
         assert build() == build()
+
+
+class TestCancel:
+    def test_cancelled_call_never_runs(self, sim):
+        seen = []
+        doomed = sim.defer(3, seen.append, "doomed")
+        sim.defer(5, seen.append, "kept")
+        sim.cancel(doomed)
+        sim.run()
+        assert seen == ["kept"]
+        assert sim.processed_events == 1
+
+    def test_cancelled_call_does_not_move_the_clock(self, sim):
+        sim.defer(2, lambda: None)
+        sim.cancel(sim.defer(90, lambda: None))
+        sim.run()
+        assert sim.now == 2.0
+        assert sim.peek() == float("inf")
+        assert sim.step() is False
+
+    def test_cancel_after_fire_is_noop(self, sim):
+        seen = []
+        fired = sim.defer(1, seen.append, "fired")
+        sim.run()
+        sim.cancel(fired)
+        sim.cancel(fired)
+        assert seen == ["fired"]
+        assert sim._dead == 0
+        # The count stays exact: one live and one cancelled entry.
+        pending = sim.defer(1, seen.append, "late")
+        sim.defer(2, seen.append, "later")
+        sim.cancel(pending)
+        sim.cancel(pending)
+        assert sim._dead == 1
+        sim.run()
+        assert seen == ["fired", "later"]
+        assert sim._dead == 0
+
+    def test_peek_and_step_skip_cancelled_calls(self, sim):
+        seen = []
+        sim.cancel(sim.defer(1, seen.append, "dead"))
+        sim.defer(4, seen.append, "live")
+        sim.timeout(9)
+        assert sim.peek() == 4.0
+        assert sim.step() is True
+        assert seen == ["live"]
+        assert sim.now == 4.0
+
+    def test_heap_compacts_once_dead_entries_outnumber_live(self, sim):
+        calls = [sim.defer(i, lambda: None) for i in range(10)]
+        for call in calls[:5]:
+            sim.cancel(call)
+        assert (len(sim._heap), sim._dead) == (10, 5)
+        sim.cancel(calls[5])
+        assert (len(sim._heap), sim._dead) == (4, 0)
+        sim.run()
+        assert sim.processed_events == 4
+        assert sim.now == 9.0
+
+
+class _NeverCompacts(Simulator):
+    """Reference kernel: cancelled entries stay on the heap until popped."""
+
+    def cancel(self, call) -> None:
+        if call._live:
+            call._live = False
+            self._dead += 1
+
+
+def _run_schedule(sim: Simulator, ops) -> tuple:
+    """Run a random program of defers, cancels and event triggers.
+
+    Each op is scheduled up front; when it fires it logs itself and does
+    its action: defer a new call, trigger an event at the current instant,
+    cancel one call scheduled so far (fired ones included), or sweep every
+    third call from some index on, the way a crash cancels a batch of
+    timers.
+    """
+    log = []
+    calls = []
+
+    def fire(step):
+        label, action = step
+        log.append((sim.now, label))
+        if action is None:
+            return
+        kind, delay, target = action
+        if kind == "defer":
+            calls.append(sim.defer(delay, fire, (f"{label}/d", None)))
+        elif kind == "cancel":
+            sim.cancel(calls[target % len(calls)])
+        elif kind == "sweep":
+            for call in calls[target % len(calls) :: 3]:
+                sim.cancel(call)
+        else:
+            event = sim.event()
+            event.add_callback(lambda _ev: log.append((sim.now, f"{label}/e")))
+            event.succeed()
+
+    for index, (delay, action) in enumerate(ops):
+        calls.append(sim.defer(delay, fire, (str(index), action)))
+    sim.run()
+    return log, sim.now, sim.processed_events
+
+
+_delays = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_kinds = st.sampled_from(["defer", "cancel", "sweep", "succeed"])
+_actions = st.one_of(st.none(), st.tuples(_kinds, _delays, st.integers(0, 99)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(st.tuples(_delays, _actions), min_size=1, max_size=60))
+def test_cancel_and_compaction_keep_pop_order(ops):
+    """Compaction never changes which entries run, in what order, or when."""
+    assert _run_schedule(Simulator(), ops) == _run_schedule(_NeverCompacts(), ops)

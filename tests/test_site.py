@@ -242,12 +242,9 @@ class TestCrashRecovery:
         # A fake coordinator that answers COMMIT.
         coord = network.endpoint("hc", "coord")
 
-        def coordinator():
-            while True:
-                msg = yield coord.receive()
-                coord.reply(msg, MessageType.DECISION, {"decision": "COMMIT"})
-
-        sim.process(coordinator())
+        coord.serve(
+            lambda msg: coord.reply(msg, MessageType.DECISION, {"decision": "COMMIT"})
+        )
         drive(sim, site.local_prewrite(1, 2.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 2.0)
         site.crash()
@@ -262,17 +259,15 @@ class TestCrashRecovery:
     ):
         coord = network.endpoint("hc", "coord")
 
-        def coordinator():
-            while True:
-                msg = yield coord.receive()
-                coord.reply(
-                    msg,
-                    MessageType.DECISION,
-                    {"decision": site_b.decision_of(msg.payload["txn"], True)},
-                )
+        def coordinator(msg):
+            coord.reply(
+                msg,
+                MessageType.DECISION,
+                {"decision": site_b.decision_of(msg.payload["txn"], True)},
+            )
 
         site_b = Site(sim, network, "s2", "h2", gc_interval=0)
-        sim.process(coordinator())
+        coord.serve(coordinator)
         drive(sim, site.local_prewrite(1, 2.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 2.0)
         site.crash()
@@ -308,12 +303,9 @@ class TestSweepers:
         site.store.create_copy("x")
         coord = network.endpoint("hc", "coord")
 
-        def coordinator():
-            while True:
-                msg = yield coord.receive()
-                coord.reply(msg, MessageType.DECISION, {"decision": "ABORT"})
-
-        sim.process(coordinator())
+        coord.serve(
+            lambda msg: coord.reply(msg, MessageType.DECISION, {"decision": "ABORT"})
+        )
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 1.0)
         sim.run(until=100)
@@ -436,7 +428,6 @@ class TestCrashTeardown:
         live = [process for process in spawned if process.is_alive]
         site.crash()
         assert [process.name for process in live] == [
-            "site:s9:server",
             "site:s9:gc",
             "site:s9:uncertain",
             "site:s9:READ",
