@@ -3,7 +3,8 @@
 #   make test        tier-1 test suite (the CI gate)
 #   make lint        rainbow-lint over src/, benchmarks/, examples/
 #   make lint-all    rainbow-lint + ruff + mypy (skips tools not installed)
-#   make bench       kernel microbenchmark smoke run + BENCH_*.json artifacts
+#   make bench       kernel microbenchmark smoke run (pytest-benchmark)
+#   make baseline    regenerate benchmarks/baseline.json (perfbench work-counter ledger)
 #   make chaos       chaos suite: 25 nemesis seeds, all safety invariants
 #   make trace       traced session: phase breakdown + trace.json (Perfetto)
 #   make rules       print the rainbow-lint rule catalog
@@ -13,7 +14,7 @@ PY       ?= python
 PYPATH   := PYTHONPATH=src
 LINTDIRS := src benchmarks examples
 
-.PHONY: test lint lint-all bench chaos trace rules golden
+.PHONY: test lint lint-all bench baseline chaos trace rules golden
 
 test:
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -35,7 +36,9 @@ lint-all: lint
 
 bench:
 	$(PYPATH) $(PY) -m pytest benchmarks/test_bench_kernel.py --benchmark-only -q -s
-	$(PYPATH) $(PY) -m repro bench
+
+baseline:
+	$(PY) -m benchmarks.baseline
 
 chaos:
 	$(PYPATH) $(PY) -m repro chaos --seeds 25 -j 0

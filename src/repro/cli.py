@@ -226,14 +226,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 print(f"  {span.name:<14} @{span.site:<8} self {self_time:.3f}")
 
     if args.out:
-        from repro.monitor.export import trace_to_chrome_json
+        from pathlib import Path
 
-        trace_to_chrome_json(tracer.spans, args.out)
+        Path(args.out).write_text(obs.spans_to_chrome_json(tracer.spans))
         print(f"wrote {args.out}", file=sys.stderr)
     if args.csv:
-        from repro.monitor.export import trace_to_csv
-
-        trace_to_csv(tracer.spans, args.csv)
+        obs.spans_to_csv(tracer.spans, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 
@@ -336,14 +334,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             target.write_text(case.trace_json)
             print(f"wrote {target}", file=sys.stderr)
     return 0 if result.ok else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.monitor.bench import write_bench_files
-
-    for path in write_bench_files(args.out_dir):
-        print(f"wrote {path}")
-    return 0
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -463,14 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for per-seed trace JSONs (default: "
                        "chaos-traces)")
     chaos.set_defaults(fn=_cmd_chaos)
-
-    bench = commands.add_parser(
-        "bench",
-        help="write BENCH_kernel.json / BENCH_session.json performance baselines",
-    )
-    bench.add_argument("--out-dir", default=".", metavar="DIR",
-                       help="directory for the JSON artifacts (default: .)")
-    bench.set_defaults(fn=_cmd_bench)
 
     listing = commands.add_parser("list", help="list experiments and assignments")
     listing.set_defaults(fn=_cmd_list)

@@ -45,7 +45,7 @@ class _Version:
 class _MvItem:
     versions: list[_Version] = field(default_factory=list)  # sorted by wts
     pending: dict[int, float] = field(default_factory=dict)  # txn -> ts
-    waiters: list[Event] = field(default_factory=list)
+    waiters: list[tuple[Event, object]] = field(default_factory=list)  # (event, timer)
 
     def select(self, ts: float) -> Optional[_Version]:
         """Committed version with the largest wts <= ts."""
@@ -56,12 +56,6 @@ class _MvItem:
     def insert(self, version: _Version) -> None:
         keys = [v.wts for v in self.versions]
         self.versions.insert(bisect.bisect_right(keys, version.wts), version)
-
-    def wake(self) -> None:
-        waiters, self.waiters = self.waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(None)
 
 
 class MultiversionTimestampController(WorkspaceController):
@@ -148,7 +142,7 @@ class MultiversionTimestampController(WorkspaceController):
             record.insert(_Version(wts=pts, value=value, rts=pts))
             if len(record.versions) > self.max_versions:
                 del record.versions[0: len(record.versions) - self.max_versions]
-            record.wake()
+            self._wake(record)
             # Mirror the newest version into the single-version store so
             # quorum version numbers and recovery are CCP-independent.
             newest = record.versions[-1]
@@ -161,7 +155,7 @@ class MultiversionTimestampController(WorkspaceController):
         for item in self.buffered_writes(txn_id):
             record = self._item(item)
             record.pending.pop(txn_id, None)
-            record.wake()
+            self._wake(record)
         self._drop(txn_id)
         self.stats.aborts += 1
 
@@ -173,9 +167,7 @@ class MultiversionTimestampController(WorkspaceController):
 
     def clear(self) -> None:
         for record in self._items.values():
-            for event in record.waiters:
-                if not event.triggered:
-                    event.fail(ConcurrencyAbort("MVTO state cleared (site crash)"))
+            self._wake(record, "MVTO state cleared (site crash)")
         self._items.clear()
         self._workspace.clear()
         self._doomed.clear()
@@ -185,17 +177,3 @@ class MultiversionTimestampController(WorkspaceController):
     def version_count(self, item: str) -> int:
         """Number of committed versions currently kept for ``item``."""
         return len(self._item(item).versions)
-
-    # -- helpers ---------------------------------------------------------------------
-    def _wait(self, record: _MvItem) -> Event:
-        event = self.sim.event(name="mvto-wait")
-        record.waiters.append(event)
-        if self.wait_timeout is not None:
-
-            def _expire() -> None:
-                if not event.triggered:
-                    self.stats.rejections += 1
-                    event.fail(ConcurrencyAbort("MVTO wait timeout"))
-
-            self.sim.defer(self.wait_timeout, _expire)
-        return event

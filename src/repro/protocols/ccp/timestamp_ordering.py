@@ -37,17 +37,11 @@ class _TsoItem:
     read_ts: float = -1.0
     write_ts: float = -1.0
     pending: dict[int, float] = field(default_factory=dict)  # txn -> ts
-    waiters: list[Event] = field(default_factory=list)
+    waiters: list[tuple[Event, object]] = field(default_factory=list)  # (event, timer)
 
     def min_pending_below(self, ts: float) -> Optional[float]:
         smaller = [pts for pts in self.pending.values() if pts < ts]
         return min(smaller) if smaller else None
-
-    def wake(self) -> None:
-        waiters, self.waiters = self.waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(None)
 
 
 class TimestampOrderingController(WorkspaceController):
@@ -129,7 +123,7 @@ class TimestampOrderingController(WorkspaceController):
                 record.write_ts = max(record.write_ts, pts)
             elif ts is not None:
                 record.write_ts = max(record.write_ts, ts)
-            record.wake()
+            self._wake(record)
         self._apply_workspace(txn_id, versions)
         self.stats.commits += 1
 
@@ -138,7 +132,7 @@ class TimestampOrderingController(WorkspaceController):
         for item in self.buffered_writes(txn_id):
             record = self._item(item)
             record.pending.pop(txn_id, None)
-            record.wake()
+            self._wake(record)
         self._drop(txn_id)
         self.stats.aborts += 1
 
@@ -150,24 +144,8 @@ class TimestampOrderingController(WorkspaceController):
 
     def clear(self) -> None:
         for record in self._items.values():
-            for event in record.waiters:
-                if not event.triggered:
-                    event.fail(ConcurrencyAbort("TSO state cleared (site crash)"))
+            self._wake(record, "TSO state cleared (site crash)")
         self._items.clear()
         self._workspace.clear()
         self._doomed.clear()
         self._ts_of.clear()
-
-    # -- helpers -------------------------------------------------------------------
-    def _wait(self, record: _TsoItem) -> Event:
-        event = self.sim.event(name="tso-wait")
-        record.waiters.append(event)
-        if self.wait_timeout is not None:
-
-            def _expire() -> None:
-                if not event.triggered:
-                    self.stats.rejections += 1
-                    event.fail(ConcurrencyAbort("TSO wait timeout"))
-
-            self.sim.defer(self.wait_timeout, _expire)
-        return event

@@ -3,17 +3,18 @@
 All three CCPs buffer uncommitted writes in a per-transaction, per-site
 workspace and only touch the committed store at commit.  This base class
 owns that workspace plus the *doomed* set (transactions that must abort —
-wound-wait victims, or in-doubt leftovers recovery resolved to abort).
+wound-wait victims, or in-doubt leftovers recovery resolved to abort), and
+the timed reader waits of the timestamp controllers (TSO, MVTO).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.errors import ConcurrencyAbort
 from repro.protocols.base import ConcurrencyController
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.site.storage import LocalStore
 
 __all__ = ["WorkspaceController", "CcpStats"]
@@ -33,6 +34,9 @@ class CcpStats:
 
 class WorkspaceController(ConcurrencyController):
     """Base class: workspace + doom handling; subclasses add the ordering."""
+
+    #: How long a reader parked by :meth:`_wait` may wait (``None``: forever).
+    wait_timeout: Optional[float] = None
 
     def __init__(self, sim: Simulator, store: LocalStore):
         self.sim = sim
@@ -70,6 +74,34 @@ class WorkspaceController(ConcurrencyController):
         if txn_id in self._doomed:
             self.stats.rejections += 1
             raise ConcurrencyAbort(f"txn{txn_id} doomed at site {self.store.site_name}")
+
+    # -- reader waits (TSO, MVTO) -------------------------------------------------
+    def _wait(self, record) -> Event:
+        """Park a reader on ``record.waiters`` until :meth:`_wake` or the timeout."""
+        event = self.sim.event(name=f"{self.name.lower()}-wait")
+        timer = None
+        if self.wait_timeout is not None:
+
+            def _expire() -> None:  # only runs while the wait is pending
+                self.stats.rejections += 1
+                event.fail(ConcurrencyAbort(f"{self.name} wait timeout"))
+
+            timer = self.sim.defer(self.wait_timeout, _expire)
+        record.waiters.append((event, timer))
+        return event
+
+    def _wake(self, record, failure: Optional[str] = None) -> None:
+        """Resume every reader parked on ``record`` (or fail it with ``failure``)."""
+        waiters, record.waiters = record.waiters, []
+        for event, timer in waiters:
+            if timer is not None:
+                self.sim.cancel(timer)
+            if event.triggered:
+                continue
+            if failure is None:
+                event.succeed(None)
+            else:
+                event.fail(ConcurrencyAbort(failure))
 
     # -- recovery ------------------------------------------------------------
     def reinstate(self, txn_id: int, ts: float, writes: dict[str, Any]) -> None:

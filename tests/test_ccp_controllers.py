@@ -327,3 +327,42 @@ class TestMVTO:
         run_op(sim, cc.prewrite(1, 5.0, "x", 42))
         cc.abort(1)
         assert run_op(sim, cc.read(2, 8.0, "x"))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "controller", [TimestampOrderingController, MultiversionTimestampController]
+)
+class TestTimestampWaitTimers:
+    """A reader's wait timer leaves the heap once the wait is over."""
+
+    def test_woken_reader_cancels_its_timer(self, sim, store, controller):
+        cc = controller(sim, store, wait_timeout=100.0)
+        run_op(sim, cc.prewrite(1, 5.0, "x", 77))
+        seen = []
+
+        def reader():
+            value, _v = yield from cc.read(2, 8.0, "x")
+            seen.append(value)
+
+        sim.process(reader())
+        sim.defer(4, lambda: cc.commit(1, {}))
+        sim.run()
+        assert seen == [77]
+        assert sim.now == 4.0  # not 104.0: the timeout did not stay scheduled
+
+    def test_clear_fails_reader_and_cancels_its_timer(self, sim, store, controller):
+        cc = controller(sim, store, wait_timeout=100.0)
+        run_op(sim, cc.prewrite(1, 5.0, "x", 77))
+        failures = []
+
+        def reader():
+            try:
+                yield from cc.read(2, 8.0, "x")
+            except ConcurrencyAbort as error:
+                failures.append(error.detail)
+
+        sim.process(reader())
+        sim.defer(3, cc.clear)
+        sim.run()
+        assert failures == [f"{cc.name} state cleared (site crash)"]
+        assert sim.now == 3.0
