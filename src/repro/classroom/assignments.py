@@ -75,12 +75,12 @@ def assignment_deadlock() -> AssignmentReport:
     deadlocks = sum(
         site.cc.locks.stats.deadlocks
         for site in instance.sites.values()
-        if hasattr(site.cc, "locks")
+        if site.cc.lock_based
     )
     timeouts = sum(
         site.cc.locks.stats.timeouts
         for site in instance.sites.values()
-        if hasattr(site.cc, "locks")
+        if site.cc.lock_based
     )
     ccp_aborts = sum(1 for txn in (t1, t2) if txn.aborted and txn.abort_cause == "CCP")
     survivors = [txn for txn in (t1, t2) if txn.committed]

@@ -46,7 +46,7 @@ def _trial(
     deadlocks = sum(
         site.cc.locks.stats.deadlocks
         for site in instance.sites.values()
-        if hasattr(site.cc, "locks")
+        if site.cc.lock_based
     )
     return {
         "ccp": ccp,

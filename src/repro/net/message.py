@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.obs.spans import Span
+
 __all__ = ["Message", "MessageType"]
 
 _message_ids = itertools.count(1)
@@ -100,10 +102,10 @@ class Message:
     size: int = 1
     msg_id: int = field(default_factory=_message_ids.__next__)
     sent_at: float = 0.0
-    # Causal trace context: the sender's active span id, so the network and
+    # Causal trace context: the sender's active span, so the network and
     # the receiving site can parent their spans under the coordinator's.
     # Stays None whenever tracing is disabled.
-    span: Optional[str] = None
+    span: Optional[Span] = None
 
     def reply(self, mtype: str, payload: Any = None, size: int = 1) -> "Message":
         """Build the reply message for this request (swaps src/dst)."""

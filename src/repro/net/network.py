@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Optional
 from repro.errors import NetworkError, RpcTimeout, SimulationError
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
+from repro.obs.spans import Span
 from repro.sim.kernel import Event, Simulator
 
 __all__ = ["Network", "Endpoint", "NetworkStats"]
@@ -188,7 +189,7 @@ class Endpoint:
         reply_to: Optional[int] = None,
         txn_id: Optional[int] = None,
         size: int = 1,
-        span: Optional[str] = None,
+        span: Optional[Span] = None,
     ) -> Message:
         """Fire-and-forget send.  Returns the message (for correlation)."""
         msg = Message(
@@ -219,7 +220,7 @@ class Endpoint:
         timeout: float = 50.0,
         txn_id: Optional[int] = None,
         size: int = 1,
-        span: Optional[str] = None,
+        span: Optional[Span] = None,
     ) -> Event:
         """Request/reply exchange with a timeout.
 
@@ -304,6 +305,9 @@ class Network:
         #: Span tracer (``repro.obs.SpanTracer``) set by
         #: ``RainbowInstance.enable_tracing``; None keeps sends hook-free.
         self.tracer = None
+        #: address -> site name (its last path part), so traced messages
+        #: share one site string per sender.
+        self._site_names: dict[str, str] = {}
 
     # -- registration -------------------------------------------------------
     def endpoint(self, host: str, name: str) -> Endpoint:
@@ -471,7 +475,7 @@ class Network:
             now = self.sim.now
             self.tracer.record(
                 msg.txn_id,
-                msg.src.rsplit("/", 1)[-1],
+                self._site_name(msg.src),
                 "net.msg",
                 start=now,
                 end=now,
@@ -487,7 +491,7 @@ class Network:
         """Record one delivered message as a complete ``net.msg`` span."""
         self.tracer.record(
             msg.txn_id,
-            msg.src.rsplit("/", 1)[-1],
+            self._site_name(msg.src),
             "net.msg",
             start=msg.sent_at,
             end=msg.sent_at + delay,
@@ -496,6 +500,13 @@ class Network:
             src=msg.src,
             dst=msg.dst,
         )
+
+    def _site_name(self, address: str) -> str:
+        """Site part of an address (``host/site`` -> ``site``), memoized."""
+        name = self._site_names.get(address)
+        if name is None:
+            name = self._site_names[address] = address.rsplit("/", 1)[-1]
+        return name
 
     def _notify(self, msg: Message, outcome: str) -> None:
         for observer in self._observers:

@@ -119,7 +119,7 @@ def txn_phase_breakdown(
     breakdown = dict.fromkeys(PHASES, 0.0)
     breakdown["other"] = 0.0
     covered = 0.0
-    for child in tracer.children(root.span_id):
+    for child in tracer.children(root):
         clamped = _clamped_duration(child, root.start, root.end)
         covered += clamped
         breakdown[phase_of(child.name) or "other"] += clamped
@@ -146,7 +146,7 @@ def critical_path(
     while True:
         children = [
             child
-            for child in tracer.children(current.span_id)
+            for child in tracer.children(current)
             if child.end is not None
         ]
         if not children:
@@ -167,9 +167,8 @@ def render_span_tree(tracer: SpanTracer, txn_id: int) -> list[str]:
 
     def fmt(span: Span) -> str:
         end = span.start if span.end is None else span.end
-        attrs = ", ".join(
-            f"{key}={span.attrs[key]}" for key in sorted(span.attrs)
-        )
+        values = span.attrs
+        attrs = ", ".join(f"{key}={values[key]}" for key in sorted(values))
         detail = f"  [{attrs}]" if attrs else ""
         return (
             f"{span.name} @{span.site}  "
@@ -179,7 +178,7 @@ def render_span_tree(tracer: SpanTracer, txn_id: int) -> list[str]:
     def walk(span: Span, depth: int) -> None:
         lines.append("  " * depth + fmt(span))
         children = sorted(
-            tracer.children(span.span_id),
+            tracer.children(span),
             key=lambda child: (child.start, child.span_id),
         )
         for child in children:

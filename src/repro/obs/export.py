@@ -44,31 +44,37 @@ def _span_list(spans: SpansLike) -> list[Span]:
 
 
 def normalize_spans(spans: SpansLike) -> list[Span]:
-    """Copy spans with txn ids densely renumbered by first appearance."""
+    """Copy spans with txn ids densely renumbered by first appearance.
+
+    Each copy keeps its site and sequence, so its ``span_id`` is the
+    original's with the txn part renumbered, and it is linked to its
+    parent's copy.  A parent outside ``spans`` stays the original span,
+    so its id renders un-normalized.
+    """
     originals = _span_list(spans)
     txn_map: dict[int, int] = {}
     for span in originals:
         if span.txn_id not in txn_map:
             txn_map[span.txn_id] = len(txn_map) + 1
-    id_map: dict[str, str] = {}
-    for span in originals:
-        _, _, tail = span.span_id.partition(":")
-        id_map[span.span_id] = f"t{txn_map[span.txn_id]}:{tail}"
-    normalized = []
-    for span in originals:
-        normalized.append(
-            Span(
-                span_id=id_map[span.span_id],
-                parent_id=id_map.get(span.parent_id or "", span.parent_id),
-                txn_id=txn_map[span.txn_id],
-                name=span.name,
-                site=span.site,
-                start=span.start,
-                end=span.end,
-                attrs=dict(span.attrs),
-            )
+    copies = [
+        Span(
+            txn_map[span.txn_id],
+            span.site,
+            span.seq,
+            span.name,
+            span.parent,
+            span.start,
+            span.end,
+            span.attr_keys,
+            span.attr_values,
         )
-    return normalized
+        for span in originals
+    ]
+    copy_of = {span.span_id: copy for span, copy in zip(originals, copies)}
+    for copy in copies:
+        if copy.parent is not None:
+            copy.parent = copy_of.get(copy.parent.span_id, copy.parent)
+    return copies
 
 
 def _chrome_events(spans: Iterable[Span], pid: int) -> list[dict]:
@@ -79,8 +85,9 @@ def _chrome_events(spans: Iterable[Span], pid: int) -> list[dict]:
             "parent": span.parent_id or "",
             "site": span.site,
         }
-        for key in sorted(span.attrs):
-            args[key] = str(span.attrs[key])
+        attrs = span.attrs
+        for key in sorted(attrs):
+            args[key] = str(attrs[key])
         events.append(
             {
                 "name": span.name,

@@ -17,24 +17,48 @@ of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["Span", "SpanTracer"]
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Span:
-    """One named interval in a transaction's causal timeline."""
+    """One named interval in a transaction's causal timeline.
 
-    span_id: str
-    parent_id: Optional[str]
+    A session retains every span it records, so a span stores only what
+    cannot be derived: its ``(txn_id, site, seq)`` identity, its parent
+    *span* (not the parent's id), its times, and its attributes as two
+    tuples — ``attr_keys``, shared by every span with the same key set,
+    and ``attr_values``.  ``span_id``, ``parent_id`` and ``attrs`` are
+    read-only views computed from those fields.
+    """
+
     txn_id: int
-    name: str
     site: str
-    start: float
+    seq: int
+    name: str
+    parent: Optional[Span] = None
+    start: float = 0.0
     end: Optional[float] = None
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attr_keys: tuple[str, ...] = ()
+    attr_values: tuple[Any, ...] = ()
+
+    @property
+    def span_id(self) -> str:
+        """``t{txn_id}:{site}:{seq}``."""
+        return f"t{self.txn_id}:{self.site}:{self.seq}"
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        """The parent's ``span_id`` (``None`` for a root span)."""
+        return None if self.parent is None else self.parent.span_id
+
+    @property
+    def attrs(self) -> dict[str, Any]:
+        """The span's attributes as a fresh dict, in recording order."""
+        return dict(zip(self.attr_keys, self.attr_values))
 
     @property
     def duration(self) -> float:
@@ -58,15 +82,38 @@ class SpanTracer:
         self.sim = sim
         self.spans: list[Span] = []
         self._seq: dict[tuple[int, str], int] = {}
-        self._by_id: dict[str, Span] = {}
+        # One keys tuple per distinct attribute key set, shared by spans.
+        self._keys: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # -- recording ---------------------------------------------------------
 
-    def _next_id(self, txn_id: int, site: str) -> str:
+    def _make(
+        self,
+        txn_id: int,
+        site: str,
+        name: str,
+        parent: Optional[Span],
+        start: float,
+        end: Optional[float],
+        attrs: dict[str, Any],
+    ) -> Span:
         key = (txn_id, site)
         seq = self._seq.get(key, 0) + 1
         self._seq[key] = seq
-        return f"t{txn_id}:{site}:{seq}"
+        keys = tuple(attrs)
+        span = Span(
+            txn_id,
+            site,
+            seq,
+            name,
+            parent,
+            start,
+            end,
+            self._keys.setdefault(keys, keys),
+            tuple(attrs.values()),
+        )
+        self.spans.append(span)
+        return span
 
     def begin(
         self,
@@ -74,23 +121,14 @@ class SpanTracer:
         site: str,
         name: str,
         *,
-        parent: Optional[str] = None,
+        parent: Optional[Span] = None,
         start: Optional[float] = None,
         **attrs: Any,
     ) -> Span:
         """Open a span; close it later with :meth:`finish`."""
-        span = Span(
-            span_id=self._next_id(txn_id, site),
-            parent_id=parent,
-            txn_id=txn_id,
-            name=name,
-            site=site,
-            start=self.sim.now if start is None else start,
-            attrs=attrs,
+        return self._make(
+            txn_id, site, name, parent, self.sim.now if start is None else start, None, attrs
         )
-        self.spans.append(span)
-        self._by_id[span.span_id] = span
-        return span
 
     def finish(self, span: Span, end: Optional[float] = None) -> None:
         """Close an open span at ``end`` (default: simulated now)."""
@@ -104,18 +142,13 @@ class SpanTracer:
         *,
         start: float,
         end: float,
-        parent: Optional[str] = None,
+        parent: Optional[Span] = None,
         **attrs: Any,
     ) -> Span:
         """Record an already-complete span (e.g. a message flight)."""
-        span = self.begin(txn_id, site, name, parent=parent, start=start, **attrs)
-        span.end = end
-        return span
+        return self._make(txn_id, site, name, parent, start, end, attrs)
 
     # -- views -------------------------------------------------------------
-
-    def get(self, span_id: str) -> Optional[Span]:
-        return self._by_id.get(span_id)
 
     def txn_ids(self) -> list[int]:
         """Traced transaction ids, ascending."""
@@ -132,6 +165,6 @@ class SpanTracer:
                 return span
         return None
 
-    def children(self, span_id: str) -> list[Span]:
+    def children(self, parent: Span) -> list[Span]:
         """Direct children of a span, in recording order."""
-        return [span for span in self.spans if span.parent_id == span_id]
+        return [span for span in self.spans if span.parent is parent]

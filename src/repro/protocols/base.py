@@ -59,6 +59,10 @@ class ConcurrencyController:
     #: (the coordinator then knows the version before the prewrite reply).
     #: False means counter versions: one past the highest version seen.
     timestamp_versions = False
+    #: True when the protocol guards copies with a ``locks`` lock manager
+    #: (:class:`~repro.site.locks.LockManager`); the deadlock detector and
+    #: the lock statistics only apply to such protocols.
+    lock_based = False
 
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
         """Yield until readable; return ``(value, version)``."""

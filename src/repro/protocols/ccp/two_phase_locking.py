@@ -23,6 +23,7 @@ class TwoPhaseLockingController(WorkspaceController):
     """Strict 2PL over the site's lock manager."""
 
     name = "2PL"
+    lock_based = True
 
     def __init__(
         self,

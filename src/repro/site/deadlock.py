@@ -85,9 +85,9 @@ class DeadlockDetector:
             yield self.sim.timeout(self.probe_interval)
             if not self.site.up:
                 return
-            locks = getattr(self.site.cc, "locks", None)
-            if locks is None:
+            if not self.site.cc.lock_based:
                 return
+            locks = self.site.cc.locks
             horizon = self.sim.now - self.probe_interval
             for txn_id, ts, _item, blockers, since in locks.waiting_info():
                 if since <= horizon and blockers:
@@ -143,9 +143,9 @@ class DeadlockDetector:
 
     def _probe_at_site(self, payload) -> None:
         """The target waits here: extend the chase with its blockers."""
-        locks = getattr(self.site.cc, "locks", None)
-        if locks is None:
+        if not self.site.cc.lock_based:
             return
+        locks = self.site.cc.locks
         target = payload.get("target")
         blockers = locks.blockers_of(target)
         if not blockers:
@@ -187,10 +187,9 @@ class DeadlockDetector:
         self._dispatch(address, ProbeTypes.ABORT_WAIT, {"txn": payload["txn"]})
 
     def _abort_wait(self, payload) -> None:
-        locks = getattr(self.site.cc, "locks", None)
-        if locks is None:
+        if not self.site.cc.lock_based:
             return
-        if locks.abort_waiter(payload["txn"], reason="distributed deadlock victim"):
+        if self.site.cc.locks.abort_waiter(payload["txn"], reason="distributed deadlock victim"):
             self.stats.victims_aborted += 1
 
     # -- transport ---------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.net.message import Message, MessageType
 from repro.site.deadlock import ProbeTypes as _ProbeTypesModule
 
 from repro.net.network import Network
+from repro.obs.spans import Span
 from repro.protocols.base import make_ccp
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
@@ -181,9 +182,8 @@ class Site:
 
     # -------------------------------------------------------- deadlock support
     def _wire_detector(self) -> None:
-        locks = getattr(self.cc, "locks", None)
-        if locks is not None and self.deadlock_detector is not None:
-            locks.on_block = self.deadlock_detector.on_block
+        if self.cc.lock_based and self.deadlock_detector is not None:
+            self.cc.locks.on_block = self.deadlock_detector.on_block
 
     def register_home_txn(self, txn_id: int, ctx) -> None:
         """Track a home transaction's context (probe forwarding needs it)."""
@@ -461,11 +461,11 @@ class Site:
         self.spawn_home_transaction(_run_and_report(), name=f"txn@{self.name}")
 
     # ------------------------------------------------------------------ local ops
-    def local_read(self, txn: int, ts: float, item: str, span: Optional[str] = None):
+    def local_read(self, txn: int, ts: float, item: str, span: Optional[Span] = None):
         """CCP-mediated read of the local copy (generator).
 
-        ``span`` is the caller's trace context: the id of the span this
-        operation nests under when tracing is on.
+        ``span`` is the caller's trace context: the span this operation
+        nests under when tracing is on.
         """
         self._touch(txn)
         self.stats.reads_served += 1
@@ -482,7 +482,7 @@ class Site:
         return value, version
 
     def local_prewrite(
-        self, txn: int, ts: float, item: str, value: Any, span: Optional[str] = None
+        self, txn: int, ts: float, item: str, value: Any, span: Optional[Span] = None
     ):
         """CCP-mediated pre-write of the local copy (generator)."""
         self._touch(txn)
@@ -509,7 +509,7 @@ class Site:
         ts: float,
         acp: str = "2PC",
         peers: Optional[list[str]] = None,
-        span: Optional[str] = None,
+        span: Optional[Span] = None,
     ) -> tuple[bool, str]:
         """Participant prepare: force the PREPARE record and vote.
 

@@ -19,24 +19,38 @@ transactions" until the decision is re-learned from the coordinator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional
 
 __all__ = ["LogRecord", "WriteAheadLog", "InDoubt"]
 
+#: The ``writes`` of every record that carries none (read-only, shared).
+NO_WRITES: Mapping[str, tuple[Any, int]] = MappingProxyType({})
 
-@dataclass
+
+def _no_writes() -> Mapping[str, tuple[Any, int]]:
+    return NO_WRITES
+
+
+@dataclass(slots=True)
 class LogRecord:
-    """One durable log record."""
+    """One durable log record.
+
+    A log keeps every record it writes, so records are slotted, and those
+    without writes or peers share :data:`NO_WRITES` and ``()`` instead of
+    holding empty containers of their own.  Records are never mutated
+    after they are appended; recovery copies what it needs.
+    """
 
     lsn: int
     txn_id: int
     kind: str  # "PREPARE" | "PRECOMMIT" | "COMMIT" | "ABORT" | "END" | "CHECKPOINT"
     at: float
-    writes: dict[str, tuple[Any, int]] = field(default_factory=dict)
+    writes: Mapping[str, tuple[Any, int]] = field(default_factory=_no_writes)
     coordinator: Optional[str] = None  # address to ask for the decision
     ts: float = 0.0  # transaction timestamp (needed to reinstate TO state)
     acp: str = "2PC"  # protocol in force (recovery follows its rules)
-    peers: list[str] = field(default_factory=list)  # 3PC termination set
+    peers: tuple[str, ...] = ()  # 3PC termination set
 
 
 @dataclass
@@ -80,7 +94,7 @@ class WriteAheadLog:
             coordinator=coordinator,
             ts=ts,
             acp=acp,
-            peers=list(peers or []),
+            peers=peers,
         )
 
     def log_precommit(self, txn_id: int, at: float) -> LogRecord:
@@ -159,7 +173,7 @@ class WriteAheadLog:
                     coordinator=doubt.coordinator,
                     ts=doubt.ts,
                     acp=doubt.acp,
-                    peers=list(doubt.peers),
+                    peers=tuple(doubt.peers),
                 )
             )
             self._next_lsn += 1
@@ -217,11 +231,11 @@ class WriteAheadLog:
             txn_id=txn_id,
             kind=kind,
             at=at,
-            writes=dict(writes or {}),
+            writes=dict(writes) if writes else NO_WRITES,
             coordinator=coordinator,
             ts=ts,
             acp=acp,
-            peers=list(peers or []),
+            peers=tuple(peers) if peers else (),
         )
         self._next_lsn += 1
         self.records.append(record)

@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
+from repro.obs.spans import Span
 from repro.protocols.base import make_acp, make_rcp
 from repro.sim.kernel import Countdown, Interrupt
 from repro.site.site import Site
@@ -135,8 +136,8 @@ class TxnContext:
         self._pending_votes: dict[str, tuple[bool, str]] = {}
         # Causal tracing: the instance's span tracer (None = tracing off),
         # the transaction's root span, and the innermost open span.  The
-        # current span's id rides on every outgoing message so network and
-        # site spans nest under the coordinator phase that caused them.
+        # current span rides on every outgoing message so network and site
+        # spans nest under the coordinator phase that caused them.
         self.tracer = home.tracer
         self.root_span = None
         self.current_span = None
@@ -151,12 +152,11 @@ class TxnContext:
         """
         if self.tracer is None:
             return None
-        parent = self.current_span or self.root_span
         span = self.tracer.begin(
             self.txn.txn_id,
             self.home.name,
             name,
-            parent=None if parent is None else parent.span_id,
+            parent=self.trace_context(),
             **attrs,
         )
         token = (span, self.current_span)
@@ -171,12 +171,9 @@ class TxnContext:
         self.tracer.finish(span)
         self.current_span = previous
 
-    def trace_context(self) -> Optional[str]:
-        """Span id to stamp on outgoing messages (None when tracing is off)."""
-        if self.tracer is None:
-            return None
-        active = self.current_span or self.root_span
-        return None if active is None else active.span_id
+    def trace_context(self) -> Optional[Span]:
+        """Span to stamp on outgoing messages (None when tracing is off)."""
+        return self.current_span or self.root_span
 
     @property
     def blocked_site(self) -> Optional[str]:
@@ -759,7 +756,7 @@ def run_transaction(ctx: TxnContext):
                 "dispatch",
                 start=txn.submitted_at,
                 end=sim.now,
-                parent=ctx.root_span.span_id,
+                parent=ctx.root_span,
             )
 
     try:

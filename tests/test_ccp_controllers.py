@@ -30,6 +30,12 @@ class TestRegistry:
         assert isinstance(make_ccp("TSO", sim, store), TimestampOrderingController)
         assert isinstance(make_ccp("mvto", sim, store), MultiversionTimestampController)
 
+    @pytest.mark.parametrize("name", ["2PL", "TSO", "MVTO", "OCC"])
+    def test_lock_based_flag_matches_lock_manager(self, sim, store, name):
+        cc = make_ccp(name, sim, store)
+        assert cc.lock_based == hasattr(cc, "locks")
+        assert cc.lock_based == (name == "2PL")
+
     def test_unknown_ccp_rejected(self, sim, store):
         from repro.errors import ProtocolError
 

@@ -56,19 +56,20 @@ class TestSpanModel:
         instance, _result = session
         tracer = instance.span_tracer
         for span in tracer.spans:
-            if span.parent_id is None or span.end is None:
+            parent = span.parent
+            if parent is None or span.end is None or parent.end is None:
                 continue
-            parent = tracer.get(span.parent_id)
-            if parent is None or parent.end is None:
-                continue
+            assert span.parent_id == parent.span_id
             assert span.start >= parent.start - 1e-9
 
     def test_message_reply_propagates_span(self):
+        span = obs.Span(1, "site1", 3, "rcp.wave")
         msg = Message(
             mtype=MessageType.READ, src="a/s1", dst="b/s2",
-            payload={}, span="t1:site1:3",
+            payload={}, span=span,
         )
-        assert msg.reply(MessageType.READ_REPLY, {}).span == "t1:site1:3"
+        assert msg.reply(MessageType.READ_REPLY, {}).span is span
+        assert span.span_id == "t1:site1:3"
 
 
 class TestPhaseAccounting:
@@ -146,6 +147,26 @@ class TestDeterminismAndPerturbation:
         assert seen == list(range(1, len(seen) + 1))
         for span in normalized:
             assert span.span_id.startswith(f"t{span.txn_id}:")
+
+    def test_normalize_subset_keeps_outside_parent_ids(self, session):
+        instance, _result = session
+        tracer = instance.span_tracer
+        txn_id = tracer.txn_ids()[1]
+        subset = [span for span in tracer.txn_spans(txn_id) if span.name != "txn"]
+        original_ids = [(span.span_id, span.parent_id) for span in subset]
+        normalized = obs.normalize_spans(subset)
+        renamed = {span.span_id: copy.span_id for span, copy in zip(subset, normalized)}
+        outside = 0
+        for (span_id, parent_id), copy in zip(original_ids, normalized):
+            assert copy.txn_id == 1
+            assert copy.span_id == "t1:" + span_id.partition(":")[2]
+            if parent_id in renamed:
+                assert copy.parent_id == renamed[parent_id]
+            else:
+                outside += 1
+                assert copy.parent_id == parent_id
+        assert 0 < outside < len(subset)
+        assert [(span.span_id, span.parent_id) for span in subset] == original_ids
 
 
 class TestExporters:

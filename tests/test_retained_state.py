@@ -1,0 +1,114 @@
+"""Retained session state: spans and WAL records stay compact.
+
+A session keeps every span and every log record until it ends, so their
+representation bounds a traced session's memory.  These tests pin the
+compact forms: slotted objects, attribute keys shared per key set, and
+WAL records that share their empty containers.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from repro.experiments.common import build_instance
+from repro.site.wal import LogRecord
+from repro.workload.spec import WorkloadSpec
+
+#: Upper bound on tracemalloc bytes that ``repro/obs/spans.py`` retains
+#: per recorded span (CPython 3.11, 64-bit).  The slotted span measures
+#: ~180 B; the dataclass with a per-span ``attrs`` dict and id string
+#: measured ~334 B.
+MAX_BYTES_PER_SPAN = 240
+
+_SPEC = WorkloadSpec(
+    n_transactions=40,
+    arrival="poisson",
+    arrival_rate=0.5,
+    min_ops=2,
+    max_ops=5,
+    read_fraction=0.6,
+)
+
+
+def traced_3pc_session():
+    """One small traced 3PC session (PRECOMMIT and END records appear)."""
+    instance = build_instance(4, 32, 3, acp="3PC", seed=5, tracing=True)
+    instance.run_workload(_SPEC)
+    return instance
+
+
+@pytest.fixture(scope="module")
+def session():
+    return traced_3pc_session()
+
+
+def _records(instance) -> list[LogRecord]:
+    return [record for site in instance.sites.values() for record in site.wal.records]
+
+
+def test_spans_and_records_have_no_instance_dict(session):
+    spans = session.span_tracer.spans
+    records = _records(session)
+    assert spans and records
+    assert not any(hasattr(span, "__dict__") for span in spans)
+    assert not any(hasattr(record, "__dict__") for record in records)
+
+
+def test_decision_records_share_their_empty_containers(session):
+    records = [
+        record
+        for record in _records(session)
+        if record.kind in ("COMMIT", "ABORT", "END", "PRECOMMIT")
+    ]
+    assert {record.kind for record in records} >= {"COMMIT", "END", "PRECOMMIT"}
+    assert len({id(record.writes) for record in records}) == 1
+    assert len({id(record.peers) for record in records}) == 1
+    assert dict(records[0].writes) == {} and records[0].peers == ()
+
+
+def test_prepare_records_keep_their_own_writes_and_peers(session):
+    prepares = [
+        record for record in _records(session) if record.kind == "PREPARE" and record.writes
+    ]
+    assert prepares
+    assert len({id(record.writes) for record in prepares}) == len(prepares)
+    assert all(record.peers for record in prepares)
+
+
+def test_message_spans_share_one_keys_tuple(session):
+    flights = [span for span in session.span_tracer.spans if span.name == "net.msg"]
+    assert flights
+    assert len({id(span.attr_keys) for span in flights}) == 1
+    assert flights[0].attr_keys == ("mtype", "src", "dst")
+
+
+def test_derived_views_are_read_only(session):
+    span = next(span for span in session.span_tracer.spans if span.parent is not None)
+    assert span.parent_id == span.parent.span_id
+    assert span.span_id == f"t{span.txn_id}:{span.site}:{span.seq}"
+    span.attrs["injected"] = 1
+    assert "injected" not in span.attrs
+    for view in ("span_id", "parent_id", "attrs"):
+        with pytest.raises(AttributeError):
+            setattr(span, view, None)
+
+
+def test_retained_bytes_per_span_stay_bounded():
+    tracemalloc.start()
+    try:
+        instance = traced_3pc_session()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    spans = instance.span_tracer.spans
+    held = sum(
+        stat.size
+        for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.endswith("repro/obs/spans.py")
+    )
+    assert len(spans) > 1000
+    per_span = held / len(spans)
+    assert per_span < MAX_BYTES_PER_SPAN, f"{per_span:.0f} B retained per span"
+
