@@ -9,10 +9,13 @@ The catalog, in the order :func:`check_all` runs them:
 
 * ``atomicity`` — committed transactions' writes are durably applied and
   quorum-readable; transactions aborted by a protocol (RCP/CCP/ACP) left
-  no durable writes anywhere.  SYSTEM aborts are *excluded* from the
-  no-writes check: a coordinator that logs COMMIT and then dies reports
-  the transaction aborted to the monitor while participants legitimately
-  commit it during resolution — that is correct behaviour, not a leak.
+  no durable writes anywhere.  A coordinator that forces COMMIT and then
+  dies reports the transaction committed (the decision is durable;
+  participants commit it through DECISION_REQ), so its writes are checked
+  like any other commit.  SYSTEM aborts — the home site died before any
+  COMMIT record — are *excluded* from the no-writes check: under 3PC the
+  precommitted participants may still commit such a transaction through
+  the termination protocol, which is correct behaviour, not a leak.
 * ``convergence`` — after heal + quiesce, replicas at the same version
   agree on the value, and the latest committed version of every item is
   quorum-readable (quorum-consensus replicas may legitimately hold stale

@@ -15,6 +15,11 @@ with minimum system-wide modifications."  Concretely:
 * A student protocol is added by subclassing the interface and calling
   :func:`register_ccp` / :func:`register_rcp` / :func:`register_acp`; no
   other module needs editing.
+* A quorum-style student RCP is usually a *vote policy*: subclass
+  :class:`~repro.protocols.rcp.quorum.QuorumConsensusController` and
+  override ``votes_needed`` (and, if its waves differ, ``choose_wave``), as
+  ROWA and ROWA-A do; the wave loop, abort classification and tracing
+  come with it.
 """
 
 from __future__ import annotations

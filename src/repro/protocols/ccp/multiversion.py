@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from repro.errors import ConcurrencyAbort
-from repro.protocols.ccp.workspace import WorkspaceController
+from repro.protocols.ccp.workspace import TimestampController
 from repro.site.storage import LocalStore
 from repro.sim.kernel import Event, Simulator
 
@@ -58,7 +58,7 @@ class _MvItem:
         self.versions.insert(bisect.bisect_right(keys, version.wts), version)
 
 
-class MultiversionTimestampController(WorkspaceController):
+class MultiversionTimestampController(TimestampController):
     """MVTO over per-item version chains."""
 
     name = "MVTO"
@@ -74,19 +74,12 @@ class MultiversionTimestampController(WorkspaceController):
         wait_timeout: Optional[float] = 120.0,
         max_versions: int = 64,
     ):
-        super().__init__(sim, store)
-        self.wait_timeout = wait_timeout
+        super().__init__(sim, store, wait_timeout=wait_timeout)
         self.max_versions = max_versions
-        self._items: dict[str, _MvItem] = {}
-        self._ts_of: dict[int, float] = {}
 
-    def _item(self, item: str) -> _MvItem:
-        record = self._items.get(item)
-        if record is None:
-            value, version = self.store.read(item)
-            record = _MvItem(versions=[_Version(wts=float(version), value=value, rts=float(version))])
-            self._items[item] = record
-        return record
+    def _new_record(self, item: str) -> _MvItem:
+        value, version = self.store.read(item)
+        return _MvItem(versions=[_Version(wts=float(version), value=value, rts=float(version))])
 
     # -- operations -------------------------------------------------------------
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
@@ -126,10 +119,7 @@ class MultiversionTimestampController(WorkspaceController):
             raise ConcurrencyAbort(
                 f"MVTO prewrite invalidates read: rts={chosen.rts:.4f} > ts={ts:.4f} on {item!r}"
             )
-        self._buffer(txn_id, item, value)
-        record.pending[txn_id] = ts
-        self._ts_of[txn_id] = ts
-        return self.store.version(item)
+        return self._pend(txn_id, ts, item, value, record)
         yield  # pragma: no cover - generator marker
 
     # -- termination -------------------------------------------------------------
@@ -149,29 +139,6 @@ class MultiversionTimestampController(WorkspaceController):
             self.store.apply(item, newest.value, newest.wts, txn_id, self.sim.now)
         self._drop(txn_id)
         self.stats.commits += 1
-
-    def abort(self, txn_id: int) -> None:
-        self._ts_of.pop(txn_id, None)
-        for item in self.buffered_writes(txn_id):
-            record = self._item(item)
-            record.pending.pop(txn_id, None)
-            self._wake(record)
-        self._drop(txn_id)
-        self.stats.aborts += 1
-
-    def reinstate(self, txn_id: int, ts: float, writes: dict[str, Any]) -> None:
-        super().reinstate(txn_id, ts, writes)
-        self._ts_of[txn_id] = ts
-        for item in writes:
-            self._item(item).pending[txn_id] = ts
-
-    def clear(self) -> None:
-        for record in self._items.values():
-            self._wake(record, "MVTO state cleared (site crash)")
-        self._items.clear()
-        self._workspace.clear()
-        self._doomed.clear()
-        self._ts_of.clear()
 
     # -- introspection (used by tests and the monitor) ----------------------------
     def version_count(self, item: str) -> int:

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from repro.errors import ConcurrencyAbort
-from repro.protocols.ccp.workspace import WorkspaceController
-from repro.site.storage import LocalStore
-from repro.sim.kernel import Event, Simulator
+from repro.protocols.ccp.workspace import TimestampController
+from repro.sim.kernel import Event
 
 __all__ = ["TimestampOrderingController"]
 
@@ -44,7 +43,7 @@ class _TsoItem:
         return min(smaller) if smaller else None
 
 
-class TimestampOrderingController(WorkspaceController):
+class TimestampOrderingController(TimestampController):
     """Basic TO with pre-write buffering."""
 
     name = "TSO"
@@ -56,24 +55,8 @@ class TimestampOrderingController(WorkspaceController):
     #: version check *is* the Thomas write rule.
     timestamp_versions = True
 
-    def __init__(
-        self,
-        sim: Simulator,
-        store: LocalStore,
-        *,
-        wait_timeout: Optional[float] = 120.0,
-    ):
-        super().__init__(sim, store)
-        self.wait_timeout = wait_timeout
-        self._items: dict[str, _TsoItem] = {}
-        self._ts_of: dict[int, float] = {}
-
-    def _item(self, item: str) -> _TsoItem:
-        record = self._items.get(item)
-        if record is None:
-            record = _TsoItem()
-            self._items[item] = record
-        return record
+    def _new_record(self, item: str) -> _TsoItem:
+        return _TsoItem()
 
     # -- operations -----------------------------------------------------------
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
@@ -107,10 +90,7 @@ class TimestampOrderingController(WorkspaceController):
                 f"TSO prewrite too late: ts={ts:.4f} vs read_ts={record.read_ts:.4f}, "
                 f"write_ts={record.write_ts:.4f} on {item!r}"
             )
-        self._buffer(txn_id, item, value)
-        record.pending[txn_id] = ts
-        self._ts_of[txn_id] = ts
-        return self.store.version(item)
+        return self._pend(txn_id, ts, item, value, record)
         yield  # pragma: no cover - makes this a generator like its siblings
 
     # -- termination -----------------------------------------------------------
@@ -126,26 +106,3 @@ class TimestampOrderingController(WorkspaceController):
             self._wake(record)
         self._apply_workspace(txn_id, versions)
         self.stats.commits += 1
-
-    def abort(self, txn_id: int) -> None:
-        self._ts_of.pop(txn_id, None)
-        for item in self.buffered_writes(txn_id):
-            record = self._item(item)
-            record.pending.pop(txn_id, None)
-            self._wake(record)
-        self._drop(txn_id)
-        self.stats.aborts += 1
-
-    def reinstate(self, txn_id: int, ts: float, writes: dict[str, Any]) -> None:
-        super().reinstate(txn_id, ts, writes)
-        self._ts_of[txn_id] = ts
-        for item in writes:
-            self._item(item).pending[txn_id] = ts
-
-    def clear(self) -> None:
-        for record in self._items.values():
-            self._wake(record, "TSO state cleared (site crash)")
-        self._items.clear()
-        self._workspace.clear()
-        self._doomed.clear()
-        self._ts_of.clear()

@@ -5,6 +5,9 @@ workspace and only touch the committed store at commit.  This base class
 owns that workspace plus the *doomed* set (transactions that must abort —
 wound-wait victims, or in-doubt leftovers recovery resolved to abort), and
 the timed reader waits of the timestamp controllers (TSO, MVTO).
+:class:`TimestampController` adds what TSO and MVTO share on top: per-item
+records with pending pre-writes, each transaction's timestamp, and the
+abort, recovery and crash paths over them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.protocols.base import ConcurrencyController
 from repro.sim.kernel import Event, Simulator
 from repro.site.storage import LocalStore
 
-__all__ = ["WorkspaceController", "CcpStats"]
+__all__ = ["WorkspaceController", "TimestampController", "CcpStats"]
 
 
 @dataclass
@@ -126,3 +129,61 @@ class WorkspaceController(ConcurrencyController):
             if version is None:
                 version = self.store.version(item) + 1
             self.store.apply(item, value, version, txn_id, self.sim.now)
+
+
+class TimestampController(WorkspaceController):
+    """Base class of TSO and MVTO: per-item records with pending pre-writes.
+
+    A record is whatever :meth:`_new_record` builds for an item; it must
+    carry ``pending`` (txn id -> timestamp of its accepted pre-write) and
+    ``waiters`` (the readers :meth:`_wait` parked on it).
+    """
+
+    def __init__(
+        self, sim: Simulator, store: LocalStore, *, wait_timeout: Optional[float] = 120.0
+    ):
+        super().__init__(sim, store)
+        self.wait_timeout = wait_timeout
+        self._items: dict[str, Any] = {}
+        self._ts_of: dict[int, float] = {}
+
+    def _new_record(self, item: str) -> Any:
+        """A fresh ordering record for ``item``."""
+        raise NotImplementedError
+
+    def _item(self, item: str) -> Any:
+        record = self._items.get(item)
+        if record is None:
+            record = self._new_record(item)
+            self._items[item] = record
+        return record
+
+    def _pend(self, txn_id: int, ts: float, item: str, value: Any, record) -> float:
+        """Accept a pre-write: buffer it, mark it pending; returns the current version."""
+        self._buffer(txn_id, item, value)
+        record.pending[txn_id] = ts
+        self._ts_of[txn_id] = ts
+        return self.store.version(item)
+
+    def abort(self, txn_id: int) -> None:
+        self._ts_of.pop(txn_id, None)
+        for item in self.buffered_writes(txn_id):
+            record = self._item(item)
+            record.pending.pop(txn_id, None)
+            self._wake(record)
+        self._drop(txn_id)
+        self.stats.aborts += 1
+
+    def reinstate(self, txn_id: int, ts: float, writes: dict[str, Any]) -> None:
+        super().reinstate(txn_id, ts, writes)
+        self._ts_of[txn_id] = ts
+        for item in writes:
+            self._item(item).pending[txn_id] = ts
+
+    def clear(self) -> None:
+        for record in self._items.values():
+            self._wake(record, f"{self.name} state cleared (site crash)")
+        self._items.clear()
+        self._workspace.clear()
+        self._doomed.clear()
+        self._ts_of.clear()

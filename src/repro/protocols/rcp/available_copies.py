@@ -13,56 +13,28 @@ lost (two committed writers can install conflicting versions).  The
 classroom test demonstrates exactly that, caught by the history checker's
 version-collision detector.  Under fail-stop site crashes (no partitions),
 the protocol behaves correctly.
+
+On top of QC's wave loop, ROWA-A needs one vote for reads and writes alike;
+its write wave contacts every remaining holder at once, so all reachable
+copies are written even though one would satisfy the quorum.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from repro.errors import ConcurrencyAbort, ReplicationAbort
-from repro.protocols.base import ReplicationController
+from repro.protocols.rcp.quorum import QuorumConsensusController
 
 __all__ = ["AvailableCopiesController"]
 
 
-class AvailableCopiesController(ReplicationController):
+class AvailableCopiesController(QuorumConsensusController):
     """Read one copy, write all *available* copies."""
 
     name = "ROWAA"
 
-    def do_read(self, ctx, item: str) -> Generator:
-        spec = ctx.item_spec(item)
-        failures = []
-        for site in ctx.order_local_first(spec.sites):
-            result = yield from ctx.access_read(site, item)
-            if result.ok:
-                ctx.note_read(item, result.version)
-                return result.value
-            if result.kind == "ccp":
-                raise ConcurrencyAbort(f"read {item!r} at {site}: {result.reason}")
-            failures.append(f"{site}: {result.reason}")
-        raise ReplicationAbort(f"no copy of {item!r} reachable ({'; '.join(failures)})")
+    def votes_needed(self, spec, write: bool) -> int:
+        return 1
 
-    def do_write(self, ctx, item: str, value: Any) -> Generator:
-        spec = ctx.item_spec(item)
-        sites = ctx.order_local_first(spec.sites)
-        wave_span = ctx.begin_span("rcp.wave", sites=",".join(sites))
-        try:
-            results = yield from ctx.access_prewrite_many(sites, item, value)
-        finally:
-            ctx.end_span(wave_span)
-        ccp_failures = [r for r in results if not r.ok and r.kind == "ccp"]
-        if ccp_failures:
-            raise ConcurrencyAbort(
-                f"prewrite {item!r} rejected at {ccp_failures[0].site}: "
-                f"{ccp_failures[0].reason}"
-            )
-        accepted = [r for r in results if r.ok]
-        if not accepted:
-            raise ReplicationAbort(
-                f"no available copy of {item!r} accepted the write"
-            )
-        new_version = ctx.assign_version(accepted)
-        for result in accepted:
-            ctx.note_prewrite(result.site, item, new_version)
-        ctx.note_write(item, new_version)
+    def choose_wave(
+        self, remaining: list[str], votes: dict[str, int], needed: int, write: bool
+    ) -> list[str]:
+        return remaining if write else self._next_wave(remaining, votes, needed)

@@ -18,6 +18,13 @@ contacts a *minimal* vote-sufficient set of sites (home site first — its
 copy is free), and only expands to further holders when members of the
 first wave fail.  Reads pick the value of the highest version in the
 assembled read quorum; writes stamp ``max(version in write quorum) + 1``.
+
+This wave loop is the only replica-control algorithm in the package.  ROWA
+and ROWA-A are vote policies on top of it: each overrides
+:meth:`~QuorumConsensusController.votes_needed` (how many votes a read or
+write must gather) and, where its waves differ,
+:meth:`~QuorumConsensusController.choose_wave` (which holders the next wave
+contacts).
 """
 
 from __future__ import annotations
@@ -50,12 +57,23 @@ class QuorumConsensusController(ReplicationController):
             ctx.note_prewrite(result.site, item, new_version)
         ctx.note_write(item, new_version)
 
+    # -- vote policy ----------------------------------------------------------------
+    def votes_needed(self, spec, write: bool) -> int:
+        """Votes a read (``write=False``) or write of ``spec``'s item must gather."""
+        return spec.effective_write_quorum() if write else spec.effective_read_quorum()
+
+    def choose_wave(
+        self, remaining: list[str], votes: dict[str, int], needed: int, write: bool
+    ) -> list[str]:
+        """The holders the next wave contacts, still ``needed`` votes short."""
+        return self._next_wave(remaining, votes, needed)
+
     # -- quorum assembly ----------------------------------------------------------
     def _assemble(self, ctx, item: str, write: bool, value: Any = None):
         """Contact holders in waves until the quorum's votes are gathered."""
         spec = ctx.item_spec(item)
-        needed = spec.effective_write_quorum() if write else spec.effective_read_quorum()
-        votes = dict(spec.placement)
+        needed = self.votes_needed(spec, write)
+        votes = spec.placement
         remaining = ctx.order_local_first(spec.sites)
         gathered = []
         collected_votes = 0
@@ -63,7 +81,7 @@ class QuorumConsensusController(ReplicationController):
 
         while collected_votes < needed:
             attainable = collected_votes + sum(votes[site] for site in remaining)
-            wave = self._next_wave(remaining, votes, needed - collected_votes)
+            wave = self.choose_wave(remaining, votes, needed - collected_votes, write)
             if not wave or attainable < needed:
                 raise ReplicationAbort(
                     f"cannot build {'write' if write else 'read'} quorum for {item!r}: "

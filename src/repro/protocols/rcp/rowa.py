@@ -12,58 +12,22 @@ Abort classification:
   (counted against the CCP);
 * an unreachable copy that ROWA *requires* → :class:`~repro.errors.ReplicationAbort`
   (counted against the RCP).
+
+ROWA is quorum consensus with ``r = 1`` and ``w = V`` (all votes), the
+textbook reduction; it reuses QC's wave loop and only sets those quorums.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from repro.errors import ConcurrencyAbort, ReplicationAbort
-from repro.protocols.base import ReplicationController
+from repro.protocols.rcp.quorum import QuorumConsensusController
 
 __all__ = ["RowaController"]
 
 
-class RowaController(ReplicationController):
+class RowaController(QuorumConsensusController):
     """Read one copy, write all copies."""
 
     name = "ROWA"
 
-    def do_read(self, ctx, item: str) -> Generator:
-        spec = ctx.item_spec(item)
-        candidates = ctx.order_local_first(spec.sites)
-        failures = []
-        for site in candidates:
-            result = yield from ctx.access_read(site, item)
-            if result.ok:
-                ctx.note_read(item, result.version)
-                return result.value
-            if result.kind == "ccp":
-                raise ConcurrencyAbort(f"read {item!r} at {site}: {result.reason}")
-            failures.append(f"{site}: {result.reason}")
-        raise ReplicationAbort(f"no copy of {item!r} reachable ({'; '.join(failures)})")
-
-    def do_write(self, ctx, item: str, value: Any) -> Generator:
-        spec = ctx.item_spec(item)
-        sites = ctx.order_local_first(spec.sites)
-        wave_span = ctx.begin_span("rcp.wave", sites=",".join(sites))
-        try:
-            results = yield from ctx.access_prewrite_many(sites, item, value)
-        finally:
-            ctx.end_span(wave_span)
-        ccp_failures = [r for r in results if not r.ok and r.kind == "ccp"]
-        net_failures = [r for r in results if not r.ok and r.kind == "net"]
-        if ccp_failures:
-            raise ConcurrencyAbort(
-                f"prewrite {item!r} rejected at {ccp_failures[0].site}: "
-                f"{ccp_failures[0].reason}"
-            )
-        if net_failures:
-            raise ReplicationAbort(
-                f"ROWA write needs all {len(sites)} copies of {item!r}; "
-                f"unreachable: {[r.site for r in net_failures]}"
-            )
-        new_version = ctx.assign_version(results)
-        for result in results:
-            ctx.note_prewrite(result.site, item, new_version)
-        ctx.note_write(item, new_version)
+    def votes_needed(self, spec, write: bool) -> int:
+        return spec.total_votes if write else 1

@@ -293,8 +293,10 @@ class TxnContext:
         instant (lock grants, replies) runs first, so its network random
         draws keep their place ahead of this wave's.  Each reply is
         classified by a callback on its RPC event, which then counts down
-        the wave's join.
+        the wave's join.  A one-copy wave is one plain access.
         """
+        if len(sites) == 1:
+            return [(yield from self._access_one(sites[0], item, write, value))]
         groups = self._plan(sites)
         join = Countdown(self.sim, len(groups))
         results: dict[str, AccessResult] = {}
@@ -796,10 +798,15 @@ def run_transaction(ctx: TxnContext):
         except Interrupt:
             pass  # the home site crashed while cleaning up
     except Interrupt:
-        # The paper's orphan statistic: the coordinator died before a
-        # decision was logged, stranding prepared participants in doubt.
-        txn.orphaned = txn.decided_at is None
-        _mark_aborted(txn, None, sim.now, cause="SYSTEM", detail="home site crashed")
+        if ctx.home.wal.decision_for(txn.txn_id) == "COMMIT":
+            # The home site crashed after forcing COMMIT: the decision is
+            # durable and the participants commit through DECISION_REQ.
+            txn.status = TxnStatus.COMMITTED
+        else:
+            # The paper's orphan statistic: the coordinator died before a
+            # decision was logged, stranding prepared participants in doubt.
+            txn.orphaned = txn.decided_at is None
+            _mark_aborted(txn, None, sim.now, cause="SYSTEM", detail="home site crashed")
     finally:
         txn.finished_at = sim.now
         if txn.decided_at is None:

@@ -35,6 +35,9 @@ CASES: dict[str, list[str]] = {
     "quickstart_flags_off": ["quickstart", "--transactions", "300"],
     "quickstart_flags_on": ["quickstart", "--transactions", "300", *ECONOMY_FLAGS],
     "chaos_flags_on": ["chaos", "--seeds", "10", "-j", "1", "--no-shrink", *ECONOMY_FLAGS],
+    # The default combination (QC/2PL/2PC) flags off pins QC's one-copy
+    # retry waves, which run whenever a first wave loses a member.
+    "chaos_qc_2pl_2pc": ["chaos", "--seeds", "25", "-j", "1", "--no-shrink"],
     "classroom": ["classroom"],
     # Flags-off 3PC runs pin the PRECOMMIT broadcast and its ack retries;
     # the ROWAA column includes a seed that the 1SR check still flags.

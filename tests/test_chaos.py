@@ -189,6 +189,46 @@ class TestChaosCase:
         assert report.ok, report.flat_violations()
 
 
+class TestDurableCommit:
+    """A home site that forces COMMIT and then crashes committed the txn.
+
+    Each plan is a shrunk reproduction of a default-stack (QC/2PL/2PC)
+    seed that used to fail serializability: the transaction was reported
+    aborted while its participants committed it through DECISION_REQ, so
+    its readers looked like they read phantom versions.
+    """
+
+    def test_crash_after_commit_record_flags_off(self):
+        chunks = (
+            FaultChunk("crash", 44.33757327466583, 65.69052310201991, target="site3"),
+            FaultChunk("crash", 52.89283766053562, 72.79742014757856, target="site4"),
+        )
+        report = run_chaos_case(32, chunks=chunks)
+        assert report.ok, report.flat_violations()
+
+    def test_crash_after_commit_record_flags_on(self):
+        chunks = (
+            FaultChunk(
+                "partition", 16.666682557029045, 23.450573426137005,
+                groups=(("host1",), ("host2",)),
+            ),
+            FaultChunk(
+                "partition", 27.20361526153511, 38.39980949830893,
+                groups=(("host2",), ("host1",)),
+            ),
+            FaultChunk("crash", 58.280191032596655, 81.90232085047244, target="site2"),
+        )
+        report = run_chaos_case(
+            28,
+            chunks=chunks,
+            sites_per_host=2,
+            batch_site_ops=True,
+            piggyback_prepare=True,
+            latency_aware_routing=True,
+        )
+        assert report.ok, report.flat_violations()
+
+
 class TestBrokenProtocolAndShrink:
     def test_nocc_fails_and_shrinks_fault_free(self):
         report = run_chaos_case(1, ccp="NOCC")
