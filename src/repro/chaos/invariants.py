@@ -89,7 +89,7 @@ def check_atomicity(instance: RainbowInstance, result: SessionResult) -> list[st
         return violations
     quorum_rcp = instance.config.protocols.rcp.upper() == "QC"
     for txn in history.committed:
-        for item, version in sorted(txn.writes.items()):
+        for item, version in sorted(txn.writes):
             spec = instance.catalog.item(item)
             applied = evidence.get((item, int(version), txn.txn_id), {})
             values = set(map(repr, applied.values()))
@@ -125,7 +125,7 @@ def check_convergence(instance: RainbowInstance, result: SessionResult) -> list[
     committed_vmax: dict[str, int] = defaultdict(int)
     if history is not None:
         for txn in history.committed:
-            for item, version in txn.writes.items():
+            for item, version in txn.writes:
                 committed_vmax[item] = max(committed_vmax[item], int(version))
     quorum_rcp = instance.config.protocols.rcp.upper() == "QC"
     for item in instance.catalog.item_names():

@@ -22,7 +22,7 @@ import statistics as stats_lib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -34,9 +34,13 @@ __all__ = ["TxnRecord", "OutputStatistics", "ProgressMonitor"]
 ABORT_CAUSES = ("RCP", "CCP", "ACP", "SYSTEM")
 
 
-@dataclass
-class TxnRecord:
-    """Summary of one finished transaction (the Tx Processing table rows)."""
+class TxnRecord(NamedTuple):
+    """Summary of one finished transaction (the Tx Processing table rows).
+
+    The monitor stores each summary as a plain tuple of atomics, which the
+    garbage collector stops tracking; :attr:`ProgressMonitor.records` builds
+    these named views on demand.
+    """
 
     txn_id: int
     home_site: str
@@ -201,7 +205,7 @@ class ProgressMonitor:
         self.network = network
         self.sites = list(sites or [])
         self.history = HistoryRecorder() if record_history else None
-        self.records: list[TxnRecord] = []
+        self._records: list[tuple] = []  # TxnRecord fields, as plain tuples
         self.submitted = 0
         self.started = 0
         self.committed = 0
@@ -260,20 +264,20 @@ class ProgressMonitor:
     def txn_finished(self, txn: Transaction, ctx=None) -> None:
         """The coordinator thread finished (committed or aborted)."""
         n_reads = sum(1 for op in txn.ops if op.kind == "R")
-        self.records.append(
-            TxnRecord(
-                txn_id=txn.txn_id,
-                home_site=txn.home_site,
-                status=txn.status,
-                abort_cause=txn.abort_cause,
-                abort_detail=txn.abort_detail,
-                submitted_at=txn.submitted_at,
-                response_time=txn.response_time,
-                n_ops=len(txn.ops),
-                n_reads=n_reads,
-                n_writes=len(txn.ops) - n_reads,
-                attempt=txn.attempt,
-                messages=self._txn_messages.pop(txn.txn_id, 0),
+        self._records.append(
+            (
+                txn.txn_id,
+                txn.home_site,
+                txn.status,
+                txn.abort_cause,
+                txn.abort_detail,
+                txn.submitted_at,
+                txn.response_time,
+                len(txn.ops),
+                n_reads,
+                len(txn.ops) - n_reads,
+                txn.attempt,
+                self._txn_messages.pop(txn.txn_id, 0),
             )
         )
         if txn.committed:
@@ -292,6 +296,11 @@ class ProgressMonitor:
             self.aborts_by_cause[txn.abort_cause or "SYSTEM"] += 1
             if getattr(txn, "orphaned", False):
                 self.orphaned_txns += 1
+
+    @property
+    def records(self) -> list[TxnRecord]:
+        """Finished transactions in finishing order (a fresh list of views)."""
+        return list(map(TxnRecord._make, self._records))
 
     # -- sampling ---------------------------------------------------------------
     def _sample_loop(self, interval: float):

@@ -9,9 +9,15 @@ validation at each participant:
 * every version this transaction *read* must still be current, and
 * every copy it intends to overwrite must still be at the version seen at
   pre-write time, and
-* it must not overlap (read-write or write-write) with a transaction that
-  already validated here and is awaiting its global decision (parallel
-  validation à la Kung–Robinson: validated-but-uncommitted writers win).
+* it must not overlap with a transaction that already validated here and
+  is awaiting its global decision (parallel validation à la Kung–Robinson:
+  validated-but-uncommitted transactions win).  The check is symmetric — it
+  rejects reading what the validated one writes, writing what it writes,
+  *and* writing what it read.  At one site the first two suffice, because
+  validation order is the serial order; across sites each site could
+  validate a read-write pair in the opposite order (write skew, e.g.
+  ``r[x] w[y]`` against ``r[y] w[x]`` under a read-one RCP), so a writer
+  also yields to a validated reader and every site agrees on one order.
 
 A failed validation is a NO vote, so OCC conflicts surface as **ACP
 aborts** in the statistics — the protocol's signature compared to 2PL
@@ -96,11 +102,12 @@ class OptimisticController(WorkspaceController):
         for other_id, other in self._validated.items():
             if other_id == txn_id:
                 continue
-            other_writes = set(other.writes)
-            if my_reads & other_writes or my_writes & other_writes:
+            # Symmetric: overwriting what a validated transaction read would
+            # let another site order the pair the other way round.
+            overlap = (my_reads | my_writes) & set(other.writes) or my_writes & set(other.reads)
+            if overlap:
                 self.validation_failures += 1
-                overlap = sorted((my_reads | my_writes) & other_writes)
-                return False, f"overlaps validated txn{other_id} on {overlap}"
+                return False, f"overlaps validated txn{other_id} on {sorted(overlap)}"
         self._validated[txn_id] = footprint
         return True, "validated"
 

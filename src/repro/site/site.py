@@ -192,6 +192,7 @@ class Site:
 
     def unregister_home_txn(self, txn_id: int) -> None:
         self._home_ctxs.pop(txn_id, None)
+        self._txn_home.pop(txn_id, None)
 
     def directory_address(self, site_name: str) -> Optional[str]:
         """Resolve a site name to its endpoint address (None if unknown)."""
@@ -469,14 +470,18 @@ class Site:
         """
         self._touch(txn)
         self.stats.reads_served += 1
-        if self.tracer is None:
-            value, version = yield from self.cc.read(txn, ts, item)
-        else:
-            opened = self.tracer.begin(txn, self.name, "ccp.read", parent=span, item=item)
-            try:
+        try:
+            if self.tracer is None:
                 value, version = yield from self.cc.read(txn, ts, item)
-            finally:
-                self.tracer.finish(opened)
+            else:
+                opened = self.tracer.begin(txn, self.name, "ccp.read", parent=span, item=item)
+                try:
+                    value, version = yield from self.cc.read(txn, ts, item)
+                finally:
+                    self.tracer.finish(opened)
+        except ConcurrencyAbort:
+            self._forget_if_idle(txn)
+            raise
         if self.history is not None:
             self.history.record("read", self.name, txn, item=item, value=value, version=version)
         return value, version
@@ -487,14 +492,18 @@ class Site:
         """CCP-mediated pre-write of the local copy (generator)."""
         self._touch(txn)
         self.stats.prewrites_served += 1
-        if self.tracer is None:
-            version = yield from self.cc.prewrite(txn, ts, item, value)
-        else:
-            opened = self.tracer.begin(txn, self.name, "ccp.prewrite", parent=span, item=item)
-            try:
+        try:
+            if self.tracer is None:
                 version = yield from self.cc.prewrite(txn, ts, item, value)
-            finally:
-                self.tracer.finish(opened)
+            else:
+                opened = self.tracer.begin(txn, self.name, "ccp.prewrite", parent=span, item=item)
+                try:
+                    version = yield from self.cc.prewrite(txn, ts, item, value)
+                finally:
+                    self.tracer.finish(opened)
+        except ConcurrencyAbort:
+            self._forget_if_idle(txn)
+            raise
         if self.history is not None:
             self.history.record(
                 "prewrite", self.name, txn, item=item, value=value, version=version
@@ -576,23 +585,27 @@ class Site:
             self.history.record("precommit", self.name, txn)
 
     def local_commit(self, txn: int) -> None:
-        """Apply the global COMMIT decision at this participant."""
+        """Apply the global COMMIT decision at this participant.
+
+        Only a prepared transaction commits.  A COMMIT that finds no
+        prepared state is a duplicate (a retry, a duplicated delivery, or a
+        resolution racing the coordinator's broadcast): the decision was
+        applied and released already, so it is acknowledged and otherwise
+        ignored.
+        """
         state = self._prepared.pop(txn, None)
-        # A duplicate decision (a retry) finds the commit already applied.
-        if state is not None or self.wal.decision_for(txn) != "COMMIT":
-            if state is not None:
-                # Tag the record as a participant's copy of the decision so
-                # checkpointing knows how long it must survive (see
-                # WriteAheadLog.checkpoint).
-                self.wal.log_commit(
-                    txn, self.sim.now, coordinator=state.coordinator, acp=state.acp
-                )
-            else:
-                self.wal.log_commit(txn, self.sim.now)
-            self.cc.commit(txn, state.versions if state is not None else {})
-            self._activity.pop(txn, None)
+        if state is not None:
+            # Tag the record as a participant's copy of the decision: the
+            # release that follows keeps it only under 3PC (see
+            # WriteAheadLog.release), as it does an ABORT.
+            self.wal.log_commit(
+                txn, self.sim.now, coordinator=state.coordinator, acp=state.acp
+            )
+            self.cc.commit(txn, state.versions)
+            self.wal.release(txn)
+            self._forget(txn)
             self.stats.commits_applied += 1
-            if state is not None and state.resolving:
+            if state.resolving:
                 self.stats.orphans_resolved += 1
         if self.history is not None:
             self.history.record("commit", self.name, txn)
@@ -601,9 +614,10 @@ class Site:
         """Apply the global ABORT decision (idempotent, presumed abort)."""
         state = self._prepared.pop(txn, None)
         if state is not None:
-            self.wal.log_abort(txn, self.sim.now)
+            self.wal.log_abort(txn, self.sim.now, coordinator=state.coordinator, acp=state.acp)
+            self.wal.release(txn)
         self.cc.abort(txn)
-        self._activity.pop(txn, None)
+        self._forget(txn)
         self.stats.aborts_applied += 1
         if state is not None and state.resolving:
             self.stats.orphans_resolved += 1
@@ -645,7 +659,7 @@ class Site:
                     continue  # prepared: must wait for the decision
                 if self._activity.get(txn, self.sim.now) < horizon:
                     self.cc.abort(txn)
-                    self._activity.pop(txn, None)
+                    self._forget(txn)
                     self.stats.gc_aborts += 1
 
     def _checkpoint_loop(self):
@@ -760,6 +774,26 @@ class Site:
     # ------------------------------------------------------------------ helpers
     def _touch(self, txn: int) -> None:
         self._activity[txn] = self.sim.now
+
+    def _forget(self, txn: int) -> None:
+        """Drop the volatile per-transaction state of a finished transaction."""
+        self._activity.pop(txn, None)
+        self._txn_home.pop(txn, None)
+
+    def _forget_if_idle(self, txn: int) -> None:
+        """After a rejected access, forget a transaction that holds nothing here.
+
+        A site whose only access was rejected is no participant, so no
+        decision will ever reach it.  Nothing reads the dropped entries:
+        the garbage sweeper reads the activity only of transactions with
+        CCP state, and the deadlock detector the homes only of lock holders
+        and waiters.
+        """
+        if txn in self.cc.active_transactions():
+            return
+        if self.cc.lock_based and self.cc.locks.held_locks(txn):
+            return
+        self._forget(txn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.up else "down"

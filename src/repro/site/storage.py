@@ -15,7 +15,7 @@ made them durable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import CatalogError
 
@@ -34,9 +34,13 @@ class Copy:
         return (self.value, self.version)
 
 
-@dataclass
-class WriteRecord:
-    """An applied write, kept for audit/history checking."""
+class WriteRecord(NamedTuple):
+    """An applied write, kept for audit/history checking.
+
+    The store keeps each one as a plain tuple of atomics, which the garbage
+    collector stops tracking; :attr:`LocalStore.audit_log` builds these
+    named views on demand.
+    """
 
     item: str
     value: Any
@@ -51,7 +55,7 @@ class LocalStore:
     def __init__(self, site_name: str):
         self.site_name = site_name
         self._copies: dict[str, Copy] = {}
-        self.audit_log: list[WriteRecord] = []
+        self._audit: list[tuple] = []  # WriteRecord fields, as plain tuples
         self.reads_served = 0
         self.writes_applied = 0
 
@@ -97,7 +101,12 @@ class LocalStore:
         copy.value = value
         copy.version = version
         self.writes_applied += 1
-        self.audit_log.append(WriteRecord(item, value, version, txn_id, at))
+        self._audit.append((item, value, version, txn_id, at))
+
+    @property
+    def audit_log(self) -> list[WriteRecord]:
+        """Every applied write in order (a fresh list of views)."""
+        return list(map(WriteRecord._make, self._audit))
 
     def reset_value(self, item: str, value: Any) -> None:
         """Administratively set a copy's value (pre-session bootstrap only).

@@ -8,17 +8,31 @@ transaction:
 * ``PREPARE`` — the participant voted YES in 2PC and buffered its writes
   (the record carries the writes, so recovery can reinstate them);
 * ``PRECOMMIT`` — the 3PC intermediate state;
-* ``COMMIT`` / ``ABORT`` — the final decision (coordinator or participant).
+* ``COMMIT`` / ``ABORT`` — the final decision (coordinator or participant);
+* ``END`` — the coordinator collected every acknowledgement of its decision.
 
 After a crash, :meth:`WriteAheadLog.recover_state` classifies every logged
 transaction: decided ones are re-applied/forgotten, while transactions that
 prepared but saw no decision are *in doubt* — those are Rainbow's "orphan
 transactions" until the decision is re-learned from the coordinator.
+
+The log forgets what recovery no longer needs as soon as a transaction is
+decided (:meth:`WriteAheadLog.release`), by the presumed-abort retention
+rules that :meth:`WriteAheadLog.checkpoint` also applies.  A decided
+transaction's PREPARE/PRECOMMIT records go: the store is the durable image
+of a commit, and an abort is presumed.  Only a decision that someone may
+still ask about stays — the coordinator's COMMIT until its END, and under
+3PC one decision (COMMIT or ABORT) for the peers' termination queries,
+which presume nothing.  A fault-free 2PC session therefore leaves only the
+records of the transactions still in flight.  The log is indexed by
+transaction, so a release, a decision lookup and a checkpoint cost what
+the live transactions hold, not the history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
@@ -26,6 +40,8 @@ __all__ = ["LogRecord", "WriteAheadLog", "InDoubt"]
 
 #: The ``writes`` of every record that carries none (read-only, shared).
 NO_WRITES: Mapping[str, tuple[Any, int]] = MappingProxyType({})
+
+_DECISIONS = ("COMMIT", "ABORT")
 
 
 def _no_writes() -> Mapping[str, tuple[Any, int]]:
@@ -36,10 +52,10 @@ def _no_writes() -> Mapping[str, tuple[Any, int]]:
 class LogRecord:
     """One durable log record.
 
-    A log keeps every record it writes, so records are slotted, and those
-    without writes or peers share :data:`NO_WRITES` and ``()`` instead of
-    holding empty containers of their own.  Records are never mutated
-    after they are appended; recovery copies what it needs.
+    Records are slotted, and those without writes or peers share
+    :data:`NO_WRITES` and ``()`` instead of holding empty containers of
+    their own.  Records are never mutated after they are appended; recovery
+    copies what it needs, and a checkpoint carries them over unchanged.
     """
 
     lsn: int
@@ -66,12 +82,33 @@ class InDoubt:
     peers: list[str] = field(default_factory=list)
 
 
+def _retains(record: LogRecord) -> bool:
+    """Whether a decision record may be asked about after its decision.
+
+    3PC peers ask each other with no presumption, so any decision of a 3PC
+    transaction answers its termination queries.  Otherwise only the
+    coordinator's COMMIT (no ``coordinator`` address) is asked about, by
+    DECISION_REQ until END; a missing ABORT is presumed.
+    """
+    if record.acp == "3PC":
+        return True
+    return record.kind == "COMMIT" and record.coordinator is None
+
+
 class WriteAheadLog:
-    """Append-only durable log for one site."""
+    """Durable log for one site, indexed by transaction.
+
+    ``_live`` maps a transaction to its records still in the log, in LSN
+    order; ``_retained`` maps a transaction whose records have been released
+    to the one decision record the retention rules keep.  At most one
+    CHECKPOINT record (the latest) is in the log.
+    """
 
     def __init__(self, site_name: str):
         self.site_name = site_name
-        self.records: list[LogRecord] = []
+        self._live: dict[int, list[LogRecord]] = {}
+        self._retained: dict[int, LogRecord] = {}
+        self._checkpoint: Optional[LogRecord] = None
         self._next_lsn = 1
 
     # -- appends -------------------------------------------------------------
@@ -113,115 +150,31 @@ class WriteAheadLog:
 
         ``coordinator`` distinguishes the record's role: ``None`` marks the
         coordinator's own decision record, an address marks a participant's
-        copy of the decision.  Checkpointing uses the role (and ``acp``) to
-        decide how long the record must outlive the decision — see
-        :meth:`checkpoint`.
+        copy of the decision.  The retention rules use the role (and
+        ``acp``) to decide how long the record must outlive the decision —
+        see :meth:`release`.
         """
         return self._append("COMMIT", txn_id, at, coordinator=coordinator, acp=acp)
 
-    def log_abort(self, txn_id: int, at: float) -> LogRecord:
-        """Force an ABORT decision record."""
-        return self._append("ABORT", txn_id, at)
+    def log_abort(
+        self,
+        txn_id: int,
+        at: float,
+        *,
+        coordinator: Optional[str] = None,
+        acp: str = "2PC",
+    ) -> LogRecord:
+        """Force an ABORT decision record (roles as in :meth:`log_commit`)."""
+        return self._append("ABORT", txn_id, at, coordinator=coordinator, acp=acp)
 
     def log_end(self, txn_id: int, at: float) -> LogRecord:
         """Mark a decided transaction fully acknowledged (presumed-abort END).
 
         Once the coordinator has collected every participant's decision
         acknowledgement, nobody can ever ask about the transaction again,
-        so its COMMIT record no longer needs to survive checkpoints.
+        so its COMMIT record no longer needs to survive.
         """
         return self._append("END", txn_id, at)
-
-    # -- checkpointing --------------------------------------------------------
-    def checkpoint(self, store_snapshot: dict[str, tuple[Any, int]], at: float) -> int:
-        """Take a fuzzy checkpoint and truncate the log.
-
-        The committed store state is recorded in a CHECKPOINT record and the
-        PREPARE/PRECOMMIT records of still-undecided transactions are
-        carried over.  COMMIT decision records are *retained* until it is
-        provably safe to forget them: presumed abort means a missing record
-        answers ABORT, so dropping a COMMIT that an in-doubt participant
-        may still ask about would abort a committed transaction.  A
-        coordinator's COMMIT record (no ``coordinator`` address) is kept
-        until an END record marks the decision round fully acknowledged; a
-        participant's copy is kept only under 3PC, where the termination
-        protocol queries peers.  ABORT records always drop — presumed abort
-        re-derives them.  Returns the number of records truncated — the
-        classroom-visible benefit of checkpointing.
-        """
-        in_doubt, _committed = self.recover_state()
-        retained = self._retained_decisions()
-        old_length = len(self.records)
-        kept: list[LogRecord] = []
-        checkpoint_record = LogRecord(
-            lsn=self._next_lsn,
-            txn_id=0,
-            kind="CHECKPOINT",
-            at=at,
-            writes=dict(store_snapshot),
-        )
-        self._next_lsn += 1
-        kept.append(checkpoint_record)
-        for doubt in in_doubt:
-            kept.append(
-                LogRecord(
-                    lsn=self._next_lsn,
-                    txn_id=doubt.txn_id,
-                    kind="PREPARE",
-                    at=at,
-                    writes=dict(doubt.writes),
-                    coordinator=doubt.coordinator,
-                    ts=doubt.ts,
-                    acp=doubt.acp,
-                    peers=tuple(doubt.peers),
-                )
-            )
-            self._next_lsn += 1
-            if doubt.precommitted:
-                kept.append(
-                    LogRecord(
-                        lsn=self._next_lsn, txn_id=doubt.txn_id,
-                        kind="PRECOMMIT", at=at,
-                    )
-                )
-                self._next_lsn += 1
-        for record in retained:
-            kept.append(
-                LogRecord(
-                    lsn=self._next_lsn,
-                    txn_id=record.txn_id,
-                    kind="COMMIT",
-                    at=record.at,
-                    coordinator=record.coordinator,
-                    acp=record.acp,
-                )
-            )
-            self._next_lsn += 1
-        self.records = kept
-        # The CHECKPOINT record itself is new, not carried over: the number
-        # of old records dropped is old_length minus the carried-over
-        # PREPARE/PRECOMMIT/COMMIT records (len(kept) - 1).
-        return old_length - (len(kept) - 1)
-
-    def _retained_decisions(self) -> list[LogRecord]:
-        """COMMIT records a checkpoint must carry over, in LSN order."""
-        ended = {
-            record.txn_id for record in self.records if record.kind == "END"
-        }
-        retained: dict[int, LogRecord] = {}
-        for record in self.records:
-            if record.kind != "COMMIT" or record.txn_id in ended:
-                continue
-            if record.coordinator is None or record.acp == "3PC":
-                retained.setdefault(record.txn_id, record)
-        return sorted(retained.values(), key=lambda record: record.lsn)
-
-    def last_checkpoint(self) -> Optional[LogRecord]:
-        """The most recent CHECKPOINT record, if any."""
-        for record in reversed(self.records):
-            if record.kind == "CHECKPOINT":
-                return record
-        return None
 
     def _append(
         self, kind, txn_id, at, writes=None, coordinator=None, ts=0.0, acp="2PC", peers=None
@@ -238,16 +191,104 @@ class WriteAheadLog:
             peers=tuple(peers) if peers else (),
         )
         self._next_lsn += 1
-        self.records.append(record)
+        records = self._live.get(txn_id)
+        if records is None:
+            self._live[txn_id] = [record]
+        else:
+            records.append(record)
         return record
 
+    # -- forgetting -----------------------------------------------------------
+    def release(self, txn_id: int) -> int:
+        """Drop what recovery no longer needs of a *decided* transaction.
+
+        Presumed abort means a missing record answers ABORT, so everything
+        goes except one decision record that someone may still ask about:
+        the coordinator's COMMIT until an END marks the decision round fully
+        acknowledged, or under 3PC the first decision record, because the
+        termination protocol queries peers without presuming abort (END
+        releases that too).  PREPARE and PRECOMMIT records go — the store
+        is the durable image of a commit.  Costs O(the transaction's
+        records); returns the number of records dropped.
+        """
+        records = self._live.pop(txn_id, ())
+        kept = self._retained.pop(txn_id, None)
+        dropped = len(records) + (kept is not None)
+        for record in records:
+            if record.kind == "END":
+                return dropped
+            if kept is None and record.kind in _DECISIONS and _retains(record):
+                kept = record
+        if kept is None:
+            return dropped
+        self._retained[txn_id] = kept
+        return dropped - 1
+
+    def checkpoint(self, store_snapshot: dict[str, tuple[Any, int]], at: float) -> int:
+        """Take a fuzzy checkpoint and truncate the log.
+
+        The committed store state is recorded in a CHECKPOINT record that
+        replaces the previous one.  Every decided transaction still holding
+        records is released (:meth:`release`); an undecided transaction
+        keeps its latest PREPARE and one PRECOMMIT.  Retained decision
+        records are carried over unchanged, so a checkpoint walks only the
+        transactions with live records.  Sites release each transaction at
+        its decision, so there a checkpoint adds the store image and drops
+        the previous one.  Returns the number of records truncated.
+        """
+        old_length = len(self)
+        for txn_id in list(self._live):
+            records = self._live[txn_id]
+            if self._decision(txn_id, records) is not None:
+                self.release(txn_id)
+                continue
+            prepares = [r for r in records if r.kind == "PREPARE"]
+            if not prepares:
+                del self._live[txn_id]
+                continue
+            kept = [prepares[-1]]
+            kept += [r for r in records if r.kind == "PRECOMMIT"][:1]
+            kept.sort(key=attrgetter("lsn"))
+            self._live[txn_id] = kept
+        self._checkpoint = LogRecord(
+            lsn=self._next_lsn,
+            txn_id=0,
+            kind="CHECKPOINT",
+            at=at,
+            writes=dict(store_snapshot),
+        )
+        self._next_lsn += 1
+        # The CHECKPOINT record itself is new, not carried over.
+        return old_length - (len(self) - 1)
+
+    def last_checkpoint(self) -> Optional[LogRecord]:
+        """The most recent CHECKPOINT record, if any."""
+        return self._checkpoint
+
     # -- queries -------------------------------------------------------------
+    @property
+    def records(self) -> list[LogRecord]:
+        """Every record still in the log, in LSN order (a fresh list)."""
+        records = list(self._retained.values())
+        for txn_records in self._live.values():
+            records += txn_records
+        if self._checkpoint is not None:
+            records.append(self._checkpoint)
+        records.sort(key=attrgetter("lsn"))
+        return records
+
+    def _decision(self, txn_id: int, records) -> Optional[str]:
+        """The latest decision of ``txn_id`` given its live ``records``."""
+        for record in reversed(records):
+            if record.kind in _DECISIONS:
+                return record.kind
+        # A retained record predates every live one of its transaction.
+        retained = self._retained.get(txn_id)
+        return retained.kind if retained is not None else None
+
     def decision_for(self, txn_id: int) -> Optional[str]:
         """The logged decision ("COMMIT"/"ABORT") for a transaction, if any."""
-        for record in reversed(self.records):
-            if record.txn_id == txn_id and record.kind in ("COMMIT", "ABORT"):
-                return record.kind
-        return None
+        return self._decision(txn_id, self._live.get(txn_id, ()))
 
     def recover_state(self) -> tuple[list[InDoubt], list[LogRecord]]:
         """Analyse the log after a crash.
@@ -257,41 +298,40 @@ class WriteAheadLog:
         * ``in_doubt`` — transactions with a PREPARE but no decision; their
           buffered writes and coordinator address come from the log.
         * ``committed_records`` — the PREPARE records of transactions whose
-          COMMIT was logged, in commit order, so recovery can re-apply their
+          COMMIT was logged, in LSN order, so recovery can re-apply their
           writes idempotently (the store's version check makes replay safe).
         """
-        prepares: dict[int, LogRecord] = {}
-        precommitted: set[int] = set()
-        decisions: dict[int, str] = {}
-        for record in self.records:
-            if record.kind == "PREPARE":
-                prepares[record.txn_id] = record
-            elif record.kind == "PRECOMMIT":
-                precommitted.add(record.txn_id)
-            elif record.kind in ("COMMIT", "ABORT"):
-                decisions[record.txn_id] = record.kind
-
-        in_doubt = [
-            InDoubt(
-                txn_id=txn_id,
-                writes=dict(record.writes),
-                coordinator=record.coordinator,
-                precommitted=txn_id in precommitted,
-                ts=record.ts,
-                acp=record.acp,
-                peers=list(record.peers),
-            )
-            for txn_id, record in prepares.items()
-            if txn_id not in decisions
-        ]
-        committed = [
-            record
-            for txn_id, record in prepares.items()
-            if decisions.get(txn_id) == "COMMIT"
-        ]
-        committed.sort(key=lambda record: record.lsn)
-        in_doubt.sort(key=lambda d: d.txn_id)
+        in_doubt: list[InDoubt] = []
+        committed: list[LogRecord] = []
+        for txn_id, records in self._live.items():
+            prepare = None
+            precommitted = False
+            for record in records:
+                if record.kind == "PREPARE":
+                    prepare = record
+                elif record.kind == "PRECOMMIT":
+                    precommitted = True
+            if prepare is None:
+                continue
+            decision = self._decision(txn_id, records)
+            if decision == "COMMIT":
+                committed.append(prepare)
+            elif decision is None:
+                in_doubt.append(
+                    InDoubt(
+                        txn_id=txn_id,
+                        writes=dict(prepare.writes),
+                        coordinator=prepare.coordinator,
+                        precommitted=precommitted,
+                        ts=prepare.ts,
+                        acp=prepare.acp,
+                        peers=list(prepare.peers),
+                    )
+                )
+        committed.sort(key=attrgetter("lsn"))
+        in_doubt.sort(key=attrgetter("txn_id"))
         return in_doubt, committed
 
     def __len__(self) -> int:
-        return len(self.records)
+        live = sum(len(records) for records in self._live.values())
+        return live + len(self._retained) + (self._checkpoint is not None)

@@ -698,11 +698,18 @@ class TxnContext:
         ).add_callback(settle)
 
     def log_decision(self, decision: str) -> None:
-        """Force the coordinator's decision record at the home site."""
+        """Force the coordinator's decision record at the home site.
+
+        A COMMIT stays until END.  An ABORT is released at once: presumed
+        abort answers a missing record with ABORT (3PC keeps it for its
+        peers' termination queries, see WriteAheadLog.release).
+        """
+        wal = self.home.wal
         if decision == "COMMIT":
-            self.home.wal.log_commit(self.txn.txn_id, self.sim.now)
+            wal.log_commit(self.txn.txn_id, self.sim.now)
         else:
-            self.home.wal.log_abort(self.txn.txn_id, self.sim.now)
+            wal.log_abort(self.txn.txn_id, self.sim.now, acp=self.acp.name)
+            wal.release(self.txn.txn_id)
         self.txn.decided_at = self.sim.now
 
     def log_end_if_complete(self, acked: int) -> None:
@@ -710,12 +717,14 @@ class TxnContext:
 
         With the full ack round collected, no participant can ever be in
         doubt about this transaction again, so the coordinator's COMMIT
-        record may be dropped by future checkpoints (presumed abort's END
-        record).  An incomplete round leaves the record pinned until the
-        silent participants resolve through DECISION_REQ.
+        record leaves the log with its END (presumed abort's END record).
+        An incomplete round leaves the record pinned until the silent
+        participants resolve through DECISION_REQ.
         """
         if acked == len(self.participants):
-            self.home.wal.log_end(self.txn.txn_id, self.sim.now)
+            wal = self.home.wal
+            wal.log_end(self.txn.txn_id, self.sim.now)
+            wal.release(self.txn.txn_id)
 
 
 _OP_SPAN_NAMES = {

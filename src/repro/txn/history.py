@@ -21,21 +21,24 @@ lets a non-serializable interleaving commit trips the cycle detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["CommittedTxn", "HistoryRecorder", "SerializationGraph"]
 
 _INITIAL_WRITER = 0  # pseudo-transaction that wrote version 0 of everything
 
 
-@dataclass
-class CommittedTxn:
-    """The version footprint of one committed transaction."""
+class CommittedTxn(NamedTuple):
+    """The version footprint of one committed transaction.
+
+    ``reads`` and ``writes`` are tuples of ``(item, version)`` pairs.  The
+    recorder stores each footprint as a plain tuple of atomics, which the
+    garbage collector stops tracking; this named view is built on demand.
+    """
 
     txn_id: int
-    reads: dict[str, float] = field(default_factory=dict)  # item -> version read
-    writes: dict[str, float] = field(default_factory=dict)  # item -> version written
+    reads: tuple[tuple[str, float], ...] = ()  # (item, version read)
+    writes: tuple[tuple[str, float], ...] = ()  # (item, version written)
     committed_at: float = 0.0
 
 
@@ -137,7 +140,7 @@ class HistoryRecorder:
     """Collects the committed global history of a Rainbow session."""
 
     def __init__(self):
-        self.committed: list[CommittedTxn] = []
+        self._committed: list[tuple] = []
 
     def record_commit(
         self,
@@ -147,17 +150,17 @@ class HistoryRecorder:
         committed_at: float = 0.0,
     ) -> None:
         """Record the version footprint of a committed transaction."""
-        self.committed.append(
-            CommittedTxn(
-                txn_id=txn_id,
-                reads=dict(reads),
-                writes=dict(writes),
-                committed_at=committed_at,
-            )
+        self._committed.append(
+            (txn_id, tuple(reads.items()), tuple(writes.items()), committed_at)
         )
 
+    @property
+    def committed(self) -> list[CommittedTxn]:
+        """The committed footprints in commit order (a fresh list of views)."""
+        return list(map(CommittedTxn._make, self._committed))
+
     def __len__(self) -> int:
-        return len(self.committed)
+        return len(self._committed)
 
     # -- graph construction ----------------------------------------------------
     def build_graph(self) -> SerializationGraph:
@@ -166,12 +169,12 @@ class HistoryRecorder:
         writers: dict[str, list[tuple[float, int]]] = {}
         readers: dict[str, list[tuple[float, int]]] = {}
 
-        for txn in self.committed:
-            graph.add_node(txn.txn_id)
-            for item, version in txn.writes.items():
-                writers.setdefault(item, []).append((version, txn.txn_id))
-            for item, version in txn.reads.items():
-                readers.setdefault(item, []).append((version, txn.txn_id))
+        for txn_id, reads, writes, _at in self._committed:
+            graph.add_node(txn_id)
+            for item, version in writes:
+                writers.setdefault(item, []).append((version, txn_id))
+            for item, version in reads:
+                readers.setdefault(item, []).append((version, txn_id))
 
         for item, write_list in writers.items():
             write_list.sort()
@@ -228,15 +231,15 @@ class HistoryRecorder:
         """
         seen: dict[tuple[str, float], int] = {}
         problems = []
-        for txn in self.committed:
-            for item, version in txn.writes.items():
-                key = (item, version)
+        for txn_id, _reads, writes, _at in self._committed:
+            for key in writes:
                 if key in seen:
+                    item, version = key
                     problems.append(
-                        f"{item}@{version} written by both T{seen[key]} and T{txn.txn_id}"
+                        f"{item}@{version} written by both T{seen[key]} and T{txn_id}"
                     )
                 else:
-                    seen[key] = txn.txn_id
+                    seen[key] = txn_id
         return problems
 
     def reads_see_committed_versions(self) -> list[str]:
@@ -245,14 +248,14 @@ class HistoryRecorder:
         Returns a list of violation descriptions (empty when clean).
         """
         written: dict[str, set[float]] = {}
-        for txn in self.committed:
-            for item, version in txn.writes.items():
+        for _txn_id, _reads, writes, _at in self._committed:
+            for item, version in writes:
                 written.setdefault(item, set()).add(version)
         problems = []
-        for txn in self.committed:
-            for item, version in txn.reads.items():
+        for txn_id, reads, _writes, _at in self._committed:
+            for item, version in reads:
                 if version != _INITIAL_WRITER and version not in written.get(item, set()):
                     problems.append(
-                        f"T{txn.txn_id} read {item}@{version} which no committed txn wrote"
+                        f"T{txn_id} read {item}@{version} which no committed txn wrote"
                     )
         return problems

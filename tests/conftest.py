@@ -53,3 +53,29 @@ def quick_instance(
     for key, value in overrides.items():
         setattr(config, key, value)
     return RainbowInstance(config)
+
+
+#: The WriteAheadLog methods that force a record.
+WAL_APPENDS = ("log_prepare", "log_precommit", "log_commit", "log_abort", "log_end")
+
+
+def record_wal_appends(sites) -> list:
+    """Count what each site forces: wrap its WAL's ``log_*`` methods.
+
+    Returns the list that collects ``(site_name, record)`` for every record
+    appended from now on.  The log forgets a transaction once it is decided,
+    so a test that checks what was forced observes the appends instead of
+    reading ``wal.records`` after the fact.
+    """
+    appended = []
+    for site in sites:
+        wal = site.wal
+        for name in WAL_APPENDS:
+
+            def logged(*args, _append=getattr(wal, name), _site=site.name, **kwargs):
+                record = _append(*args, **kwargs)
+                appended.append((_site, record))
+                return record
+
+            setattr(wal, name, logged)
+    return appended

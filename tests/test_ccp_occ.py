@@ -71,6 +71,21 @@ class TestLocalBehaviour:
         ok, _reason = cc.validate(2)
         assert not ok
 
+    def test_write_overlap_with_validated_reader_fails(self, sim, cc):
+        """Symmetric check: a writer yields to a validated reader."""
+        drive(sim, cc.read(1, 1.0, "x"))
+        assert cc.validate(1)[0]
+        drive(sim, cc.prewrite(2, 2.0, "x", 9))
+        ok, reason = cc.validate(2)
+        assert not ok
+        assert reason == "overlaps validated txn1 on ['x']"
+
+    def test_readers_of_one_item_validate_in_parallel(self, sim, cc):
+        drive(sim, cc.read(1, 1.0, "x"))
+        drive(sim, cc.read(2, 2.0, "x"))
+        assert cc.validate(1)[0]
+        assert cc.validate(2)[0]
+
     def test_abort_releases_validated_slot(self, sim, cc):
         drive(sim, cc.prewrite(1, 1.0, "x", 5))
         assert cc.validate(1)[0]
@@ -134,3 +149,23 @@ class TestDistributedOcc:
         processes = [instance.submit(txn) for txn in txns]
         instance.sim.run(until=instance.sim.all_of(processes))
         assert all(txn.committed for txn in txns)
+
+
+class TestOneValidationOrder:
+    """Fault-free write skew across sites (``r[x] w[y]`` against ``r[y] w[x]``).
+
+    With a read-one RCP each site saw one transaction's read and the other's
+    write, and a one-sided check let each site validate the pair in the
+    opposite order: both committed and the 1SR check found a 2-cycle.  The
+    symmetric check makes every site agree on one order.
+    """
+
+    @pytest.mark.parametrize(
+        "rcp, acp, seed",
+        [("ROWA", "2PC", 8), ("ROWA", "2PC", 11), ("ROWA", "3PC", 24), ("ROWA", "3PC", 32)],
+    )
+    def test_fault_free_session_is_serializable(self, rcp, acp, seed):
+        from repro.chaos.engine import run_chaos_case
+
+        report = run_chaos_case(seed, rcp=rcp, ccp="OCC", acp=acp, chunks=())
+        assert report.ok, report.violations

@@ -7,7 +7,7 @@ import pytest
 from repro.net.message import MessageType
 from repro.txn.coordinator import AccessResult, CoordinatorConfig, TxnContext
 from repro.txn.transaction import Operation, Transaction, TxnStatus
-from tests.conftest import quick_instance
+from tests.conftest import quick_instance, record_wal_appends
 
 
 def run_txn(instance, txn):
@@ -245,6 +245,16 @@ class TestDecisionBroadcast:
         instance.sim.run(until=instance.sim.process(_prepare_remote_write(ctx, holders, "x1")))
         return ctx, holders
 
+    def _decide(self, ctx):
+        """Force the coordinator's COMMIT; returns the home site's appends."""
+        appended = record_wal_appends([ctx.home])
+        ctx.log_decision("COMMIT")
+        return appended
+
+    @staticmethod
+    def _ends(appended):
+        return [record.kind for _site, record in appended if record.kind == "END"]
+
     def _decision_log(self, instance):
         """(time, src, dst, outcome) of every COMMIT/ACK send."""
         log = []
@@ -260,6 +270,7 @@ class TestDecisionBroadcast:
         ctx, holders = self._committed_context(instance)
         log = self._decision_log(instance)
         instance.network.cut_link("host4", "host2")
+        appended = self._decide(ctx)
 
         acked = instance.sim.run(until=instance.sim.process(ctx.broadcast(MessageType.COMMIT)))
         silent = instance.directory["site2"]
@@ -268,7 +279,10 @@ class TestDecisionBroadcast:
         assert {entry[3] for entry in attempts} == {"partitioned"}
         assert acked == len(holders) - 1
         ctx.log_end_if_complete(acked)
-        assert not [r for r in ctx.home.wal.records if r.kind == "END"]
+        assert self._ends(appended) == []
+        # No END: the COMMIT stays pinned for the silent participant's
+        # DECISION_REQ.
+        assert ctx.home.wal.decision_for(ctx.txn.txn_id) == "COMMIT"
 
     def test_lossy_participant_is_retried_until_it_acks(self):
         # With this seed the first ACK and the second COMMIT are lost; the
@@ -277,6 +291,7 @@ class TestDecisionBroadcast:
         ctx, holders = self._committed_context(instance)
         log = self._decision_log(instance)
         instance.network.set_link_flakiness("host4", "host3", loss=0.7)
+        appended = self._decide(ctx)
 
         start = instance.sim.now
         acked = instance.sim.run(until=instance.sim.process(ctx.broadcast(MessageType.COMMIT)))
@@ -286,7 +301,8 @@ class TestDecisionBroadcast:
         assert sent_at == [0.0, timeout, 2 * timeout]
         assert acked == len(holders)
         ctx.log_end_if_complete(acked)
-        assert [r.kind for r in ctx.home.wal.records if r.kind == "END"] == ["END"]
+        assert self._ends(appended) == ["END"]
+        assert ctx.home.wal.decision_for(ctx.txn.txn_id) is None  # released
 
     @pytest.mark.parametrize("recover", [False, True], ids=["down", "recovered"])
     def test_crashed_coordinator_stops_retrying(self, recover):
@@ -314,10 +330,14 @@ class TestDecisionBroadcast:
     def test_all_acked_logs_end(self):
         instance = quick_instance(n_items=8)
         ctx, holders = self._committed_context(instance)
+        appended = self._decide(ctx)
         acked = instance.sim.run(until=instance.sim.process(ctx.broadcast(MessageType.COMMIT)))
         assert acked == len(holders)
         ctx.log_end_if_complete(acked)
-        assert [r.kind for r in ctx.home.wal.records if r.kind == "END"] == ["END"]
+        assert self._ends(appended) == ["END"]
+        # The END released the transaction: no record of it is left.
+        assert ctx.home.wal.decision_for(ctx.txn.txn_id) is None
+        assert all(record.txn_id != ctx.txn.txn_id for record in ctx.home.wal.records)
 
 
 class TestConfig:

@@ -23,7 +23,7 @@ from repro.net.message import MessageType
 from repro.txn.coordinator import TxnContext
 from repro.txn.transaction import Operation, Transaction
 from repro.workload.spec import WorkloadSpec
-from tests.conftest import drive, quick_instance
+from tests.conftest import drive, quick_instance, record_wal_appends
 
 
 def econ_instance(
@@ -54,16 +54,18 @@ def econ_instance(
     )
 
 
-def wal_decisions(site, kind, *, participant_only=False):
-    """txn_id -> number of ``kind`` records in the site's WAL.
+def wal_decisions(appended, site, kind, *, participant_only=False):
+    """txn_id -> number of ``kind`` records the site forced.
 
-    With ``participant_only`` the count covers only participant-apply
-    records (those tagged with a coordinator address); the home site
-    additionally forces one untagged coordinator decision record.
+    ``appended`` comes from :func:`record_wal_appends` (the log itself
+    forgets decided transactions).  With ``participant_only`` the count
+    covers only participant-apply records (those tagged with a coordinator
+    address); the home site additionally forces one untagged coordinator
+    decision record.
     """
     counts = {}
-    for record in site.wal.records:
-        if record.kind != kind:
+    for site_name, record in appended:
+        if site_name != site.name or record.kind != kind:
             continue
         if participant_only and record.coordinator is None:
             continue
@@ -179,16 +181,18 @@ class TestBatching:
 
 class TestPiggybackedPrepare:
     def _one_write_final_txn(self, **flags):
+        """Run one read-then-write txn; returns it, its instance and the WAL appends."""
         instance = econ_instance(n_sites=2, n_items=2, **flags)
+        appended = record_wal_appends(instance.sites.values())
         txn = Transaction(
             ops=[Operation.read("x1"), Operation.write("x2", 42)],
             home_site="site1",
         )
         instance.run_transactions([txn])
-        return instance, txn
+        return instance, txn, appended
 
     def test_piggyback_saves_the_vote_round(self):
-        instance, txn = self._one_write_final_txn(piggyback_prepare=True)
+        instance, txn, appended = self._one_write_final_txn(piggyback_prepare=True)
         assert txn.committed
         # The remote prewrite carried the prepare: no explicit VOTE_REQ.
         assert instance.network.stats.by_type.get(MessageType.VOTE_REQ, 0) == 0
@@ -199,22 +203,22 @@ class TestPiggybackedPrepare:
         # Exactly one participant-apply COMMIT at each site (the home also
         # forces one untagged coordinator decision record).
         for site in instance.sites.values():
-            applied = wal_decisions(site, "COMMIT", participant_only=True)
+            applied = wal_decisions(appended, site, "COMMIT", participant_only=True)
             assert applied.get(txn.txn_id) == 1
-        assert wal_decisions(instance.sites["site1"], "COMMIT") == {txn.txn_id: 2}
-        assert wal_decisions(instance.sites["site2"], "COMMIT") == {txn.txn_id: 1}
+        assert wal_decisions(appended, instance.sites["site1"], "COMMIT") == {txn.txn_id: 2}
+        assert wal_decisions(appended, instance.sites["site2"], "COMMIT") == {txn.txn_id: 1}
         # The piggybacked prepare was logged exactly once at the remote.
-        prepares = wal_decisions(instance.sites["site2"], "PREPARE")
+        prepares = wal_decisions(appended, instance.sites["site2"], "PREPARE")
         assert prepares.get(txn.txn_id) == 1
 
     def test_explicit_round_without_flag(self):
-        instance, txn = self._one_write_final_txn()
+        instance, txn, _appended = self._one_write_final_txn()
         assert txn.committed
         assert instance.network.stats.by_type.get(MessageType.VOTE_REQ, 0) == 1
         assert instance.monitor.output_statistics().round_trips_saved == 0
 
     def test_3pc_falls_back_to_explicit_votes(self):
-        instance, txn = self._one_write_final_txn(
+        instance, txn, _appended = self._one_write_final_txn(
             piggyback_prepare=True, acp="3PC"
         )
         assert txn.committed
@@ -224,7 +228,7 @@ class TestPiggybackedPrepare:
     def test_counter_version_ccp_skips_write_piggyback(self):
         # 2PL stamps versions after the prewrite replies, so a final-op
         # *write* misses the piggyback window and keeps the explicit round.
-        instance, txn = self._one_write_final_txn(
+        instance, txn, _appended = self._one_write_final_txn(
             piggyback_prepare=True, ccp="2PL"
         )
         assert txn.committed
@@ -251,7 +255,7 @@ class TestPiggybackedPrepare:
 
 
 class TestDecisionIdempotence:
-    def _assert_no_double_apply(self, instance, result, expected):
+    def _assert_no_double_apply(self, instance, result, expected, appended):
         violations = invariants.check_all(
             instance, result, expected_submissions=expected
         )
@@ -260,7 +264,7 @@ class TestDecisionIdempotence:
             # A participant applied each decision at most once, no matter
             # how many duplicate deliveries arrived.
             for txn_id, count in wal_decisions(
-                site, "COMMIT", participant_only=True
+                appended, site, "COMMIT", participant_only=True
             ).items():
                 assert count == 1, (
                     f"{site.name} applied COMMIT x{count} for txn {txn_id}"
@@ -268,19 +272,37 @@ class TestDecisionIdempotence:
             # Per site: at most one coordinator decision record plus one
             # participant-apply record.
             for kind in ("COMMIT", "ABORT"):
-                for txn_id, count in wal_decisions(site, kind).items():
+                for txn_id, count in wal_decisions(appended, site, kind).items():
                     assert count <= 2, (
                         f"{site.name} logged {kind} x{count} for txn {txn_id}"
                     )
 
     def test_flaky_link_duplicates_do_not_double_apply(self):
         instance = econ_instance(n_sites=2, n_items=6, ccp="2PL")
+        appended = record_wal_appends(instance.sites.values())
         instance.start()
         instance.network.set_link_flakiness("host1", "host2", duplicate=0.9)
         result = instance.run_workload(_econ_workload(30))
         assert instance.network.stats.duplicated > 0
         assert result.statistics.committed > 0
-        self._assert_no_double_apply(instance, result, 30)
+        self._assert_no_double_apply(instance, result, 30, appended)
+
+    def test_duplicated_decisions_after_release_log_nothing(self):
+        # Each decision releases the transaction's records; a duplicated
+        # COMMIT or ABORT that arrives afterwards finds no prepared state
+        # and must neither log a record nor count a second apply.
+        instance = econ_instance(n_sites=2, n_items=6, ccp="2PL")
+        appended = record_wal_appends(instance.sites.values())
+        instance.start()
+        instance.network.set_link_flakiness("host1", "host2", duplicate=0.9)
+        result = instance.run_workload(_econ_workload(30))
+        assert instance.network.stats.duplicated > 0
+        assert result.statistics.committed > 0
+        for site in instance.sites.values():
+            applied = wal_decisions(appended, site, "COMMIT", participant_only=True)
+            assert site.stats.commits_applied == len(applied)
+            assert set(applied.values()) == {1}
+            assert len(site.wal) == 0, site.wal.records
 
     def test_global_duplication_with_optimizations_on(self):
         instance = econ_instance(
@@ -288,12 +310,13 @@ class TestDecisionIdempotence:
             batch_site_ops=True, piggyback_prepare=True,
             latency_aware_routing=True, latency="lanwan",
         )
+        appended = record_wal_appends(instance.sites.values())
         instance.start()
         instance.network.duplication_rate = 0.3
         result = instance.run_workload(_econ_workload(30))
         assert instance.network.stats.duplicated > 0
         assert result.statistics.committed > 0
-        self._assert_no_double_apply(instance, result, 30)
+        self._assert_no_double_apply(instance, result, 30, appended)
 
 
 class TestSpecMemoization:

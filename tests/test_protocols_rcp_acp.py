@@ -9,7 +9,7 @@ import pytest
 
 from repro.net.message import MessageType
 from repro.txn.transaction import Operation, Transaction
-from tests.conftest import quick_instance
+from tests.conftest import quick_instance, record_wal_appends
 
 
 def run_txn(instance, txn):
@@ -202,10 +202,15 @@ class TestAtomicCommit:
 
     def test_coordinator_decision_record_written(self):
         instance = quick_instance(n_items=8)
-        txn = run_txn(
-            instance, Transaction(ops=[Operation.write("x1", 1)], home_site="site1")
-        )
-        assert instance.sites["site1"].wal.decision_for(txn.txn_id) == "COMMIT"
+        home = instance.sites["site1"]
+        appended = record_wal_appends([home])
+        txn = run_txn(instance, Transaction(ops=[Operation.write("x1", 1)], home_site="site1"))
+        # The coordinator forced its own (untagged) COMMIT, then END once
+        # every participant acknowledged, which released the transaction.
+        forced = [(record.kind, record.coordinator) for _site, record in appended]
+        assert ("COMMIT", None) in forced
+        assert forced.index(("COMMIT", None)) < forced.index(("END", None))
+        assert home.wal.decision_for(txn.txn_id) is None
 
     def test_read_only_transaction_commits_without_prewrites(self):
         instance = quick_instance(n_items=8)

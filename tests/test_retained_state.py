@@ -1,6 +1,7 @@
 """Retained session state: spans and WAL records stay compact.
 
-A session keeps every span and every log record until it ends, so their
+A session keeps every span until it ends, and the WAL keeps each record
+until its transaction is decided (and some decisions longer), so their
 representation bounds a traced session's memory.  These tests pin the
 compact forms: slotted objects, attribute keys shared per key set, and
 WAL records that share their empty containers.
@@ -15,6 +16,7 @@ import pytest
 from repro.experiments.common import build_instance
 from repro.site.wal import LogRecord
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import record_wal_appends
 
 #: Upper bound on tracemalloc bytes that ``repro/obs/spans.py`` retains
 #: per recorded span (CPython 3.11, 64-bit).  The slotted span measures
@@ -33,33 +35,43 @@ _SPEC = WorkloadSpec(
 
 
 def traced_3pc_session():
-    """One small traced 3PC session (PRECOMMIT and END records appear)."""
+    """One small traced 3PC session (PRECOMMIT and END records appear).
+
+    Returns the instance and every ``(site, record)`` its WALs appended.
+    """
     instance = build_instance(4, 32, 3, acp="3PC", seed=5, tracing=True)
+    appended = record_wal_appends(instance.sites.values())
     instance.run_workload(_SPEC)
-    return instance
+    return instance, appended
 
 
 @pytest.fixture(scope="module")
-def session():
+def traced_run():
     return traced_3pc_session()
 
 
-def _records(instance) -> list[LogRecord]:
-    return [record for site in instance.sites.values() for record in site.wal.records]
+@pytest.fixture(scope="module")
+def session(traced_run):
+    return traced_run[0]
 
 
-def test_spans_and_records_have_no_instance_dict(session):
+@pytest.fixture(scope="module")
+def forced(traced_run) -> list[LogRecord]:
+    """Every record forced during the session, released or not."""
+    return [record for _site, record in traced_run[1]]
+
+
+def test_spans_and_records_have_no_instance_dict(session, forced):
     spans = session.span_tracer.spans
-    records = _records(session)
-    assert spans and records
+    assert spans and forced
     assert not any(hasattr(span, "__dict__") for span in spans)
-    assert not any(hasattr(record, "__dict__") for record in records)
+    assert not any(hasattr(record, "__dict__") for record in forced)
 
 
-def test_decision_records_share_their_empty_containers(session):
+def test_decision_records_share_their_empty_containers(forced):
     records = [
         record
-        for record in _records(session)
+        for record in forced
         if record.kind in ("COMMIT", "ABORT", "END", "PRECOMMIT")
     ]
     assert {record.kind for record in records} >= {"COMMIT", "END", "PRECOMMIT"}
@@ -68,9 +80,9 @@ def test_decision_records_share_their_empty_containers(session):
     assert dict(records[0].writes) == {} and records[0].peers == ()
 
 
-def test_prepare_records_keep_their_own_writes_and_peers(session):
+def test_prepare_records_keep_their_own_writes_and_peers(forced):
     prepares = [
-        record for record in _records(session) if record.kind == "PREPARE" and record.writes
+        record for record in forced if record.kind == "PREPARE" and record.writes
     ]
     assert prepares
     assert len({id(record.writes) for record in prepares}) == len(prepares)
@@ -98,7 +110,7 @@ def test_derived_views_are_read_only(session):
 def test_retained_bytes_per_span_stay_bounded():
     tracemalloc.start()
     try:
-        instance = traced_3pc_session()
+        instance, _appended = traced_3pc_session()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

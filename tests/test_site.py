@@ -8,7 +8,7 @@ from repro.errors import ConcurrencyAbort
 from repro.net.message import MessageType
 from repro.sim.kernel import Process
 from repro.site.site import Site
-from tests.conftest import drive
+from tests.conftest import drive, record_wal_appends
 
 
 @pytest.fixture
@@ -38,6 +38,7 @@ class TestLocalOperations:
         assert site.stats.reads_served == 1
 
     def test_local_prewrite_then_prepare_commit(self, sim, site):
+        appended = record_wal_appends([site])
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))
         vote, reason = site.local_prepare(1, {"x": 1}, "coord/a", 1.0)
         assert vote
@@ -45,14 +46,34 @@ class TestLocalOperations:
         site.local_commit(1)
         assert site.store.read("x") == (9, 1)
         assert site.in_doubt_count() == 0
-        assert site.wal.decision_for(1) == "COMMIT"
+        # The participant's COMMIT was forced, then released with the
+        # PREPARE: under 2PC nobody asks a participant about its decision.
+        assert [(r.kind, r.coordinator) for _s, r in appended] == [
+            ("PREPARE", "coord/a"),
+            ("COMMIT", "coord/a"),
+        ]
+        assert site.wal.decision_for(1) is None
+        assert len(site.wal) == 0
+
+    def test_local_commit_under_3pc_retains_the_decision(self, sim, site):
+        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp="3PC", peers=["p"])
+        site.local_precommit(1)
+        site.local_commit(1)
+        # 3PC peers may still ask: only the COMMIT copy stays.
+        assert [r.kind for r in site.wal.records] == ["COMMIT"]
+        assert site.decision_of(1) == "COMMIT"
 
     def test_local_abort_releases(self, sim, site):
+        appended = record_wal_appends([site])
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, "coord/a", 1.0)
         site.local_abort(1)
         assert site.store.read("x") == (0, 0)
-        assert site.wal.decision_for(1) == "ABORT"
+        # ABORT was forced, and presumed abort lets the log forget it all.
+        assert [r.kind for _s, r in appended] == ["PREPARE", "ABORT"]
+        assert site.wal.decision_for(1) is None
+        assert site.decision_of(1, presume_abort=True) == "ABORT"
 
     def test_prepare_doomed_txn_votes_no(self, sim, site):
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))
@@ -68,8 +89,12 @@ class TestLocalOperations:
         assert "lost" in reason
 
     def test_commit_for_unknown_txn_is_noop_commit(self, sim, site):
+        # A decision that finds no prepared state (and no retained record)
+        # was applied and released already: acknowledged, otherwise ignored.
         site.local_commit(99)
-        assert site.wal.decision_for(99) == "COMMIT"
+        assert site.wal.decision_for(99) is None
+        assert len(site.wal) == 0
+        assert site.stats.commits_applied == 0
 
     def test_abort_is_idempotent(self, sim, site):
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))
@@ -84,6 +109,20 @@ class TestLocalOperations:
         site.local_commit(1)
         site.local_commit(1)
         assert site.stats.commits_applied == 1
+
+    @pytest.mark.parametrize("acp", ["2PC", "3PC"])
+    def test_duplicate_commit_after_release_logs_nothing(self, sim, site, acp):
+        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp=acp, peers=["p"])
+        site.local_commit(1)
+        appended = record_wal_appends([site])
+        kept = site.wal.records
+        site.local_commit(1)
+        site.local_abort(1)  # a stray duplicate of the other decision
+        assert appended == []
+        assert site.wal.records == kept
+        assert site.stats.commits_applied == 1
+        assert site.store.read("x") == (9, 1)
 
 
 class TestDecisionOf:
@@ -369,6 +408,7 @@ class TestDispatch:
     def test_blocked_read_queues_while_server_keeps_answering(self, sim, network, site):
         client = network.endpoint("hc", "client")
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+        site.local_prepare(1, {"x": 1}, None, 1.0)  # only a prepared txn commits
         log = []
 
         def reader():
