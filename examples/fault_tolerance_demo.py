@@ -55,8 +55,8 @@ def scenario_coordinator_crash(acp: str) -> None:
     config.uncertainty_timeout = 20.0
     config.decision_retry = 10.0
     instance = RainbowInstance(config)
-    instance.coordinator_config.failpoint = "after_votes"
-    instance.coordinator_config.failpoint_arms = 1
+    instance.config.protocols.failpoint = "after_votes"
+    instance.config.protocols.failpoint_arms = 1
     instance.start()
 
     txn = Transaction(

@@ -107,8 +107,8 @@ def assignment_deadlock() -> AssignmentReport:
 def assignment_2pc_blocking() -> AssignmentReport:
     """Crash the coordinator after the votes: watch 2PC block."""
     instance = _instance(settle_time=0.0)
-    instance.coordinator_config.failpoint = "after_votes"
-    instance.coordinator_config.failpoint_arms = 1
+    instance.config.protocols.failpoint = "after_votes"
+    instance.config.protocols.failpoint_arms = 1
     instance.start()
     txn = Transaction(
         ops=[Operation.write("x1", 7), Operation.write("x2", 8)], home_site="site1"
@@ -145,7 +145,7 @@ def assignment_2pc_blocking() -> AssignmentReport:
 def assignment_quorum_intersection() -> AssignmentReport:
     """Quorum reads stay current even with the freshest copy offline."""
     instance = _instance(settle_time=10.0)
-    instance.coordinator_config.op_timeout = 10.0
+    instance.config.protocols.op_timeout = 10.0
     instance.start()
     writer = Transaction(ops=[Operation.write("x1", 42)], home_site="site1")
     process = instance.submit(writer)

@@ -14,7 +14,7 @@ serialises to/from JSON so configurations can be saved for reuse.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -73,9 +73,10 @@ class ProtocolConfig:
     rcp: str = "QC"
     ccp: str = "2PL"
     acp: str = "2PC"
-    rcp_options: dict = field(default_factory=dict)
     ccp_options: dict = field(default_factory=dict)
-    acp_options: dict = field(default_factory=dict)
+    # Coordinator timeouts.  ``op_timeout`` must exceed the sites' lock/TSO
+    # wait timeouts, otherwise a long (but legal) lock wait at a remote copy
+    # is misclassified as an unreachable site.
     op_timeout: float = 90.0
     vote_timeout: float = 40.0
     ack_timeout: float = 25.0
@@ -85,6 +86,20 @@ class ProtocolConfig:
     batch_site_ops: bool = False  # coalesce same-host copy accesses
     piggyback_prepare: bool = False  # fold VOTE_REQ into the final access
     latency_aware_routing: bool = False  # rank copy holders by expected delay
+    # Deterministic failure scenarios ("crash the coordinator right after
+    # the votes are in"): the classic classroom exercise about 2PC blocking
+    # and the driver of the EXP-ACP benchmark.  ``failpoint`` is one of
+    # ``"after_votes"`` or ``"after_precommit"``; each armed transaction
+    # that reaches it crashes its home site at that instant.
+    failpoint: Optional[str] = None
+    failpoint_arms: int = 0
+
+    def hit_failpoint(self, point: str) -> bool:
+        """Consume one arm if ``point`` is the configured failpoint."""
+        if self.failpoint == point and self.failpoint_arms > 0:
+            self.failpoint_arms -= 1
+            return True
+        return False
 
     def validate(self) -> None:
         from repro.protocols.base import acp_registry, ccp_registry, rcp_registry
@@ -102,6 +117,10 @@ class ProtocolConfig:
         ):
             if value <= 0:
                 raise ConfigurationError(f"{label} must be positive")
+        if self.failpoint not in (None, "after_votes", "after_precommit"):
+            raise ConfigurationError(f"unknown failpoint {self.failpoint!r}")
+        if self.failpoint_arms < 0:
+            raise ConfigurationError("failpoint_arms must not be negative")
 
 
 @dataclass
@@ -113,6 +132,15 @@ class FaultConfig:
     mttf: float = 0.0  # 0 disables random failures
     mttr: float = 0.0
     horizon: Optional[float] = None
+
+
+def _section(cls, data: dict):
+    """Build one config section, naming any key the section does not have."""
+    known = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ConfigurationError(f"unknown {cls.__name__} field {key!r}")
+    return cls(**data)
 
 
 @dataclass
@@ -202,8 +230,8 @@ class RainbowConfig:
         return sorted(hosts)
 
     # -- validation -------------------------------------------------------------
-    def validate(self) -> None:
-        """Check the whole configuration for consistency."""
+    def validate(self) -> Catalog:
+        """Check the whole configuration; return the one catalog it built."""
         if not self.sites:
             raise ConfigurationError("configuration has no sites")
         names = [site.name for site in self.sites]
@@ -226,6 +254,7 @@ class RainbowConfig:
                 raise ConfigurationError(f"fault target {target!r} is not a site")
         if self.faults.random_targets and (self.faults.mttf <= 0 or self.faults.mttr <= 0):
             raise ConfigurationError("random faults require positive mttf and mttr")
+        return catalog
 
     # -- persistence ---------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -237,10 +266,10 @@ class RainbowConfig:
     def from_dict(cls, data: dict) -> "RainbowConfig":
         """Inverse of :meth:`to_dict`."""
         config = cls()
-        config.sites = [SiteConfig(**site) for site in data.get("sites", [])]
+        config.sites = [_section(SiteConfig, site) for site in data.get("sites", [])]
         config.nameserver_host = data.get("nameserver_host", config.nameserver_host)
-        config.network = NetworkConfig(**data.get("network", {}))
-        config.protocols = ProtocolConfig(**data.get("protocols", {}))
+        config.network = _section(NetworkConfig, data.get("network", {}))
+        config.protocols = _section(ProtocolConfig, data.get("protocols", {}))
         config.catalog_data = data.get("catalog_data", {})
         faults = data.get("faults", {})
         schedule = faults.get("schedule", {})

@@ -23,7 +23,6 @@ from repro import obs
 from repro.core.config import RainbowConfig
 from repro.errors import ConfigurationError, NetworkError, RpcTimeout
 from repro.monitor.stats import OutputStatistics, ProgressMonitor
-from repro.nameserver.catalog import Catalog
 from repro.nameserver.server import NameServer
 from repro.net.faults import FaultEvent, FaultInjector
 from repro.net.message import MessageType
@@ -31,7 +30,7 @@ from repro.net.network import Network
 from repro.sim.kernel import Process, Simulator
 from repro.sim.randoms import RandomStreams
 from repro.site.site import Site
-from repro.txn.coordinator import CoordinatorConfig, TxnContext, run_transaction
+from repro.txn.coordinator import TxnContext, run_transaction
 from repro.txn.transaction import Transaction
 from repro.workload.generator import ManualWorkload, SubmissionOutcome, WorkloadGenerator
 from repro.workload.spec import WorkloadSpec
@@ -66,7 +65,7 @@ class RainbowInstance:
     """One configured, runnable Rainbow system."""
 
     def __init__(self, config: RainbowConfig):
-        config.validate()
+        catalog = config.validate()
         self.config = config
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
@@ -79,25 +78,12 @@ class RainbowInstance:
         )
         self.injector = FaultInjector(self.sim, self.network)
         self.nameserver = NameServer(self.sim, self.network, config.nameserver_host)
-        self.nameserver.catalog = config.catalog()
-        self.catalog: Catalog = self.nameserver.catalog
+        # The one materialised schema: the name server serves this object
+        # and every site keeps a reference to it.
+        self.nameserver.catalog = self.catalog = catalog
         self.injector.register(self.nameserver)
 
         protocols = config.protocols
-        self.coordinator_config = CoordinatorConfig(
-            rcp=protocols.rcp,
-            acp=protocols.acp,
-            rcp_options=dict(protocols.rcp_options),
-            acp_options=dict(protocols.acp_options),
-            op_timeout=protocols.op_timeout,
-            vote_timeout=protocols.vote_timeout,
-            ack_timeout=protocols.ack_timeout,
-            ack_retries=protocols.ack_retries,
-            batch_site_ops=protocols.batch_site_ops,
-            piggyback_prepare=protocols.piggyback_prepare,
-            latency_aware_routing=protocols.latency_aware_routing,
-        )
-
         self.sites: dict[str, Site] = {}
         for site_config in config.sites:
             site = Site(
@@ -115,14 +101,15 @@ class RainbowInstance:
                 probe_interval=config.probe_interval,
                 checkpoint_interval=config.checkpoint_interval,
             )
-            for item_name in self.catalog.items_at(site_config.name):
-                site.store.create_copy(
-                    item_name, self.catalog.item(item_name).initial_value
-                )
             site.coordinator_factory = self._coordinate
             self.nameserver.register_site(site.name, site.address, site.host)
             self.injector.register(site)
             self.sites[site.name] = site
+        # One pass over the schema, in item-name order, so each store
+        # creates its copies in that order.
+        for spec in catalog.items():
+            for site_name in spec.placement:
+                self.sites[site_name].store.create_copy(spec.name, spec.initial_value)
 
         # Same-host siblings share a Sitelet (paper §2): wire the in-process
         # links BATCH_ACCESS gateways use to fan sub-ops out locally.
@@ -173,10 +160,8 @@ class RainbowInstance:
     # -- coordinator wiring --------------------------------------------------------
     def _coordinate(self, site: Site, txn: Transaction):
         """The generator each home site runs per transaction (its thread)."""
-        directory = getattr(site, "directory", None) or self.directory
-        catalog = getattr(site, "catalog_cache", None) or self.catalog
         ctx = TxnContext(
-            txn, site, catalog, directory, self.coordinator_config, self.monitor
+            txn, site, site.catalog, site.directory, self.config.protocols, self.monitor
         )
         site.register_home_txn(txn.txn_id, ctx)
         try:
@@ -216,14 +201,12 @@ class RainbowInstance:
             schema = yield site.endpoint.request(
                 self.nameserver.address, MessageType.NS_CATALOG, {}, timeout=30.0
             )
-            site.catalog_cache = Catalog.from_dict(
-                (schema.payload or {}).get("catalog", {})
-            )
+            site.catalog = schema.payload["catalog"]
         except (RpcTimeout, NetworkError):
             # Name server unreachable at bring-up: fall back to the
             # administrator's local copies (the instance owns them anyway).
             site.directory = dict(self.directory)
-            site.catalog_cache = self.catalog
+            site.catalog = self.catalog
 
     def _apply_fault_plan(self) -> None:
         faults = self.config.faults

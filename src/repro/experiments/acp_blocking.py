@@ -62,8 +62,8 @@ def run(
             failure_profile=True,
             settle_time=0.0,
         )
-        instance.coordinator_config.failpoint = failpoint
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = failpoint
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         sim = instance.sim
 

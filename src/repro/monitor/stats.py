@@ -225,8 +225,11 @@ class ProgressMonitor:
         # performance (events/sec) alongside the paper's statistics.
         self._wall_started = time.perf_counter()
         self._events_at_start = sim.processed_events
-        # Per-transaction message attribution (messages tagged txn_id).
-        self._txn_messages: Counter[int] = Counter()
+        # Per-transaction message attribution (messages tagged txn_id),
+        # held only while a transaction runs: from txn_submitted to
+        # txn_finished.  Later messages (the TXN_RESULT reply, a late
+        # DECISION_REQ) are not the transaction's work and leave no entry.
+        self._txn_messages: dict[int, int] = {}
         network.add_observer(self._observe_message)
         self.series: dict[str, list[float]] = {
             "t": [],
@@ -239,7 +242,7 @@ class ProgressMonitor:
             sim.process(self._sample_loop(sample_interval), name="pm:sampler")
 
     def _observe_message(self, msg, outcome) -> None:
-        if msg.txn_id is not None:
+        if msg.txn_id in self._txn_messages:
             self._txn_messages[msg.txn_id] += 1
 
     # -- event intake ---------------------------------------------------------
@@ -247,6 +250,7 @@ class ProgressMonitor:
         """A transaction entered the system (workload generator event)."""
         self.submitted += 1
         txn.submitted_at = self.sim.now
+        self._txn_messages.setdefault(txn.txn_id, 0)
 
     def txn_started(self, txn: Transaction) -> None:
         """The home-site thread picked the transaction up."""

@@ -19,7 +19,7 @@ are majorities: ``r = w = ⌊V/2⌋ + 1``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
 from repro.errors import CatalogError
@@ -228,18 +228,25 @@ class Catalog:
         """Sites with a copy of ``item_name`` (sorted)."""
         return self.item(item_name).sites
 
-    def items_at(self, site_name: str) -> list[str]:
-        """Items that have a copy at ``site_name`` (sorted)."""
-        return sorted(
-            name for name, spec in self._items.items() if site_name in spec.placement
-        )
-
     def all_sites(self) -> list[str]:
         """Every site mentioned in any placement (sorted)."""
         sites: set[str] = set()
         for spec in self._items.values():
             sites.update(spec.placement)
         return sorted(sites)
+
+    # -- reconfiguration ---------------------------------------------------------
+    def with_quorums(self, name: str, read_quorum, write_quorum) -> "Catalog":
+        """A validated copy with ``name``'s quorums changed; ``self`` is untouched.
+
+        Sites share the catalog they fetched, so it is never changed in place.
+        """
+        spec = replace(self.item(name), read_quorum=read_quorum, write_quorum=write_quorum)
+        spec.validate()
+        catalog = Catalog()
+        catalog._items = {**self._items, name: spec}
+        catalog._fragments = dict(self._fragments)
+        return catalog
 
     # -- validation / export -----------------------------------------------------
     def validate(self, known_sites: Iterable[str] | None = None) -> None:

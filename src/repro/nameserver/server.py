@@ -120,10 +120,12 @@ class NameServer:
                 size=max(1, len(payload["sites"])),
             )
         elif msg.mtype == MessageType.NS_CATALOG:
+            # The schema object itself: every site of the instance shares
+            # the one copy.  ``size`` still prices a full schema transfer.
             self.endpoint.reply(
                 msg,
                 MessageType.NS_REPLY,
-                payload={"catalog": self.catalog.to_dict()},
+                payload={"catalog": self.catalog},
                 size=max(1, len(self.catalog)),
             )
         else:

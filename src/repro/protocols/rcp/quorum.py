@@ -71,7 +71,7 @@ class QuorumConsensusController(ReplicationController):
     # -- quorum assembly ----------------------------------------------------------
     def _assemble(self, ctx, item: str, write: bool, value: Any = None):
         """Contact holders in waves until the quorum's votes are gathered."""
-        spec = ctx.item_spec(item)
+        spec = ctx.catalog.item(item)
         needed = self.votes_needed(spec, write)
         votes = spec.placement
         remaining = ctx.order_local_first(spec.sites)

@@ -316,6 +316,7 @@ class LockManager:
                 request.event.fail(
                     ConcurrencyAbort(f"wait-die: txn{request.txn_id} younger than holder")
                 )
+                self._forget_if_idle(request.txn_id)
                 return request.event
         elif self.strategy == "wound_wait":
             # Older requester wounds every younger holder, then waits for
@@ -458,6 +459,22 @@ class LockManager:
         # changed.  Entries with empty queues have nothing to grant.
         for entry in self._waiting_entries():
             self._grant_from_queue(entry)
+        self._forget_if_idle(txn_id)
+
+    def _forget_if_idle(self, txn_id: int) -> None:
+        """Forget a rejected transaction that holds and awaits nothing here.
+
+        No ``release_all`` reaches a site where the transaction holds
+        nothing, so its timestamp and index entries would otherwise stay
+        for the rest of the session.
+        """
+        for entry in self._entries.get(txn_id, ()):
+            if txn_id in entry.holders or any(
+                request.txn_id == txn_id for request in entry.queue
+            ):
+                return
+        self._entries.pop(txn_id, None)
+        self._ts_of.pop(txn_id, None)
 
     def _wound(self, txn_id: int) -> None:
         self.stats.wounds += 1
@@ -477,3 +494,4 @@ class LockManager:
         if not request.event.triggered:
             request.event.fail(ConcurrencyAbort(f"lock wait timeout on {item!r}"))
         self._grant_from_queue(entry)
+        self._forget_if_idle(request.txn_id)

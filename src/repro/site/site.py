@@ -153,7 +153,10 @@ class Site:
         # is, and the contexts of transactions homed here.
         self._txn_home: dict[int, str] = {}
         self._home_ctxs: dict[int, object] = {}
+        # Name-server metadata fetched at bring-up: the site directory and
+        # the instance's one schema object (shared, never copied).
         self.directory: dict[str, str] = {}
+        self.catalog = None
         # The two observers of local operations, both off by default: the
         # causal span tracer (``RainbowInstance.enable_tracing``), which
         # nests each CCP operation under the span passed in by its caller,

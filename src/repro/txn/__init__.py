@@ -2,7 +2,6 @@
 
 from repro.txn.coordinator import (
     AccessResult,
-    CoordinatorConfig,
     Participant,
     TxnContext,
     run_transaction,
@@ -13,7 +12,6 @@ from repro.txn.transaction import Operation, OpKind, Transaction, TxnStatus, nex
 __all__ = [
     "AccessResult",
     "CommittedTxn",
-    "CoordinatorConfig",
     "HistoryRecorder",
     "Operation",
     "OpKind",

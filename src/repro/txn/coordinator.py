@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import (
     CommitAbort,
@@ -38,7 +38,10 @@ from repro.sim.kernel import Countdown, Interrupt
 from repro.site.site import Site
 from repro.txn.transaction import OpKind, Transaction, TxnStatus
 
-__all__ = ["AccessResult", "Participant", "CoordinatorConfig", "TxnContext", "run_transaction"]
+if TYPE_CHECKING:  # import cycle guard: repro.core builds on the coordinator
+    from repro.core.config import ProtocolConfig
+
+__all__ = ["AccessResult", "Participant", "TxnContext", "run_transaction"]
 
 
 @dataclass
@@ -62,44 +65,6 @@ class Participant:
     versions: dict[str, float] = field(default_factory=dict)  # prewritten items
 
 
-@dataclass
-class CoordinatorConfig:
-    """Coordinator-side protocol selection and timeout policy.
-
-    ``op_timeout`` must exceed the sites' lock/TSO wait timeouts, otherwise
-    a long (but legal) lock wait at a remote copy is misclassified as an
-    unreachable site.
-    """
-
-    rcp: str = "QC"
-    acp: str = "2PC"
-    rcp_options: dict = field(default_factory=dict)
-    acp_options: dict = field(default_factory=dict)
-    op_timeout: float = 90.0
-    vote_timeout: float = 40.0
-    ack_timeout: float = 25.0
-    ack_retries: int = 3
-    # Message-economy optimizations (docs/PERF.md); all off by default so
-    # the unoptimized message sequences replay byte-identically.
-    batch_site_ops: bool = False
-    piggyback_prepare: bool = False
-    latency_aware_routing: bool = False
-    # Deterministic failure scenarios ("crash the coordinator right after
-    # the votes are in"): the classic classroom exercise about 2PC blocking
-    # and the driver of the EXP-ACP benchmark.  ``failpoint`` is one of
-    # ``"after_votes"`` or ``"after_precommit"``; each armed transaction
-    # that reaches it crashes its home site at that instant.
-    failpoint: Optional[str] = None
-    failpoint_arms: int = 0
-
-    def hit_failpoint(self, point: str) -> bool:
-        """Consume one arm if ``point`` is the configured failpoint."""
-        if self.failpoint == point and self.failpoint_arms > 0:
-            self.failpoint_arms -= 1
-            return True
-        return False
-
-
 class TxnContext:
     """Everything the RCP and ACP need while processing one transaction."""
 
@@ -109,7 +74,7 @@ class TxnContext:
         home: Site,
         catalog: Catalog,
         directory: dict[str, str],
-        config: CoordinatorConfig,
+        config: ProtocolConfig,
         monitor=None,
     ):
         self.txn = txn
@@ -120,15 +85,12 @@ class TxnContext:
         self.config = config
         self.monitor = monitor
         self.participants: dict[str, Participant] = {}
-        self.rcp = make_rcp(config.rcp, **config.rcp_options)
-        self.acp = make_acp(config.acp, **config.acp_options)
+        self.rcp = make_rcp(config.rcp)
+        self.acp = make_acp(config.acp)
         # Sites where copy accesses are currently outstanding (a counted
         # multiset: quorum accesses run concurrently).  The distributed-
         # deadlock detector forwards probes through ``blocked_site``.
         self._blocked_counts: dict[str, int] = {}
-        # Catalog specs resolved during this attempt (restarts get a fresh
-        # context, so the cache is naturally per-attempt).
-        self._spec_cache: dict[str, Any] = {}
         # Piggybacked-prepare state: armed only while the final operation's
         # accesses are in flight; votes folded into access replies wait
         # here until collect_votes consumes them.
@@ -231,24 +193,6 @@ class TxnContext:
     def host_of(self, site: str) -> str:
         """The host a site lives on (addresses are ``host/name``)."""
         return self.address_of(site).split("/", 1)[0]
-
-    # -- catalog access ----------------------------------------------------------
-    def item_spec(self, item: str):
-        """Catalog spec for ``item``, memoized for this transaction attempt.
-
-        Every RCP wave consults the same placement; one lookup per item per
-        attempt suffices.  Restarted transactions build a fresh context, so
-        recovery paths always re-resolve against current metadata.
-        """
-        spec = self._spec_cache.get(item)
-        if spec is None:
-            spec = self.catalog.item(item)
-            self._spec_cache[item] = spec
-        return spec
-
-    def invalidate_spec_cache(self) -> None:
-        """Drop memoized specs (called when an attempt aborts)."""
-        self._spec_cache.clear()
 
     # -- copy access ---------------------------------------------------------------
     #
@@ -801,7 +745,6 @@ def run_transaction(ctx: TxnContext):
         _mark_aborted(txn, abort, sim.now)
     except TransactionAborted as abort:
         _mark_aborted(txn, abort, sim.now)
-        ctx.invalidate_spec_cache()
         try:
             yield from ctx.broadcast(MessageType.ABORT, retries=1)
         except Interrupt:

@@ -126,11 +126,13 @@ class NSlet(Servlet):
                 }
             )
         if request.action == "configure_quorums":
-            item = nameserver.catalog.item(request.args["item"])
-            item.read_quorum = request.args.get("read_quorum")
-            item.write_quorum = request.args.get("write_quorum")
-            item.validate()
-            return WebResponse.success({"item": item.name})
+            # A new snapshot at the name server; sites keep the one they
+            # fetched, so no coordinator sees quorums change under it.
+            name = request.args["item"]
+            nameserver.catalog = nameserver.catalog.with_quorums(
+                name, request.args.get("read_quorum"), request.args.get("write_quorum")
+            )
+            return WebResponse.success({"item": name})
         return WebResponse.failure(f"unknown NSlet action {request.action!r}")
         yield  # pragma: no cover - generator marker
 

@@ -175,8 +175,6 @@ class TestPlacementHelpers:
         catalog.add_item("a", placement=["s1", "s2"])
         catalog.add_item("b", placement=["s2"])
         assert catalog.sites_holding("a") == ["s1", "s2"]
-        assert catalog.items_at("s2") == ["a", "b"]
-        assert catalog.items_at("s1") == ["a"]
         assert catalog.all_sites() == ["s1", "s2"]
 
 

@@ -94,8 +94,8 @@ class TestWalCheckpoint:
         """A prepared txn carried across a checkpoint still resolves."""
         instance = quick_instance(n_items=8, settle_time=0,
                                   uncertainty_timeout=20.0, decision_retry=10.0)
-        instance.coordinator_config.failpoint = "after_votes"
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = "after_votes"
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],

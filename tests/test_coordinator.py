@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from repro.core.config import ProtocolConfig
 from repro.net.message import MessageType
-from repro.txn.coordinator import AccessResult, CoordinatorConfig, TxnContext
+from repro.txn.coordinator import AccessResult, TxnContext
 from repro.txn.transaction import Operation, Transaction, TxnStatus
 from tests.conftest import quick_instance, record_wal_appends
 
@@ -94,7 +95,7 @@ class TestContextHelpers:
             instance.sites[txn.home_site],
             instance.catalog,
             instance.directory,
-            instance.coordinator_config,
+            instance.config.protocols,
             instance.monitor,
         )
 
@@ -169,7 +170,7 @@ def _home_context(instance, home, ops):
         instance.sites[home],
         instance.catalog,
         instance.directory,
-        instance.coordinator_config,
+        instance.config.protocols,
         instance.monitor,
     )
 
@@ -342,7 +343,7 @@ class TestDecisionBroadcast:
 
 class TestConfig:
     def test_defaults(self):
-        config = CoordinatorConfig()
+        config = ProtocolConfig()
         assert config.rcp == "QC"
         assert config.acp == "2PC"
         assert config.failpoint is None

@@ -28,7 +28,7 @@ class TestCommon:
 
     def test_build_instance_failure_profile(self):
         instance = build_instance(2, 4, 2, failure_profile=True)
-        assert instance.coordinator_config.op_timeout == 15.0
+        assert instance.config.protocols.op_timeout == 15.0
         assert instance.config.gc_timeout == 40.0
 
     def test_build_instance_ccp_options(self):

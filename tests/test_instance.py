@@ -1,10 +1,14 @@
 """Unit/integration tests for RainbowInstance bring-up and sessions."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import RainbowConfig
 from repro.core.instance import RainbowInstance
 from repro.errors import ConfigurationError
+from repro.experiments.common import build_instance
+from repro.nameserver.catalog import Catalog
 from repro.txn.transaction import Operation, Transaction
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import quick_instance
@@ -38,7 +42,7 @@ class TestBringUp:
         assert instance.network.stats.by_type.get("NS_CATALOG", 0) == 2
         for site in instance.sites.values():
             assert site.directory == instance.directory
-            assert site.catalog_cache.item_names() == instance.catalog.item_names()
+            assert site.catalog is instance.catalog
 
     def test_start_idempotent(self):
         instance = quick_instance(n_sites=2, n_items=4)
@@ -60,6 +64,56 @@ class TestBringUp:
         instance.start()
         instance.sim.run(until=15)
         assert not instance.sites["site2"].up
+
+
+class TestOneSchema:
+    """The schema is materialised once per instance; every site shares it."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        """Count Catalog.from_dict and Catalog.to_dict calls."""
+        calls = Counter()
+        from_dict, to_dict = Catalog.from_dict.__func__, Catalog.to_dict
+
+        def counting_from_dict(cls, data):
+            calls["from_dict"] += 1
+            return from_dict(cls, data)
+
+        def counting_to_dict(self):
+            calls["to_dict"] += 1
+            return to_dict(self)
+
+        monkeypatch.setattr(Catalog, "from_dict", classmethod(counting_from_dict))
+        monkeypatch.setattr(Catalog, "to_dict", counting_to_dict)
+        return calls
+
+    def test_one_from_dict_per_instance_and_none_per_site(self, conversions):
+        instance = build_instance(8, 24, 3, seed=3)
+        sent = Counter()
+        instance.network.add_observer(
+            lambda msg, _outcome: sent.update([(msg.mtype, msg.size)])
+        )
+        instance.start()
+        # RainbowConfig.quick serialises the schema it builds; bring-up
+        # then materialises it once, for validation and the name server.
+        assert conversions == {"to_dict": 1, "from_dict": 1}
+        assert all(site.catalog is instance.catalog for site in instance.sites.values())
+        assert instance.nameserver.catalog is instance.catalog
+        # The bootstrap traffic is priced as before: one lookup and one
+        # schema request per site, replies sized by sites and by items.
+        assert sent == {
+            ("NS_LOOKUP", 1): 8,
+            ("NS_CATALOG", 1): 8,
+            ("NS_REPLY", 8): 8,
+            ("NS_REPLY", 24): 8,
+        }
+
+    def test_unreachable_nameserver_shares_the_same_schema(self, conversions):
+        instance = build_instance(4, 12, 3, seed=3)
+        instance.nameserver.crash()
+        instance.start()
+        assert conversions["from_dict"] == 1
+        assert all(site.catalog is instance.catalog for site in instance.sites.values())
 
 
 class TestDirectSubmission:

@@ -108,8 +108,8 @@ class TestReplicationConsistency:
 class TestFaultScenarios:
     def test_site_crash_mid_session_keeps_history_serializable(self):
         instance = quick_instance(n_items=24, settle_time=80)
-        instance.coordinator_config.op_timeout = 12
-        instance.coordinator_config.vote_timeout = 10
+        instance.config.protocols.op_timeout = 12
+        instance.config.protocols.vote_timeout = 10
         instance.config.faults.schedule.crashes.append(("site2", 30.0))
         instance.config.faults.schedule.recoveries.append(("site2", 90.0))
         result = instance.run_workload(
@@ -130,8 +130,8 @@ class TestFaultScenarios:
     def test_lossy_network_still_serializable(self):
         instance = quick_instance(n_items=24, settle_time=80)
         instance.network.loss_rate = 0.03
-        instance.coordinator_config.op_timeout = 15
-        instance.coordinator_config.vote_timeout = 12
+        instance.config.protocols.op_timeout = 15
+        instance.config.protocols.vote_timeout = 12
         result = instance.run_workload(
             WorkloadSpec(n_transactions=30, arrival_rate=0.4, read_fraction=0.6)
         )
@@ -139,8 +139,8 @@ class TestFaultScenarios:
 
     def test_repeated_crash_recover_cycles(self):
         instance = quick_instance(n_items=16, settle_time=60)
-        instance.coordinator_config.op_timeout = 10
-        instance.coordinator_config.vote_timeout = 8
+        instance.config.protocols.op_timeout = 10
+        instance.config.protocols.vote_timeout = 8
         for time in (20.0, 60.0, 100.0):
             instance.config.faults.schedule.crashes.append(("site3", time))
             instance.config.faults.schedule.recoveries.append(("site3", time + 15.0))
@@ -165,7 +165,7 @@ class TestWeightedVoting:
         config.set_catalog(catalog)
         config.settle_time = 20
         instance = RainbowInstance(config)
-        instance.coordinator_config.op_timeout = 10
+        instance.config.protocols.op_timeout = 10
         instance.start()
         # Crash both lightweight holders: site1's 3 of 5 votes suffice.
         instance.injector.crash_now("site2")

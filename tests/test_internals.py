@@ -65,7 +65,7 @@ class TestQuorumWaves:
 
     def test_read_quorum_unattainable_is_rcp_abort(self):
         instance = quick_instance(rcp="QC", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 8
+        instance.config.protocols.op_timeout = 8
         instance.start()
         # x2 lives on sites 2..4; crash two of three holders so even the
         # expanded wave cannot reach the read quorum of 2 votes.
@@ -108,8 +108,8 @@ class TestUncertaintyEdges:
         """Pure-blocking pedagogy mode: no resolution machinery at all."""
         instance = quick_instance(n_items=8, settle_time=0,
                                   uncertainty_timeout=None)
-        instance.coordinator_config.failpoint = "after_votes"
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = "after_votes"
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
@@ -124,8 +124,8 @@ class TestUncertaintyEdges:
     def test_orphan_statistics_track_resolution(self):
         instance = quick_instance(n_items=8, settle_time=0,
                                   uncertainty_timeout=20.0, decision_retry=10.0)
-        instance.coordinator_config.failpoint = "after_votes"
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = "after_votes"
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
@@ -154,7 +154,7 @@ class TestGatherSemantics:
         txn.ts = 1.0
         ctx = TxnContext(
             txn, instance.sites["site1"], instance.catalog,
-            instance.directory, instance.coordinator_config, None,
+            instance.directory, instance.config.protocols, None,
         )
 
         def run():

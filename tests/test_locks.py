@@ -325,3 +325,60 @@ class TestIndexedWalks:
         sim.run()
         assert grant_state(reader) == "granted"
         assert locks.waiting_count() == 1  # the upgrade still waits for txn 2
+
+
+class TestRejectedRequestsLeaveNoResidue:
+    """A rejected transaction that holds nothing here is forgotten at once.
+
+    No ``release_all`` reaches a site where the transaction holds nothing,
+    so the lock manager itself drops its timestamp and index entries.
+    """
+
+    @staticmethod
+    def known(locks, txn_id):
+        return locks.ts_of(txn_id) is not None or txn_id in locks._entries
+
+    def test_wait_die_death(self, sim):
+        locks = LockManager(sim, strategy="wait_die", wait_timeout=None)
+        locks.acquire(1, 1.0, "x", LockMode.X)
+        assert not locks.acquire(2, 2.0, "x", LockMode.X).ok
+        assert not self.known(locks, 2)
+        assert self.known(locks, 1)
+
+    def test_wait_timeout(self, sim):
+        locks = LockManager(sim, strategy="timeout", wait_timeout=10.0)
+        locks.acquire(1, 1.0, "x", LockMode.X)
+        event = locks.acquire(2, 2.0, "x", LockMode.X)
+        sim.run()
+        assert grant_state(event) == "aborted"
+        assert not self.known(locks, 2)
+
+    def test_external_victim(self, sim, locks):
+        locks.acquire(1, 1.0, "x", LockMode.X)
+        locks.acquire(2, 2.0, "x", LockMode.X)
+        assert locks.abort_waiter(2, "distributed deadlock victim")
+        assert not self.known(locks, 2)
+
+    def test_victim_that_still_holds_a_lock_is_kept(self, sim, locks):
+        locks.acquire(1, 1.0, "x", LockMode.X)
+        locks.acquire(2, 2.0, "y", LockMode.X)
+        locks.acquire(1, 1.0, "y", LockMode.X)
+        victim = locks.acquire(2, 2.0, "x", LockMode.X)  # closes the cycle
+        sim.run()
+        assert grant_state(victim) == "aborted"
+        assert locks.held_locks(2) == {"y": "X"}
+        assert locks.ts_of(2) == 2.0
+        locks.release_all(2)
+        assert not self.known(locks, 2)
+
+    def test_expired_request_with_another_still_queued_is_kept(self, sim):
+        locks = LockManager(sim, strategy="timeout", wait_timeout=5.0)
+        locks.acquire(1, 1.0, "x", LockMode.X)
+        locks.acquire(1, 1.0, "y", LockMode.X)
+        locks.acquire(2, 2.0, "x", LockMode.X)  # expires at 5.0
+        sim.run(until=1.0)
+        locks.acquire(2, 2.0, "y", LockMode.X)  # expires at 6.0
+        sim.run(until=5.5)
+        assert locks.ts_of(2) == 2.0  # its request on "y" still waits
+        sim.run()
+        assert not self.known(locks, 2)

@@ -109,7 +109,7 @@ class TestLatencyAwareRouting:
             instance.sites[home],
             instance.catalog,
             instance.directory,
-            instance.coordinator_config,
+            instance.config.protocols,
         )
 
     def test_routing_prefers_lan_siblings(self):
@@ -245,7 +245,7 @@ class TestPiggybackedPrepare:
             instance.sites["site1"],
             instance.catalog,
             instance.directory,
-            instance.coordinator_config,
+            instance.config.protocols,
         )
         ctx._register("site2")
         ctx._pending_votes["site2"] = (False, "validation failed")
@@ -319,33 +319,6 @@ class TestDecisionIdempotence:
         self._assert_no_double_apply(instance, result, 30, appended)
 
 
-class TestSpecMemoization:
-    def test_item_spec_cached_per_attempt(self):
-        instance = quick_instance(n_sites=2, n_items=2)
-        txn = Transaction(ops=[Operation.read("x1")], home_site="site1")
-        ctx = TxnContext(
-            txn,
-            instance.sites["site1"],
-            instance.catalog,
-            instance.directory,
-            instance.coordinator_config,
-        )
-        calls = []
-        real = instance.catalog.item
-
-        def counting(name):
-            calls.append(name)
-            return real(name)
-
-        instance.catalog.item = counting
-        first = ctx.item_spec("x1")
-        assert ctx.item_spec("x1") is first
-        assert calls == ["x1"]
-        ctx.invalidate_spec_cache()
-        ctx.item_spec("x1")
-        assert calls == ["x1", "x1"]
-
-
 class TestReplySizes:
     def _ask(self, instance, mtype):
         site = instance.sites["site1"]
@@ -410,7 +383,7 @@ class TestOneAccessPath:
             instance.sites["site1"],
             instance.catalog,
             instance.directory,
-            instance.coordinator_config,
+            instance.config.protocols,
         )
         return instance, ctx
 

@@ -160,6 +160,17 @@ class TestInstanceLevelStatistics:
         assert stats.round_trips > 0
         assert stats.elapsed > 0
 
+    def test_no_message_counter_outlives_its_transaction(self):
+        from repro.workload.spec import WorkloadSpec
+
+        instance = quick_instance(n_items=16, settle_time=60)
+        result = instance.run_workload(WorkloadSpec(n_transactions=40, arrival_rate=0.5))
+        assert result.statistics.finished == 40
+        assert result.statistics.mean_messages_per_txn > 0
+        # The TXN_RESULT reply and later decision traffic come after
+        # txn_finished; they must not re-create the popped counter.
+        assert instance.monitor._txn_messages == {}
+
 
 class TestStatisticsExportRoundTrip:
     """statistics_to_json must preserve every counter a session can set."""

@@ -73,7 +73,9 @@ class TestService:
             return reply.payload["catalog"]
 
         catalog = drive(sim, run())
-        assert "x" in catalog["items"]
+        # The reply carries the name server's schema object, not a copy.
+        assert catalog is ns.catalog
+        assert "x" in catalog
 
     def test_ns_register_via_message(self, sim, network, ns):
         client = self._client(network)

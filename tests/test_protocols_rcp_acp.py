@@ -61,7 +61,7 @@ class TestRowa:
 
     def test_write_aborts_rcp_when_any_copy_down(self):
         instance = quick_instance(rcp="ROWA", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 10
+        instance.config.protocols.op_timeout = 10
         instance.start()
         instance.injector.crash_now("site3")
         txn = run_txn(
@@ -72,7 +72,7 @@ class TestRowa:
 
     def test_read_survives_one_copy_down(self):
         instance = quick_instance(rcp="ROWA", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 10
+        instance.config.protocols.op_timeout = 10
         instance.start()
         instance.injector.crash_now("site2")
         txn = run_txn(
@@ -108,7 +108,7 @@ class TestQuorumConsensus:
 
     def test_write_survives_minority_down(self):
         instance = quick_instance(rcp="QC", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 10
+        instance.config.protocols.op_timeout = 10
         instance.start()
         instance.injector.crash_now("site3")
         txn = run_txn(
@@ -118,7 +118,7 @@ class TestQuorumConsensus:
 
     def test_write_aborts_rcp_when_majority_down(self):
         instance = quick_instance(rcp="QC", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 10
+        instance.config.protocols.op_timeout = 10
         instance.start()
         instance.injector.crash_now("site2")
         instance.injector.crash_now("site3")
@@ -142,7 +142,7 @@ class TestQuorumConsensus:
     def test_quorum_expansion_after_member_failure(self):
         """If a first-wave member is down, QC expands to remaining holders."""
         instance = quick_instance(rcp="QC", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 8
+        instance.config.protocols.op_timeout = 8
         instance.start()
         # x2 lives on site2,3,4.  Home site1 contacts a 2-site wave; crash
         # one holder so the wave must expand.
@@ -187,8 +187,8 @@ class TestAtomicCommit:
 
     def test_participant_crash_before_vote_aborts(self):
         instance = quick_instance(n_items=8, settle_time=10)
-        instance.coordinator_config.vote_timeout = 8
-        instance.coordinator_config.op_timeout = 10
+        instance.config.protocols.vote_timeout = 8
+        instance.config.protocols.op_timeout = 10
         instance.start()
         site2 = instance.sites["site2"]
 
@@ -223,9 +223,9 @@ class TestAtomicCommit:
 
 class TestFailpoints:
     def test_failpoint_consumes_arms(self):
-        from repro.txn.coordinator import CoordinatorConfig
+        from repro.core.config import ProtocolConfig
 
-        config = CoordinatorConfig(failpoint="after_votes", failpoint_arms=2)
+        config = ProtocolConfig(failpoint="after_votes", failpoint_arms=2)
         assert config.hit_failpoint("after_votes")
         assert config.hit_failpoint("after_votes")
         assert not config.hit_failpoint("after_votes")
@@ -234,8 +234,8 @@ class TestFailpoints:
     def test_2pc_blocking_until_recovery(self):
         instance = quick_instance(n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.coordinator_config.failpoint = "after_votes"
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = "after_votes"
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
@@ -258,8 +258,8 @@ class TestFailpoints:
         both recover, and presumed abort resolves the orphan consistently."""
         instance = quick_instance(n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.coordinator_config.failpoint = "after_votes"
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = "after_votes"
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
@@ -286,8 +286,8 @@ class TestFailpoints:
         participant learns COMMIT from its peers' retained decisions."""
         instance = quick_instance(acp="3PC", n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.coordinator_config.failpoint = "after_precommit"
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = "after_precommit"
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         txn = Transaction(ops=[Operation.write("x1", 1)], home_site="site1")
         process = instance.submit(txn)
@@ -309,8 +309,8 @@ class TestFailpoints:
     def test_3pc_terminates_without_coordinator(self):
         instance = quick_instance(acp="3PC", n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.coordinator_config.failpoint = "after_precommit"
-        instance.coordinator_config.failpoint_arms = 1
+        instance.config.protocols.failpoint = "after_precommit"
+        instance.config.protocols.failpoint_arms = 1
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1)],

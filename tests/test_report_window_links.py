@@ -105,8 +105,8 @@ class TestWindowedStatistics:
 
     def test_outage_window_shows_degradation(self):
         instance = quick_instance(n_items=16, settle_time=60)
-        instance.coordinator_config.op_timeout = 10
-        instance.coordinator_config.vote_timeout = 8
+        instance.config.protocols.op_timeout = 10
+        instance.config.protocols.vote_timeout = 8
         instance.config.faults.schedule.crashes.append(("site2", 40.0))
         instance.config.faults.schedule.recoveries.append(("site2", 120.0))
         instance.run_workload(

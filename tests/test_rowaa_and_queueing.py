@@ -34,7 +34,7 @@ class TestAvailableCopies:
     def test_write_survives_crashed_copy_holder(self):
         """The availability win over ROWA."""
         instance = quick_instance(rcp="ROWAA", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 10
+        instance.config.protocols.op_timeout = 10
         instance.start()
         instance.injector.crash_now("site3")
         txn = run_txn(
@@ -50,7 +50,7 @@ class TestAvailableCopies:
 
     def test_write_fails_only_when_no_copy_reachable(self):
         instance = quick_instance(rcp="ROWAA", n_items=8, settle_time=10)
-        instance.coordinator_config.op_timeout = 8
+        instance.config.protocols.op_timeout = 8
         instance.start()
         # x2 lives on sites 2..4; crash all of them.
         for name in ("site2", "site3", "site4"):
@@ -90,7 +90,7 @@ class TestAvailableCopies:
         from repro.workload.spec import WorkloadSpec
 
         instance = quick_instance(rcp="ROWAA", n_items=24, settle_time=60)
-        instance.coordinator_config.op_timeout = 12
+        instance.config.protocols.op_timeout = 12
         instance.config.faults.schedule.crashes.append(("site2", 30.0))
         instance.config.faults.schedule.recoveries.append(("site2", 90.0))
         result = instance.run_workload(

@@ -55,9 +55,9 @@ class TestScaleStress:
         instance = quick_instance(
             n_sites=5, n_items=40, replication_degree=5, seed=31, settle_time=100
         )
-        instance.coordinator_config.op_timeout = 12
-        instance.coordinator_config.vote_timeout = 10
-        instance.coordinator_config.ack_timeout = 8
+        instance.config.protocols.op_timeout = 12
+        instance.config.protocols.vote_timeout = 10
+        instance.config.protocols.ack_timeout = 8
         instance.config.uncertainty_timeout = 25.0
         instance.config.decision_retry = 10.0
         instance.config.faults.random_targets = instance.config.site_names()

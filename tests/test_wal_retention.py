@@ -168,6 +168,18 @@ class TestBoundedLog:
             assert len(site.wal) == 0
             assert (site._txn_home, site._activity, site._prepared) == ({}, {}, {})
 
+    def test_rejected_lock_requests_leave_no_lock_state(self):
+        # Deadlock victims, wait timeouts and distributed-deadlock aborts
+        # reject requests at sites where the transaction holds nothing.
+        instance = _session("2PC", 500, [])
+        rejected = sum(
+            site.cc.locks.stats.deadlocks + site.cc.locks.stats.timeouts
+            for site in instance.sites.values()
+        )
+        assert rejected > 0
+        for site in instance.sites.values():
+            assert (site.cc.locks._ts_of, site.cc.locks._entries) == ({}, {})
+
     def test_3pc_log_grows_only_by_retained_decisions(self):
         samples = []
         instance = _session("3PC", 500, samples)

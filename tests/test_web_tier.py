@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.invariants import check_serializability
 from repro.errors import AuthorizationError, WebTierError
 from repro.gui.applet import GuiApplet
 from repro.net.message import MessageType
@@ -117,6 +118,43 @@ class TestAuth:
         )
         assert response.ok
         assert instance.nameserver.catalog.item("x1").read_quorum == 1
+
+    def test_rejected_quorum_change_touches_no_catalog(self, domain):
+        instance, tier = domain
+        served = instance.nameserver.catalog
+        admin = logged_in_applet(tier, "admin", "admin")
+        response = admin.call(
+            "nsrunnerlet", "configure_quorums",
+            {"item": "x1", "read_quorum": 1, "write_quorum": 1},  # r+w <= V
+        )
+        assert not response.ok
+        assert instance.nameserver.catalog is served
+        for site in instance.sites.values():
+            spec = site.catalog.item("x1")
+            assert (spec.read_quorum, spec.write_quorum) == (None, None)
+        # Quorums still intersect, so a session after the rejection stays
+        # one-copy serializable.
+        result = instance.run_workload(
+            WorkloadSpec(n_transactions=30, arrival_rate=1.0, read_fraction=0.5)
+        )
+        assert result.serializable is True
+        assert check_serializability(instance, result) == []
+
+    def test_accepted_quorum_change_stays_at_name_server(self, domain):
+        instance, tier = domain
+        admin = logged_in_applet(tier, "admin", "admin")
+        response = admin.call(
+            "nsrunnerlet", "configure_quorums",
+            {"item": "x1", "read_quorum": 1, "write_quorum": 3},
+        )
+        assert response.ok
+        served = admin.call("nsrunnerlet", "get_catalog").data["catalog"]
+        assert served["items"]["x1"]["read_quorum"] == 1
+        # Sites keep the snapshot they fetched at bring-up, so coordinators
+        # never see quorums change part way through a transaction.
+        for site in instance.sites.values():
+            assert site.catalog is instance.catalog
+        assert instance.catalog.item("x1").read_quorum is None
 
     def test_custom_user_table(self):
         instance = quick_instance(n_sites=2, n_items=4)
