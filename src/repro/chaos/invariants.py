@@ -85,8 +85,6 @@ def check_atomicity(instance: RainbowInstance, result: SessionResult) -> list[st
                 )
 
     history = instance.monitor.history
-    if history is None:
-        return violations
     quorum_rcp = instance.config.protocols.rcp.upper() == "QC"
     for txn in history.committed:
         for item, version in sorted(txn.writes):
@@ -121,12 +119,10 @@ def check_atomicity(instance: RainbowInstance, result: SessionResult) -> list[st
 
 def check_convergence(instance: RainbowInstance, result: SessionResult) -> list[str]:
     violations: list[str] = []
-    history = instance.monitor.history
     committed_vmax: dict[str, int] = defaultdict(int)
-    if history is not None:
-        for txn in history.committed:
-            for item, version in txn.writes:
-                committed_vmax[item] = max(committed_vmax[item], int(version))
+    for txn in instance.monitor.history.committed:
+        for item, version in txn.writes:
+            committed_vmax[item] = max(committed_vmax[item], int(version))
     quorum_rcp = instance.config.protocols.rcp.upper() == "QC"
     for item in instance.catalog.item_names():
         spec = instance.catalog.item(item)
@@ -191,9 +187,8 @@ def check_serializability(instance: RainbowInstance, result: SessionResult) -> l
             f"(cycle {' -> '.join(map(str, cycle))})"
         )
     history = instance.monitor.history
-    if history is not None:
-        violations.extend(history.version_collisions())
-        violations.extend(history.reads_see_committed_versions())
+    violations.extend(history.version_collisions())
+    violations.extend(history.reads_see_committed_versions())
     return violations
 
 

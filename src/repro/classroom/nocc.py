@@ -28,7 +28,6 @@ class NoConcurrencyController(WorkspaceController):
 
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
         self._check_doom(txn_id)
-        self.stats.reads += 1
         written, value = self._buffered_value(txn_id, item)
         if written:
             return value, self.store.version(item)
@@ -37,18 +36,15 @@ class NoConcurrencyController(WorkspaceController):
 
     def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
         self._check_doom(txn_id)
-        self.stats.prewrites += 1
         self._buffer(txn_id, item, value)
         return self.store.version(item)
         yield  # pragma: no cover - generator marker
 
     def commit(self, txn_id: int, versions: dict[str, int]) -> None:
         self._apply_workspace(txn_id, versions)
-        self.stats.commits += 1
 
     def abort(self, txn_id: int) -> None:
         self._drop(txn_id)
-        self.stats.aborts += 1
 
     def clear(self) -> None:
         self._workspace.clear()

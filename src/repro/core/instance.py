@@ -291,14 +291,9 @@ class RainbowInstance:
         self, outcomes: Optional[list[SubmissionOutcome]] = None
     ) -> SessionResult:
         """Package the monitor's view of the session so far."""
-        check = self.monitor.check_serializable()
-        serializable = witness = cycle = None
-        if check is not None:
-            serializable, order_or_cycle = check
-            if serializable:
-                witness = order_or_cycle
-            else:
-                cycle = order_or_cycle
+        serializable, order_or_cycle = self.monitor.check_serializable()
+        witness = order_or_cycle if serializable else None
+        cycle = None if serializable else order_or_cycle
         return SessionResult(
             statistics=self.monitor.output_statistics(),
             outcomes=list(outcomes or []),

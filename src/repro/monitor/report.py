@@ -53,11 +53,7 @@ def session_report(
             f"- Serialization cycle: {result.serialization_cycle} "
             "(**violation — investigate the protocol configuration**)"
         )
-    collisions = (
-        instance.monitor.history.version_collisions()
-        if instance.monitor.history is not None
-        else []
-    )
+    collisions = instance.monitor.history.version_collisions()
     if collisions:
         lines.append(f"- Version collisions: {collisions}")
     lines += [

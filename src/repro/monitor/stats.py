@@ -198,13 +198,12 @@ class ProgressMonitor:
         sim: Simulator,
         network: Network,
         sites=None,
-        record_history: bool = True,
         sample_interval: Optional[float] = None,
     ):
         self.sim = sim
         self.network = network
         self.sites = list(sites or [])
-        self.history = HistoryRecorder() if record_history else None
+        self.history = HistoryRecorder()
         self._records: list[tuple] = []  # TxnRecord fields, as plain tuples
         self.submitted = 0
         self.started = 0
@@ -288,13 +287,12 @@ class ProgressMonitor:
             self.committed += 1
             if txn.response_time is not None:
                 self.response_times.append(txn.response_time)
-            if self.history is not None:
-                self.history.record_commit(
-                    txn.txn_id,
-                    txn.read_versions,
-                    txn.write_versions,
-                    committed_at=txn.decided_at or self.sim.now,
-                )
+            self.history.record_commit(
+                txn.txn_id,
+                txn.read_versions,
+                txn.write_versions,
+                committed_at=txn.decided_at or self.sim.now,
+            )
         else:
             self.aborted += 1
             self.aborts_by_cause[txn.abort_cause or "SYSTEM"] += 1
@@ -444,7 +442,5 @@ class ProgressMonitor:
 
     # -- convenience ---------------------------------------------------------------
     def check_serializable(self):
-        """Run the 1SR check over the committed history (None if disabled)."""
-        if self.history is None:
-            return None
+        """Run the 1SR check over the committed history."""
         return self.history.check_serializable()

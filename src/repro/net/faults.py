@@ -145,6 +145,8 @@ class FaultInjector:
 
     def schedule_link_cut(self, host_a: str, host_b: str, at: float, restore_at: float | None = None) -> None:
         """Cut the ``host_a``–``host_b`` link at ``at`` (optionally restore)."""
+        if restore_at is not None and restore_at <= at:
+            raise ConfigurationError("link restore must come after the cut")
 
         def _cut() -> None:
             self.network.cut_link(host_a, host_b)
@@ -154,8 +156,6 @@ class FaultInjector:
 
         self._at(at, _cut)
         if restore_at is not None:
-            if restore_at <= at:
-                raise ConfigurationError("link restore must come after the cut")
 
             def _restore() -> None:
                 self.network.restore_link(host_a, host_b)
@@ -226,8 +226,8 @@ class FaultInjector:
         * partition groups, link cuts, and flaky links may only name hosts
           that actually exist on the network, and no host may appear in two
           groups of the same partition;
-        * windowed events (flaky links) must have positive duration and
-          probabilities in ``[0, 1)``.
+        * windowed events (link cuts with a restore, flaky links) must have
+          positive duration, and flaky-link probabilities lie in ``[0, 1)``.
         """
         for name, at in schedule.crashes + schedule.recoveries:
             if name not in self._targets:
@@ -275,6 +275,11 @@ class FaultInjector:
                         f"link cut {host_a!r}~{host_b!r} at t={at} names "
                         f"unknown host {host!r}"
                     )
+            if restore_at is not None and restore_at <= at:
+                raise ConfigurationError(
+                    f"link cut {host_a!r}~{host_b!r}: restore at t={restore_at} "
+                    f"is not after the cut at t={at}"
+                )
         for host_a, host_b, start, end, loss, duplicate in schedule.flaky_links:
             for host in (host_a, host_b):
                 if host not in known_hosts:

@@ -4,14 +4,15 @@ This is the reproduction of Rainbow's network simulator.  Components obtain
 an :class:`Endpoint` (addressed ``host/name``), exchange :class:`Message`
 objects through :meth:`Network.send`, and answer requests from a served
 mailbox (:meth:`Endpoint.serve`): each delivered request is handed to the
-owner's handler from a kernel call, one at a time, with no server process.
+owner's handler in the kernel event that delivers it, with no server
+process.
 Request/reply exchanges go through :meth:`Endpoint.request`, which handles
 correlation ids, cancellable expiry timers, and round-trip accounting.
 
 Failure semantics (driven by the fault injector):
 
-* a *down* endpoint neither receives nor keeps queued messages — in-flight
-  and queued messages to it are lost, like a crashed Java process;
+* a *down* endpoint receives nothing — in-flight messages to it are lost,
+  like a crashed Java process;
 * a *partition* silently drops messages crossing partition boundaries;
 * an explicitly cut *link* drops messages in both directions;
 * an optional random *loss rate* models an unreliable transport;
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter, deque
+from collections import Counter
 from typing import Callable, Iterable, Optional
 
 from repro.errors import NetworkError, RpcTimeout, SimulationError
@@ -87,9 +88,10 @@ class Endpoint:
     part drives the latency model and partitioning, mirroring Rainbow's
     "several sites may share one physical host" deployment.
 
-    Incoming requests queue until the owner installs a handler with
-    :meth:`serve`; a served mailbox hands them to it one at a time, each
-    from its own kernel call, so no server process is needed.
+    The owner installs a handler with :meth:`serve`; each delivered request
+    is handed to it in the kernel event that delivers it, so no server
+    process is needed.  A request delivered while no handler is installed
+    is counted as delivered and discarded.
     """
 
     def __init__(self, network: "Network", host: str, name: str):
@@ -98,31 +100,22 @@ class Endpoint:
         self.name = name
         self.address = f"{host}/{name}"
         self.up = True
-        self._queue: deque[Message] = deque()
         self._handler: Optional[Callable[[Message], None]] = None
-        # The scheduled call that arms the mailbox or serves one message;
-        # None while the mailbox is idle (or has no handler).
-        self._serving = None
         # msg_id -> (reply event, expiry timer) of each outstanding RPC.
         self._pending_rpcs: dict[int, tuple[Event, object]] = {}
 
     # -- lifecycle ----------------------------------------------------------
     def set_down(self) -> None:
-        """Crash the endpoint: lose queued messages and stop serving.
+        """Crash the endpoint: stop serving.
 
         The handler is dropped (a recovering owner calls :meth:`serve`
-        again) and a message already scheduled for it is lost with the
-        queue.  Pending RPCs issued *by* this endpoint are failed too — the
+        again).  Pending RPCs issued *by* this endpoint are failed too — the
         caller process died with its site, and Rainbow counts the resulting
         half-done transactions as orphans.
         """
         sim = self.network.sim
         self.up = False
-        self._queue.clear()
         self._handler = None
-        if self._serving is not None:
-            sim.cancel(self._serving)
-            self._serving = None
         pending, self._pending_rpcs = self._pending_rpcs, {}
         for event, expiry in pending.values():
             sim.cancel(expiry)
@@ -130,37 +123,13 @@ class Endpoint:
                 event.fail(NetworkError(f"endpoint {self.address} went down"))
 
     def set_up(self) -> None:
-        """Recover the endpoint with an empty mailbox."""
+        """Recover the endpoint (it serves again once the owner calls :meth:`serve`)."""
         self.up = True
 
     # -- receive path ---------------------------------------------------------
     def serve(self, handler: Callable[[Message], None]) -> None:
-        """Hand every incoming request to ``handler(msg)``, one at a time.
-
-        The mailbox is armed from a call scheduled at the current instant,
-        so messages delivered before it runs queue up and are served in
-        arrival order, the first as soon as it runs.
-        """
+        """Hand every request delivered from now on to ``handler(msg)``."""
         self._handler = handler
-        if self._serving is None:
-            self._serving = self.network.sim.defer(0, self._serve_next)
-
-    def pending_count(self) -> int:
-        """Number of queued messages not yet handed to a handler."""
-        return len(self._queue)
-
-    def _serve_next(self) -> None:
-        """Schedule the next queued message for the handler, or go idle."""
-        if self._queue:
-            self._serving = self.network.sim.defer(0, self._serve_one, self._queue.popleft())
-        else:
-            self._serving = None
-
-    def _serve_one(self, msg: Message) -> None:
-        call = self._serving
-        self._handler(msg)
-        if self._serving is call:  # not crashed or re-armed by the handler
-            self._serve_next()
 
     def _deliver(self, msg: Message) -> None:
         if not self.up:
@@ -174,10 +143,8 @@ class Endpoint:
             if not event.triggered:
                 event.succeed(msg)
             return
-        if self._serving is None and self._handler is not None:
-            self._serving = self.network.sim.defer(0, self._serve_one, msg)
-        else:
-            self._queue.append(msg)
+        if self._handler is not None:
+            self._handler(msg)
 
     # -- send path -------------------------------------------------------------
     def send(

@@ -5,7 +5,7 @@ from repro.protocols.ccp.multiversion import MultiversionTimestampController
 from repro.protocols.ccp.optimistic import OptimisticController
 from repro.protocols.ccp.timestamp_ordering import TimestampOrderingController
 from repro.protocols.ccp.two_phase_locking import TwoPhaseLockingController
-from repro.protocols.ccp.workspace import CcpStats, WorkspaceController
+from repro.protocols.ccp.workspace import WorkspaceController
 
 register_ccp("2PL", TwoPhaseLockingController)
 register_ccp("TSO", TimestampOrderingController)
@@ -13,7 +13,6 @@ register_ccp("MVTO", MultiversionTimestampController)
 register_ccp("OCC", OptimisticController)
 
 __all__ = [
-    "CcpStats",
     "MultiversionTimestampController",
     "OptimisticController",
     "TimestampOrderingController",

@@ -84,7 +84,6 @@ class MultiversionTimestampController(TimestampController):
     # -- operations -------------------------------------------------------------
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
         self._check_doom(txn_id)
-        self.stats.reads += 1
         record = self._item(item)
         while True:
             written, value = self._buffered_value(txn_id, item)
@@ -94,7 +93,6 @@ class MultiversionTimestampController(TimestampController):
             if chosen is None:
                 # No committed version at or below ts (only possible with
                 # negative timestamps); treat like a too-late read.
-                self.stats.rejections += 1
                 raise ConcurrencyAbort(f"MVTO: no version of {item!r} at ts={ts:.4f}")
             blocking = any(
                 chosen.wts < pts <= ts
@@ -102,7 +100,6 @@ class MultiversionTimestampController(TimestampController):
                 if pending_txn != txn_id
             )
             if blocking:
-                self.stats.waits += 1
                 yield self._wait(record)
                 self._check_doom(txn_id)
                 continue
@@ -111,11 +108,9 @@ class MultiversionTimestampController(TimestampController):
 
     def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
         self._check_doom(txn_id)
-        self.stats.prewrites += 1
         record = self._item(item)
         chosen = record.select(ts)
         if chosen is not None and chosen.rts > ts:
-            self.stats.rejections += 1
             raise ConcurrencyAbort(
                 f"MVTO prewrite invalidates read: rts={chosen.rts:.4f} > ts={ts:.4f} on {item!r}"
             )
@@ -138,7 +133,6 @@ class MultiversionTimestampController(TimestampController):
             newest = record.versions[-1]
             self.store.apply(item, newest.value, newest.wts, txn_id, self.sim.now)
         self._drop(txn_id)
-        self.stats.commits += 1
 
     # -- introspection (used by tests and the monitor) ----------------------------
     def version_count(self, item: str) -> int:

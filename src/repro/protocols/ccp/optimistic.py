@@ -52,7 +52,6 @@ class OptimisticController(WorkspaceController):
         super().__init__(sim, store)
         self._footprints: dict[int, _Footprint] = {}
         self._validated: dict[int, _Footprint] = {}
-        self.validation_failures = 0
 
     def _footprint(self, txn_id: int) -> _Footprint:
         footprint = self._footprints.get(txn_id)
@@ -64,7 +63,6 @@ class OptimisticController(WorkspaceController):
     # -- operations (never wait, never reject) --------------------------------
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
         self._check_doom(txn_id)
-        self.stats.reads += 1
         written, value = self._buffered_value(txn_id, item)
         if written:
             return value, self.store.version(item)
@@ -75,7 +73,6 @@ class OptimisticController(WorkspaceController):
 
     def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
         self._check_doom(txn_id)
-        self.stats.prewrites += 1
         self._buffer(txn_id, item, value)
         version = self.store.version(item)
         self._footprint(txn_id).writes[item] = version
@@ -94,7 +91,6 @@ class OptimisticController(WorkspaceController):
             for item, seen in observed.items():
                 current = self.store.version(item)
                 if current != seen:
-                    self.validation_failures += 1
                     return False, f"{label} of {item} moved {seen}->{current}"
         # Parallel: no overlap with validated-but-undecided transactions.
         my_reads = set(footprint.reads)
@@ -106,7 +102,6 @@ class OptimisticController(WorkspaceController):
             # let another site order the pair the other way round.
             overlap = (my_reads | my_writes) & set(other.writes) or my_writes & set(other.reads)
             if overlap:
-                self.validation_failures += 1
                 return False, f"overlaps validated txn{other_id} on {sorted(overlap)}"
         self._validated[txn_id] = footprint
         return True, "validated"
@@ -116,13 +111,11 @@ class OptimisticController(WorkspaceController):
         self._apply_workspace(txn_id, versions)
         self._footprints.pop(txn_id, None)
         self._validated.pop(txn_id, None)
-        self.stats.commits += 1
 
     def abort(self, txn_id: int) -> None:
         self._drop(txn_id)
         self._footprints.pop(txn_id, None)
         self._validated.pop(txn_id, None)
-        self.stats.aborts += 1
 
     def active_transactions(self) -> set[int]:
         return set(self._workspace) | set(self._footprints)

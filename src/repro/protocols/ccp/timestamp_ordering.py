@@ -61,19 +61,16 @@ class TimestampOrderingController(TimestampController):
     # -- operations -----------------------------------------------------------
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
         self._check_doom(txn_id)
-        self.stats.reads += 1
         record = self._item(item)
         while True:
             written, value = self._buffered_value(txn_id, item)
             if written:
                 return value, self.store.version(item)
             if ts < record.write_ts:
-                self.stats.rejections += 1
                 raise ConcurrencyAbort(
                     f"TSO read too late: ts={ts:.4f} < write_ts={record.write_ts:.4f} on {item!r}"
                 )
             if record.min_pending_below(ts) is not None:
-                self.stats.waits += 1
                 yield self._wait(record)
                 self._check_doom(txn_id)
                 continue
@@ -82,10 +79,8 @@ class TimestampOrderingController(TimestampController):
 
     def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
         self._check_doom(txn_id)
-        self.stats.prewrites += 1
         record = self._item(item)
         if ts < record.read_ts or ts < record.write_ts:
-            self.stats.rejections += 1
             raise ConcurrencyAbort(
                 f"TSO prewrite too late: ts={ts:.4f} vs read_ts={record.read_ts:.4f}, "
                 f"write_ts={record.write_ts:.4f} on {item!r}"
@@ -105,4 +100,3 @@ class TimestampOrderingController(TimestampController):
                 record.write_ts = max(record.write_ts, ts)
             self._wake(record)
         self._apply_workspace(txn_id, versions)
-        self.stats.commits += 1

@@ -43,15 +43,7 @@ class TwoPhaseLockingController(WorkspaceController):
 
     def read(self, txn_id: int, ts: float, item: str) -> Generator:
         self._check_doom(txn_id)
-        self.stats.reads += 1
-        grant = self.locks.acquire(txn_id, ts, item, LockMode.S)
-        if not grant.triggered:
-            self.stats.waits += 1
-        try:
-            yield grant
-        except Exception:
-            self.stats.rejections += 1
-            raise
+        yield self.locks.acquire(txn_id, ts, item, LockMode.S)
         self._check_doom(txn_id)  # wounded while waiting
         written, value = self._buffered_value(txn_id, item)
         if written:
@@ -60,15 +52,7 @@ class TwoPhaseLockingController(WorkspaceController):
 
     def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
         self._check_doom(txn_id)
-        self.stats.prewrites += 1
-        grant = self.locks.acquire(txn_id, ts, item, LockMode.X)
-        if not grant.triggered:
-            self.stats.waits += 1
-        try:
-            yield grant
-        except Exception:
-            self.stats.rejections += 1
-            raise
+        yield self.locks.acquire(txn_id, ts, item, LockMode.X)
         self._check_doom(txn_id)
         self._buffer(txn_id, item, value)
         return self.store.version(item)
@@ -76,12 +60,10 @@ class TwoPhaseLockingController(WorkspaceController):
     def commit(self, txn_id: int, versions: dict[str, int]) -> None:
         self._apply_workspace(txn_id, versions)
         self.locks.release_all(txn_id)
-        self.stats.commits += 1
 
     def abort(self, txn_id: int) -> None:
         self._drop(txn_id)
         self.locks.release_all(txn_id)
-        self.stats.aborts += 1
 
     def reinstate(self, txn_id: int, ts: float, writes: dict[str, Any]) -> None:
         super().reinstate(txn_id, ts, writes)

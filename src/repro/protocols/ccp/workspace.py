@@ -12,7 +12,6 @@ abort, recovery and crash paths over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import ConcurrencyAbort
@@ -20,19 +19,7 @@ from repro.protocols.base import ConcurrencyController
 from repro.sim.kernel import Event, Simulator
 from repro.site.storage import LocalStore
 
-__all__ = ["WorkspaceController", "TimestampController", "CcpStats"]
-
-
-@dataclass
-class CcpStats:
-    """Counters every CCP exposes to the progress monitor."""
-
-    reads: int = 0
-    prewrites: int = 0
-    rejections: int = 0
-    waits: int = 0
-    commits: int = 0
-    aborts: int = 0
+__all__ = ["WorkspaceController", "TimestampController"]
 
 
 class WorkspaceController(ConcurrencyController):
@@ -44,7 +31,6 @@ class WorkspaceController(ConcurrencyController):
     def __init__(self, sim: Simulator, store: LocalStore):
         self.sim = sim
         self.store = store
-        self.stats = CcpStats()
         self._workspace: dict[int, dict[str, Any]] = {}
         self._doomed: set[int] = set()
 
@@ -75,7 +61,6 @@ class WorkspaceController(ConcurrencyController):
 
     def _check_doom(self, txn_id: int) -> None:
         if txn_id in self._doomed:
-            self.stats.rejections += 1
             raise ConcurrencyAbort(f"txn{txn_id} doomed at site {self.store.site_name}")
 
     # -- reader waits (TSO, MVTO) -------------------------------------------------
@@ -86,7 +71,6 @@ class WorkspaceController(ConcurrencyController):
         if self.wait_timeout is not None:
 
             def _expire() -> None:  # only runs while the wait is pending
-                self.stats.rejections += 1
                 event.fail(ConcurrencyAbort(f"{self.name} wait timeout"))
 
             timer = self.sim.defer(self.wait_timeout, _expire)
@@ -172,7 +156,6 @@ class TimestampController(WorkspaceController):
             record.pending.pop(txn_id, None)
             self._wake(record)
         self._drop(txn_id)
-        self.stats.aborts += 1
 
     def reinstate(self, txn_id: int, ts: float, writes: dict[str, Any]) -> None:
         super().reinstate(txn_id, ts, writes)

@@ -120,14 +120,16 @@ class DeadlockDetector:
     # -- message handling -------------------------------------------------------
     def handle(self, msg) -> None:
         """Route one detector message (called from the site's dispatcher)."""
-        payload = msg.payload or {}
-        if msg.mtype == ProbeTypes.PROBE_HOME:
+        self._route(msg.mtype, msg.payload or {})
+
+    def _route(self, mtype: str, payload: dict) -> None:
+        if mtype == ProbeTypes.PROBE_HOME:
             self._probe_at_home(payload)
-        elif msg.mtype == ProbeTypes.PROBE_SITE:
+        elif mtype == ProbeTypes.PROBE_SITE:
             self._probe_at_site(payload)
-        elif msg.mtype == ProbeTypes.VICTIM_HOME:
+        elif mtype == ProbeTypes.VICTIM_HOME:
             self._victim_at_home(payload)
-        elif msg.mtype == ProbeTypes.ABORT_WAIT:
+        elif mtype == ProbeTypes.ABORT_WAIT:
             self._abort_wait(payload)
 
     def _probe_at_home(self, payload) -> None:
@@ -199,12 +201,6 @@ class DeadlockDetector:
             return
         if address == self.site.address:
             # Local hop: no network message, same handling.
-            class _Local:
-                pass
-
-            msg = _Local()
-            msg.mtype = mtype
-            msg.payload = payload
-            self.handle(msg)
+            self._route(mtype, payload)
             return
         self.site.endpoint.send(address, mtype, payload)

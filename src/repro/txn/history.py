@@ -21,6 +21,7 @@ lets a non-serializable interleaving commit trips the cycle detector.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 __all__ = ["CommittedTxn", "HistoryRecorder", "SerializationGraph"]
@@ -183,34 +184,19 @@ class HistoryRecorder:
                 graph.add_edge(t1, t2)
 
         for item, read_list in readers.items():
-            write_list = sorted(writers.get(item, []))
+            write_list = writers.get(item, [])  # sorted above
             versions = [v for v, _txn in write_list]
             for version_read, reader in read_list:
-                # wr edge: the writer of the version read comes first.
-                writer = self._writer_of(write_list, version_read)
-                if writer is not None:
-                    graph.add_edge(writer, reader)
+                # wr edge: the writer of the version read comes first
+                # (version 0, the initial state, has none).
+                index = bisect_left(versions, version_read)
+                if index < len(versions) and versions[index] == version_read:
+                    graph.add_edge(write_list[index][1], reader)
                 # rw edge: the reader precedes the next overwrite.
-                next_writer = self._next_writer(write_list, versions, version_read)
-                if next_writer is not None:
-                    graph.add_edge(reader, next_writer)
+                index = bisect_right(versions, version_read, index)
+                if index < len(versions):
+                    graph.add_edge(reader, write_list[index][1])
         return graph
-
-    @staticmethod
-    def _writer_of(write_list: list[tuple[float, int]], version: float) -> Optional[int]:
-        for v, txn in write_list:
-            if v == version:
-                return txn
-        return None  # version 0 / initial state
-
-    @staticmethod
-    def _next_writer(
-        write_list: list[tuple[float, int]], versions: list[float], version: float
-    ) -> Optional[int]:
-        for v, txn in write_list:
-            if v > version:
-                return txn
-        return None
 
     # -- checks -----------------------------------------------------------------
     def check_serializable(self) -> tuple[bool, Optional[list[int]]]:

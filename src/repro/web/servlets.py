@@ -57,7 +57,6 @@ class ServletRunner:
         self.name = f"runner-{host}"  # fault-injector target id
         self.endpoint = network.endpoint(host, RUNNER_NAME)
         self.servlets: dict[str, Servlet] = {}
-        self.requests_served = 0
         self.up = True
         self.endpoint.serve(self._on_message)
 
@@ -67,7 +66,7 @@ class ServletRunner:
     # happen: a crashed runner makes its host's management plane (and, on
     # the home host, the whole GUI) unreachable until restart.
     def crash(self) -> None:
-        """Stop the web server; in-flight and queued requests are lost."""
+        """Stop the web server; in-flight requests are lost."""
         if not self.up:
             return
         self.up = False
@@ -100,7 +99,6 @@ class ServletRunner:
     def _on_message(self, msg: Message) -> None:
         if msg.mtype != MessageType.WEB_REQUEST or msg.reply_to is not None:
             return
-        self.requests_served += 1
         self.sim.process(self._dispatch(msg), name=f"runner:{self.host}:req")
 
     def _dispatch(self, msg: Message):

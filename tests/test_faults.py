@@ -80,6 +80,8 @@ class TestScheduledFaults:
     def test_partition_and_heal_scheduled(self, sim, network, injector):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        got = []
+        b.serve(got.append)
         injector.schedule_partition([["h1"], ["h2"]], at=5)
         injector.schedule_heal(at=15)
         sim.run(until=6)
@@ -88,11 +90,13 @@ class TestScheduledFaults:
         assert network.stats.dropped == 1
         a.send(b.address, "X")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(got) == 1
 
     def test_link_cut_with_restore(self, sim, network, injector):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        got = []
+        b.serve(got.append)
         injector.schedule_link_cut("h1", "h2", at=2, restore_at=8)
         sim.run(until=3)
         a.send(b.address, "X")
@@ -100,7 +104,7 @@ class TestScheduledFaults:
         assert network.stats.dropped == 1
         a.send(b.address, "X")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(got) == 1
         kinds = [e.kind for e in injector.log]
         assert kinds == ["link_cut", "link_restore"]
 
@@ -191,6 +195,24 @@ class TestScheduleValidation:
             injector.apply_schedule(
                 FaultSchedule(link_cuts=[("h1", "mars", 2.0, None)])
             )
+
+    def test_rejected_link_cut_window_cuts_nothing(self, sim, network, injector):
+        network.endpoint("h1", "a")
+        network.endpoint("h2", "b")
+        with pytest.raises(ConfigurationError, match="link cut 'h1'~'h2'.*not after"):
+            injector.apply_schedule(
+                FaultSchedule(link_cuts=[("h1", "h2", 10.0, 5.0)])
+            )
+        sim.run()
+        assert network._cut_links == set()
+        assert injector.log == []
+
+    def test_link_cut_window_checked_before_arming(self, sim, network, injector):
+        with pytest.raises(ConfigurationError):
+            injector.schedule_link_cut("h1", "h2", at=10, restore_at=10)
+        sim.run()
+        assert network._cut_links == set()
+        assert injector.log == []
 
     def test_flaky_link_bad_rate(self, network, injector):
         network.endpoint("h1", "a")

@@ -1,6 +1,39 @@
 """Unit tests for histories and the serializability checker."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.txn.history import HistoryRecorder, SerializationGraph
+
+
+def _linear_scan_graph(recorder: HistoryRecorder) -> SerializationGraph:
+    """Reference conflict graph: each wr/rw edge found by a linear scan."""
+    graph = SerializationGraph()
+    writers: dict[str, list] = {}
+    readers: dict[str, list] = {}
+    for txn in recorder.committed:
+        graph.add_node(txn.txn_id)
+        for item, version in txn.writes:
+            writers.setdefault(item, []).append((version, txn.txn_id))
+        for item, version in txn.reads:
+            readers.setdefault(item, []).append((version, txn.txn_id))
+    for write_list in writers.values():
+        write_list.sort()
+        for (_v1, t1), (_v2, t2) in zip(write_list, write_list[1:]):
+            graph.add_edge(t1, t2)
+    for item, read_list in readers.items():
+        write_list = sorted(writers.get(item, []))
+        for version_read, reader in read_list:
+            writer = next((t for v, t in write_list if v == version_read), None)
+            if writer is not None:
+                graph.add_edge(writer, reader)
+            next_writer = next((t for v, t in write_list if v > version_read), None)
+            if next_writer is not None:
+                graph.add_edge(reader, next_writer)
+    return graph
+
+
+_footprint = st.dictionaries(st.sampled_from("xyz"), st.integers(0, 6), max_size=3)
 
 
 class TestSerializationGraph:
@@ -144,3 +177,18 @@ class TestHistoryRecorder:
         assert ok
         assert order.index(1) < order.index(3)
         assert order.index(2) < order.index(3)
+
+
+class TestGraphMatchesLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_footprint, _footprint), max_size=12))
+    def test_edges_match_linear_scan(self, footprints):
+        # Versions repeat across writers on purpose: collisions and reads of
+        # versions nobody wrote must pick the same entries as the scan.
+        recorder = HistoryRecorder()
+        for txn_id, (reads, writes) in enumerate(footprints, start=1):
+            recorder.record_commit(txn_id, reads=reads, writes=writes)
+        graph = recorder.build_graph()
+        reference = _linear_scan_graph(recorder)
+        assert list(graph.edges.items()) == list(reference.edges.items())
+        assert graph.nodes == reference.nodes

@@ -54,12 +54,6 @@ class TestEventIntake:
         monitor.txn_finished(finished_txn(status=TxnStatus.ABORTED, cause="CCP"))
         assert len(monitor.history) == 1
 
-    def test_history_disabled(self, sim, network):
-        monitor = ProgressMonitor(sim, network, record_history=False)
-        monitor.txn_finished(finished_txn())
-        assert monitor.history is None
-        assert monitor.check_serializable() is None
-
     def test_records_include_op_counts(self, sim, network):
         monitor = ProgressMonitor(sim, network)
         monitor.txn_finished(finished_txn())

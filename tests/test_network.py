@@ -1,7 +1,6 @@
 """Unit tests for the simulated network, messages, latency, RPC."""
 
 import random
-from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,157 +107,128 @@ class TestEndpoints:
         sim.run()
         assert received == [("PING", 123, 1.0)]  # ConstantLatency(1.0)
 
-    def test_receive_queued_message_immediately(self, sim, network):
+    def test_message_delivered_before_serve_is_discarded(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
-        a.send(b.address, "PING")
+        a.send(b.address, "EARLY")
         sim.run()
-        assert b.pending_count() == 1
+        assert network.stats.delivered == 1
 
         received = []
         b.serve(lambda msg: received.append((msg.mtype, sim.now)))
+        a.send(b.address, "PING")
         sim.run()
-        assert received == [("PING", 1.0)]
-        assert b.pending_count() == 0
+        assert received == [("PING", 2.0)]
 
 
-class _ReceiveLoop:
-    """Reference mailbox: a server process blocked on one receive event.
+def _mailbox_session(latency: float, script):
+    """Run ``script`` against one mailbox; return its deliveries and handles.
 
-    This is how endpoints were served before :meth:`Endpoint.serve`: a
-    delivery to a waiting receiver succeeds its receive event, and the
-    process takes the next queued message as soon as it asks again.  It
-    takes over the endpoint's deliveries at once and queues them until
-    :meth:`start` launches the server process.
-    """
-
-    def __init__(self, sim, endpoint):
-        self.sim = sim
-        self.queue = deque()
-        self.receivers = deque()
-        endpoint._deliver = self.deliver
-
-    def start(self, handler):
-        self.sim.process(self.loop(handler))
-
-    def receive(self):
-        event = self.sim.event()
-        if self.queue:
-            event.succeed(self.queue.popleft())
-        else:
-            self.receivers.append(event)
-        return event
-
-    def deliver(self, msg):
-        if self.receivers:
-            self.receivers.popleft().succeed(msg)
-        else:
-            self.queue.append(msg)
-
-    def loop(self, handler):
-        while True:
-            msg = yield self.receive()
-            handler(msg)
-
-
-def _mailbox_session(reference: bool, latency: float, script) -> list:
-    """Log every same-instant occurrence around one served mailbox.
-
-    ``script`` is run at time 0: sends to the mailbox, bare timers and
-    processes waking at chosen delays, and the point where the mailbox is
-    armed.  The handler reacts to each message by logging it and, by
-    payload, deferring a call, triggering an event or sending again.
+    Every step happens at its own time: a send to the mailbox, a crash, a
+    recovery, or a (possibly late) ``serve``.  The handler sometimes sends
+    again, so deliveries also land at instants the script did not choose.
+    Each delivery is logged with whether the script's own model says the
+    endpoint was up and served at that moment; the handler logs what it
+    handles and whether it runs inside that delivery's kernel event.
     """
     sim = Simulator()
     network = Network(sim, ConstantLatency(latency))
     a = network.endpoint("h1", "a")
     b = network.endpoint("h2", "b")
-    serve = _ReceiveLoop(sim, b).start if reference else b.serve
-    log = []
+    model = {"up": True, "served": False}
+    deliveries, handled = [], []
+    in_delivery = []
+    deliver = b._deliver
+
+    def spy(msg):
+        deliveries.append((sim.now, msg.payload, model["up"] and model["served"]))
+        in_delivery.append(msg)
+        deliver(msg)
+        in_delivery.pop()
+
+    b._deliver = spy
+    payloads = iter(range(1000))
 
     def handler(msg):
-        log.append((sim.now, "handle", msg.payload))
-        reaction = msg.payload % 4
-        if reaction == 1:
-            sim.defer(0, log.append, (sim.now, "deferred", msg.payload))
-        elif reaction == 2:
-            event = sim.event()
-            event.add_callback(lambda _ev: log.append((sim.now, "event", msg.payload)))
-            event.succeed()
-        elif reaction == 3 and msg.payload < 40:
-            a.send(b.address, "AGAIN", payload=msg.payload + 10)
+        handled.append((sim.now, msg.payload, in_delivery[-1:] == [msg]))
+        if msg.payload % 3 == 0 and msg.payload < 60:
+            a.send(b.address, "AGAIN", payload=next(payloads))
 
-    def sleeper(tag, delay):
-        yield sim.timeout(delay)
-        log.append((sim.now, "process", tag))
+    def crash():
+        model.update(up=False, served=False)
+        b.set_down()
 
-    for step, (kind, value) in enumerate(script):
-        if kind == "serve":
-            serve(handler)
-        elif kind == "send":
-            a.send(b.address, "PING", payload=value)
-        elif kind == "timer":
-            sim.defer(value, log.append, (value, "timer", step))
+    def recover():
+        model["up"] = True
+        b.set_up()
+
+    def serve():
+        model["served"] = True
+        b.serve(handler)
+
+    actions = {"crash": crash, "recover": recover, "serve": serve}
+    for kind, at in script:
+        if kind == "send":
+            sim.defer(at, lambda: a.send(b.address, "PING", payload=next(payloads)))
         else:
-            sim.process(sleeper(step, value))
+            sim.defer(at, actions[kind])
     sim.run()
-    return log
+    return deliveries, handled
 
 
-_script_steps = st.one_of(
-    st.tuples(st.just("send"), st.integers(0, 40)),
-    st.tuples(st.sampled_from(["timer", "process"]), st.sampled_from([0.0, 1.0, 2.0])),
+_script_steps = st.tuples(
+    st.sampled_from(["send", "send", "send", "crash", "recover", "serve"]),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
 )
 
 
 class TestServedMailbox:
-    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        latency=st.sampled_from([0.0, 1.0]),
-        steps=st.lists(_script_steps, max_size=25),
-        serve_at=st.integers(0, 25),
-    )
-    def test_interleaving_matches_a_receive_loop(self, latency, steps, serve_at):
-        script = list(steps)
-        script.insert(min(serve_at, len(script)), ("serve", None))
-        assert _mailbox_session(True, latency, script) == _mailbox_session(
-            False, latency, script
-        )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(latency=st.sampled_from([0.0, 1.0]), script=st.lists(_script_steps, max_size=25))
+    def test_each_live_delivery_is_handled_once_in_its_own_event(self, latency, script):
+        deliveries, handled = _mailbox_session(latency, script)
+        expected = [(now, payload, True) for now, payload, live in deliveries if live]
+        # Exactly once, at the delivery instant, in delivery order, from
+        # inside the delivering call; nothing delivered while the endpoint
+        # was down or unserved is handled, then or later.
+        assert handled == expected
 
-    def test_crash_between_delivery_and_service_drops_message(self, sim, network):
+    def test_served_request_costs_one_kernel_event(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
-        served = []
-        b.serve(served.append)
+        handled = []
+        b.serve(handled.append)
+        before = sim.processed_events
+        for _ in range(5):
+            a.send(b.address, "PING")
         sim.run()
-        a.send(b.address, "PING")
-        # Delivered at t=1 first (sent earlier), then the crash, all before
-        # the delivery's service call runs at the same instant.
-        sim.defer(1.0, b.set_down)
-        sim.run()
-        assert served == []
-        assert network.stats.delivered == 1
-        assert b.pending_count() == 0
+        assert len(handled) == 5
+        assert sim.processed_events - before == 5
 
-    def test_crash_and_recovery_at_same_instant_drops_message(self, sim, network):
+    def test_late_reply_without_handler_leaves_no_state(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
-        served = []
-        b.serve(served.append)
-        sim.run()
 
-        def crash_and_recover():
-            b.set_down()
-            b.set_up()
-            b.serve(served.append)
+        def slow_reply(msg):
+            yield sim.timeout(10)
+            b.reply(msg, "PONG")
 
-        a.send(b.address, "LOST")
-        sim.defer(1.0, crash_and_recover)
+        b.serve(lambda msg: sim.process(slow_reply(msg)))
+
+        def client():
+            with pytest.raises(RpcTimeout):
+                yield a.request(b.address, "PING", timeout=3)
+
+        drive(sim, client())
         sim.run()
-        assert served == []
-        a.send(b.address, "SERVED")
+        assert network.stats.delivered == 2  # the late reply arrived
+        assert a._pending_rpcs == {}
+        assert not sim._heap
+        # Nothing was kept for a handler installed afterwards.
+        got = []
+        a.serve(got.append)
         sim.run()
-        assert [msg.mtype for msg in served] == ["SERVED"]
+        assert got == []
 
     def test_answered_rpc_leaves_no_live_expiry_timer(self, sim, network):
         a = network.endpoint("h1", "a")
@@ -326,10 +296,12 @@ class TestRpc:
             with pytest.raises(RpcTimeout):
                 yield a.request(b.address, "PING", timeout=3)
 
+        got = []
+        a.serve(got.append)
         drive(sim, client())
         sim.run()
-        # Late reply is delivered to a's queue as an orphan message.
-        assert a.pending_count() == 1
+        # The late reply is delivered to a's handler as an orphan message.
+        assert [msg.mtype for msg in got] == ["PONG"]
 
     def test_invalid_timeout_rejected(self, sim, network):
         a = network.endpoint("h1", "a")
@@ -342,10 +314,12 @@ class TestFailureModes:
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
         b.set_down()
+        got = []
+        b.serve(got.append)
         a.send(b.address, "PING")
         sim.run()
         assert network.stats.dropped == 1
-        assert b.pending_count() == 0
+        assert got == []
 
     def test_down_endpoint_stops_serving(self, sim, network):
         a = network.endpoint("h1", "a")
@@ -358,9 +332,9 @@ class TestFailureModes:
         sim.run()
         a.send(b.address, "AFTER")
         sim.run()
-        # The crash dropped the handler: the recovered mailbox only queues.
+        # The crash dropped the handler: the recovered mailbox discards.
         assert [msg.mtype for msg in served] == ["BEFORE"]
-        assert b.pending_count() == 1
+        assert network.stats.delivered == 2
 
     def test_down_endpoint_fails_pending_rpcs(self, sim, network):
         a = network.endpoint("h1", "a")
@@ -388,23 +362,33 @@ class TestFailureModes:
         b = network.endpoint("h2", "b")
         b.set_down()
         b.set_up()
+        got = []
+        b.serve(got.append)
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(got) == 1
 
-    def test_queued_messages_lost_on_crash(self, sim, network):
+    def test_in_flight_messages_lost_on_crash(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        got = []
+        b.serve(got.append)
         a.send(b.address, "PING")
+        sim.defer(0.5, b.set_down)
         sim.run()
-        assert b.pending_count() == 1
-        b.set_down()
-        assert b.pending_count() == 0
+        b.set_up()
+        b.serve(got.append)
+        sim.run()
+        assert got == []
+        assert network.stats.dropped == 1
 
 
 class TestPartitions:
     def _pair(self, sim, network):
-        return network.endpoint("h1", "a"), network.endpoint("h2", "b")
+        a, b = network.endpoint("h1", "a"), network.endpoint("h2", "b")
+        self.got = []
+        b.serve(self.got.append)
+        return a, b
 
     def test_partition_drops_cross_group(self, sim, network):
         a, b = self._pair(sim, network)
@@ -418,15 +402,17 @@ class TestPartitions:
         network.partition([["h1", "h2"]])
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(self.got) == 1
 
     def test_unlisted_hosts_form_implicit_group(self, sim, network):
         a, b = self._pair(sim, network)
         c = network.endpoint("h3", "c")
+        got = []
+        c.serve(got.append)
         network.partition([["h1"]])
         b.send(c.address, "PING")  # h2 and h3 both implicit
         sim.run()
-        assert c.pending_count() == 1
+        assert len(got) == 1
 
     def test_heal_partition(self, sim, network):
         a, b = self._pair(sim, network)
@@ -434,7 +420,7 @@ class TestPartitions:
         network.heal_partition()
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(self.got) == 1
 
     def test_host_in_two_groups_rejected(self, sim, network):
         with pytest.raises(NetworkError):
@@ -449,15 +435,17 @@ class TestPartitions:
         network.restore_link("h1", "h2")
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(self.got) == 1
 
     def test_cut_link_does_not_affect_local(self, sim, network):
         a = network.endpoint("h1", "a")
         a2 = network.endpoint("h1", "a2")
+        got = []
+        a2.serve(got.append)
         network.cut_link("h1", "h1")
         a.send(a2.address, "PING")
         sim.run()
-        assert a2.pending_count() == 1
+        assert len(got) == 1
 
 
 class TestLossAndStats:
@@ -493,12 +481,14 @@ class TestLossAndStats:
         )
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        got = []
+        b.serve(got.append)
         for _ in range(100):
             a.send(b.address, "PING")
         sim.run()
         assert network.stats.sent == 100
         assert 10 < network.stats.duplicated < 90
-        assert b.pending_count() == 100 + network.stats.duplicated
+        assert len(got) == 100 + network.stats.duplicated
         assert network.stats.delivered == 100 + network.stats.duplicated
 
     def test_invalid_duplication_rate(self, sim):
@@ -548,34 +538,40 @@ class TestFlakyLinks:
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
         c = network.endpoint("h3", "c")
+        got = []
+        c.serve(got.append)
         network.set_link_flakiness("h1", "h2", loss=0.99)
         for _ in range(100):
             a.send(b.address, "PING")
             a.send(c.address, "PING")
         sim.run()
         assert network.stats.lost_random > 80  # h1-h2 very lossy
-        assert c.pending_count() == 100  # h1-h3 untouched
+        assert len(got) == 100  # h1-h3 untouched
 
     def test_flaky_link_duplicates(self):
         sim = Simulator()
         network = Network(sim, ConstantLatency(0.1), rng=random.Random(7))
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        got = []
+        b.serve(got.append)
         network.set_link_flakiness("h1", "h2", duplicate=0.5)
         for _ in range(100):
             a.send(b.address, "PING")
         sim.run()
         assert 10 < network.stats.duplicated < 90
-        assert b.pending_count() == 100 + network.stats.duplicated
+        assert len(got) == 100 + network.stats.duplicated
 
     def test_clear_link_flakiness(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        got = []
+        b.serve(got.append)
         network.set_link_flakiness("h1", "h2", loss=0.99)
         network.clear_link_flakiness("h1", "h2")
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(got) == 1
 
     def test_clear_flaky_links_heals_all(self, sim, network):
         network.endpoint("h1", "a")
@@ -589,13 +585,15 @@ class TestFlakyLinks:
         network = Network(sim, ConstantLatency(0.1), rng=random.Random(7))
         a = network.endpoint("h1", "a")
         a2 = network.endpoint("h1", "a2")
+        got = []
+        a2.serve(got.append)
         with pytest.raises(NetworkError):
             network.set_link_flakiness("h1", "h1", loss=0.5)
         network.set_link_flakiness("h1", "h2", loss=0.99)
         for _ in range(50):
             a.send(a2.address, "PING")
         sim.run()
-        assert a2.pending_count() == 50
+        assert len(got) == 50
 
     def test_invalid_rates_rejected(self, sim, network):
         with pytest.raises(NetworkError):
