@@ -10,7 +10,9 @@ The kernel drives *generators*: a protocol handler suspends by yielding an
   nothing as far as the caller can tell);
 * declaring ``-> Generator`` on a plain function (or writing a generator
   protocol handler without the annotation) — ``sim.process(fn())`` then
-  dies at runtime, or type-checkers reason from a lie.
+  dies at runtime, or type-checkers reason from a lie;
+* a generator CCP ``read``/``prewrite``, which are plain calls: the site
+  would take the generator object for the answer.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ EVENT_RETURNING_APIS = frozenset({
     # TxnContext / coordinator surface
     "broadcast", "collect_votes",
     "access_read", "access_prewrite", "access_read_many", "access_prewrite_many",
-    # RCP / CCP / ACP handler generators
-    "do_read", "do_write", "local_read", "local_prewrite",
+    # RCP / ACP handler generators
+    "do_read", "do_write",
     # kernel event constructors
     "timeout", "event", "any_of", "all_of",
     # endpoint RPC surface
@@ -46,7 +48,11 @@ EVENT_RETURNING_APIS = frozenset({
 GENERATORISH_ANNOTATIONS = frozenset({"Generator", "Iterator", "Iterable"})
 
 #: Handler methods whose generator-ness is part of the protocol contract.
-HANDLER_METHODS = frozenset({"read", "prewrite", "do_read", "do_write", "run"})
+HANDLER_METHODS = frozenset({"do_read", "do_write", "run"})
+
+#: The CCP calls, which must be plain: the site takes what they return as
+#: the answer (or a ``Wait`` to follow).
+CCP_PLAIN_CALLS = frozenset({"read", "prewrite"})
 
 #: The interfaces whose subclasses the handler check applies to.
 PROTOCOL_INTERFACES = frozenset({
@@ -186,7 +192,8 @@ class GeneratorContractRule(Rule):
     description = (
         "a function annotated `-> Generator` contains no yield (or a "
         "protocol handler method that *is* a generator lacks the "
-        "annotation); abstract interface stubs are exempt"
+        "annotation, or a CCP `read`/`prewrite` is a generator at all); "
+        "abstract interface stubs are exempt"
     )
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
@@ -214,7 +221,14 @@ class GeneratorContractRule(Rule):
     ) -> Iterator[Finding]:
         annotated = _annotation_name(func.returns) in GENERATORISH_ANNOTATIONS
         generator = is_generator(func)
-        if annotated and not generator and not _is_abstract_stub(func):
+        if generator and in_protocol_class and func.name in CCP_PLAIN_CALLS:
+            yield self.finding(
+                module, func,
+                f"CCP `{func.name}` is a generator, so the site would take the "
+                f"generator object for its answer; make it a plain call that "
+                f"returns the answer, raises ConcurrencyAbort, or returns a Wait",
+            )
+        elif annotated and not generator and not _is_abstract_stub(func):
             yield self.finding(
                 module, func,
                 f"`{func.name}` is annotated `-> {_annotation_name(func.returns)}` "

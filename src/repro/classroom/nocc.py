@@ -14,7 +14,7 @@ Protocols Configuration panel offers it like any student protocol.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any
 
 from repro.protocols.ccp.workspace import WorkspaceController
 
@@ -26,19 +26,17 @@ class NoConcurrencyController(WorkspaceController):
 
     name = "NOCC"
 
-    def read(self, txn_id: int, ts: float, item: str) -> Generator:
+    def read(self, txn_id: int, ts: float, item: str) -> tuple[Any, int]:
         self._check_doom(txn_id)
         written, value = self._buffered_value(txn_id, item)
         if written:
             return value, self.store.version(item)
         return self.store.read(item)
-        yield  # pragma: no cover - generator marker
 
-    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
+    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> int:
         self._check_doom(txn_id)
         self._buffer(txn_id, item, value)
         return self.store.version(item)
-        yield  # pragma: no cover - generator marker
 
     def commit(self, txn_id: int, versions: dict[str, int]) -> None:
         self._apply_workspace(txn_id, versions)

@@ -27,9 +27,13 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Generator
 
-from repro.errors import ProtocolError
+from repro.errors import ConcurrencyAbort, ProtocolError
+from repro.sim.kernel import Event
 
 __all__ = [
+    "Wait",
+    "wait_for",
+    "follow",
     "ConcurrencyController",
     "ReplicationController",
     "CommitProtocol",
@@ -50,12 +54,59 @@ _RCP_REGISTRY: dict[str, Callable[..., "ReplicationController"]] = {}
 _ACP_REGISTRY: dict[str, Callable[..., "CommitProtocol"]] = {}
 
 
+class Wait:
+    """A CCP access that cannot answer yet.
+
+    Once ``event`` has fired, succeeded or failed, the caller calls
+    ``resume()`` once; it gives the access's outcome: the answer, a raised
+    :class:`ConcurrencyAbort`, or the next ``Wait``.
+    """
+
+    __slots__ = ("event", "resume")
+
+    def __init__(self, event: Event, resume: Callable[[], Any]):
+        self.event = event
+        self.resume = resume
+
+
+def wait_for(event: Event, then: Callable[[], Any]) -> Wait:
+    """Wait on ``event``; a failure is the access's abort, else ``then()``."""
+
+    def resume() -> Any:
+        if not event.ok:
+            raise event.value
+        return then()
+
+    return Wait(event, resume)
+
+
+def follow(
+    step: Callable[[], Any], done: Callable[[Any, bool], None], waited: bool = False
+) -> None:
+    """Run an access ``step``, following its waits by event callbacks.
+
+    ``done(outcome, waited)`` gets the answer or the ``ConcurrencyAbort``,
+    and whether the access had to wait; one that never waits settles inside
+    this call.
+    """
+    try:
+        outcome = step()
+    except ConcurrencyAbort as abort:
+        done(abort, waited)
+        return
+    if isinstance(outcome, Wait):
+        outcome.event.add_callback(lambda _event: follow(outcome.resume, done, True))
+    else:
+        done(outcome, waited)
+
+
 class ConcurrencyController:
     """CCP interface: guards the *local copies* of one site.
 
-    ``read`` and ``prewrite`` are generator functions (drive them with
-    ``yield from``): they may suspend the calling handler (lock waits, TSO
-    waits) and raise :class:`~repro.errors.ConcurrencyAbort` on rejection.
+    ``read`` and ``prewrite`` are plain calls: each returns its answer,
+    raises :class:`~repro.errors.ConcurrencyAbort` on rejection, or, when
+    the access must wait (a lock queue, a TSO wait), returns
+    :func:`wait_for` of the event and the call that continues it.
     Buffered writes only reach the committed store via :meth:`commit`.
     """
 
@@ -69,12 +120,12 @@ class ConcurrencyController:
     #: the lock statistics only apply to such protocols.
     lock_based = False
 
-    def read(self, txn_id: int, ts: float, item: str) -> Generator:
-        """Yield until readable; return ``(value, version)``."""
+    def read(self, txn_id: int, ts: float, item: str) -> Any:
+        """``(value, version)`` of the local copy, or a :class:`Wait`."""
         raise NotImplementedError
 
-    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
-        """Yield until accepted; buffer the write; return current version."""
+    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Any:
+        """Buffer the write; the current version, or a :class:`Wait`."""
         raise NotImplementedError
 
     def buffered_writes(self, txn_id: int) -> dict[str, Any]:

@@ -22,9 +22,10 @@ version numbers and recovery behave identically across CCPs.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from operator import attrgetter
+from typing import Any, Optional
 
 from repro.errors import ConcurrencyAbort
 from repro.protocols.ccp.workspace import TimestampController
@@ -41,6 +42,9 @@ class _Version:
     rts: float
 
 
+_by_wts = attrgetter("wts")
+
+
 @dataclass
 class _MvItem:
     versions: list[_Version] = field(default_factory=list)  # sorted by wts
@@ -49,13 +53,11 @@ class _MvItem:
 
     def select(self, ts: float) -> Optional[_Version]:
         """Committed version with the largest wts <= ts."""
-        keys = [v.wts for v in self.versions]
-        index = bisect.bisect_right(keys, ts) - 1
+        index = bisect_right(self.versions, ts, key=_by_wts) - 1
         return self.versions[index] if index >= 0 else None
 
     def insert(self, version: _Version) -> None:
-        keys = [v.wts for v in self.versions]
-        self.versions.insert(bisect.bisect_right(keys, version.wts), version)
+        self.versions.insert(bisect_right(self.versions, version.wts, key=_by_wts), version)
 
 
 class MultiversionTimestampController(TimestampController):
@@ -82,31 +84,26 @@ class MultiversionTimestampController(TimestampController):
         return _MvItem(versions=[_Version(wts=float(version), value=value, rts=float(version))])
 
     # -- operations -------------------------------------------------------------
-    def read(self, txn_id: int, ts: float, item: str) -> Generator:
-        self._check_doom(txn_id)
-        record = self._item(item)
-        while True:
-            written, value = self._buffered_value(txn_id, item)
-            if written:
-                return value, self.store.version(item)
-            chosen = record.select(ts)
-            if chosen is None:
-                # No committed version at or below ts (only possible with
-                # negative timestamps); treat like a too-late read.
-                raise ConcurrencyAbort(f"MVTO: no version of {item!r} at ts={ts:.4f}")
-            blocking = any(
-                chosen.wts < pts <= ts
-                for pending_txn, pts in record.pending.items()
-                if pending_txn != txn_id
-            )
-            if blocking:
-                yield self._wait(record)
-                self._check_doom(txn_id)
-                continue
-            chosen.rts = max(chosen.rts, ts)
-            return chosen.value, chosen.wts
+    def _read_at(self, txn_id: int, ts: float, item: str, record: _MvItem) -> Any:
+        written, value = self._buffered_value(txn_id, item)
+        if written:
+            return value, self.store.version(item)
+        chosen = record.select(ts)
+        if chosen is None:
+            # No committed version at or below ts (only possible with
+            # negative timestamps); treat like a too-late read.
+            raise ConcurrencyAbort(f"MVTO: no version of {item!r} at ts={ts:.4f}")
+        blocking = any(
+            chosen.wts < pts <= ts
+            for pending_txn, pts in record.pending.items()
+            if pending_txn != txn_id
+        )
+        if blocking:
+            return self._wait(record, self._reread, txn_id, ts, item, record)
+        chosen.rts = max(chosen.rts, ts)
+        return chosen.value, chosen.wts
 
-    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
+    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Any:
         self._check_doom(txn_id)
         record = self._item(item)
         chosen = record.select(ts)
@@ -115,7 +112,6 @@ class MultiversionTimestampController(TimestampController):
                 f"MVTO prewrite invalidates read: rts={chosen.rts:.4f} > ts={ts:.4f} on {item!r}"
             )
         return self._pend(txn_id, ts, item, value, record)
-        yield  # pragma: no cover - generator marker
 
     # -- termination -------------------------------------------------------------
     def commit(self, txn_id: int, versions: dict[str, int]) -> None:

@@ -28,7 +28,7 @@ meant to show.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator
+from typing import Any
 
 from repro.protocols.ccp.workspace import WorkspaceController
 from repro.site.storage import LocalStore
@@ -61,7 +61,7 @@ class OptimisticController(WorkspaceController):
         return footprint
 
     # -- operations (never wait, never reject) --------------------------------
-    def read(self, txn_id: int, ts: float, item: str) -> Generator:
+    def read(self, txn_id: int, ts: float, item: str) -> tuple[Any, int]:
         self._check_doom(txn_id)
         written, value = self._buffered_value(txn_id, item)
         if written:
@@ -69,15 +69,13 @@ class OptimisticController(WorkspaceController):
         value, version = self.store.read(item)
         self._footprint(txn_id).reads[item] = version
         return value, version
-        yield  # pragma: no cover - generator marker
 
-    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
+    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> int:
         self._check_doom(txn_id)
         self._buffer(txn_id, item, value)
         version = self.store.version(item)
         self._footprint(txn_id).writes[item] = version
         return version
-        yield  # pragma: no cover - generator marker
 
     # -- validation (the OCC moment) --------------------------------------------
     def validate(self, txn_id: int) -> tuple[bool, str]:

@@ -22,7 +22,7 @@ the site normally resolves those first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from repro.errors import ConcurrencyAbort
 from repro.protocols.ccp.workspace import TimestampController
@@ -59,25 +59,20 @@ class TimestampOrderingController(TimestampController):
         return _TsoItem()
 
     # -- operations -----------------------------------------------------------
-    def read(self, txn_id: int, ts: float, item: str) -> Generator:
-        self._check_doom(txn_id)
-        record = self._item(item)
-        while True:
-            written, value = self._buffered_value(txn_id, item)
-            if written:
-                return value, self.store.version(item)
-            if ts < record.write_ts:
-                raise ConcurrencyAbort(
-                    f"TSO read too late: ts={ts:.4f} < write_ts={record.write_ts:.4f} on {item!r}"
-                )
-            if record.min_pending_below(ts) is not None:
-                yield self._wait(record)
-                self._check_doom(txn_id)
-                continue
-            record.read_ts = max(record.read_ts, ts)
-            return self.store.read(item)
+    def _read_at(self, txn_id: int, ts: float, item: str, record: _TsoItem) -> Any:
+        written, value = self._buffered_value(txn_id, item)
+        if written:
+            return value, self.store.version(item)
+        if ts < record.write_ts:
+            raise ConcurrencyAbort(
+                f"TSO read too late: ts={ts:.4f} < write_ts={record.write_ts:.4f} on {item!r}"
+            )
+        if record.min_pending_below(ts) is not None:
+            return self._wait(record, self._reread, txn_id, ts, item, record)
+        record.read_ts = max(record.read_ts, ts)
+        return self.store.read(item)
 
-    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
+    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Any:
         self._check_doom(txn_id)
         record = self._item(item)
         if ts < record.read_ts or ts < record.write_ts:
@@ -86,7 +81,6 @@ class TimestampOrderingController(TimestampController):
                 f"write_ts={record.write_ts:.4f} on {item!r}"
             )
         return self._pend(txn_id, ts, item, value, record)
-        yield  # pragma: no cover - makes this a generator like its siblings
 
     # -- termination -----------------------------------------------------------
     def commit(self, txn_id: int, versions: dict[str, int]) -> None:

@@ -9,8 +9,10 @@ and is configurable (detection, timeout, wait-die, wound-wait).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from functools import partial
+from typing import Any, Optional
 
+from repro.protocols.base import wait_for
 from repro.protocols.ccp.workspace import WorkspaceController
 from repro.site.locks import LockManager, LockMode
 from repro.site.storage import LocalStore
@@ -41,18 +43,28 @@ class TwoPhaseLockingController(WorkspaceController):
             on_wound=self.doom,
         )
 
-    def read(self, txn_id: int, ts: float, item: str) -> Generator:
+    def read(self, txn_id: int, ts: float, item: str) -> Any:
         self._check_doom(txn_id)
-        yield self.locks.acquire(txn_id, ts, item, LockMode.S)
+        wait = self.locks.acquire(txn_id, ts, item, LockMode.S)
+        if wait is not None:
+            return wait_for(wait, partial(self._read_locked, txn_id, item))
+        return self._read_locked(txn_id, item)
+
+    def _read_locked(self, txn_id: int, item: str) -> tuple[Any, int]:
         self._check_doom(txn_id)  # wounded while waiting
         written, value = self._buffered_value(txn_id, item)
         if written:
             return value, self.store.version(item)
         return self.store.read(item)
 
-    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Generator:
+    def prewrite(self, txn_id: int, ts: float, item: str, value: Any) -> Any:
         self._check_doom(txn_id)
-        yield self.locks.acquire(txn_id, ts, item, LockMode.X)
+        wait = self.locks.acquire(txn_id, ts, item, LockMode.X)
+        if wait is not None:
+            return wait_for(wait, partial(self._prewrite_locked, txn_id, item, value))
+        return self._prewrite_locked(txn_id, item, value)
+
+    def _prewrite_locked(self, txn_id: int, item: str, value: Any) -> int:
         self._check_doom(txn_id)
         self._buffer(txn_id, item, value)
         return self.store.version(item)

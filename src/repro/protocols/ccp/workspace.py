@@ -12,11 +12,12 @@ abort, recovery and crash paths over them.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.errors import ConcurrencyAbort
-from repro.protocols.base import ConcurrencyController
-from repro.sim.kernel import Event, Simulator
+from repro.protocols.base import ConcurrencyController, Wait, wait_for
+from repro.sim.kernel import Simulator
 from repro.site.storage import LocalStore
 
 __all__ = ["WorkspaceController", "TimestampController"]
@@ -64,8 +65,11 @@ class WorkspaceController(ConcurrencyController):
             raise ConcurrencyAbort(f"txn{txn_id} doomed at site {self.store.site_name}")
 
     # -- reader waits (TSO, MVTO) -------------------------------------------------
-    def _wait(self, record) -> Event:
-        """Park a reader on ``record.waiters`` until :meth:`_wake` or the timeout."""
+    def _wait(self, record, then: Callable[..., Any], *args: Any) -> Wait:
+        """Park a reader on ``record.waiters``; ``then(*args)`` continues it.
+
+        The wait ends at :meth:`_wake` or, failed, at the timeout.
+        """
         event = self.sim.event(name=f"{self.name.lower()}-wait")
         timer = None
         if self.wait_timeout is not None:
@@ -75,7 +79,7 @@ class WorkspaceController(ConcurrencyController):
 
             timer = self.sim.defer(self.wait_timeout, _expire)
         record.waiters.append((event, timer))
-        return event
+        return wait_for(event, partial(then, *args))
 
     def _wake(self, record, failure: Optional[str] = None) -> None:
         """Resume every reader parked on ``record`` (or fail it with ``failure``)."""
@@ -141,6 +145,18 @@ class TimestampController(WorkspaceController):
             record = self._new_record(item)
             self._items[item] = record
         return record
+
+    def read(self, txn_id: int, ts: float, item: str) -> Any:
+        self._check_doom(txn_id)
+        return self._read_at(txn_id, ts, item, self._item(item))
+
+    def _read_at(self, txn_id: int, ts: float, item: str, record) -> Any:
+        """One try at reading ``record``: the answer, or a reader :meth:`_wait`."""
+        raise NotImplementedError
+
+    def _reread(self, txn_id: int, ts: float, item: str, record) -> Any:
+        self._check_doom(txn_id)  # doomed while it waited
+        return self._read_at(txn_id, ts, item, record)
 
     def _pend(self, txn_id: int, ts: float, item: str, value: Any, record) -> float:
         """Accept a pre-write: buffer it, mark it pending; returns the current version."""

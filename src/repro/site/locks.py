@@ -57,8 +57,8 @@ class _Request:
     txn_id: int
     ts: float
     mode: str
-    event: Event
     upgrade: bool = False
+    event: Event = None  # set with enqueued_at when the request queues
     enqueued_at: float = 0.0
     expiry: object = None  # the wait-timeout timer, cancelled on leaving the queue
 
@@ -120,11 +120,13 @@ class LockManager:
         self._waiting: dict[_ItemLock, None] = {}
 
     # -- public API -----------------------------------------------------------
-    def acquire(self, txn_id: int, ts: float, item: str, mode: str) -> Event:
-        """Request a lock; the returned event fires when granted.
+    def acquire(self, txn_id: int, ts: float, item: str, mode: str) -> Optional[Event]:
+        """Request a lock: None if granted now, else the event to wait on.
 
-        The event fails with :class:`ConcurrencyAbort` if the transaction
-        becomes a deadlock victim, dies under wait-die, or times out.
+        The event fires when the lock is granted.  It fails with
+        :class:`ConcurrencyAbort` if the transaction becomes a deadlock
+        victim, dies under wait-die, or times out; a request that dies or
+        is chosen as victim on arrival gets an event that has failed already.
         """
         if mode not in (LockMode.S, LockMode.X):
             raise ProtocolError(f"unknown lock mode {mode!r}")
@@ -132,33 +134,26 @@ class LockManager:
         entry = self._table.get(item)
         if entry is None:
             entry = self._table[item] = _ItemLock(item, len(self._table))
-        event = self.sim.event(name="lock")
 
         held = entry.holders.get(txn_id)
         if held is not None:
             if held == LockMode.X or held == mode:
                 self.stats.acquired += 1
-                event.succeed((item, held))
-                return event
+                return None
             # S -> X upgrade
             if len(entry.holders) == 1:
                 entry.holders[txn_id] = LockMode.X
                 self.stats.acquired += 1
-                event.succeed((item, LockMode.X))
-                return event
-            request = _Request(txn_id, ts, LockMode.X, event, upgrade=True,
-                               enqueued_at=self.sim.now)
-            return self._block(entry, item, request)
+                return None
+            return self._block(entry, item, _Request(txn_id, ts, LockMode.X, upgrade=True))
 
         if self._grantable(entry, txn_id, mode):
             entry.holders[txn_id] = mode
             self._index(txn_id, entry)
             self.stats.acquired += 1
-            event.succeed((item, mode))
-            return event
+            return None
 
-        request = _Request(txn_id, ts, mode, event, enqueued_at=self.sim.now)
-        return self._block(entry, item, request)
+        return self._block(entry, item, _Request(txn_id, ts, mode))
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock and cancel every queued request of ``txn_id``."""
@@ -307,6 +302,8 @@ class LockManager:
         return True
 
     def _block(self, entry: _ItemLock, item: str, request: _Request) -> Event:
+        request.event = self.sim.event(name="lock")
+        request.enqueued_at = self.sim.now
         blockers = self._blockers_of(entry, request)
 
         if self.strategy == "wait_die":
@@ -406,7 +403,7 @@ class LockManager:
         self.stats.acquired += 1
         self.stats.total_wait_time += self.sim.now - request.enqueued_at
         if not request.event.triggered:
-            request.event.succeed((None, request.mode))
+            request.event.succeed()
 
     # -- deadlock machinery ----------------------------------------------------------
     def _wait_for_graph(self) -> dict[int, set[int]]:

@@ -6,13 +6,12 @@ capability to concurrently process multiple transactions."
 
 A :class:`Site` owns:
 
-* a network endpoint whose served mailbox answers commit-protocol and
-  control messages inline and spawns one handler process per data
-  access request, the only requests that can wait on the CCP (the paper's
-  "one thread per transaction" model — here one process per access plus
-  one per home transaction).  READ, PREWRITE and BATCH_ACCESS share one
-  path: a plain request is one access here, a batch is one access per
-  co-located target, each run by ``_run_access``;
+* a network endpoint whose served mailbox handles every message inline.
+  A data access (READ, PREWRITE, BATCH_ACCESS: a plain request is one
+  access here, a batch one per co-located target) is a plain CCP call;
+  one that must wait continues from a callback on the event it waits on,
+  so the paper's "one thread per transaction" is one process per *home*
+  transaction and none per access;
 * the committed :class:`~repro.site.storage.LocalStore` and durable
   :class:`~repro.site.wal.WriteAheadLog` (the simulated disk);
 * a pluggable concurrency controller (2PL / TSO / MVTO) guarding the local
@@ -36,6 +35,7 @@ records each completed operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import ConcurrencyAbort, NetworkError, RpcTimeout
@@ -44,14 +44,12 @@ from repro.site.deadlock import ProbeTypes as _ProbeTypesModule
 
 from repro.net.network import Network
 from repro.obs.spans import Span
-from repro.protocols.base import make_ccp
+from repro.protocols.base import Wait, follow, make_ccp
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
 from repro.sim.kernel import Process, Simulator
 
 _PROBE_TYPES = _ProbeTypesModule.ALL
-#: The requests that may wait on the CCP; each runs as its own process.
-_ACCESS_TYPES = frozenset({MessageType.READ, MessageType.PREWRITE, MessageType.BATCH_ACCESS})
 
 __all__ = ["Site", "SiteStats", "PreparedState"]
 
@@ -294,9 +292,9 @@ class Site:
     def _dispatch(self, msg: Message) -> None:
         """Handle one incoming message (the endpoint's served mailbox).
 
-        Only an access can wait on the CCP (a lock queue, a TSO wait), so
-        only READ, PREWRITE and BATCH_ACCESS run as their own process;
-        every other type is answered inline.
+        Every message is handled inline, in the event that delivers it.
+        Only an access (READ, PREWRITE, BATCH_ACCESS) can wait on the CCP,
+        and its reply then leaves from a callback on the event it waits on.
         """
         self.stats.messages_handled += 1
         if msg.reply_to is not None:
@@ -306,8 +304,8 @@ class Site:
             return
         payload = msg.payload or {}
         mtype = msg.mtype
-        if mtype in _ACCESS_TYPES:
-            self._spawn(self._handle_access(msg, payload), name=f"site:{self.name}:{mtype}")
+        if mtype in (MessageType.READ, MessageType.PREWRITE, MessageType.BATCH_ACCESS):
+            self._handle_access(msg, payload)
         elif mtype == MessageType.VOTE_REQ:
             self._handle_vote_req(msg, payload)
         elif mtype == MessageType.PRECOMMIT:
@@ -331,97 +329,96 @@ class Site:
         else:
             self.endpoint.reply(msg, MessageType.ACK, {"ok": False, "reason": "bad type"})
 
-    def _handle_access(self, msg: Message, payload: dict):
+    def _handle_access(self, msg: Message, payload: dict) -> None:
         """Serve a READ, PREWRITE or BATCH_ACCESS request.
 
-        A plain request is one access at this site, answered with its entry.
-        A BATCH_ACCESS names several sites on this host: this site is the
-        gateway, each access runs as its own process (a lock wait at one
-        sibling must not serialize the others), and the single reply
-        carries one entry per requested site.
+        A plain request is one access at this site; a BATCH_ACCESS names
+        several sites on this host, and this site, the gateway, makes one
+        access at each.  The reply has one entry per access: ``ok`` with the
+        value and/or version, plus the folded vote when the request carried
+        a piggybacked prepare; or not ``ok`` with a ``reason``, marked
+        ``kind="net"`` when the target could not be reached.  An access that
+        must wait settles from a callback on its event, without holding up
+        the others.  The reply leaves when the last access settles: at once,
+        or, for a batch whose last access waited, two zero-delay steps
+        later.  A site that crashed meanwhile sends nothing, even if it has
+        recovered since.
         """
-        write = msg.mtype == MessageType.PREWRITE or payload.get("kind") == "W"
-        if msg.mtype != MessageType.BATCH_ACCESS:
-            entry = yield from self._run_access(
-                self.name, msg, payload, write, payload.get("prepare")
-            )
-            reply_type = MessageType.PREWRITE_REPLY if write else MessageType.READ_REPLY
-            self.endpoint.reply(msg, reply_type, entry)
-            return
-        sites = payload.get("sites") or []
-        prepares = payload.get("prepare") or {}
-        procs = [
-            self._spawn(
-                self._run_access(target, msg, payload, write, prepares.get(target)),
-                name=f"site:{self.name}:batch:{target}",
-            )
-            for target in sites
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
-        results = [{"site": target, **process.value} for target, process in zip(sites, procs)]
-        self.endpoint.reply(
-            msg,
-            MessageType.BATCH_REPLY,
-            {"results": results},
-            size=max(1, len(results)),
-        )
-
-    def _run_access(
-        self, target_name: str, msg: Message, payload: dict, write: bool, prepare: Optional[dict]
-    ):
-        """One requested access at this site or a same-host sibling.
-
-        Returns the reply entry (generator): ``ok`` with the value and/or
-        version read, plus the folded vote when the request carried a
-        piggybacked prepare; or not ``ok`` with a ``reason``.  A failure
-        marked ``kind="net"`` means the target could not be reached; an
-        unmarked failure is a CCP rejection.
-        """
-        target = self if target_name == self.name else self.colocated.get(target_name)
-        if target is None or not target.up:
-            return {
-                "ok": False,
-                "kind": "net",
-                "reason": f"{target_name} unavailable at gateway {self.name}",
-            }
         txn, ts, item = payload["txn"], payload["ts"], payload["item"]
-        home = payload.get("home")
-        if home is not None:
-            target._txn_home[txn] = home
-        try:
-            if write:
-                version = yield from target.local_prewrite(
-                    txn, ts, item, payload.get("value"), span=msg.span
-                )
-                entry = {"ok": True, "version": version}
-            else:
-                value, version = yield from target.local_read(txn, ts, item, span=msg.span)
-                entry = {"ok": True, "value": value, "version": version}
-        except ConcurrencyAbort as abort:
-            if not target.up:
-                # A sibling crashed mid-wait (its lock table was cleared):
-                # like an unanswered request, the copy was unreachable.
-                return {"ok": False, "kind": "net", "reason": str(abort)}
-            return {"ok": False, "reason": str(abort)}
-        if prepare is not None:
-            # The last-agent optimization: the coordinator attached the
-            # VOTE_REQ payload to the transaction's final access, so this
-            # reply doubles as the participant's vote and the explicit round
-            # is skipped.  A failed access aborts the transaction before any
-            # vote matters, so only a successful one prepares.
-            vote, reason = target.local_prepare(
-                txn,
-                prepare.get("versions", {}),
-                prepare.get("coordinator"),
-                ts,
-                acp=prepare.get("acp", "2PC"),
-                peers=prepare.get("peers", []),
-                span=msg.span,
+        write = msg.mtype == MessageType.PREWRITE or payload.get("kind") == "W"
+        batch = msg.mtype == MessageType.BATCH_ACCESS
+        sites = (payload.get("sites") or []) if batch else [self.name]
+        prepares = (payload.get("prepare") or {}) if batch else {self.name: payload.get("prepare")}
+        crashes = self.stats.crashes
+        entries: dict[str, dict] = {}
+
+        def reply() -> None:
+            if self.stats.crashes != crashes:
+                return
+            if not batch:
+                reply_type = MessageType.PREWRITE_REPLY if write else MessageType.READ_REPLY
+                self.endpoint.reply(msg, reply_type, entries[self.name])
+                return
+            results = [{"site": name, **entries[name]} for name in sites]
+            self.endpoint.reply(
+                msg, MessageType.BATCH_REPLY, {"results": results}, size=max(1, len(results))
             )
-            entry["vote"] = vote
-            entry["vote_reason"] = reason
-        return entry
+
+        def settle(name: str, entry: dict, waited: bool) -> None:
+            entries[name] = entry
+            if len(entries) < len(sites):
+                return
+            if batch and waited:
+                self.sim.defer(0, lambda: self.sim.defer(0, reply))
+            else:
+                reply()
+
+        def accessed(name: str, target: "Site", outcome: Any, waited: bool) -> None:
+            if self.stats.crashes != crashes:
+                return  # no one is left to answer: prepare nothing either
+            if isinstance(outcome, ConcurrencyAbort):
+                entry = {"ok": False, "reason": str(outcome)}
+                if not target.up:
+                    # A sibling crashed mid-wait (its lock table was cleared):
+                    # like an unanswered request, the copy was unreachable.
+                    entry = {"ok": False, "kind": "net", "reason": str(outcome)}
+            elif write:
+                entry = {"ok": True, "version": outcome}
+            else:
+                entry = {"ok": True, "value": outcome[0], "version": outcome[1]}
+            prepare = prepares.get(name)
+            if prepare is not None and entry["ok"]:
+                # The last-agent optimization: the coordinator attached the
+                # VOTE_REQ payload to the transaction's final access, so this
+                # reply doubles as the participant's vote and the explicit
+                # round is skipped.  A failed access aborts the transaction
+                # before any vote matters, so only a successful one prepares.
+                vote, reason = target.local_prepare(
+                    txn,
+                    prepare.get("versions", {}),
+                    prepare.get("coordinator"),
+                    ts,
+                    acp=prepare.get("acp", "2PC"),
+                    peers=prepare.get("peers", []),
+                    span=msg.span,
+                )
+                entry["vote"] = vote
+                entry["vote_reason"] = reason
+            settle(name, entry, waited)
+
+        for name in sites:
+            target = self if name == self.name else self.colocated.get(name)
+            if target is None or not target.up:
+                reason = f"{name} unavailable at gateway {self.name}"
+                settle(name, {"ok": False, "kind": "net", "reason": reason}, False)
+                continue
+            if payload.get("home") is not None:
+                target._txn_home[txn] = payload["home"]
+            if write:
+                call = partial(target.local_prewrite, txn, ts, item, payload.get("value"), msg.span)
+            else:
+                call = partial(target.local_read, txn, ts, item, msg.span)
+            follow(call, partial(accessed, name, target))
 
     def _handle_vote_req(self, msg: Message, payload: dict) -> None:
         vote, reason = self.local_prepare(
@@ -465,53 +462,71 @@ class Site:
         self.spawn_home_transaction(_run_and_report(), name=f"txn@{self.name}")
 
     # ------------------------------------------------------------------ local ops
-    def local_read(self, txn: int, ts: float, item: str, span: Optional[Span] = None):
-        """CCP-mediated read of the local copy (generator).
+    def local_read(self, txn: int, ts: float, item: str, span: Optional[Span] = None) -> Any:
+        """CCP-mediated read of the local copy.
 
-        ``span`` is the caller's trace context: the span this operation
-        nests under when tracing is on.
+        Returns ``(value, version)``, raises :class:`ConcurrencyAbort`, or
+        returns a :class:`~repro.protocols.base.Wait` whose ``resume()``
+        gives one of these outcomes once its event has fired.  ``span`` is
+        the caller's trace context: the span this operation nests under
+        when tracing is on.
         """
-        self._touch(txn)
         self.stats.reads_served += 1
-        try:
-            if self.tracer is None:
-                value, version = yield from self.cc.read(txn, ts, item)
-            else:
-                opened = self.tracer.begin(txn, self.name, "ccp.read", parent=span, item=item)
-                try:
-                    value, version = yield from self.cc.read(txn, ts, item)
-                finally:
-                    self.tracer.finish(opened)
-        except ConcurrencyAbort:
-            self._forget_if_idle(txn)
-            raise
-        if self.history is not None:
-            self.history.record("read", self.name, txn, item=item, value=value, version=version)
-        return value, version
+        return self._local("read", txn, item, None, span, partial(self.cc.read, txn, ts, item))
 
     def local_prewrite(
         self, txn: int, ts: float, item: str, value: Any, span: Optional[Span] = None
-    ):
-        """CCP-mediated pre-write of the local copy (generator)."""
-        self._touch(txn)
+    ) -> Any:
+        """CCP-mediated pre-write of the local copy; the current version.
+
+        Its outcomes are those of :meth:`local_read`.
+        """
         self.stats.prewrites_served += 1
+        return self._local(
+            "prewrite", txn, item, value, span, partial(self.cc.prewrite, txn, ts, item, value)
+        )
+
+    def _local(self, op: str, txn: int, item: str, value: Any, span, call) -> Any:
+        self._touch(txn)
+        opened = None
+        if self.tracer is not None:
+            opened = self.tracer.begin(txn, self.name, f"ccp.{op}", parent=span, item=item)
+        return self._settle(call, self.stats.crashes, opened, op, txn, item, value)
+
+    def _settle(self, step, crashes: int, opened, op: str, txn: int, item: str, value) -> Any:
+        """Take one step of a local access; end it with the one epilogue.
+
+        An answer and a rejection share the epilogue: the ``ccp.*`` span
+        closes, then the operation goes into the history (an answer) or a
+        transaction left holding nothing here is forgotten (a rejection).
+        A :class:`Wait` is handed on with this method as its continuation.
+        An access whose site crashed while it waited ends rejected, and only
+        its span closes: the crash dropped the state it held.
+        """
         try:
-            if self.tracer is None:
-                version = yield from self.cc.prewrite(txn, ts, item, value)
-            else:
-                opened = self.tracer.begin(txn, self.name, "ccp.prewrite", parent=span, item=item)
-                try:
-                    version = yield from self.cc.prewrite(txn, ts, item, value)
-                finally:
-                    self.tracer.finish(opened)
+            if self.stats.crashes != crashes:
+                raise ConcurrencyAbort(f"site {self.name} crashed while txn{txn} waited")
+            outcome = step()
         except ConcurrencyAbort:
-            self._forget_if_idle(txn)
+            if opened is not None:
+                self.tracer.finish(opened)
+            if self.stats.crashes == crashes:
+                self._forget_if_idle(txn)
             raise
-        if self.history is not None:
-            self.history.record(
-                "prewrite", self.name, txn, item=item, value=value, version=version
+        if isinstance(outcome, Wait):
+            return Wait(
+                outcome.event,
+                partial(self._settle, outcome.resume, crashes, opened, op, txn, item, value),
             )
-        return version
+        if opened is not None:
+            self.tracer.finish(opened)
+        if self.history is not None:
+            if op == "read":
+                value, version = outcome
+            else:
+                version = outcome
+            self.history.record(op, self.name, txn, item=item, value=value, version=version)
+        return outcome
 
     def local_prepare(
         self,

@@ -20,12 +20,14 @@ timeout), SYSTEM (the home site crashed mid-flight).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import (
     CommitAbort,
+    ConcurrencyAbort,
     NetworkError,
     RpcTimeout,
     TransactionAborted,
@@ -33,7 +35,7 @@ from repro.errors import (
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
 from repro.obs.spans import Span
-from repro.protocols.base import make_acp, make_rcp
+from repro.protocols.base import Wait, follow, make_acp, make_rcp
 from repro.sim.kernel import Countdown, Interrupt
 from repro.site.site import Site
 from repro.txn.transaction import OpKind, Transaction, TxnStatus
@@ -231,29 +233,33 @@ class TxnContext:
     def _access_many(self, sites: list[str], item: str, write: bool, value: Any = None):
         """Run every group of the plan concurrently; results in ``sites`` order.
 
-        Only the home copy runs as a process (its CCP call can block).  The
-        remote requests all leave from one zero-delay callback scheduled
-        right after that process, not inline: work already queued for this
-        instant (lock grants, replies) runs first, so its network random
-        draws keep their place ahead of this wave's.  Each reply is
-        classified by a callback on its RPC event, which then counts down
-        the wave's join.  A one-copy wave is one plain access.
+        No group runs as a process.  The home access and then the remote
+        requests start from zero-delay callbacks, not inline: work already
+        queued for this instant (lock grants, replies) runs first, so its
+        network random draws keep their place ahead of this wave's.  Each
+        outcome, classified by a callback, counts down the wave's join.  A
+        home access that had to wait counts down one zero-delay step after
+        it settles; one whose lock was granted at once is classified one
+        step late, as in :meth:`_access_home`.  A one-copy wave is one plain
+        access.
         """
         if len(sites) == 1:
             return [(yield from self._access_one(sites[0], item, write, value))]
         groups = self._plan(sites)
         join = Countdown(self.sim, len(groups))
         results: dict[str, AccessResult] = {}
-        home_access = None
-        remote = []
-        for group in groups:
-            if group == [self.home.name]:
-                home_access = self.sim.process(
-                    self._access_home(item, write, value), name="access"
-                )
-                home_access.add_callback(join.tick)
+        remote = [group for group in groups if group != [self.home.name]]
+
+        def home_settled(outcome: Any, waited: bool) -> None:
+            if not waited and self.home.cc.lock_based:
+                # A lock granted at once costs one step, as in _access_home.
+                self.sim.defer(0, lambda: home_settled(outcome, True))
+                return
+            results[self.home.name] = self._home_result(outcome, write)
+            if waited:
+                self.sim.defer(0, join.tick)
             else:
-                remote.append(group)
+                join.tick()
 
         def launch() -> None:
             for group in remote:
@@ -265,13 +271,12 @@ class TxnContext:
                 results[access.site] = access
             join.tick()
 
+        home_call = partial(self._home_call, item, write, value)
+        if len(remote) < len(groups):
+            self.sim.defer(0, lambda: follow(home_call, home_settled))
         if remote:
             self.sim.defer(0, launch)
         yield join
-        if home_access is not None:
-            if not home_access.ok:
-                raise home_access.value
-            results[self.home.name] = home_access.value
         return [results[site] for site in sites]
 
     def _plan(self, sites: list[str]) -> list[list[str]]:
@@ -355,22 +360,51 @@ class TxnContext:
         return [self._access_result(site, entries.get(site)) for site in group]
 
     def _access_home(self, item: str, write: bool, value: Any):
-        """Access the home copy by a direct local call (no message)."""
-        site = self.home.name
-        txn_id, ts, span = self.txn.txn_id, self.txn.ts, self.trace_context()
-        self._block_enter(site)
+        """Access the home copy alone, waiting on its events (generator).
+
+        A lock granted at once still costs one zero-delay step, so work
+        already queued for this instant runs before the transaction's next
+        request, as it does after a lock wait.
+        """
         try:
-            if write:
-                version = yield from self.home.local_prewrite(txn_id, ts, item, value, span=span)
-                value = None
-            else:
-                value, version = yield from self.home.local_read(txn_id, ts, item, span=span)
-        except TransactionAborted as abort:
-            return AccessResult(False, site, kind="ccp", reason=str(abort))
-        finally:
-            self._block_exit(site)
+            outcome = self._home_call(item, write, value)
+            if not isinstance(outcome, Wait) and self.home.cc.lock_based:
+                yield self.sim.timeout(0)
+            while isinstance(outcome, Wait):
+                try:
+                    yield outcome.event
+                except ConcurrencyAbort:
+                    pass  # resume() raises it after the site's epilogue
+                except Interrupt:
+                    with suppress(ConcurrencyAbort):
+                        outcome.resume()  # the crashed site closes the span
+                    raise
+                outcome = outcome.resume()
+        except ConcurrencyAbort as abort:
+            outcome = abort
+        return self._home_result(outcome, write)
+
+    def _home_call(self, item: str, write: bool, value: Any) -> Any:
+        """Start a home-copy access: a direct local call, no message.
+
+        The home site counts as blocked until :meth:`_home_result`.
+        """
+        self._block_enter(self.home.name)
+        txn_id, ts, span = self.txn.txn_id, self.txn.ts, self.trace_context()
+        if write:
+            return self.home.local_prewrite(txn_id, ts, item, value, span)
+        return self.home.local_read(txn_id, ts, item, span)
+
+    def _home_result(self, outcome: Any, write: bool) -> AccessResult:
+        """Classify the answer or ConcurrencyAbort of a home-copy access."""
+        site = self.home.name
+        self._block_exit(site)
+        if isinstance(outcome, ConcurrencyAbort):
+            return AccessResult(False, site, kind="ccp", reason=str(outcome))
         self._register(site)
-        return AccessResult(True, site, value=value, version=version)
+        if write:
+            return AccessResult(True, site, version=outcome)
+        return AccessResult(True, site, value=outcome[0], version=outcome[1])
 
     def _access_result(self, site: str, entry: Optional[dict]) -> AccessResult:
         """Classify one reply entry (a plain reply or one batch entry).

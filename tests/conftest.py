@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.config import RainbowConfig
 from repro.core.instance import RainbowInstance
+from repro.errors import ConcurrencyAbort
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
+from repro.protocols.base import Wait
 from repro.sim.kernel import Simulator
 
 
@@ -25,6 +27,28 @@ def drive(sim: Simulator, generator, name: str = "test"):
     """Run ``generator`` as a process to completion; return its value."""
     process = sim.process(generator, name=name)
     return sim.run(until=process)
+
+
+def follow_waits(outcome):
+    """Drive an access outcome inside a process (generator).
+
+    ``outcome`` is what a CCP ``read``/``prewrite`` or a site's
+    ``local_read``/``local_prewrite`` returned: each
+    :class:`~repro.protocols.base.Wait` is waited on and resumed until the
+    answer comes back (returned) or the access is rejected (raised).
+    """
+    while isinstance(outcome, Wait):
+        try:
+            yield outcome.event
+        except ConcurrencyAbort:
+            pass  # resume() raises it
+        outcome = outcome.resume()
+    return outcome
+
+
+def settle(sim: Simulator, outcome):
+    """Run the kernel through an access outcome's waits; return its answer."""
+    return drive(sim, follow_waits(outcome))
 
 
 def quick_instance(

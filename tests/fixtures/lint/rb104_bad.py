@@ -11,9 +11,8 @@ class HalfCcp(ConcurrencyController):  # noqa: F821 - fixture, never imported
 
     name = "HALF"
 
-    def read(self, txn_id, ts, item) -> Generator:
-        value = yield None
-        return value
+    def read(self, txn_id, ts, item):
+        return self.store.read(item)
 
 
 class SilentAcp(CommitProtocol):  # noqa: F821 - fixture, never imported

@@ -5,8 +5,6 @@ bookkeeping half, the registered leaf provides the ordering half, and only
 the leaf is judged for completeness.
 """
 
-from typing import Generator
-
 
 class FixtureBase(ConcurrencyController):  # noqa: F821 - fixture, never imported
     """Intermediate base (like WorkspaceController): judged at its leaves."""
@@ -36,13 +34,11 @@ class FixtureBase(ConcurrencyController):  # noqa: F821 - fixture, never importe
 class FullCcp(FixtureBase):
     name = "FULL"
 
-    def read(self, txn_id, ts, item) -> Generator:
-        value = yield None
-        return value
+    def read(self, txn_id, ts, item):
+        return self.store.read(item)
 
-    def prewrite(self, txn_id, ts, item, value) -> Generator:
-        version = yield None
-        return version
+    def prewrite(self, txn_id, ts, item, value):
+        return self.store.version(item)
 
 
 class PlainHelper:

@@ -8,7 +8,7 @@ from repro.protocols.ccp.multiversion import MultiversionTimestampController
 from repro.protocols.ccp.timestamp_ordering import TimestampOrderingController
 from repro.protocols.ccp.two_phase_locking import TwoPhaseLockingController
 from repro.site.storage import LocalStore
-from tests.conftest import drive
+from tests.conftest import drive, follow_waits, settle
 
 
 @pytest.fixture
@@ -19,9 +19,9 @@ def store():
     return store
 
 
-def run_op(sim, generator):
-    """Drive a controller generator op; returns its value or raises."""
-    return drive(sim, generator)
+def run_op(sim, outcome):
+    """Settle a controller op's outcome; returns its answer or raises."""
+    return settle(sim, outcome)
 
 
 class TestRegistry:
@@ -88,7 +88,7 @@ class Test2PL:
         log = []
 
         def second():
-            yield from cc.prewrite(2, 2.0, "x", 2)
+            yield from follow_waits(cc.prewrite(2, 2.0, "x", 2))
             log.append(sim.now)
 
         process = sim.process(second())
@@ -100,17 +100,17 @@ class Test2PL:
         cc = TwoPhaseLockingController(sim, store, wait_timeout=None)
 
         def t1():
-            yield from cc.prewrite(1, 1.0, "x", 1)
+            yield from follow_waits(cc.prewrite(1, 1.0, "x", 1))
             yield sim.timeout(1)
-            yield from cc.prewrite(1, 1.0, "y", 1)
+            yield from follow_waits(cc.prewrite(1, 1.0, "y", 1))
             cc.commit(1, {})
             return "committed"
 
         def t2():
-            yield from cc.prewrite(2, 2.0, "y", 2)
+            yield from follow_waits(cc.prewrite(2, 2.0, "y", 2))
             yield sim.timeout(1)
             try:
-                yield from cc.prewrite(2, 2.0, "x", 2)
+                yield from follow_waits(cc.prewrite(2, 2.0, "x", 2))
             except ConcurrencyAbort:
                 cc.abort(2)
                 return "victim"
@@ -170,7 +170,7 @@ class TestTSO:
         results = []
 
         def reader():
-            value, _version = yield from cc.read(2, 8.0, "x")
+            value, _version = yield from follow_waits(cc.read(2, 8.0, "x"))
             results.append((value, sim.now))
 
         process = sim.process(reader())
@@ -190,7 +190,7 @@ class TestTSO:
         results = []
 
         def reader():
-            value, _version = yield from cc.read(2, 8.0, "x")
+            value, _version = yield from follow_waits(cc.read(2, 8.0, "x"))
             results.append(value)
 
         process = sim.process(reader())
@@ -210,7 +210,7 @@ class TestTSO:
 
         def reader():
             with pytest.raises(ConcurrencyAbort):
-                yield from cc.read(2, 8.0, "x")
+                yield from follow_waits(cc.read(2, 8.0, "x"))
             return sim.now
 
         assert drive(sim, reader()) == 10.0
@@ -230,7 +230,7 @@ class TestTSO:
 
         def t1_reads_y():
             # ts=1 reads y: pending prewrite has ts=2 > 1, no wait.
-            value, _v = yield from cc.read(1, 1.0, "y")
+            value, _v = yield from follow_waits(cc.read(1, 1.0, "y"))
             return value
 
         assert drive(sim, t1_reads_y()) == 0
@@ -242,7 +242,7 @@ class TestTSO:
         waited = []
 
         def reader():
-            value, _v = yield from cc.read(4, 8.0, "x")
+            value, _v = yield from follow_waits(cc.read(4, 8.0, "x"))
             waited.append((value, sim.now))
 
         process = sim.process(reader())
@@ -288,7 +288,7 @@ class TestMVTO:
         seen = []
 
         def reader():
-            value, _v = yield from cc.read(2, 8.0, "x")
+            value, _v = yield from follow_waits(cc.read(2, 8.0, "x"))
             seen.append((value, sim.now))
 
         process = sim.process(reader())
@@ -347,7 +347,7 @@ class TestTimestampWaitTimers:
         seen = []
 
         def reader():
-            value, _v = yield from cc.read(2, 8.0, "x")
+            value, _v = yield from follow_waits(cc.read(2, 8.0, "x"))
             seen.append(value)
 
         sim.process(reader())
@@ -363,7 +363,7 @@ class TestTimestampWaitTimers:
 
         def reader():
             try:
-                yield from cc.read(2, 8.0, "x")
+                yield from follow_waits(cc.read(2, 8.0, "x"))
             except ConcurrencyAbort as error:
                 failures.append(error.detail)
 

@@ -6,7 +6,7 @@ from repro.protocols.base import ccp_registry, make_ccp
 from repro.protocols.ccp.optimistic import OptimisticController
 from repro.site.storage import LocalStore
 from repro.txn.transaction import Operation, Transaction
-from tests.conftest import drive, quick_instance
+from tests.conftest import quick_instance, settle
 
 
 @pytest.fixture
@@ -22,24 +22,24 @@ class TestLocalBehaviour:
         assert "OCC" in ccp_registry()
 
     def test_reads_never_block(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
         # A second transaction reads straight through the pending write.
-        assert drive(sim, cc.read(2, 2.0, "x")) == (0, 0)
+        assert settle(sim, cc.read(2, 2.0, "x")) == (0, 0)
 
     def test_read_own_write(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
-        assert drive(sim, cc.read(1, 1.0, "x"))[0] == 5
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
+        assert settle(sim, cc.read(1, 1.0, "x"))[0] == 5
 
     def test_validation_passes_without_conflicts(self, sim, cc):
-        drive(sim, cc.read(1, 1.0, "x"))
-        drive(sim, cc.prewrite(1, 1.0, "y", 2))
+        settle(sim, cc.read(1, 1.0, "x"))
+        settle(sim, cc.prewrite(1, 1.0, "y", 2))
         ok, reason = cc.validate(1)
         assert ok, reason
 
     def test_validation_fails_if_read_version_moved(self, sim, cc):
-        drive(sim, cc.read(1, 1.0, "x"))
+        settle(sim, cc.read(1, 1.0, "x"))
         # Someone else commits an overwrite of x before T1 validates.
-        drive(sim, cc.prewrite(2, 2.0, "x", 9))
+        settle(sim, cc.prewrite(2, 2.0, "x", 9))
         assert cc.validate(2)[0]
         cc.commit(2, {"x": 1})
         ok, reason = cc.validate(1)
@@ -47,8 +47,8 @@ class TestLocalBehaviour:
         assert "x moved" in reason
 
     def test_validation_fails_if_write_base_moved(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
-        drive(sim, cc.prewrite(2, 2.0, "x", 9))
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
+        settle(sim, cc.prewrite(2, 2.0, "x", 9))
         assert cc.validate(2)[0]
         cc.commit(2, {"x": 1})
         ok, _reason = cc.validate(1)
@@ -56,50 +56,50 @@ class TestLocalBehaviour:
 
     def test_parallel_validation_blocks_overlap(self, sim, cc):
         """Two txns validating before either commits: the second loses."""
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
-        drive(sim, cc.prewrite(2, 2.0, "x", 9))
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
+        settle(sim, cc.prewrite(2, 2.0, "x", 9))
         assert cc.validate(1)[0]
         ok, reason = cc.validate(2)
         assert not ok
         assert "overlaps validated" in reason
 
     def test_read_overlap_with_validated_writer_fails(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
         assert cc.validate(1)[0]
-        drive(sim, cc.read(2, 2.0, "x"))
+        settle(sim, cc.read(2, 2.0, "x"))
         ok, _reason = cc.validate(2)
         assert not ok
 
     def test_write_overlap_with_validated_reader_fails(self, sim, cc):
         """Symmetric check: a writer yields to a validated reader."""
-        drive(sim, cc.read(1, 1.0, "x"))
+        settle(sim, cc.read(1, 1.0, "x"))
         assert cc.validate(1)[0]
-        drive(sim, cc.prewrite(2, 2.0, "x", 9))
+        settle(sim, cc.prewrite(2, 2.0, "x", 9))
         ok, reason = cc.validate(2)
         assert not ok
         assert reason == "overlaps validated txn1 on ['x']"
 
     def test_readers_of_one_item_validate_in_parallel(self, sim, cc):
-        drive(sim, cc.read(1, 1.0, "x"))
-        drive(sim, cc.read(2, 2.0, "x"))
+        settle(sim, cc.read(1, 1.0, "x"))
+        settle(sim, cc.read(2, 2.0, "x"))
         assert cc.validate(1)[0]
         assert cc.validate(2)[0]
 
     def test_abort_releases_validated_slot(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
         assert cc.validate(1)[0]
         cc.abort(1)
-        drive(sim, cc.prewrite(2, 2.0, "x", 9))
+        settle(sim, cc.prewrite(2, 2.0, "x", 9))
         assert cc.validate(2)[0]
 
     def test_disjoint_footprints_validate_in_parallel(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
-        drive(sim, cc.prewrite(2, 2.0, "y", 9))
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
+        settle(sim, cc.prewrite(2, 2.0, "y", 9))
         assert cc.validate(1)[0]
         assert cc.validate(2)[0]
 
     def test_clear_drops_everything(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 5))
+        settle(sim, cc.prewrite(1, 1.0, "x", 5))
         cc.validate(1)
         cc.clear()
         assert cc.active_transactions() == set()

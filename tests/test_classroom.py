@@ -14,7 +14,7 @@ from repro.classroom import (
 from repro.classroom.nocc import NoConcurrencyController
 from repro.protocols.base import ccp_registry, make_ccp
 from repro.site.storage import LocalStore
-from tests.conftest import drive
+from tests.conftest import settle
 
 
 class TestNoccRegistration:
@@ -36,25 +36,25 @@ class TestNoccBehaviour:
         return NoConcurrencyController(sim, store)
 
     def test_reads_never_block_or_reject(self, sim, cc):
-        assert drive(sim, cc.read(1, 1.0, "x")) == (0, 0)
-        drive(sim, cc.prewrite(2, 2.0, "x", 9))
+        assert settle(sim, cc.read(1, 1.0, "x")) == (0, 0)
+        settle(sim, cc.prewrite(2, 2.0, "x", 9))
         # A concurrent read sails through, oblivious to the pending write.
-        assert drive(sim, cc.read(3, 3.0, "x")) == (0, 0)
+        assert settle(sim, cc.read(3, 3.0, "x")) == (0, 0)
 
     def test_conflicting_prewrites_both_accepted(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 1))
-        drive(sim, cc.prewrite(2, 2.0, "x", 2))  # no rejection, no wait
+        settle(sim, cc.prewrite(1, 1.0, "x", 1))
+        settle(sim, cc.prewrite(2, 2.0, "x", 2))  # no rejection, no wait
         assert cc.active_transactions() == {1, 2}
 
     def test_read_own_write(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 42))
-        assert drive(sim, cc.read(1, 1.0, "x"))[0] == 42
+        settle(sim, cc.prewrite(1, 1.0, "x", 42))
+        assert settle(sim, cc.read(1, 1.0, "x"))[0] == 42
 
     def test_commit_and_abort(self, sim, cc):
-        drive(sim, cc.prewrite(1, 1.0, "x", 42))
+        settle(sim, cc.prewrite(1, 1.0, "x", 42))
         cc.commit(1, {"x": 1})
         assert cc.store.read("x") == (42, 1)
-        drive(sim, cc.prewrite(2, 2.0, "x", 50))
+        settle(sim, cc.prewrite(2, 2.0, "x", 50))
         cc.abort(2)
         assert cc.store.read("x") == (42, 1)
 

@@ -221,7 +221,7 @@ class TestProcessFreeFanOut:
         assert acked == len(holders)
         assert started == []
 
-    def test_wave_with_home_copy_starts_one_process(self, monkeypatch):
+    def test_wave_with_home_copy_starts_no_process(self, monkeypatch):
         instance = quick_instance(n_items=8)
         ctx = _home_context(instance, "site1", [Operation.read("x1")])
         sites = ctx.order_local_first(instance.catalog.sites_holding("x1"))
@@ -233,7 +233,7 @@ class TestProcessFreeFanOut:
         results = instance.sim.run(until=instance.sim.process(run()))
         assert [result.site for result in results] == sites
         assert all(result.ok for result in results)
-        assert started == ["access"]
+        assert started == []
 
 
 class TestDecisionBroadcast:

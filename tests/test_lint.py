@@ -63,6 +63,20 @@ def test_good_fixture_is_clean(rule_id):
     )
 
 
+def test_generator_ccp_call_is_rejected():
+    """RB103: a CCP's read/prewrite are plain calls, never generators.
+
+    The bad twin has a generator ``read`` and a ``prewrite`` made a
+    generator by an unreachable ``yield``; the good twin returns answers
+    and a ``Wait``.
+    """
+    bad = lint_fixture("rb103_ccp_bad.py")
+    assert [(f.rule_id, f.line) for f in bad.findings] == [("RB103", 15), ("RB103", 19)]
+    assert all("plain call" in f.message for f in bad.findings)
+    good = lint_fixture("rb103_ccp_good.py")
+    assert good.ok, render_text(good)
+
+
 # -- the rb: ignore escape hatch ---------------------------------------------
 
 def test_inline_ignore_suppresses_finding(tmp_path):

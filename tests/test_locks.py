@@ -20,14 +20,12 @@ def grant_state(event):
 
 class TestBasicGrants:
     def test_s_lock_granted_immediately(self, sim, locks):
-        event = locks.acquire(1, 1.0, "x", LockMode.S)
-        assert event.triggered and event.ok
+        assert locks.acquire(1, 1.0, "x", LockMode.S) is None  # granted at once
         assert locks.held_locks(1) == {"x": "S"}
 
     def test_two_shared_locks_coexist(self, sim, locks):
         locks.acquire(1, 1.0, "x", LockMode.S)
-        event = locks.acquire(2, 2.0, "x", LockMode.S)
-        assert event.triggered and event.ok
+        assert locks.acquire(2, 2.0, "x", LockMode.S) is None  # granted at once
 
     def test_x_blocks_s(self, sim, locks):
         locks.acquire(1, 1.0, "x", LockMode.X)
@@ -52,13 +50,11 @@ class TestBasicGrants:
 
     def test_reacquire_held_lock_is_immediate(self, sim, locks):
         locks.acquire(1, 1.0, "x", LockMode.S)
-        event = locks.acquire(1, 1.0, "x", LockMode.S)
-        assert event.triggered and event.ok
+        assert locks.acquire(1, 1.0, "x", LockMode.S) is None  # granted at once
 
     def test_x_holder_may_read(self, sim, locks):
         locks.acquire(1, 1.0, "x", LockMode.X)
-        event = locks.acquire(1, 1.0, "x", LockMode.S)
-        assert event.triggered and event.ok
+        assert locks.acquire(1, 1.0, "x", LockMode.S) is None  # granted at once
         assert locks.held_locks(1) == {"x": "X"}
 
     def test_unknown_mode_rejected(self, sim, locks):
@@ -77,8 +73,7 @@ class TestBasicGrants:
 class TestUpgrades:
     def test_sole_holder_upgrade_immediate(self, sim, locks):
         locks.acquire(1, 1.0, "x", LockMode.S)
-        event = locks.acquire(1, 1.0, "x", LockMode.X)
-        assert event.triggered and event.ok
+        assert locks.acquire(1, 1.0, "x", LockMode.X) is None  # granted at once
         assert locks.held_locks(1) == {"x": "X"}
 
     def test_upgrade_waits_for_other_reader(self, sim, locks):

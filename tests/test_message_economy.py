@@ -23,7 +23,7 @@ from repro.net.message import MessageType
 from repro.txn.coordinator import TxnContext
 from repro.txn.transaction import Operation, Transaction
 from repro.workload.spec import WorkloadSpec
-from tests.conftest import drive, quick_instance, record_wal_appends
+from tests.conftest import drive, quick_instance, record_wal_appends, settle
 
 
 def econ_instance(
@@ -427,7 +427,7 @@ class TestOneAccessPath:
         # ("net"), so QC tries another holder instead of aborting.
         instance, ctx = self._context(batch_site_ops)
         site4 = instance.sites["site4"]
-        drive(instance.sim, site4.local_prewrite(999, 0.5, "x1", 1))
+        settle(instance.sim, site4.local_prewrite(999, 0.5, "x1", 1))
         instance.sim.defer(2.0, site4.crash)
         results = drive(instance.sim, ctx.access_read_many(["site3", "site4"], "x1"))
         assert [(r.site, r.ok, r.kind) for r in results] == [

@@ -43,7 +43,9 @@ def test_every_strategy_preserves_mutual_exclusion(strategy, seed, n_txns, n_ste
         for _ in range(n_steps):
             mode = LockMode.X if rng.random() < 0.5 else LockMode.S
             try:
-                yield locks.acquire(txn_id, float(txn_id), rng.choice(items), mode)
+                wait = locks.acquire(txn_id, float(txn_id), rng.choice(items), mode)
+                if wait is not None:
+                    yield wait
             except Exception:
                 locks.release_all(txn_id)
                 return

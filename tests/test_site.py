@@ -8,7 +8,7 @@ from repro.errors import ConcurrencyAbort
 from repro.net.message import MessageType
 from repro.sim.kernel import Process
 from repro.site.site import Site
-from tests.conftest import drive, record_wal_appends
+from tests.conftest import drive, follow_waits, record_wal_appends, settle
 
 
 @pytest.fixture
@@ -34,12 +34,12 @@ def record_spawns(sim):
 
 class TestLocalOperations:
     def test_local_read(self, sim, site):
-        assert drive(sim, site.local_read(1, 1.0, "x")) == (0, 0)
+        assert settle(sim, site.local_read(1, 1.0, "x")) == (0, 0)
         assert site.stats.reads_served == 1
 
     def test_local_prewrite_then_prepare_commit(self, sim, site):
         appended = record_wal_appends([site])
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         vote, reason = site.local_prepare(1, {"x": 1}, "coord/a", 1.0)
         assert vote
         assert site.in_doubt_count() == 1
@@ -56,7 +56,7 @@ class TestLocalOperations:
         assert len(site.wal) == 0
 
     def test_local_commit_under_3pc_retains_the_decision(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp="3PC", peers=["p"])
         site.local_precommit(1)
         site.local_commit(1)
@@ -66,7 +66,7 @@ class TestLocalOperations:
 
     def test_local_abort_releases(self, sim, site):
         appended = record_wal_appends([site])
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, "coord/a", 1.0)
         site.local_abort(1)
         assert site.store.read("x") == (0, 0)
@@ -76,7 +76,7 @@ class TestLocalOperations:
         assert site.decision_of(1, presume_abort=True) == "ABORT"
 
     def test_prepare_doomed_txn_votes_no(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.cc.doom(1)
         vote, reason = site.local_prepare(1, {"x": 1}, None, 1.0)
         assert not vote
@@ -97,14 +97,14 @@ class TestLocalOperations:
         assert site.stats.commits_applied == 0
 
     def test_abort_is_idempotent(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, None, 1.0)
         site.local_abort(1)
         site.local_abort(1)  # duplicate decision: no error
         assert site.store.read("x") == (0, 0)
 
     def test_duplicate_commit_not_reapplied(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, None, 1.0)
         site.local_commit(1)
         site.local_commit(1)
@@ -112,7 +112,7 @@ class TestLocalOperations:
 
     @pytest.mark.parametrize("acp", ["2PC", "3PC"])
     def test_duplicate_commit_after_release_logs_nothing(self, sim, site, acp):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp=acp, peers=["p"])
         site.local_commit(1)
         appended = record_wal_appends([site])
@@ -131,12 +131,12 @@ class TestDecisionOf:
         assert site.decision_of(1) == "COMMIT"
 
     def test_prepared_is_uncertain(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, None, 1.0)
         assert site.decision_of(1) == "UNCERTAIN"
 
     def test_precommitted_reported(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, None, 1.0)
         site.local_precommit(1)
         assert site.decision_of(1) == "PRECOMMITTED"
@@ -149,7 +149,7 @@ class TestDecisionOf:
     def test_presumed_abort_overrides_own_prepared_state(self, sim, site):
         """A coordinator asked about an undecided txn answers ABORT even if
         it also holds a participant prepare for it."""
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, None, 1.0)
         assert site.decision_of(1, presume_abort=True) == "ABORT"
 
@@ -247,7 +247,7 @@ class TestMessageHandlers:
 
 class TestCrashRecovery:
     def test_crash_marks_down_and_clears_volatile(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.crash()
         assert not site.up
         assert site.cc.active_transactions() == set()
@@ -259,7 +259,7 @@ class TestCrashRecovery:
         assert site.stats.crashes == 1
 
     def test_recovery_replays_committed_writes(self, sim, site):
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, None, 1.0)
         site.local_commit(1)
         # Simulate storage surviving but later writes arriving after crash:
@@ -270,7 +270,7 @@ class TestCrashRecovery:
         assert site.stats.recoveries == 1
 
     def test_recovery_reinstates_in_doubt(self, sim, site):
-        drive(sim, site.local_prewrite(1, 2.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 2.0, "x", 9))
         site.local_prepare(1, {"x": 1}, "ghost/coord", 2.0)
         site.crash()
         site.recover()
@@ -286,7 +286,7 @@ class TestCrashRecovery:
         coord.serve(
             lambda msg: coord.reply(msg, MessageType.DECISION, {"decision": "COMMIT"})
         )
-        drive(sim, site.local_prewrite(1, 2.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 2.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 2.0)
         site.crash()
         site.recover()
@@ -309,7 +309,7 @@ class TestCrashRecovery:
 
         site_b = Site(sim, network, "s2", "h2", gc_interval=0)
         coord.serve(coordinator)
-        drive(sim, site.local_prewrite(1, 2.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 2.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 2.0)
         site.crash()
         site.recover()
@@ -323,7 +323,7 @@ class TestSweepers:
         site = Site(sim, network, "s9", "h9", gc_interval=10, gc_timeout=20,
                     uncertainty_timeout=None)
         site.store.create_copy("x")
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         sim.run(until=60)
         assert site.stats.gc_aborts == 1
         assert site.cc.active_transactions() == set()
@@ -332,7 +332,7 @@ class TestSweepers:
         site = Site(sim, network, "s9", "h9", gc_interval=10, gc_timeout=20,
                     uncertainty_timeout=None)
         site.store.create_copy("x")
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, None, 1.0)
         sim.run(until=60)
         assert site.stats.gc_aborts == 0
@@ -347,7 +347,7 @@ class TestSweepers:
         coord.serve(
             lambda msg: coord.reply(msg, MessageType.DECISION, {"decision": "ABORT"})
         )
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 1.0)
         sim.run(until=100)
         assert site.stats.orphan_events == 1
@@ -356,7 +356,7 @@ class TestSweepers:
 
 
 class TestDispatch:
-    """Only accesses, which can block on the CCP, get a handler process."""
+    """No message gets a handler process, not even an access that waits."""
 
     @pytest.mark.parametrize(
         "mtype, payload",
@@ -409,7 +409,7 @@ class TestDispatch:
 
     def test_blocked_read_queues_while_server_keeps_answering(self, sim, network, site):
         client = network.endpoint("hc", "client")
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
         site.local_prepare(1, {"x": 1}, None, 1.0)  # only a prepared txn commits
         log = []
 
@@ -442,7 +442,7 @@ class TestDispatch:
             ("commit", True),
             ("read", True),
         ]
-        assert [process.name for process in spawned] == ["site:s1:READ"]
+        assert spawned == []
 
 
 class TestCrashTeardown:
@@ -452,10 +452,13 @@ class TestCrashTeardown:
         spawned = record_spawns(sim)
         site = Site(sim, network, "s9", "h9", gc_interval=10, uncertainty_timeout=50)
         site.store.create_copy("x")
-        drive(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
-        client = network.endpoint("hc", "client")
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+
+        def reader(txn):
+            yield from follow_waits(site.local_read(txn, 1.0, "x"))
+
         for txn in (4, 2, 3):
-            client.send(site.address, MessageType.READ, {"txn": txn, "ts": 1.0, "item": "x"})
+            site.spawn_home_transaction(reader(txn), name=f"txn{txn}@s9")
         sim.run(until=sim.now + 5)
         assert site.cc.locks.waiting_count() == 3
 
@@ -472,8 +475,115 @@ class TestCrashTeardown:
         assert [process.name for process in live] == [
             "site:s9:gc",
             "site:s9:uncertain",
-            "site:s9:READ",
-            "site:s9:READ",
-            "site:s9:READ",
+            "txn4@s9",
+            "txn2@s9",
+            "txn3@s9",
         ]
         assert interrupted == live
+
+
+class TestAccessesArePlainCalls:
+    """A remote access runs as a plain CCP call inside its delivery event."""
+
+    @staticmethod
+    def _record_replies(site):
+        """Wrap ``site.endpoint.reply``; returns the (now, events, mtype) list."""
+        sent = []
+        reply = site.endpoint.reply
+
+        def recording(request, mtype, payload=None, size=1):
+            sent.append((site.sim.now, site.sim.processed_events, mtype))
+            return reply(request, mtype, payload, size=size)
+
+        site.endpoint.reply = recording
+        return sent
+
+    def test_uncontended_read_answered_in_its_delivery_event(self, sim, network, site):
+        client = network.endpoint("hc", "client")
+        delivered = []
+
+        def dispatch(msg):
+            delivered.append((sim.now, sim.processed_events))
+            site._dispatch(msg)
+
+        site.endpoint.serve(dispatch)
+        sent = self._record_replies(site)
+        spawned = record_spawns(sim)
+        client.send(site.address, MessageType.READ, {"txn": 1, "ts": 1.0, "item": "y"})
+        sim.run()
+        assert spawned == []
+        assert sent == [(*delivered[0], MessageType.READ_REPLY)]
+
+    def test_crash_while_waiting_sends_no_reply_and_closes_span(self, sim, network, site):
+        from repro.obs.spans import SpanTracer
+
+        site.tracer = SpanTracer(sim)
+        client = network.endpoint("hc", "client")
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+        sent = self._record_replies(site)
+        request = client.request(
+            site.address, MessageType.READ, {"txn": 2, "ts": 2.0, "item": "x"}, timeout=30
+        )
+        sim.run(until=sim.now + 5)
+        assert site.cc.locks.waiting_count() == 1
+        crashed_at = sim.now
+        site.crash()
+        site.recover()  # at the same instant: the site is up when the wait fails
+        sim.run()
+        assert sent == []
+        assert not request.ok  # the caller timed out
+        (read_span,) = [span for span in site.tracer.spans if span.txn_id == 2]
+        assert (read_span.name, read_span.end) == ("ccp.read", crashed_at)
+
+    def test_lock_wait_timeout_closes_span_and_forgets_txn(self, sim, network):
+        from repro.obs.spans import SpanTracer
+
+        site = Site(
+            sim, network, "s1", "h1", gc_interval=0, uncertainty_timeout=None,
+            ccp_options={"wait_timeout": 10.0},
+        )
+        site.store.create_copy("x", initial_value=0)
+        site.tracer = SpanTracer(sim)
+        client = network.endpoint("hc", "client")
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+
+        def run():
+            reply = yield client.request(
+                site.address, MessageType.READ,
+                {"txn": 2, "ts": 2.0, "item": "x", "home": client.address}, timeout=30,
+            )
+            return reply.payload
+
+        caller = sim.process(run())
+        sim.run(until=sim.now + 5)
+        assert 2 in site._activity and 2 in site._txn_home
+        waited_from = sim.now - 4.0  # the READ arrived one time unit after it left
+        payload = sim.run(until=caller)
+        assert not payload["ok"] and "lock wait timeout" in payload["reason"]
+        (read_span,) = [span for span in site.tracer.spans if span.txn_id == 2]
+        assert (read_span.name, read_span.start, read_span.end) == (
+            "ccp.read", waited_from, waited_from + 10.0,
+        )
+        assert 2 not in site._activity and 2 not in site._txn_home
+
+    def test_crashed_gateway_leaves_sibling_unprepared(self, sim, network):
+        gateway = Site(sim, network, "s1", "h1", gc_interval=0, uncertainty_timeout=None)
+        sibling = Site(sim, network, "s2", "h1", gc_interval=0, uncertainty_timeout=None)
+        gateway.colocated = {"s2": sibling}
+        sibling.store.create_copy("x", initial_value=0)
+        settle(sim, sibling.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+        client = network.endpoint("hc", "client")
+        prepare = {"versions": {}, "coordinator": client.address, "acp": "2PC", "peers": []}
+        request = client.request(
+            gateway.address, MessageType.BATCH_ACCESS,
+            {"txn": 2, "ts": 2.0, "item": "x", "kind": "R", "sites": ["s2"],
+             "prepare": {"s2": prepare}},
+            timeout=30,
+        )
+        sim.run(until=sim.now + 5)
+        assert sibling.cc.locks.waiting_count() == 1
+        gateway.crash()
+        sibling.local_abort(1)  # grants txn 2's read at the sibling
+        sim.run()
+        assert not request.ok  # the caller timed out
+        assert sibling.in_doubt_count() == 0  # the read's piggybacked prepare never ran

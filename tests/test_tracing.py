@@ -157,7 +157,7 @@ class TestAttachHook:
 
         def counted_read(site, *args, **kwargs):
             calls["read"] += 1
-            return (yield from local_read(site, *args, **kwargs))
+            return local_read(site, *args, **kwargs)
 
         def counted_commit(site, *args, **kwargs):
             calls["commit"] += 1
