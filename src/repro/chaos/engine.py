@@ -134,7 +134,6 @@ def run_chaos_case(
         batch_site_ops=batch_site_ops,
         piggyback_prepare=piggyback_prepare,
         latency_aware_routing=latency_aware_routing,
-        checkpoint_interval=50.0,
     )
     # Always observe the op-level execution (pure observation, so the run
     # is unchanged); enable span tracing only on request — the resulting

@@ -65,7 +65,7 @@ def _txn_sets(instance: RainbowInstance) -> tuple[set[int], set[int], set[int]]:
 def check_atomicity(instance: RainbowInstance, result: SessionResult) -> list[str]:
     violations: list[str] = []
     committed, protocol_aborted, system_aborted = _txn_sets(instance)
-    known_writers = committed | system_aborted | {0}
+    known_writers = committed | system_aborted
 
     # Durable evidence: (item, version, txn_id) -> {site: value}.
     evidence: dict[tuple[str, int, int], dict[str, object]] = defaultdict(dict)

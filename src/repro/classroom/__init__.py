@@ -8,12 +8,12 @@ from repro.classroom.assignments import (
     AssignmentReport,
     all_assignments,
     assignment_2pc_blocking,
-    assignment_checkpoint_recovery,
     assignment_crash_recovery,
     assignment_deadlock,
     assignment_distributed_deadlock,
     assignment_lost_update_nocc,
     assignment_quorum_intersection,
+    assignment_wal_retention,
 )
 from repro.classroom.nocc import NoConcurrencyController
 from repro.protocols.base import ccp_registry, register_ccp
@@ -26,10 +26,10 @@ __all__ = [
     "NoConcurrencyController",
     "all_assignments",
     "assignment_2pc_blocking",
-    "assignment_checkpoint_recovery",
     "assignment_crash_recovery",
     "assignment_deadlock",
     "assignment_distributed_deadlock",
     "assignment_lost_update_nocc",
     "assignment_quorum_intersection",
+    "assignment_wal_retention",
 ]

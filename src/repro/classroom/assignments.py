@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.config import RainbowConfig
+from repro.core.config import ProtocolConfig, RainbowConfig
 from repro.core.instance import RainbowInstance
 from repro.monitor.tracing import ExecutionTracer
 from repro.txn.transaction import Operation, Transaction
@@ -320,22 +320,34 @@ def assignment_distributed_deadlock() -> AssignmentReport:
     )
 
 
-def assignment_checkpoint_recovery() -> AssignmentReport:
-    """The log forgets decided transactions; a checkpoint adds the store image."""
+def _watch_logs(instance: RainbowInstance, watched: tuple[str, ...]) -> dict[str, list[str]]:
+    """Write x1 from site1; list each watched WAL's contents as they change."""
+
+    def contents(name: str) -> str:
+        kinds = [record.kind for record in instance.sites[name].wal.records]
+        return " ".join(kinds) or "(empty)"
+
+    seen = {name: [contents(name)] for name in watched}
+    process = instance.submit(Transaction(ops=[Operation.write("x1", 1)], home_site="site1"))
+    while not process.processed and instance.sim.step():
+        for name, states in seen.items():
+            if contents(name) != states[-1]:
+                states.append(contents(name))
+    return seen
+
+
+def assignment_wal_retention() -> AssignmentReport:
+    """Decided transactions leave the WAL; a decision still owed waits."""
+    instance_3pc = _instance(protocols=ProtocolConfig(acp="3PC"))
+    instance_3pc.start()
+    logs_3pc = _watch_logs(instance_3pc, ("site2",))
     instance = _instance(settle_time=10.0)
     instance.start()
-    site = instance.sites["site1"]
-    site.take_checkpoint()  # the store image before the writes
-    first_image = site.wal.last_checkpoint()
-    for value in range(1, 6):
+    logs_2pc = _watch_logs(instance, ("site1", "site2"))
+    for value in range(2, 6):
         txn = Transaction(ops=[Operation.write("x1", value)], home_site="site1")
-        process = instance.submit(txn)
-        instance.sim.run(until=process)
-    records_before = len(site.wal)
-    truncated = site.take_checkpoint()
-    records_after = len(site.wal)
-    # LSNs count every record ever forced, including the released ones.
-    records_forced = site.wal.last_checkpoint().lsn - first_image.lsn - 1
+        instance.sim.run(until=instance.submit(txn))
+    site = instance.sites["site1"]
     site.crash()
     site.recover()
     instance.sim.run(until=instance.sim.now + 30)
@@ -343,29 +355,30 @@ def assignment_checkpoint_recovery() -> AssignmentReport:
     process = instance.submit(reader)
     instance.sim.run(until=process)
     return AssignmentReport(
-        name="checkpoint-recovery",
+        name="wal-retention",
         narrative=(
-            "Five committed writes force PREPARE, COMMIT and END records at "
-            "their home site, but each transaction leaves the WAL once every "
-            "participant has acknowledged its decision: recovery no longer "
-            "needs it, because the store holds the write.  Only the earlier "
-            "checkpoint's store image remains.  A fuzzy checkpoint replaces "
-            "that image with the current store (keeping only in-doubt "
-            "transactions and the decisions someone may still ask about), "
-            "and a crash immediately after still recovers the committed "
-            "value."
+            "One write from site1 forces PREPARE records at the participants "
+            "and a COMMIT decision at the coordinator.  At the decision a "
+            "site releases what recovery no longer needs: the store holds "
+            "the write, and a missing ABORT is presumed.  Only a decision "
+            "someone may still ask about waits — the coordinator's COMMIT "
+            "until END records every acknowledgement, and under 3PC one "
+            "decision per participant for its peers' termination queries.  "
+            "A crash right after five writes still recovers the last value: "
+            "the store survives the crash, so recovery only reinstates the "
+            "transactions still in doubt."
         ),
         observations={
-            "wal_records_forced": records_forced,
-            "wal_records_before": records_before,
-            "records_truncated": truncated,
-            "wal_records_after": records_after,
+            "coordinator_log_2pc": logs_2pc["site1"],
+            "participant_log_2pc": logs_2pc["site2"],
+            "participant_log_3pc": logs_3pc["site2"],
             "value_after_recovery": reader.reads.get("x1"),
         },
         passed=(
-            records_before < records_forced
-            and truncated > 0
-            and records_after <= records_before
+            "COMMIT" in logs_2pc["site1"]
+            and logs_2pc["site1"][-1] == "(empty)"
+            and logs_2pc["site2"][-1] == "(empty)"
+            and logs_3pc["site2"][-1] == "COMMIT"
             and reader.committed
             and reader.reads.get("x1") == 5
         ),
@@ -381,5 +394,5 @@ def all_assignments() -> list[Callable[[], AssignmentReport]]:
         assignment_lost_update_nocc,
         assignment_crash_recovery,
         assignment_distributed_deadlock,
-        assignment_checkpoint_recovery,
+        assignment_wal_retention,
     ]

@@ -134,12 +134,17 @@ class FaultConfig:
     horizon: Optional[float] = None
 
 
-def _section(cls, data: dict):
-    """Build one config section, naming any key the section does not have."""
+def _check_keys(cls, data: dict) -> None:
+    """Name the first key of ``data`` that ``cls`` has no field for."""
     known = {f.name for f in fields(cls)}
     for key in data:
         if key not in known:
             raise ConfigurationError(f"unknown {cls.__name__} field {key!r}")
+
+
+def _section(cls, data: dict):
+    """Build one config section, naming any key the section does not have."""
+    _check_keys(cls, data)
     return cls(**data)
 
 
@@ -165,8 +170,6 @@ class RainbowConfig:
     # exchange probe messages instead of relying solely on wait timeouts.
     distributed_deadlock: bool = False
     probe_interval: float = 20.0
-    # Periodic fuzzy checkpoints (WAL truncation); None disables.
-    checkpoint_interval: Optional[float] = None
 
     # -- construction helpers ------------------------------------------------
     @classmethod
@@ -206,9 +209,8 @@ class RainbowConfig:
         else:
             catalog.place_round_robin(site_names, degree)
         config = cls(sites=sites, catalog_data=catalog.to_dict())
+        _check_keys(cls, overrides)
         for key, value in overrides.items():
-            if not hasattr(config, key):
-                raise ConfigurationError(f"unknown RainbowConfig field {key!r}")
             setattr(config, key, value)
         return config
 
@@ -264,13 +266,13 @@ class RainbowConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RainbowConfig":
-        """Inverse of :meth:`to_dict`."""
-        config = cls()
+        """Inverse of :meth:`to_dict`; a key no field matches is an error."""
+        _check_keys(cls, data)
+        sections = ("sites", "network", "protocols", "faults")
+        config = cls(**{key: value for key, value in data.items() if key not in sections})
         config.sites = [_section(SiteConfig, site) for site in data.get("sites", [])]
-        config.nameserver_host = data.get("nameserver_host", config.nameserver_host)
         config.network = _section(NetworkConfig, data.get("network", {}))
         config.protocols = _section(ProtocolConfig, data.get("protocols", {}))
-        config.catalog_data = data.get("catalog_data", {})
         faults = data.get("faults", {})
         schedule = faults.get("schedule", {})
         config.faults = FaultConfig(
@@ -290,20 +292,6 @@ class RainbowConfig:
             mttr=faults.get("mttr", 0.0),
             horizon=faults.get("horizon"),
         )
-        for key in (
-            "seed",
-            "uncertainty_timeout",
-            "decision_retry",
-            "gc_interval",
-            "gc_timeout",
-            "settle_time",
-            "sample_interval",
-            "distributed_deadlock",
-            "probe_interval",
-            "checkpoint_interval",
-        ):
-            if key in data:
-                setattr(config, key, data[key])
         return config
 
     def save(self, path: str | Path) -> None:

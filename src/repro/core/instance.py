@@ -99,7 +99,6 @@ class RainbowInstance:
                 gc_timeout=config.gc_timeout,
                 distributed_deadlock=config.distributed_deadlock,
                 probe_interval=config.probe_interval,
-                checkpoint_interval=config.checkpoint_interval,
             )
             site.coordinator_factory = self._coordinate
             self.nameserver.register_site(site.name, site.address, site.host)

@@ -34,10 +34,6 @@ class RpcTimeout(NetworkError):
         self.destination = destination
 
 
-class SiteDownError(NetworkError):
-    """An operation was attempted on a crashed site."""
-
-
 class CatalogError(RainbowError):
     """The name-server catalog was queried for unknown items or sites."""
 

@@ -29,7 +29,6 @@ class MessageType:
     READ_REPLY = "READ_REPLY"
     PREWRITE = "PREWRITE"
     PREWRITE_REPLY = "PREWRITE_REPLY"
-    RELEASE = "RELEASE"
     # One message carrying several co-located copy accesses (the
     # ``batch_site_ops`` optimization): the receiving site fans the sub-ops
     # out to itself and its same-host siblings and answers with a vector.
@@ -60,11 +59,9 @@ class MessageType:
     # Workload dispatch and monitoring
     TXN_SUBMIT = "TXN_SUBMIT"
     TXN_RESULT = "TXN_RESULT"
-    PM_QUERY = "PM_QUERY"
-    PM_REPLY = "PM_REPLY"
 
     DATA_CATEGORY = frozenset(
-        {READ, READ_REPLY, PREWRITE, PREWRITE_REPLY, RELEASE, BATCH_ACCESS, BATCH_REPLY}
+        {READ, READ_REPLY, PREWRITE, PREWRITE_REPLY, BATCH_ACCESS, BATCH_REPLY}
     )
     COMMIT_CATEGORY = frozenset(
         {VOTE_REQ, VOTE, PRECOMMIT, PRECOMMIT_ACK, COMMIT, ABORT, ACK, DECISION_REQ, DECISION}

@@ -18,7 +18,7 @@ Failure semantics (driven by the fault injector):
 * an optional random *loss rate* models an unreliable transport;
 * a *flaky link* overrides the loss rate for one host pair and may also
   *duplicate* messages (an independent delivery with its own latency draw),
-  stressing the idempotence of decision delivery and WAL replay.
+  stressing the idempotence of decision delivery.
 
 Every send is accounted (by type, by category, delivered/dropped) so the
 progress monitor can report "total number of messages generated per time

@@ -156,7 +156,12 @@ class LockManager:
         return self._block(entry, item, _Request(txn_id, ts, mode))
 
     def release_all(self, txn_id: int) -> None:
-        """Release every lock and cancel every queued request of ``txn_id``."""
+        """Release every lock and cancel every queued request of ``txn_id``.
+
+        A cancelled request's event fails with :class:`ConcurrencyAbort`, so
+        an access still waiting on it settles (and is answered) like any
+        other rejected one.
+        """
         for entry in self._entries_of(txn_id):
             dirty = False
             if txn_id in entry.holders:
@@ -168,6 +173,8 @@ class LockManager:
                     kept.append(request)
                 else:
                     self._disarm(request)
+                    if not request.event.triggered:
+                        request.event.fail(ConcurrencyAbort(f"txn{txn_id} released"))
             if len(kept) != len(entry.queue):
                 entry.queue = kept
                 dirty = True

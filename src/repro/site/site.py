@@ -107,7 +107,6 @@ class Site:
         sweep_interval: float = 20.0,
         distributed_deadlock: bool = False,
         probe_interval: float = 20.0,
-        checkpoint_interval: Optional[float] = None,
     ):
         self.sim = sim
         self.network = network
@@ -127,8 +126,6 @@ class Site:
         self.gc_interval = gc_interval
         self.gc_timeout = gc_timeout
         self.sweep_interval = sweep_interval
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoints_taken = 0
 
         # Set by the Rainbow instance: called to run a home transaction when
         # one arrives via TXN_SUBMIT (the WLGlet dispatch path).
@@ -208,8 +205,6 @@ class Site:
             self._spawn(self._gc_loop(), name=f"site:{self.name}:gc")
         if self.uncertainty_timeout is not None:
             self._spawn(self._uncertainty_loop(), name=f"site:{self.name}:uncertain")
-        if self.checkpoint_interval:
-            self._spawn(self._checkpoint_loop(), name=f"site:{self.name}:ckpt")
 
     def _spawn(self, generator, name: str) -> Process:
         process = self.sim.process(generator, name=name)
@@ -243,28 +238,19 @@ class Site:
         self._txn_home.clear()
 
     def recover(self) -> None:
-        """Restart from durable state; resolve in-doubt transactions."""
+        """Restart from durable state; resolve in-doubt transactions.
+
+        The store survived the crash with every committed write (a commit
+        is applied and released in one step), so recovery only reinstates
+        the in-doubt transactions in a fresh CCP and starts resolving them.
+        """
         if self.up:
             return
         self.up = True
         self.stats.recoveries += 1
         self.endpoint.set_up()
         self.cc = make_ccp(self.ccp_name, self.sim, self.store, **self._ccp_options)
-
-        checkpoint = self.wal.last_checkpoint()
-        if checkpoint is not None:
-            # Restore the checkpointed image first (idempotent: the store's
-            # version check ignores anything it already has).
-            for item, (value, version) in checkpoint.writes.items():
-                if self.store.has_copy(item):
-                    self.store.apply(item, value, version, 0, self.sim.now)
-        in_doubt, committed = self.wal.recover_state()
-        for record in committed:
-            # Idempotent replay: the store ignores stale versions.
-            for item, (value, version) in record.writes.items():
-                if self.store.has_copy(item):
-                    self.store.apply(item, value, version, record.txn_id, self.sim.now)
-        for doubt in in_doubt:
+        for doubt in self.wal.recover_state():
             writes = {item: value for item, (value, _version) in doubt.writes.items()}
             versions = {item: version for item, (_value, version) in doubt.writes.items()}
             self.cc.reinstate(doubt.txn_id, doubt.ts, writes)
@@ -679,20 +665,6 @@ class Site:
                     self.cc.abort(txn)
                     self._forget(txn)
                     self.stats.gc_aborts += 1
-
-    def _checkpoint_loop(self):
-        """Periodically checkpoint the store and truncate the WAL."""
-        while self.up:
-            yield self.sim.timeout(self.checkpoint_interval)
-            if not self.up:
-                return
-            self.take_checkpoint()
-
-    def take_checkpoint(self) -> int:
-        """Checkpoint now; returns the number of log records truncated."""
-        truncated = self.wal.checkpoint(self.store.snapshot(), self.sim.now)
-        self.checkpoints_taken += 1
-        return truncated
 
     def _uncertainty_loop(self):
         """Start decision resolution for participants stuck in doubt."""

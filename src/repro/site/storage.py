@@ -122,15 +122,6 @@ class LocalStore:
         """Copy of the committed state (for panels, tests, recovery checks)."""
         return {name: copy.as_tuple() for name, copy in self._copies.items()}
 
-    def load_snapshot(self, state: dict[str, tuple[Any, int]]) -> None:
-        """Bulk-restore committed state (recovery from a checkpoint)."""
-        for name, (value, version) in state.items():
-            if name not in self._copies:
-                self.create_copy(name)
-            copy = self._copies[name]
-            copy.value = value
-            copy.version = version
-
     def _get(self, item: str) -> Copy:
         try:
             return self._copies[item]

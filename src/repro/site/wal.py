@@ -11,22 +11,21 @@ transaction:
 * ``COMMIT`` / ``ABORT`` — the final decision (coordinator or participant);
 * ``END`` — the coordinator collected every acknowledgement of its decision.
 
-After a crash, :meth:`WriteAheadLog.recover_state` classifies every logged
-transaction: decided ones are re-applied/forgotten, while transactions that
-prepared but saw no decision are *in doubt* — those are Rainbow's "orphan
+After a crash, :meth:`WriteAheadLog.recover_state` lists the transactions
+that prepared but saw no decision: they are *in doubt* — Rainbow's "orphan
 transactions" until the decision is re-learned from the coordinator.
 
 The log forgets what recovery no longer needs as soon as a transaction is
-decided (:meth:`WriteAheadLog.release`), by the presumed-abort retention
-rules that :meth:`WriteAheadLog.checkpoint` also applies.  A decided
-transaction's PREPARE/PRECOMMIT records go: the store is the durable image
-of a commit, and an abort is presumed.  Only a decision that someone may
-still ask about stays — the coordinator's COMMIT until its END, and under
-3PC one decision (COMMIT or ABORT) for the peers' termination queries,
-which presume nothing.  A fault-free 2PC session therefore leaves only the
-records of the transactions still in flight.  The log is indexed by
-transaction, so a release, a decision lookup and a checkpoint cost what
-the live transactions hold, not the history.
+decided (:meth:`WriteAheadLog.release`, the one way a record leaves the
+log), by presumed-abort retention rules.  A decided transaction's
+PREPARE/PRECOMMIT records go: the store is the durable image of a commit
+(a fail-stop crash never loses it), and an abort is presumed.  Only a
+decision that someone may still ask about stays — the coordinator's COMMIT
+until its END, and under 3PC one decision (COMMIT or ABORT) for the peers'
+termination queries, which presume nothing.  A fault-free 2PC session
+therefore leaves only the records of the transactions still in flight.
+The log is indexed by transaction, so a release and a decision lookup cost
+what the transaction holds, not the history.
 """
 
 from __future__ import annotations
@@ -55,12 +54,12 @@ class LogRecord:
     Records are slotted, and those without writes or peers share
     :data:`NO_WRITES` and ``()`` instead of holding empty containers of
     their own.  Records are never mutated after they are appended; recovery
-    copies what it needs, and a checkpoint carries them over unchanged.
+    copies what it needs.
     """
 
     lsn: int
     txn_id: int
-    kind: str  # "PREPARE" | "PRECOMMIT" | "COMMIT" | "ABORT" | "END" | "CHECKPOINT"
+    kind: str  # "PREPARE" | "PRECOMMIT" | "COMMIT" | "ABORT" | "END"
     at: float
     writes: Mapping[str, tuple[Any, int]] = field(default_factory=_no_writes)
     coordinator: Optional[str] = None  # address to ask for the decision
@@ -100,15 +99,13 @@ class WriteAheadLog:
 
     ``_live`` maps a transaction to its records still in the log, in LSN
     order; ``_retained`` maps a transaction whose records have been released
-    to the one decision record the retention rules keep.  At most one
-    CHECKPOINT record (the latest) is in the log.
+    to the one decision record the retention rules keep.
     """
 
     def __init__(self, site_name: str):
         self.site_name = site_name
         self._live: dict[int, list[LogRecord]] = {}
         self._retained: dict[int, LogRecord] = {}
-        self._checkpoint: Optional[LogRecord] = None
         self._next_lsn = 1
 
     # -- appends -------------------------------------------------------------
@@ -224,47 +221,6 @@ class WriteAheadLog:
         self._retained[txn_id] = kept
         return dropped - 1
 
-    def checkpoint(self, store_snapshot: dict[str, tuple[Any, int]], at: float) -> int:
-        """Take a fuzzy checkpoint and truncate the log.
-
-        The committed store state is recorded in a CHECKPOINT record that
-        replaces the previous one.  Every decided transaction still holding
-        records is released (:meth:`release`); an undecided transaction
-        keeps its latest PREPARE and one PRECOMMIT.  Retained decision
-        records are carried over unchanged, so a checkpoint walks only the
-        transactions with live records.  Sites release each transaction at
-        its decision, so there a checkpoint adds the store image and drops
-        the previous one.  Returns the number of records truncated.
-        """
-        old_length = len(self)
-        for txn_id in list(self._live):
-            records = self._live[txn_id]
-            if self._decision(txn_id, records) is not None:
-                self.release(txn_id)
-                continue
-            prepares = [r for r in records if r.kind == "PREPARE"]
-            if not prepares:
-                del self._live[txn_id]
-                continue
-            kept = [prepares[-1]]
-            kept += [r for r in records if r.kind == "PRECOMMIT"][:1]
-            kept.sort(key=attrgetter("lsn"))
-            self._live[txn_id] = kept
-        self._checkpoint = LogRecord(
-            lsn=self._next_lsn,
-            txn_id=0,
-            kind="CHECKPOINT",
-            at=at,
-            writes=dict(store_snapshot),
-        )
-        self._next_lsn += 1
-        # The CHECKPOINT record itself is new, not carried over.
-        return old_length - (len(self) - 1)
-
-    def last_checkpoint(self) -> Optional[LogRecord]:
-        """The most recent CHECKPOINT record, if any."""
-        return self._checkpoint
-
     # -- queries -------------------------------------------------------------
     @property
     def records(self) -> list[LogRecord]:
@@ -272,8 +228,6 @@ class WriteAheadLog:
         records = list(self._retained.values())
         for txn_records in self._live.values():
             records += txn_records
-        if self._checkpoint is not None:
-            records.append(self._checkpoint)
         records.sort(key=attrgetter("lsn"))
         return records
 
@@ -290,19 +244,16 @@ class WriteAheadLog:
         """The logged decision ("COMMIT"/"ABORT") for a transaction, if any."""
         return self._decision(txn_id, self._live.get(txn_id, ()))
 
-    def recover_state(self) -> tuple[list[InDoubt], list[LogRecord]]:
-        """Analyse the log after a crash.
+    def recover_state(self) -> list[InDoubt]:
+        """The in-doubt transactions after a crash, by transaction id.
 
-        Returns ``(in_doubt, committed_records)``:
-
-        * ``in_doubt`` — transactions with a PREPARE but no decision; their
-          buffered writes and coordinator address come from the log.
-        * ``committed_records`` — the PREPARE records of transactions whose
-          COMMIT was logged, in LSN order, so recovery can re-apply their
-          writes idempotently (the store's version check makes replay safe).
+        A transaction is in doubt when it has a PREPARE but no decision;
+        its buffered writes and coordinator address come from the log.  A
+        decided transaction has no PREPARE left: the site applies a COMMIT
+        (or an ABORT) and releases the transaction in one step, so no crash
+        falls between them and nothing is left to redo.
         """
         in_doubt: list[InDoubt] = []
-        committed: list[LogRecord] = []
         for txn_id, records in self._live.items():
             prepare = None
             precommitted = False
@@ -311,27 +262,22 @@ class WriteAheadLog:
                     prepare = record
                 elif record.kind == "PRECOMMIT":
                     precommitted = True
-            if prepare is None:
+            if prepare is None or self._decision(txn_id, records) is not None:
                 continue
-            decision = self._decision(txn_id, records)
-            if decision == "COMMIT":
-                committed.append(prepare)
-            elif decision is None:
-                in_doubt.append(
-                    InDoubt(
-                        txn_id=txn_id,
-                        writes=dict(prepare.writes),
-                        coordinator=prepare.coordinator,
-                        precommitted=precommitted,
-                        ts=prepare.ts,
-                        acp=prepare.acp,
-                        peers=list(prepare.peers),
-                    )
+            in_doubt.append(
+                InDoubt(
+                    txn_id=txn_id,
+                    writes=dict(prepare.writes),
+                    coordinator=prepare.coordinator,
+                    precommitted=precommitted,
+                    ts=prepare.ts,
+                    acp=prepare.acp,
+                    peers=list(prepare.peers),
                 )
-        committed.sort(key=attrgetter("lsn"))
+            )
         in_doubt.sort(key=attrgetter("txn_id"))
-        return in_doubt, committed
+        return in_doubt
 
     def __len__(self) -> int:
         live = sum(len(records) for records in self._live.values())
-        return live + len(self._retained) + (self._checkpoint is not None)
+        return live + len(self._retained)

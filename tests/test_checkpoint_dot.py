@@ -1,16 +1,14 @@
-"""Tests for WAL checkpointing and the DOT graph exports."""
-
-import pytest
+"""Tests for what the WAL keeps past a decision, and the DOT graph exports."""
 
 from repro.site.locks import LockManager, LockMode
 from repro.site.wal import WriteAheadLog
 from repro.txn.history import HistoryRecorder, SerializationGraph
-from repro.txn.transaction import Operation, Transaction
-from repro.workload.spec import WorkloadSpec
-from tests.conftest import drive, quick_instance
 
 
 class TestWalCheckpoint:
+    """The retention rules a periodic checkpoint once applied to the whole
+    log, now applied by ``release`` to each transaction at its decision."""
+
     def test_checkpoint_truncates_decided_history(self):
         wal = WriteAheadLog("s")
         for txn in range(1, 6):
@@ -18,25 +16,27 @@ class TestWalCheckpoint:
             wal.log_commit(txn, at=1.0)
             wal.log_end(txn, at=1.5)  # decision round fully acknowledged
         assert len(wal) == 15
-        truncated = wal.checkpoint({"x": (5, 5)}, at=2.0)
+        truncated = sum(wal.release(txn) for txn in range(1, 6))
         assert truncated == 15
-        assert len(wal) == 1  # just the CHECKPOINT record
-        assert wal.last_checkpoint().writes == {"x": (5, 5)}
+        assert len(wal) == 0 and wal.records == []
+        assert all(wal.decision_for(txn) is None for txn in range(1, 6))
 
     def test_checkpoint_retains_unacknowledged_commits(self):
-        """A coordinator COMMIT without END must survive checkpoints:
-        presumed abort would otherwise abort a committed transaction when
-        an in-doubt participant finally asks for the decision."""
+        """A coordinator COMMIT without END must survive release: presumed
+        abort would otherwise abort a committed transaction when an
+        in-doubt participant finally asks for the decision."""
         wal = WriteAheadLog("s")
         wal.log_prepare(1, {"x": (1, 1)}, None, at=0.0)
-        wal.log_commit(1, at=1.0)  # no END: some participant never acked
-        truncated = wal.checkpoint({"x": (1, 1)}, at=2.0)
+        commit = wal.log_commit(1, at=1.0)  # no END: some participant never acked
+        truncated = wal.release(1)
         assert truncated == 1  # only the PREPARE goes; the COMMIT is retained
+        assert wal.records == [commit]
         assert wal.decision_for(1) == "COMMIT"
-        # Once the round completes, the next checkpoint may forget it.
+        # Once the round completes, the next release forgets it.
         wal.log_end(1, at=3.0)
-        wal.checkpoint({"x": (1, 1)}, at=4.0)
+        assert wal.release(1) == 2
         assert wal.decision_for(1) is None
+        assert len(wal) == 0
 
     def test_checkpoint_retains_participant_commits_under_3pc(self):
         """3PC peers answer termination queries from their decision record,
@@ -44,10 +44,12 @@ class TestWalCheckpoint:
         a participant, so its copy is dropped."""
         wal = WriteAheadLog("s")
         wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, acp="3PC")
-        wal.log_commit(1, at=1.0, coordinator="coord/a", acp="3PC")
+        commit = wal.log_commit(1, at=1.0, coordinator="coord/a", acp="3PC")
         wal.log_prepare(2, {"y": (2, 2)}, "coord/a", at=0.0)
         wal.log_commit(2, at=1.0, coordinator="coord/a", acp="2PC")
-        wal.checkpoint({"x": (1, 1), "y": (2, 2)}, at=2.0)
+        wal.release(1)
+        wal.release(2)
+        assert wal.records == [commit]
         assert wal.decision_for(1) == "COMMIT"
         assert wal.decision_for(2) is None
 
@@ -58,68 +60,22 @@ class TestWalCheckpoint:
         wal.log_precommit(1, at=0.5)
         wal.log_prepare(2, {"y": (2, 2)}, None, at=0.0)
         wal.log_commit(2, at=1.0)
-        truncated = wal.checkpoint({"x": (0, 0)}, at=2.0)
-        # Of 4 records only txn 2's PREPARE goes: txn 1 is in doubt (both
-        # records carried over) and txn 2's COMMIT has no END yet.
+        # Only the decided txn 2 is released, and of its records only the
+        # PREPARE goes: its COMMIT has no END yet.  Txn 1 is in doubt and
+        # keeps both records.
+        truncated = wal.release(2)
         assert truncated == 1
-        in_doubt, committed = wal.recover_state()
-        assert [d.txn_id for d in in_doubt] == [1]
-        assert in_doubt[0].precommitted
-        assert in_doubt[0].acp == "3PC"
-        assert in_doubt[0].peers == ["p"]
-        assert committed == []  # decided history gone: the snapshot has it
-
-    def test_site_periodic_checkpointing(self):
-        instance = quick_instance(n_items=8, settle_time=60,
-                                  checkpoint_interval=40.0)
-        instance.run_workload(WorkloadSpec(n_transactions=10, arrival_rate=0.5))
-        site = instance.sites["site1"]
-        assert site.checkpoints_taken >= 1
-        assert site.wal.last_checkpoint() is not None
-
-    def test_recovery_after_checkpoint_restores_state(self):
-        instance = quick_instance(n_items=8, settle_time=30)
-        instance.start()
-        txn = Transaction(ops=[Operation.write("x1", 77)], home_site="site1")
-        process = instance.submit(txn)
-        instance.sim.run(until=process)
-        site = instance.sites["site1"]
-        site.take_checkpoint()
-        site.crash()
-        site.recover()
-        instance.sim.run(until=instance.sim.now + 30)
-        assert site.store.read("x1")[0] == 77
-
-    def test_in_doubt_resolution_after_checkpoint(self):
-        """A prepared txn carried across a checkpoint still resolves."""
-        instance = quick_instance(n_items=8, settle_time=0,
-                                  uncertainty_timeout=20.0, decision_retry=10.0)
-        instance.config.protocols.failpoint = "after_votes"
-        instance.config.protocols.failpoint_arms = 1
-        instance.start()
-        txn = Transaction(
-            ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
-            home_site="site1",
-        )
-        process = instance.submit(txn)
-        instance.sim.run(until=process)
-        # A participant checkpoints while in doubt.
-        participant = instance.sites["site2"]
-        if participant.in_doubt_count():
-            participant.take_checkpoint()
-            assert participant.wal.last_checkpoint() is not None
-        instance.injector.recover_now("site1")
-        instance.sim.run(until=instance.sim.now + 200)
-        assert all(site.in_doubt_count() == 0 for site in instance.sites.values())
-
-    def test_config_roundtrip(self):
-        from repro.core.config import RainbowConfig
-
-        config = RainbowConfig.quick(n_sites=2, n_items=2)
-        config.checkpoint_interval = 33.0
-        clone = RainbowConfig.from_dict(config.to_dict())
-        assert clone.checkpoint_interval == 33.0
-
+        assert len(wal) == 3
+        [doubt] = wal.recover_state()
+        assert doubt.txn_id == 1
+        assert doubt.writes == {"x": (1, 1)}
+        assert doubt.coordinator == "coord/a"
+        assert doubt.precommitted
+        assert doubt.ts == 3.0
+        assert doubt.acp == "3PC"
+        assert doubt.peers == ["p"]
+        assert wal.decision_for(1) is None
+        assert wal.decision_for(2) == "COMMIT"
 
 class TestDotExports:
     def test_serialization_graph_dot(self):

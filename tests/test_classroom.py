@@ -98,7 +98,7 @@ class TestAssignments:
             "lost-update-nocc",
             "crash-recovery",
             "distributed-deadlock",
-            "checkpoint-recovery",
+            "wal-retention",
         ]
 
     def test_distributed_deadlock_assignment(self):
@@ -109,12 +109,17 @@ class TestAssignments:
         assert report.observations["cycles_found"] >= 1
         assert report.observations["probe_messages"]
 
-    def test_checkpoint_recovery_assignment(self):
-        from repro.classroom import assignment_checkpoint_recovery
+    def test_wal_retention_assignment(self):
+        from repro.classroom import assignment_wal_retention
 
-        report = assignment_checkpoint_recovery()
+        report = assignment_wal_retention()
         assert report.passed, report.render()
-        assert report.observations["records_truncated"] > 0
+        # The coordinator's COMMIT outlives the PREPARE until END.
+        assert report.observations["coordinator_log_2pc"] == [
+            "(empty)", "PREPARE", "COMMIT", "(empty)",
+        ]
+        assert report.observations["participant_log_2pc"][-1] == "(empty)"
+        assert report.observations["participant_log_3pc"][-1] == "COMMIT"
         assert report.observations["value_after_recovery"] == 5
 
     def test_report_render(self):

@@ -192,6 +192,15 @@ class TestPersistence:
         with pytest.raises(ConfigurationError, match=key):
             RainbowConfig.from_dict(data)
 
+    @pytest.mark.parametrize("key", ["checkpoint_interval", "uncertainty_timout"])
+    def test_unknown_top_level_key_is_named(self, key):
+        data = RainbowConfig.quick(n_sites=2, n_items=4).to_dict()
+        data[key] = 50.0
+        with pytest.raises(ConfigurationError, match=key):
+            RainbowConfig.from_dict(data)
+        with pytest.raises(ConfigurationError, match=key):
+            RainbowConfig.quick(n_sites=2, n_items=4, **{key: 50.0})
+
     def test_failpoint_round_trips(self):
         config = RainbowConfig.quick(n_sites=2, n_items=4)
         config.protocols.failpoint = "after_votes"

@@ -2,8 +2,8 @@
 
 One Rainbow domain lives through an entire course's worth of activity:
 bring-up, GUI administration, manual transactions, a simulated workload,
-fault injection and recovery, a second workload, checkpoints, config
-save/reload, and a final report — asserting global consistency at the end.
+fault injection and recovery, a second workload, config save/reload,
+and a final report — asserting global consistency at the end.
 """
 
 import pytest
@@ -25,7 +25,6 @@ def test_full_semester(tmp_path):
         n_sites=4, n_items=24, replication_degree=3, sites_per_host=2, seed=21
     )
     config.sample_interval = 20.0
-    config.checkpoint_interval = 150.0
     config.settle_time = 60.0
     instance = RainbowInstance(config)
     instance.start()
@@ -72,9 +71,6 @@ def test_full_semester(tmp_path):
     )
     assert result2.serializable is True
     assert result2.statistics.finished == 82  # manual + 40 + drill + 40
-
-    # --- Checkpoints actually happened ----------------------------------
-    assert any(site.checkpoints_taken > 0 for site in instance.sites.values())
 
     # --- Config save/reload round trip -----------------------------------
     saved = tmp_path / "semester.json"

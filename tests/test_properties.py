@@ -314,7 +314,12 @@ def test_store_version_never_regresses(writes):
     )
 )
 def test_wal_recovery_partitions_transactions(ops):
-    """Every prepared txn is exactly one of: in-doubt, committed, aborted."""
+    """Every prepared txn is either in doubt or decided, released or not.
+
+    Half the decisions are released at once, as sites do: the in-doubt
+    set is the same, and a released COMMIT (coordinator's, no END yet)
+    still answers its decision.
+    """
     wal = WriteAheadLog("s")
     prepared, decided = set(), {}
     for txn, kind in ops:
@@ -327,12 +332,15 @@ def test_wal_recovery_partitions_transactions(ops):
         elif kind == "A" and txn in prepared and txn not in decided:
             wal.log_abort(txn, at=1.0)
             decided[txn] = "ABORT"
-    in_doubt, committed = wal.recover_state()
-    in_doubt_ids = {d.txn_id for d in in_doubt}
-    committed_ids = {r.txn_id for r in committed}
+        if txn in decided and txn % 2:
+            wal.release(txn)
+    in_doubt_ids = {d.txn_id for d in wal.recover_state()}
     assert in_doubt_ids == prepared - set(decided)
-    assert committed_ids == {t for t, d in decided.items() if d == "COMMIT"}
-    assert in_doubt_ids.isdisjoint(committed_ids)
+    for txn, decision in decided.items():
+        if decision == "COMMIT" or txn % 2 == 0:
+            assert wal.decision_for(txn) == decision
+        else:
+            assert wal.decision_for(txn) is None  # presumed abort
 
 
 # ---------------------------------------------------------------------------

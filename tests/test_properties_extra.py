@@ -1,4 +1,4 @@
-"""Additional property-based tests: lock strategies, WAL checkpoints, network."""
+"""Additional property-based tests: lock strategies, WAL release, network."""
 
 import random
 
@@ -65,49 +65,64 @@ def test_every_strategy_preserves_mutual_exclusion(strategy, seed, n_txns, n_ste
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing never changes what recovery concludes
+# Releasing at each decision never changes what recovery concludes
 
 
 @given(
     ops=st.lists(
-        st.tuples(st.integers(1, 5), st.sampled_from(["P", "PC", "C", "A"])),
-        max_size=25,
+        st.tuples(st.integers(1, 5), st.sampled_from(["P", "PC", "C", "A", "E"])),
+        max_size=30,
     ),
-    checkpoint_after=st.integers(0, 25),
+    roles=st.lists(
+        st.tuples(st.sampled_from(["2PC", "3PC"]), st.booleans()), min_size=5, max_size=5
+    ),
 )
-def test_checkpoint_preserves_recovery_semantics(ops, checkpoint_after):
-    def build(with_checkpoint):
+def test_release_at_decision_preserves_recovery_semantics(ops, roles):
+    """``roles[txn - 1]`` is the transaction's ACP and whether this site is
+    its coordinator (decision records without a coordinator address)."""
+
+    def build(release):
         wal = WriteAheadLog("s")
-        prepared, precommitted, decided = set(), set(), set()
-        for index, (txn, kind) in enumerate(ops):
-            if with_checkpoint and index == checkpoint_after:
-                wal.checkpoint({}, at=float(index))
-            if kind == "P" and txn not in prepared:
-                wal.log_prepare(txn, {"x": (txn, txn)}, f"c/{txn}", at=0.0, ts=txn)
+        prepared, decided, ended = set(), {}, set()
+        for txn, kind in ops:
+            acp, coordinating = roles[txn - 1]
+            coordinator = None if coordinating else f"c/{txn}"
+            if txn in ended:
+                continue
+            if kind == "P" and txn not in prepared and txn not in decided:
+                wal.log_prepare(
+                    txn, {"x": (txn, txn)}, coordinator, at=0.0, ts=txn, acp=acp,
+                    peers=["p"] if acp == "3PC" else None,
+                )
                 prepared.add(txn)
             elif kind == "PC" and txn in prepared and txn not in decided:
                 wal.log_precommit(txn, at=0.0)
-                precommitted.add(txn)
-            elif kind == "C" and txn in prepared and txn not in decided:
-                wal.log_commit(txn, at=0.0)
-                decided.add(txn)
-            elif kind == "A" and txn in prepared and txn not in decided:
-                wal.log_abort(txn, at=0.0)
-                decided.add(txn)
-        if with_checkpoint and checkpoint_after >= len(ops):
-            wal.checkpoint({}, at=99.0)
-        return wal
+            elif kind in ("C", "A") and txn not in decided:
+                log = wal.log_commit if kind == "C" else wal.log_abort
+                log(txn, at=0.0, coordinator=coordinator, acp=acp)
+                decided[txn] = "COMMIT" if kind == "C" else "ABORT"
+                if release:
+                    wal.release(txn)
+            elif kind == "E" and coordinating and txn in decided:
+                wal.log_end(txn, at=0.0)
+                ended.add(txn)
+                if release:
+                    wal.release(txn)
+        return wal, decided, ended
 
-    plain = build(False)
-    checked = build(True)
-    in_doubt_plain, _ = plain.recover_state()
-    in_doubt_checked, _ = checked.recover_state()
-    # The in-doubt classification — the part recovery acts on — is
-    # identical with or without a checkpoint anywhere in the history.
-    def key(doubt):
-        return (doubt.txn_id, doubt.precommitted, doubt.coordinator, doubt.ts)
-
-    assert sorted(map(key, in_doubt_plain)) == sorted(map(key, in_doubt_checked))
+    kept, decided, ended = build(release=False)
+    released, _, _ = build(release=True)
+    assert released.recover_state() == kept.recover_state()
+    # Who may still ask: 3PC peers, which presume nothing, and in-doubt
+    # participants asking a coordinator that has not logged END.
+    for txn, decision in decided.items():
+        acp, coordinating = roles[txn - 1]
+        if txn in ended:
+            continue
+        if acp == "3PC" or (coordinating and decision == "COMMIT"):
+            assert released.decision_for(txn) == kept.decision_for(txn) == decision
+        else:
+            assert released.decision_for(txn) in (None, decision)
 
 
 # ---------------------------------------------------------------------------

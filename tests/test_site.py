@@ -566,6 +566,31 @@ class TestAccessesArePlainCalls:
         )
         assert 2 not in site._activity and 2 not in site._txn_home
 
+    def test_abort_while_waiting_answers_and_closes_span(self, sim, network, site):
+        from repro.obs.spans import SpanTracer
+
+        site.tracer = SpanTracer(sim)
+        client = network.endpoint("hc", "client")
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
+
+        def run():
+            reply = yield client.request(
+                site.address, MessageType.READ,
+                {"txn": 2, "ts": 2.0, "item": "x", "home": client.address}, timeout=30,
+            )
+            return reply.payload
+
+        caller = sim.process(run())
+        sim.run(until=4.0)
+        assert site.cc.locks.waiting_count() == 1
+        client.send(site.address, MessageType.ABORT, {"txn": 2})  # arrives at t=5
+        payload = sim.run(until=caller)
+        assert not payload["ok"]
+        (read_span,) = [span for span in site.tracer.spans if span.txn_id == 2]
+        assert (read_span.name, read_span.end) == ("ccp.read", 5.0)
+        assert site.cc.locks.waiting_count() == 0
+        assert 2 not in site._activity and 2 not in site._txn_home
+
     def test_crashed_gateway_leaves_sibling_unprepared(self, sim, network):
         gateway = Site(sim, network, "s1", "h1", gc_interval=0, uncertainty_timeout=None)
         sibling = Site(sim, network, "s2", "h1", gc_interval=0, uncertainty_timeout=None)

@@ -69,8 +69,11 @@ class TestLocalStore:
         store.create_copy("x")
         store.apply("x", 9, version=2, txn_id=1, at=0.0)
         snap = store.snapshot()
+        assert snap == {"x": (9, 2)}
         other = LocalStore("s2")
-        other.load_snapshot(snap)
+        other.create_copy("x")
+        for item, (value, version) in snap.items():
+            other.apply(item, value, version, txn_id=1, at=1.0)
         assert other.read("x") == (9, 2)
 
 
@@ -102,7 +105,7 @@ class TestWriteAheadLog:
                         peers=["p1", "p2"])
         wal.log_prepare(2, {"y": (7, 2)}, "coord/b", at=1.0)
         wal.log_commit(2, at=2.0)
-        in_doubt, committed = wal.recover_state()
+        in_doubt = wal.recover_state()
         assert [d.txn_id for d in in_doubt] == [1]
         doubt = in_doubt[0]
         assert doubt.writes == {"x": (5, 1)}
@@ -111,33 +114,27 @@ class TestWriteAheadLog:
         assert doubt.acp == "3PC"
         assert doubt.peers == ["p1", "p2"]
         assert not doubt.precommitted
-        assert [r.txn_id for r in committed] == [2]
 
     def test_recover_marks_precommitted(self):
         wal = WriteAheadLog("s1")
         wal.log_prepare(1, {}, None, at=0.0)
         wal.log_precommit(1, at=0.5)
-        in_doubt, _committed = wal.recover_state()
-        assert in_doubt[0].precommitted
+        assert wal.recover_state()[0].precommitted
 
-    def test_recover_committed_in_lsn_order(self):
+    def test_committed_transactions_not_in_doubt(self):
         wal = WriteAheadLog("s1")
         wal.log_prepare(2, {"y": (1, 1)}, None, at=0.0)
         wal.log_prepare(1, {"x": (1, 1)}, None, at=0.0)
         wal.log_commit(1, at=1.0)
+        assert [d.txn_id for d in wal.recover_state()] == [2]
         wal.log_commit(2, at=1.0)
-        _in_doubt, committed = wal.recover_state()
-        assert [r.txn_id for r in committed] == [2, 1]  # prepare LSN order
+        assert wal.recover_state() == []
 
     def test_aborted_transactions_not_in_doubt(self):
         wal = WriteAheadLog("s1")
         wal.log_prepare(1, {}, None, at=0.0)
         wal.log_abort(1, at=1.0)
-        in_doubt, committed = wal.recover_state()
-        assert in_doubt == []
-        assert committed == []
+        assert wal.recover_state() == []
 
     def test_empty_log_recovers_empty(self):
-        in_doubt, committed = WriteAheadLog("s1").recover_state()
-        assert in_doubt == []
-        assert committed == []
+        assert WriteAheadLog("s1").recover_state() == []

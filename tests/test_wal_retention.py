@@ -1,8 +1,9 @@
 """The WAL forgets what recovery no longer needs.
 
 A decided transaction is released at once by the presumed-abort retention
-rules; the log is indexed by transaction, so a release, a decision lookup
-and a checkpoint cost what the live transactions hold, not the history.
+rules; the log is indexed by transaction, so a release and a decision
+lookup cost what the transaction holds, not the history.  Recovery then
+needs only the in-doubt transactions: the store keeps every commit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import pytest
 import repro.site.wal as wal_module
 from repro.experiments.common import build_instance
 from repro.site.wal import WriteAheadLog
+from repro.txn.transaction import Operation, Transaction
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import quick_instance
 
 
 def lines_run(call) -> int:
@@ -40,13 +43,13 @@ def lines_run(call) -> int:
 
 
 def retained_3pc_log(n: int) -> WriteAheadLog:
-    """A participant log of ``n`` committed 3PC transactions, checkpointed."""
+    """A participant log of ``n`` committed 3PC transactions, released."""
     wal = WriteAheadLog("s")
     for txn in range(1, n + 1):
         wal.log_prepare(txn, {"x": (txn, txn)}, "coord/a", at=0.0, acp="3PC", peers=["p"])
         wal.log_precommit(txn, at=0.5)
         wal.log_commit(txn, at=1.0, coordinator="coord/a", acp="3PC")
-    wal.checkpoint({"x": (n, n)}, at=2.0)
+        wal.release(txn)
     return wal
 
 
@@ -70,6 +73,7 @@ class TestRelease:
         wal.log_end(1, at=2.0)
         assert wal.release(1) == 2  # the END and the pinned COMMIT
         assert len(wal) == 0
+        assert wal.decision_for(1) is None
 
     def test_3pc_keeps_one_decision_for_its_peers(self):
         wal = WriteAheadLog("s")
@@ -82,7 +86,7 @@ class TestRelease:
         wal.release(2)
         assert wal.records == [commit, abort]
         assert (wal.decision_for(1), wal.decision_for(2)) == ("COMMIT", "ABORT")
-        assert wal.recover_state() == ([], [])
+        assert wal.recover_state() == []
 
     def test_2pc_abort_is_presumed(self):
         wal = WriteAheadLog("s")
@@ -94,13 +98,17 @@ class TestRelease:
 
     def test_release_leaves_other_transactions_alone(self):
         wal = WriteAheadLog("s")
-        prepare = wal.log_prepare(2, {"y": (1, 1)}, "coord/a", at=0.0)
+        prepare = wal.log_prepare(
+            2, {"y": (1, 1)}, "coord/a", at=0.0, ts=3.0, acp="3PC", peers=["p"]
+        )
+        precommit = wal.log_precommit(2, at=0.5)
         wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0)
         wal.log_abort(1, at=1.0)
         wal.release(1)
-        assert wal.records == [prepare]
-        in_doubt, _committed = wal.recover_state()
-        assert [doubt.txn_id for doubt in in_doubt] == [2]
+        assert wal.records == [prepare, precommit]
+        [doubt] = wal.recover_state()
+        assert (doubt.txn_id, doubt.writes, doubt.coordinator) == (2, {"y": (1, 1)}, "coord/a")
+        assert (doubt.precommitted, doubt.ts, doubt.acp, doubt.peers) == (True, 3.0, "3PC", ["p"])
 
 
 class TestIndexedCost:
@@ -115,20 +123,54 @@ class TestIndexedCost:
             )
         assert large.decision_for(5) == "COMMIT"
 
-    def test_checkpoint_carries_retained_records_over_unchanged(self):
-        wal = retained_3pc_log(50)
-        kept = wal.records[:-1]  # the retained COMMITs, then the CHECKPOINT
-        assert [record.kind for record in kept] == ["COMMIT"] * 50
-        assert wal.checkpoint({"x": (50, 50)}, at=3.0) == 1  # the old image
-        assert wal.checkpoint({"x": (50, 50)}, at=4.0) == 1
-        assert all(a is b for a, b in zip(wal.records[:-1], kept, strict=True))
-        assert wal.last_checkpoint().at == 4.0
-
-    def test_checkpoint_work_does_not_grow_with_retained_commits(self):
+    def test_release_work_does_not_grow_with_retained_commits(self):
         small, large = retained_3pc_log(10), retained_3pc_log(400)
-        assert lines_run(lambda: small.checkpoint({}, at=5.0)) == lines_run(
-            lambda: large.checkpoint({}, at=5.0)
+        for wal in (small, large):
+            wal.log_prepare(10_000, {"x": (1, 1)}, "coord/a", at=3.0, acp="3PC")
+            wal.log_commit(10_000, at=4.0, coordinator="coord/a", acp="3PC")
+        assert lines_run(lambda: small.release(10_000)) == lines_run(
+            lambda: large.release(10_000)
         )
+        assert [record.kind for record in large.records] == ["COMMIT"] * 401
+
+
+class TestRecovery:
+    def test_committed_write_survives_crash_without_redo(self):
+        instance = quick_instance(n_items=8, settle_time=30)
+        instance.start()
+        txn = Transaction(ops=[Operation.write("x1", 77)], home_site="site1")
+        instance.sim.run(until=instance.submit(txn))
+        site = instance.sites["site1"]
+        # The commit was applied and released in one step: nothing to redo.
+        assert site.wal.recover_state() == []
+        site.crash()
+        site.recover()
+        instance.sim.run(until=instance.sim.now + 30)
+        assert site.store.read("x1")[0] == 77
+
+    def test_in_doubt_participant_recovers_and_resolves(self):
+        """A participant crashed while in doubt reinstates the transaction
+        from its PREPARE and resolves it once the coordinator is back."""
+        instance = quick_instance(n_items=8, settle_time=0,
+                                  uncertainty_timeout=20.0, decision_retry=10.0)
+        instance.config.protocols.failpoint = "after_votes"
+        instance.config.protocols.failpoint_arms = 1
+        instance.start()
+        txn = Transaction(
+            ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
+            home_site="site1",
+        )
+        instance.sim.run(until=instance.submit(txn))
+        participant = instance.sites["site2"]
+        assert participant.in_doubt_count() == 1
+        participant.crash()
+        assert participant.in_doubt_count() == 0
+        participant.recover()
+        assert participant.in_doubt_count() == 1
+        instance.injector.recover_now("site1")
+        instance.sim.run(until=instance.sim.now + 200)
+        assert all(site.in_doubt_count() == 0 for site in instance.sites.values())
+        assert participant.store.read("x1")[0] == 0  # presumed abort
 
 
 def _session(acp: str, n_transactions: int, samples: list):
