@@ -6,6 +6,7 @@
 #   make bench       kernel microbenchmark smoke run (pytest-benchmark)
 #   make baseline    regenerate benchmarks/baseline.json (perfbench work-counter ledger)
 #   make chaos       chaos suite: 25 nemesis seeds, all safety invariants
+#   make chaos-ledger regenerate benchmarks/chaos_ledger.txt (whole-matrix chaos verdicts)
 #   make trace       traced session: phase breakdown + trace.json (Perfetto)
 #   make rules       print the rainbow-lint rule catalog
 #   make golden      regenerate tests/fixtures/golden/ (golden replay gate)
@@ -14,7 +15,7 @@ PY       ?= python
 PYPATH   := PYTHONPATH=src
 LINTDIRS := src benchmarks examples
 
-.PHONY: test lint lint-all bench baseline chaos trace rules golden
+.PHONY: test lint lint-all bench baseline chaos chaos-ledger trace rules golden
 
 test:
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -42,6 +43,9 @@ baseline:
 
 chaos:
 	$(PYPATH) $(PY) -m repro chaos --seeds 25 -j 0
+
+chaos-ledger:
+	$(PYPATH) $(PY) -m benchmarks.chaos_ledger -j 0
 
 trace:
 	$(PYPATH) $(PY) -m repro trace --seed 7 --out trace.json

@@ -39,7 +39,7 @@ EVENT_RETURNING_APIS = frozenset({
     # RCP / ACP handler generators
     "do_read", "do_write",
     # kernel event constructors
-    "timeout", "event", "any_of", "all_of",
+    "timeout", "event", "all_of",
     # endpoint RPC surface
     "request",
 })

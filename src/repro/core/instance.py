@@ -27,6 +27,7 @@ from repro.nameserver.server import NameServer
 from repro.net.faults import FaultEvent, FaultInjector
 from repro.net.message import MessageType
 from repro.net.network import Network
+from repro.protocols.base import make_acp, make_rcp
 from repro.sim.kernel import Process, Simulator
 from repro.sim.randoms import RandomStreams
 from repro.site.site import Site
@@ -84,6 +85,10 @@ class RainbowInstance:
         self.injector.register(self.nameserver)
 
         protocols = config.protocols
+        # The RCP and ACP are stateless policies: one object of each serves
+        # every transaction, whose state lives on its TxnContext.
+        self.rcp = make_rcp(protocols.rcp)
+        self.acp = make_acp(protocols.acp)
         self.sites: dict[str, Site] = {}
         for site_config in config.sites:
             site = Site(
@@ -160,7 +165,8 @@ class RainbowInstance:
     def _coordinate(self, site: Site, txn: Transaction):
         """The generator each home site runs per transaction (its thread)."""
         ctx = TxnContext(
-            txn, site, site.catalog, site.directory, self.config.protocols, self.monitor
+            txn, site, site.catalog, site.directory, self.config.protocols,
+            self.rcp, self.acp, self.monitor,
         )
         site.register_home_txn(txn.txn_id, ctx)
         try:

@@ -65,17 +65,6 @@ class FaultSchedule:
         default_factory=list
     )
 
-    def is_empty(self) -> bool:
-        """True when the schedule injects nothing at all."""
-        return not (
-            self.crashes
-            or self.recoveries
-            or self.partitions
-            or self.heals
-            or self.link_cuts
-            or self.flaky_links
-        )
-
 
 class FaultInjector:
     """Applies scheduled and stochastic faults to sites and the network."""

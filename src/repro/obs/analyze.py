@@ -175,14 +175,14 @@ def render_span_tree(tracer: SpanTracer, txn_id: int) -> list[str]:
             f"[{span.start:.3f} → {end:.3f}]  {span.duration:.3f}{detail}"
         )
 
-    def walk(span: Span, depth: int) -> None:
+    stack = [(root, 0)]  # depth first; children pushed last-first
+    while stack:
+        span, depth = stack.pop()
         lines.append("  " * depth + fmt(span))
         children = sorted(
             tracer.children(span),
             key=lambda child: (child.start, child.span_id),
+            reverse=True,
         )
-        for child in children:
-            walk(child, depth + 1)
-
-    walk(root, 0)
+        stack.extend((child, depth + 1) for child in children)
     return lines

@@ -74,7 +74,9 @@ def wait_for(event: Event, then: Callable[[], Any]) -> Wait:
 
     def resume() -> Any:
         if not event.ok:
-            raise event.value
+            # A fresh abort: raising the stored one would tie its traceback
+            # to this frame, which holds the event that holds it.
+            raise ConcurrencyAbort(event.value.detail)
         return then()
 
     return Wait(event, resume)
@@ -174,6 +176,9 @@ class ReplicationController:
     remote copy accesses the protocol requires and raise
     :class:`~repro.errors.ReplicationAbort` when the necessary copies or
     quorum cannot be assembled.
+
+    An RCP object is a stateless policy: the instance makes one and every
+    transaction shares it, so per-transaction state belongs on ``ctx``.
     """
 
     name = "abstract"
@@ -192,7 +197,8 @@ class CommitProtocol:
 
     ``run`` is a generator driven by the coordinator; it returns the
     decision string ``"COMMIT"`` or raises
-    :class:`~repro.errors.CommitAbort`.
+    :class:`~repro.errors.CommitAbort`.  Like an RCP, an ACP object is a
+    stateless policy shared by every transaction; its state goes on ``ctx``.
     """
 
     name = "abstract"

@@ -72,12 +72,9 @@ class WorkspaceController(ConcurrencyController):
         """
         event = self.sim.event(name=f"{self.name.lower()}-wait")
         timer = None
-        if self.wait_timeout is not None:
-
-            def _expire() -> None:  # only runs while the wait is pending
-                event.fail(ConcurrencyAbort(f"{self.name} wait timeout"))
-
-            timer = self.sim.defer(self.wait_timeout, _expire)
+        if self.wait_timeout is not None:  # _wake cancels it: it fails only a pending wait
+            timeout = ConcurrencyAbort(f"{self.name} wait timeout")
+            timer = self.sim.defer(self.wait_timeout, event.fail, timeout)
         record.waiters.append((event, timer))
         return wait_for(event, partial(then, *args))
 

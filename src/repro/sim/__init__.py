@@ -2,7 +2,6 @@
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -13,7 +12,6 @@ from repro.sim.randoms import RandomStreams, zipf_weights
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "Process",

@@ -16,8 +16,8 @@ The kernel is intentionally SimPy-like but self-contained:
 * :class:`Process` wraps a generator; yielding an event suspends the process
   until the event fires.  A failed event is re-raised inside the generator so
   processes handle protocol failures with ordinary ``try/except``.
-* :class:`AnyOf` / :class:`AllOf` compose events; :class:`Countdown` joins
-  a fan-out whose children may fail.
+* :class:`AllOf` joins events that must all succeed; :class:`Countdown`
+  joins a fan-out whose children may fail.
 * :meth:`Process.interrupt` throws :class:`Interrupt` into a suspended
   process — used to kill in-flight work when a site crashes.
 * :meth:`Simulator.defer` schedules a bare callback (the one timer API)
@@ -42,7 +42,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "AllOf",
     "Countdown",
     "Interrupt",
@@ -210,7 +209,9 @@ class _Call:
     lock-wait expirations) where a full :class:`Event` — with its callback
     list, state machine, and waiter support — is overhead.  The event loop
     only requires ``_live`` and ``_run_callbacks``.  A call is live from
-    scheduling until it runs or is cancelled.
+    scheduling until it runs or is cancelled; then it lets go of ``fn`` and
+    ``arg``, so a handle kept by what the callback holds (a lock request's
+    expiry timer) forms no reference cycle.
     """
 
     __slots__ = ("fn", "arg", "_live")
@@ -222,19 +223,25 @@ class _Call:
 
     def _run_callbacks(self) -> None:
         self._live = False
-        if self.arg is _NO_ARG:
-            self.fn()
+        fn, arg = self.fn, self.arg
+        self.fn = self.arg = None
+        if arg is _NO_ARG:
+            fn()
         else:
-            self.fn(self.arg)
+            fn(arg)
 
 
-class _ConditionEvent(Event):
-    """Base for AnyOf/AllOf: completes based on child event outcomes."""
+class AllOf(Event):
+    """Succeeds once every child event has succeeded.
+
+    Fails as soon as any child fails (with that child's exception).  The
+    success value is a dict of the child events mapped to their values.
+    """
 
     __slots__ = ("events", "_remaining")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name=self.__class__.__name__)
+        super().__init__(sim, name="AllOf")
         self.events = list(events)
         for event in self.events:
             if event.sim is not sim:
@@ -247,44 +254,6 @@ class _ConditionEvent(Event):
             event.add_callback(self._child_fired)
 
     def _child_fired(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _results(self) -> dict[Event, Any]:
-        # Only *processed* children count: a Timeout is born triggered but
-        # has not occurred until its callbacks ran.
-        return {e: e.value for e in self.events if e.processed and e.ok}
-
-
-class AnyOf(_ConditionEvent):
-    """Succeeds as soon as any child event succeeds.
-
-    Fails only if *all* children fail (with the last failure).  The success
-    value is a dict of the child events that had succeeded by that instant,
-    mapped to their values.
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(self._results())
-        else:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self.fail(event.value)
-
-
-class AllOf(_ConditionEvent):
-    """Succeeds once every child event has succeeded.
-
-    Fails as soon as any child fails (with that child's exception).
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, event: Event) -> None:
         if self.triggered:
             return
         if not event.ok:
@@ -292,7 +261,9 @@ class AllOf(_ConditionEvent):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._results())
+            # Only *processed* children count: a Timeout is born triggered
+            # but has not occurred until its callbacks ran.
+            self.succeed({e: e.value for e in self.events if e.processed and e.ok})
 
 
 class Countdown(Event):
@@ -496,6 +467,7 @@ class Simulator:
         if not call._live:
             return
         call._live = False
+        call.fn = call.arg = None
         self._dead += 1
         heap = self._heap
         if self._dead * 2 > len(heap):
@@ -503,10 +475,6 @@ class Simulator:
             heap[:] = [entry for entry in heap if entry[2]._live]
             heapq.heapify(heap)
             self._dead = 0
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` succeeds."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have succeeded."""

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterator
 
 __all__ = [
     "RandomStreams",
+    "cumulative_weights",
     "exponential",
     "iterate_poisson_arrivals",
     "weighted_choice",
@@ -66,15 +69,18 @@ def zipf_weights(n: int, theta: float) -> list[float]:
     return [w / total for w in raw]
 
 
-def weighted_choice(rng: random.Random, weights: list[float]) -> int:
-    """Draw an index according to ``weights`` (assumed normalised)."""
-    point = rng.random()
-    acc = 0.0
-    for index, weight in enumerate(weights):
-        acc += weight
-        if point <= acc:
-            return index
-    return len(weights) - 1
+def cumulative_weights(weights: list[float]) -> list[float]:
+    """Running sums of ``weights`` (assumed normalised), for :func:`weighted_choice`."""
+    return list(accumulate(weights))
+
+
+def weighted_choice(rng: random.Random, cumulative: list[float]) -> int:
+    """Draw an index according to :func:`cumulative_weights` ``cumulative``.
+
+    The first index whose running sum reaches the draw, found by bisection;
+    the last index when rounding leaves the total just short of it.
+    """
+    return min(bisect_left(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def exponential(rng: random.Random, mean: float) -> float:

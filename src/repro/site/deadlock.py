@@ -9,20 +9,28 @@ project-grade extension: probe-based edge chasing.
 Protocol (per Chandy, Misra & Haas 1983, adapted to Rainbow's topology):
 
 1. When transaction *T* blocks at a site, the site sends a ``PROBE_HOME``
-   for every blocker *B* to *B*'s home site (every blocker has visited this
-   site, so its home address is known from its operation messages).
+   for every blocker *B* older than *T* to *B*'s home site (every blocker
+   has visited this site, so its home address is known from its operation
+   messages).
 2. *B*'s home site consults the coordinator state: if *B* is currently
    blocked at some site, the probe is forwarded there as ``PROBE_SITE``.
 3. The site where *B* waits looks up *B*'s own blockers.  If the probe's
    initiator is among them, a cycle is certain: a ``VICTIM_HOME`` message
-   goes to the initiator's home, which forwards ``ABORT_WAIT`` to the site
-   where the initiator is queued; its lock wait fails with a
+   goes to the initiator's home, which sends ``ABORT_WAIT`` to every site
+   where the initiator is queued; its lock waits fail with a
    :class:`~repro.errors.ConcurrencyAbort` (a CCP abort, like any deadlock
-   victim).  Otherwise the probe keeps chasing edges (bounded by
-   ``max_hops``).
+   victim).  Otherwise the probe keeps chasing edges to blockers older
+   than its initiator (bounded by ``max_hops``).
 4. Races (a wait resolving while a probe is in flight) simply drop the
    probe; a periodic re-probe pass regenerates probes for waits that
    persist, so real deadlocks are detected eventually.
+
+A probe only ever goes to transactions older than its initiator, so of the
+members of a cycle only the youngest, the one the local detector would
+also abort, chases it all the way round: a cycle is confirmed from one end,
+and its victim is the probe's initiator.  A victim that waits for several
+older transactions, or at several sites, sends one probe per wait; a site
+reports a victim once per ``probe_interval``, so one deadlock is one report.
 
 All probe traffic flows through the simulated network and is counted like
 any other message — so the *cost* of distributed detection is measurable
@@ -66,6 +74,7 @@ class DeadlockDetector:
         self.probe_interval = probe_interval
         self.max_hops = max_hops
         self.stats = DetectorStats()
+        self._reported: dict[int, float] = {}  # victim -> when this site reported it
         if probe_interval:
             site._spawn(self._reprobe_loop(), name=f"ddd:{site.name}")
 
@@ -103,12 +112,16 @@ class DeadlockDetector:
             "initiator_home": initiator_home,
             "hops": hops + 1,
         }
+        locks = self.site.cc.locks
         for blocker in sorted(blockers):
             if blocker == initiator:
                 # Local self-cycle (should have been caught by the local
                 # detector): the initiator is the victim.
                 self._report_cycle(initiator, initiator_home)
                 continue
+            blocker_ts = locks.ts_of(blocker)
+            if blocker_ts is None or blocker_ts > initiator_ts:
+                continue  # a younger blocker chases its own cycles
             home = self.site._txn_home.get(blocker)
             if home is None:
                 self.stats.probes_dropped += 1
@@ -135,12 +148,12 @@ class DeadlockDetector:
     def _probe_at_home(self, payload) -> None:
         """We are the target's home: forward to wherever it is blocked."""
         ctx = self.site._home_ctxs.get(payload.get("target"))
-        blocked_site = getattr(ctx, "blocked_site", None) if ctx else None
-        if ctx is None or blocked_site is None:
+        blocked = ctx.blocked_sites if ctx is not None else []
+        if not blocked:
             self.stats.probes_dropped += 1  # target finished or is running
             return
         self.stats.probes_forwarded += 1
-        address = self.site.directory_address(blocked_site)
+        address = self.site.directory_address(blocked[0])
         self._dispatch(address, ProbeTypes.PROBE_SITE, payload)
 
     def _probe_at_site(self, payload) -> None:
@@ -155,17 +168,8 @@ class DeadlockDetector:
             return
         initiator = payload["initiator"]
         if initiator in blockers:
-            # Cycle confirmed.  Pick the *younger* of (initiator, target)
-            # so the two symmetric detections of a 2-cycle agree on one
-            # victim instead of killing both transactions.
-            victim = initiator
-            victim_home = payload["initiator_home"]
-            target_ts = locks.ts_of(target)
-            if target_ts is not None and target_ts > payload["initiator_ts"]:
-                candidate_home = self.site._txn_home.get(target)
-                if candidate_home is not None:
-                    victim, victim_home = target, candidate_home
-            self._report_cycle(victim, victim_home)
+            # Cycle confirmed; the initiator is its youngest member.
+            self._report_cycle(initiator, payload["initiator_home"])
             return
         self._chase(
             initiator=initiator,
@@ -175,24 +179,32 @@ class DeadlockDetector:
             hops=payload.get("hops", 0),
         )
 
-    def _report_cycle(self, initiator: int, initiator_home: str) -> None:
+    def _report_cycle(self, victim: int, victim_home: str) -> None:
+        now = self.sim.now
+        reported = self._reported.get(victim)
+        if reported is not None and now - reported < self.probe_interval:
+            return  # another wait of the same victim closed the same deadlock
+        self._reported = {
+            txn: at for txn, at in self._reported.items() if now - at < self.probe_interval
+        }
+        self._reported[victim] = now
         self.stats.cycles_found += 1
-        self._dispatch(initiator_home, ProbeTypes.VICTIM_HOME, {"txn": initiator})
+        self._dispatch(victim_home, ProbeTypes.VICTIM_HOME, {"txn": victim})
 
     def _victim_at_home(self, payload) -> None:
-        """We are the victim's home: unwind it where it waits."""
+        """We are the victim's home: unwind it everywhere it waits."""
         ctx = self.site._home_ctxs.get(payload.get("txn"))
-        blocked_site = getattr(ctx, "blocked_site", None) if ctx else None
-        if ctx is None or blocked_site is None:
+        blocked = ctx.blocked_sites if ctx is not None else []
+        if not blocked:
             return  # already unblocked/finished: the deadlock resolved
-        address = self.site.directory_address(blocked_site)
-        self._dispatch(address, ProbeTypes.ABORT_WAIT, {"txn": payload["txn"]})
+        self.stats.victims_aborted += 1
+        for site in blocked:
+            address = self.site.directory_address(site)
+            self._dispatch(address, ProbeTypes.ABORT_WAIT, {"txn": payload["txn"]})
 
     def _abort_wait(self, payload) -> None:
-        if not self.site.cc.lock_based:
-            return
-        if self.site.cc.locks.abort_waiter(payload["txn"], reason="distributed deadlock victim"):
-            self.stats.victims_aborted += 1
+        if self.site.cc.lock_based:
+            self.site.cc.locks.abort_waiter(payload["txn"], reason="distributed deadlock victim")
 
     # -- transport ---------------------------------------------------------------
     def _dispatch(self, address: Optional[str], mtype: str, payload: dict) -> None:

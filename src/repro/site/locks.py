@@ -3,9 +3,10 @@
 Grants shared (S) and exclusive (X) locks with FIFO queueing, lock
 upgrades, and a pluggable deadlock strategy:
 
-* ``"detect"`` (default) — maintain the local wait-for graph; on every
-  block, search for a cycle through the new waiter and abort the *youngest*
-  transaction on the cycle (largest timestamp — it has done the least work).
+* ``"detect"`` (default) — on every block, search the local wait-for
+  edges reachable from the new waiter for a cycle through it and abort the
+  *youngest* transaction on the cycle (largest timestamp — it has done the
+  least work).
 * ``"timeout"`` — no graph; a waiter that exceeds ``wait_timeout`` is
   aborted.  This is also the backstop for *distributed* deadlocks, which a
   single site's graph cannot see, so ``wait_timeout`` stays armed under
@@ -229,7 +230,12 @@ class LockManager:
 
     def wait_for_graph_dot(self) -> str:
         """Graphviz DOT rendering of the current local wait-for graph."""
-        graph = self._wait_for_graph()
+        graph: dict[int, set[int]] = {}
+        for entry in self._waiting_entries():
+            for request in entry.queue:
+                graph.setdefault(request.txn_id, set()).update(
+                    self._blockers_of(entry, request)
+                )
         lines = ["digraph waits_for {"]
         nodes = set(graph) | {b for blockers in graph.values() for b in blockers}
         for node in sorted(nodes):
@@ -413,42 +419,34 @@ class LockManager:
             request.event.succeed()
 
     # -- deadlock machinery ----------------------------------------------------------
-    def _wait_for_graph(self) -> dict[int, set[int]]:
-        graph: dict[int, set[int]] = {}
-        for entry in self._waiting_entries():
-            for request in entry.queue:
-                graph.setdefault(request.txn_id, set()).update(
-                    self._blockers_of(entry, request)
-                )
-        return graph
-
     def _find_deadlock_victim(self, start: int) -> Optional[int]:
-        """Find a cycle through ``start``; return the youngest member or None."""
-        graph = self._wait_for_graph()
-        path: list[int] = []
-        on_path: set[int] = set()
+        """Find a cycle through ``start``; return the youngest member or None.
+
+        An iterative depth-first search over the wait-for edges.  It asks
+        :meth:`blockers_of` for the edges of each node it reaches and of no
+        other, so a block costs the waits it can reach, not the whole table.
+        Each blocker set is built in table and queue order, so nodes are
+        visited in a fixed order and the same cycle gives the same victim.
+        """
+        path = [start]
+        on_path = {start}
         visited: set[int] = set()
-
-        def dfs(node: int) -> Optional[list[int]]:
-            path.append(node)
-            on_path.add(node)
-            for succ in graph.get(node, ()):  # noqa: B905
+        pending = [iter(self.blockers_of(start))]  # unexplored edges per level
+        while pending:
+            for succ in pending[-1]:
                 if succ == start:
-                    return list(path)
-                if succ in on_path or succ in visited:
-                    continue
-                cycle = dfs(succ)
-                if cycle is not None:
-                    return cycle
-            path.pop()
-            on_path.discard(node)
-            visited.add(node)
-            return None
-
-        cycle = dfs(start)
-        if cycle is None:
-            return None
-        return max(cycle, key=lambda txn: (self._ts_of.get(txn, 0.0), txn))
+                    return max(path, key=lambda txn: (self._ts_of.get(txn, 0.0), txn))
+                if succ not in on_path and succ not in visited:
+                    path.append(succ)
+                    on_path.add(succ)
+                    pending.append(iter(self.blockers_of(succ)))
+                    break
+            else:
+                node = path.pop()
+                on_path.discard(node)
+                visited.add(node)
+                pending.pop()
+        return None
 
     def _abort_waiter(self, txn_id: int, reason: str) -> None:
         for entry in self._entries_of(txn_id):

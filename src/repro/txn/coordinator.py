@@ -35,7 +35,12 @@ from repro.errors import (
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
 from repro.obs.spans import Span
-from repro.protocols.base import Wait, follow, make_acp, make_rcp
+from repro.protocols.base import (
+    CommitProtocol,
+    ReplicationController,
+    Wait,
+    follow,
+)
 from repro.sim.kernel import Countdown, Interrupt
 from repro.site.site import Site
 from repro.txn.transaction import OpKind, Transaction, TxnStatus
@@ -77,6 +82,8 @@ class TxnContext:
         catalog: Catalog,
         directory: dict[str, str],
         config: ProtocolConfig,
+        rcp: ReplicationController,
+        acp: CommitProtocol,
         monitor=None,
     ):
         self.txn = txn
@@ -87,11 +94,11 @@ class TxnContext:
         self.config = config
         self.monitor = monitor
         self.participants: dict[str, Participant] = {}
-        self.rcp = make_rcp(config.rcp)
-        self.acp = make_acp(config.acp)
+        self.rcp = rcp  # the instance's shared policies
+        self.acp = acp
         # Sites where copy accesses are currently outstanding (a counted
         # multiset: quorum accesses run concurrently).  The distributed-
-        # deadlock detector forwards probes through ``blocked_site``.
+        # deadlock detector forwards probes through ``blocked_sites``.
         self._blocked_counts: dict[str, int] = {}
         # Piggybacked-prepare state: armed only while the final operation's
         # accesses are in flight; votes folded into access replies wait
@@ -140,12 +147,9 @@ class TxnContext:
         return self.current_span or self.root_span
 
     @property
-    def blocked_site(self) -> Optional[str]:
-        """A site where the transaction is currently waiting (or None)."""
-        for site, count in self._blocked_counts.items():
-            if count > 0:
-                return site
-        return None
+    def blocked_sites(self) -> list[str]:
+        """The sites where the transaction is currently waiting, first waited first."""
+        return list(self._blocked_counts)
 
     def _block_enter(self, site: str) -> None:
         self._blocked_counts[site] = self._blocked_counts.get(site, 0) + 1
@@ -253,8 +257,11 @@ class TxnContext:
         def home_settled(outcome: Any, waited: bool) -> None:
             if not waited and self.home.cc.lock_based:
                 # A lock granted at once costs one step, as in _access_home.
-                self.sim.defer(0, lambda: home_settled(outcome, True))
-                return
+                self.sim.defer(0, partial(home_result, outcome, True))
+            else:
+                home_result(outcome, waited)
+
+        def home_result(outcome: Any, waited: bool) -> None:
             results[self.home.name] = self._home_result(outcome, write)
             if waited:
                 self.sim.defer(0, join.tick)
@@ -273,7 +280,7 @@ class TxnContext:
 
         home_call = partial(self._home_call, item, write, value)
         if len(remote) < len(groups):
-            self.sim.defer(0, lambda: follow(home_call, home_settled))
+            self.sim.defer(0, partial(follow, home_call, home_settled))
         if remote:
             self.sim.defer(0, launch)
         yield join
@@ -381,7 +388,7 @@ class TxnContext:
                     raise
                 outcome = outcome.resume()
         except ConcurrencyAbort as abort:
-            outcome = abort
+            outcome = abort.with_traceback(None)  # its traceback holds this frame
         return self._home_result(outcome, write)
 
     def _home_call(self, item: str, write: bool, value: Any) -> Any:

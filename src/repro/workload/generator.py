@@ -25,7 +25,7 @@ from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.sim.randoms import weighted_choice, zipf_weights
+from repro.sim.randoms import cumulative_weights, weighted_choice, zipf_weights
 from repro.txn.transaction import Operation, Transaction
 from repro.workload.spec import WorkloadSpec
 
@@ -143,10 +143,11 @@ class WorkloadGenerator:
 
     # -- synthesis -----------------------------------------------------------
     def _build_access_weights(self) -> Optional[list[float]]:
+        """Cumulative access weights over ``items``; None for uniform access."""
         if self.spec.access == "uniform":
             return None
         if self.spec.access == "zipf":
-            return zipf_weights(len(self.items), self.spec.zipf_theta)
+            return cumulative_weights(zipf_weights(len(self.items), self.spec.zipf_theta))
         # hotspot: the first ceil(f*n) items share hotspot_probability.
         n = len(self.items)
         hot = max(1, round(self.spec.hotspot_fraction * n))
@@ -154,7 +155,7 @@ class WorkloadGenerator:
             return None
         hot_weight = self.spec.hotspot_probability / hot
         cold_weight = (1.0 - self.spec.hotspot_probability) / (n - hot)
-        return [hot_weight] * hot + [cold_weight] * (n - hot)
+        return cumulative_weights([hot_weight] * hot + [cold_weight] * (n - hot))
 
     def _pick_item(self) -> str:
         if self._access_weights is None:
@@ -173,7 +174,7 @@ class WorkloadGenerator:
         names = sorted(weights)
         total = sum(weights[name] for name in names)
         normalised = [weights[name] / total for name in names]
-        return names[weighted_choice(self.rng, normalised)]
+        return names[weighted_choice(self.rng, cumulative_weights(normalised))]
 
     def _pick_mix_class(self):
         """Draw a mix class (or None for a homogeneous workload)."""

@@ -96,6 +96,8 @@ class TestContextHelpers:
             instance.catalog,
             instance.directory,
             instance.config.protocols,
+            instance.rcp,
+            instance.acp,
             instance.monitor,
         )
 
@@ -171,6 +173,8 @@ def _home_context(instance, home, ops):
         instance.catalog,
         instance.directory,
         instance.config.protocols,
+        instance.rcp,
+        instance.acp,
         instance.monitor,
     )
 

@@ -122,6 +122,20 @@ class TestDetection:
         assert victims == 0
 
 
+class TestOneDeadlockOneReport:
+    def test_cycle_confirmed_once_and_its_victim_aborted_once(self):
+        """Both ends block, and the victim waits at two sites: still one report."""
+        instance = build_instance(probes=True, local_detection=False)
+        t1, t2 = cross_site_deadlock(instance)
+        assert (t1.status, t2.status) == ("COMMITTED", "ABORTED")  # T2 is younger
+        stats = [site.deadlock_detector.stats for site in instance.sites.values()]
+        assert sum(stat.cycles_found for stat in stats) == 1
+        assert sum(stat.victims_aborted for stat in stats) == 1
+        by_type = instance.network.stats.by_type
+        assert by_type.get(ProbeTypes.VICTIM_HOME, 0) == 1
+        assert by_type.get(ProbeTypes.ABORT_WAIT, 0) == 1
+
+
 class TestWorkloadWithProbes:
     def test_contended_workload_completes_and_serializes(self):
         from repro.workload.spec import WorkloadSpec

@@ -154,7 +154,7 @@ class TestGatherSemantics:
         txn.ts = 1.0
         ctx = TxnContext(
             txn, instance.sites["site1"], instance.catalog,
-            instance.directory, instance.config.protocols, None,
+            instance.directory, instance.config.protocols, instance.rcp, instance.acp,
         )
 
         def run():

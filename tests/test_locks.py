@@ -1,8 +1,11 @@
 """Unit tests for the lock manager: grants, queues, deadlock strategies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConcurrencyAbort, ProtocolError
+from repro.sim.kernel import Simulator
 from repro.site.locks import LockManager, LockMode
 
 
@@ -169,6 +172,91 @@ class TestDeadlockDetection:
         locks.release_all(9)
         sim.run()
         assert grant_state(e1) == "granted"
+
+
+def whole_graph_victim(locks, start):
+    """The reference search: the site's whole wait-for graph, then a recursive DFS.
+
+    This is how the lock manager searched before it walked only what the
+    blocked transaction reaches; the two must agree on every victim.
+    """
+    graph = {}
+    for entry in locks._waiting_entries():
+        for request in entry.queue:
+            graph.setdefault(request.txn_id, set()).update(locks._blockers_of(entry, request))
+    path, on_path, visited = [], set(), set()
+
+    def dfs(node):
+        path.append(node)
+        on_path.add(node)
+        for succ in graph.get(node, ()):
+            if succ == start:
+                return list(path)
+            if succ in on_path or succ in visited:
+                continue
+            cycle = dfs(succ)
+            if cycle is not None:
+                return cycle
+        path.pop()
+        on_path.discard(node)
+        visited.add(node)
+        return None
+
+    cycle = dfs(start)
+    if cycle is None:
+        return None
+    return max(cycle, key=lambda txn: (locks.ts_of(txn) or 0.0, txn))
+
+
+class CheckedLocks(LockManager):
+    """A lock manager whose every deadlock search is checked against the reference."""
+
+    def __init__(self, sim):
+        super().__init__(sim, strategy="detect", wait_timeout=None)
+        self.victims = []
+
+    def _find_deadlock_victim(self, start):
+        victim = super()._find_deadlock_victim(start)
+        assert victim == whole_graph_victim(self, start)
+        self.victims.append(victim)
+        return victim
+
+
+# Ids that collide modulo small set sizes, so set iteration order is not
+# simply numeric order.
+_TXNS = (3, 11, 19, 27, 8, 16, 1000, 1024)
+
+
+class TestDeadlockSearchMatchesWholeGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(("acquire", "acquire", "acquire", "release")),
+                st.sampled_from(_TXNS),
+                st.sampled_from("abcde"),
+                st.sampled_from((LockMode.S, LockMode.X)),
+            ),
+            max_size=60,
+        ),
+        ages=st.permutations(range(len(_TXNS))),
+    )
+    def test_same_victim_or_none(self, steps, ages):
+        locks = CheckedLocks(Simulator())
+        ts = {txn: float(age) for txn, age in zip(_TXNS, ages)}
+        for op, txn, item, mode in steps:
+            if op == "release":
+                locks.release_all(txn)
+            else:
+                locks.acquire(txn, ts[txn], item, mode)
+
+    def test_reference_check_runs_on_a_cycle(self):
+        locks = CheckedLocks(Simulator())
+        for txn, item in ((3, "a"), (11, "b"), (19, "c")):
+            locks.acquire(txn, float(txn), item, LockMode.X)
+        for txn, item in ((3, "b"), (11, "c"), (19, "a")):
+            locks.acquire(txn, float(txn), item, LockMode.X)
+        assert locks.victims == [None, None, 19]
 
 
 class TestTimeoutStrategy:

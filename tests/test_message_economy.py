@@ -110,6 +110,8 @@ class TestLatencyAwareRouting:
             instance.catalog,
             instance.directory,
             instance.config.protocols,
+            instance.rcp,
+            instance.acp,
         )
 
     def test_routing_prefers_lan_siblings(self):
@@ -246,6 +248,8 @@ class TestPiggybackedPrepare:
             instance.catalog,
             instance.directory,
             instance.config.protocols,
+            instance.rcp,
+            instance.acp,
         )
         ctx._register("site2")
         ctx._pending_votes["site2"] = (False, "validation failed")
@@ -384,6 +388,8 @@ class TestOneAccessPath:
             instance.catalog,
             instance.directory,
             instance.config.protocols,
+            instance.rcp,
+            instance.acp,
         )
         return instance, ctx
 

@@ -1,9 +1,14 @@
 """Unit tests for deterministic random streams and distributions."""
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.randoms import (
     RandomStreams,
+    cumulative_weights,
     exponential,
     iterate_poisson_arrivals,
     weighted_choice,
@@ -70,20 +75,42 @@ class TestZipfWeights:
 
 class TestWeightedChoice:
     def test_degenerate_weight_always_chosen(self):
-        import random
-
         rng = random.Random(0)
-        weights = [0.0, 1.0, 0.0]
+        weights = cumulative_weights([0.0, 1.0, 0.0])
         assert all(weighted_choice(rng, weights) == 1 for _ in range(20))
 
     def test_respects_distribution_roughly(self):
-        import random
-
         rng = random.Random(1)
-        weights = [0.8, 0.2]
+        weights = cumulative_weights([0.8, 0.2])
         draws = [weighted_choice(rng, weights) for _ in range(2000)]
         share = draws.count(0) / len(draws)
         assert 0.75 < share < 0.85
+
+    @given(
+        raw=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=30),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_same_index_as_a_linear_scan(self, raw, seed):
+        """Bisection picks what the running-sum scan it replaced picked."""
+        total = sum(raw) or 1
+        weights = [w / total for w in raw]
+
+        def scan(point):
+            acc = 0.0
+            for index, weight in enumerate(weights):
+                acc += weight
+                if point <= acc:
+                    return index
+            return len(weights) - 1
+
+        cumulative = cumulative_weights(weights)
+        draws, replay = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert weighted_choice(draws, cumulative) == scan(replay.random())
+        for point in (0.0, 1.0, *cumulative):
+            fixed = random.Random()
+            fixed.random = lambda point=point: point
+            assert weighted_choice(fixed, cumulative) == scan(point)
 
 
 class TestExponential:

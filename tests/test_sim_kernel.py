@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.kernel import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim.kernel import AllOf, Event, Interrupt, Simulator, Timeout
 from tests.conftest import drive
 
 
@@ -253,15 +253,6 @@ class TestConditions:
         assert drive(sim, proc()) == ["a", "b"]
         assert sim.now == 5.0
 
-    def test_any_of_fires_on_first(self, sim):
-        def proc():
-            t1, t2 = sim.timeout(2, "fast"), sim.timeout(5, "slow")
-            results = yield sim.any_of([t1, t2])
-            return list(results.values())
-
-        assert drive(sim, proc()) == ["fast"]
-        assert sim.now == 2.0
-
     def test_all_of_empty_fires_immediately(self, sim):
         def proc():
             yield sim.all_of([])
@@ -281,33 +272,6 @@ class TestConditions:
         process = sim.process(proc())
         sim.defer(1, lambda: bad.fail(ValueError()))
         assert sim.run(until=process) == 1.0
-
-    def test_any_of_fails_only_when_all_fail(self, sim):
-        e1, e2 = sim.event(), sim.event()
-
-        def proc():
-            try:
-                yield sim.any_of([e1, e2])
-                return "ok"
-            except RuntimeError:
-                return "all failed"
-
-        process = sim.process(proc())
-        sim.defer(1, lambda: e1.fail(RuntimeError()))
-        sim.defer(2, lambda: e2.fail(RuntimeError()))
-        assert sim.run(until=process) == "all failed"
-
-    def test_any_of_with_one_failure_and_one_success(self, sim):
-        e1, e2 = sim.event(), sim.event()
-
-        def proc():
-            results = yield sim.any_of([e1, e2])
-            return list(results.values())
-
-        process = sim.process(proc())
-        sim.defer(1, lambda: e1.fail(RuntimeError()))
-        sim.defer(2, lambda: e2.succeed("late win"))
-        assert sim.run(until=process) == ["late win"]
 
     def test_condition_rejects_foreign_events(self, sim):
         other = Simulator()
