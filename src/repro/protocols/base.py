@@ -82,24 +82,22 @@ def wait_for(event: Event, then: Callable[[], Any]) -> Wait:
     return Wait(event, resume)
 
 
-def follow(
-    step: Callable[[], Any], done: Callable[[Any, bool], None], waited: bool = False
-) -> None:
+def follow(step: Callable[[], Any], done: Callable[[Any], None]) -> None:
     """Run an access ``step``, following its waits by event callbacks.
 
-    ``done(outcome, waited)`` gets the answer or the ``ConcurrencyAbort``,
-    and whether the access had to wait; one that never waits settles inside
-    this call.
+    ``done(outcome)`` gets the answer or the ``ConcurrencyAbort``: inside
+    this call when the access never waits, else from the callback of the
+    event it last waited on.
     """
     try:
         outcome = step()
     except ConcurrencyAbort as abort:
-        done(abort, waited)
+        done(abort)
         return
     if isinstance(outcome, Wait):
-        outcome.event.add_callback(lambda _event: follow(outcome.resume, done, True))
+        outcome.event.add_callback(lambda _event: follow(outcome.resume, done))
     else:
-        done(outcome, waited)
+        done(outcome)
 
 
 class ConcurrencyController:

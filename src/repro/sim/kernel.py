@@ -25,10 +25,17 @@ The kernel is intentionally SimPy-like but self-contained:
   in time takes its expiry timer off the heap instead of letting it fire
   for nothing.
 
-Determinism: events scheduled for the same instant fire in scheduling order
-(a monotonically increasing sequence number breaks ties), so a given seed
-always produces the same history — the property that makes classroom
-assignments and experiments repeatable.
+Order contract.  What the kernel promises, and all that callers may rely on:
+
+* the same seed gives the same run, so classroom assignments and
+  experiments repeat exactly;
+* a process's bootstrap runs before its first resume;
+* one event's callbacks run in the order they were registered.
+
+Nothing else about the order of work due at the same instant is promised.
+Ties are broken by a sequence number (FIFO), but that is an implementation
+detail: the tie-order fuzz tests break them by a seeded draw instead and
+expect the same verdicts.
 """
 
 from __future__ import annotations

@@ -325,10 +325,9 @@ class Site:
         a piggybacked prepare; or not ``ok`` with a ``reason``, marked
         ``kind="net"`` when the target could not be reached.  An access that
         must wait settles from a callback on its event, without holding up
-        the others.  The reply leaves when the last access settles: at once,
-        or, for a batch whose last access waited, two zero-delay steps
-        later.  A site that crashed meanwhile sends nothing, even if it has
-        recovered since.
+        the others.  The reply leaves as soon as the last access settles.  A
+        site that crashed meanwhile sends nothing, even if it has recovered
+        since.
         """
         txn, ts, item = payload["txn"], payload["ts"], payload["item"]
         write = msg.mtype == MessageType.PREWRITE or payload.get("kind") == "W"
@@ -350,16 +349,12 @@ class Site:
                 msg, MessageType.BATCH_REPLY, {"results": results}, size=max(1, len(results))
             )
 
-        def settle(name: str, entry: dict, waited: bool) -> None:
+        def settle(name: str, entry: dict) -> None:
             entries[name] = entry
-            if len(entries) < len(sites):
-                return
-            if batch and waited:
-                self.sim.defer(0, lambda: self.sim.defer(0, reply))
-            else:
+            if len(entries) == len(sites):
                 reply()
 
-        def accessed(name: str, target: "Site", outcome: Any, waited: bool) -> None:
+        def accessed(name: str, target: "Site", outcome: Any) -> None:
             if self.stats.crashes != crashes:
                 return  # no one is left to answer: prepare nothing either
             if isinstance(outcome, ConcurrencyAbort):
@@ -390,13 +385,13 @@ class Site:
                 )
                 entry["vote"] = vote
                 entry["vote_reason"] = reason
-            settle(name, entry, waited)
+            settle(name, entry)
 
         for name in sites:
             target = self if name == self.name else self.colocated.get(name)
             if target is None or not target.up:
                 reason = f"{name} unavailable at gateway {self.name}"
-                settle(name, {"ok": False, "kind": "net", "reason": reason}, False)
+                settle(name, {"ok": False, "kind": "net", "reason": reason})
                 continue
             if payload.get("home") is not None:
                 target._txn_home[txn] = payload["home"]

@@ -20,27 +20,15 @@ timeout), SYSTEM (the home site crashed mid-flight).
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.errors import (
-    CommitAbort,
-    ConcurrencyAbort,
-    NetworkError,
-    RpcTimeout,
-    TransactionAborted,
-)
+from repro.errors import CommitAbort, ConcurrencyAbort, TransactionAborted
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
 from repro.obs.spans import Span
-from repro.protocols.base import (
-    CommitProtocol,
-    ReplicationController,
-    Wait,
-    follow,
-)
+from repro.protocols.base import CommitProtocol, ReplicationController, follow
 from repro.sim.kernel import Countdown, Interrupt
 from repro.site.site import Site
 from repro.txn.transaction import OpKind, Transaction, TxnStatus
@@ -208,11 +196,13 @@ class TxnContext:
     # is only a grouping policy; a group of one is the plain message.
     def access_read(self, site: str, item: str):
         """Read the copy of ``item`` at ``site`` (generator → AccessResult)."""
-        return (yield from self._access_one(site, item, write=False))
+        (result,) = yield from self._access_many([site], item, write=False)
+        return result
 
     def access_prewrite(self, site: str, item: str, value: Any):
         """Pre-write ``item`` at ``site`` (generator → AccessResult)."""
-        return (yield from self._access_one(site, item, write=True, value=value))
+        (result,) = yield from self._access_many([site], item, write=True, value=value)
+        return result
 
     def access_read_many(self, sites: list[str], item: str):
         """Concurrent reads at several sites (generator → list[AccessResult])."""
@@ -222,67 +212,33 @@ class TxnContext:
         """Concurrent pre-writes at several sites (generator → results)."""
         return (yield from self._access_many(sites, item, write=True, value=value))
 
-    def _access_one(self, site: str, item: str, write: bool, value: Any = None):
-        """One copy access, waited on directly (generator → AccessResult)."""
-        if site == self.home.name:
-            return (yield from self._access_home(item, write, value))
-        event = self._request_group([site], item, write, value)
-        try:
-            yield event
-        except (RpcTimeout, NetworkError):
-            pass  # classified as a net failure below
-        (result,) = self._group_results([site], event)
-        return result
-
     def _access_many(self, sites: list[str], item: str, write: bool, value: Any = None):
         """Run every group of the plan concurrently; results in ``sites`` order.
 
-        No group runs as a process.  The home access and then the remote
-        requests start from zero-delay callbacks, not inline: work already
-        queued for this instant (lock grants, replies) runs first, so its
-        network random draws keep their place ahead of this wave's.  Each
-        outcome, classified by a callback, counts down the wave's join.  A
-        home access that had to wait counts down one zero-delay step after
-        it settles; one whose lock was granted at once is classified one
-        step late, as in :meth:`_access_home`.  A one-copy wave is one plain
-        access.
+        The one copy-access path: a single access is a wave of one.  No
+        group runs as a process.  Each group starts inline, in plan order:
+        the home copy as a direct local call that :func:`follow` drives
+        through its waits, a remote group as one request.  Each outcome,
+        classified as it settles, counts down the wave's join.
         """
-        if len(sites) == 1:
-            return [(yield from self._access_one(sites[0], item, write, value))]
-        groups = self._plan(sites)
-        join = Countdown(self.sim, len(groups))
+        join = Countdown(self.sim, len(sites))
         results: dict[str, AccessResult] = {}
-        remote = [group for group in groups if group != [self.home.name]]
 
-        def home_settled(outcome: Any, waited: bool) -> None:
-            if not waited and self.home.cc.lock_based:
-                # A lock granted at once costs one step, as in _access_home.
-                self.sim.defer(0, partial(home_result, outcome, True))
-            else:
-                home_result(outcome, waited)
-
-        def home_result(outcome: Any, waited: bool) -> None:
+        def home_done(outcome: Any) -> None:
             results[self.home.name] = self._home_result(outcome, write)
-            if waited:
-                self.sim.defer(0, join.tick)
-            else:
-                join.tick()
-
-        def launch() -> None:
-            for group in remote:
-                event = self._request_group(group, item, write, value)
-                event.add_callback(partial(settle, group))
+            join.tick()
 
         def settle(group: list[str], event) -> None:
             for access in self._group_results(group, event):
                 results[access.site] = access
-            join.tick()
+                join.tick()
 
-        home_call = partial(self._home_call, item, write, value)
-        if len(remote) < len(groups):
-            self.sim.defer(0, partial(follow, home_call, home_settled))
-        if remote:
-            self.sim.defer(0, launch)
+        for group in self._plan(sites):
+            if group == [self.home.name]:
+                follow(partial(self._home_call, item, write, value), home_done)
+            else:
+                event = self._request_group(group, item, write, value)
+                event.add_callback(partial(settle, group))
         yield join
         return [results[site] for site in sites]
 
@@ -365,31 +321,6 @@ class TxnContext:
             self.monitor.note_batched_ops(len(group), saved=len(group) - 1)
         entries = {entry.get("site"): entry for entry in payload.get("results", [])}
         return [self._access_result(site, entries.get(site)) for site in group]
-
-    def _access_home(self, item: str, write: bool, value: Any):
-        """Access the home copy alone, waiting on its events (generator).
-
-        A lock granted at once still costs one zero-delay step, so work
-        already queued for this instant runs before the transaction's next
-        request, as it does after a lock wait.
-        """
-        try:
-            outcome = self._home_call(item, write, value)
-            if not isinstance(outcome, Wait) and self.home.cc.lock_based:
-                yield self.sim.timeout(0)
-            while isinstance(outcome, Wait):
-                try:
-                    yield outcome.event
-                except ConcurrencyAbort:
-                    pass  # resume() raises it after the site's epilogue
-                except Interrupt:
-                    with suppress(ConcurrencyAbort):
-                        outcome.resume()  # the crashed site closes the span
-                    raise
-                outcome = outcome.resume()
-        except ConcurrencyAbort as abort:
-            outcome = abort.with_traceback(None)  # its traceback holds this frame
-        return self._home_result(outcome, write)
 
     def _home_call(self, item: str, write: bool, value: Any) -> Any:
         """Start a home-copy access: a direct local call, no message.
@@ -623,15 +554,8 @@ class TxnContext:
 
         join = Countdown(self.sim, len(remote))
         acks: list[str] = []
-
-        def launch() -> None:
-            for participant in remote:
-                self._deliver(participant.address, mtype, attempts, crashes, join, acks)
-
-        if remote:
-            # Not inline: the local decision may have granted waiting locks
-            # at this instant, and those waiters must run first.
-            self.sim.defer(0, launch)
+        for participant in remote:
+            self._deliver(participant.address, mtype, attempts, crashes, join, acks)
         yield join
         acked += len(acks)
         if mtype == MessageType.PRECOMMIT and self.config.hit_failpoint("after_precommit"):

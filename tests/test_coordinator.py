@@ -356,3 +356,34 @@ class TestConfig:
         result = AccessResult(ok=True, site="s1", value=3, version=2)
         assert result.kind is None
         assert result.reason == ""
+
+
+class TestHomeCrashDuringLockWait:
+    """The home site crashes while its own copy access waits on a lock."""
+
+    @pytest.mark.parametrize("rcp", ["ROWA", "QC"])  # a one-copy access, a wave
+    def test_home_read_span_ends_at_the_crash(self, rcp):
+        instance = quick_instance(n_items=8, rcp=rcp)
+        instance.enable_tracing()
+        instance.start()
+        home_name = instance.catalog.sites_holding("x1")[0]
+        home = instance.sites[home_name]
+        # A younger transaction holds x1's write lock at the home copy.
+        assert home.local_prewrite(10**6, 1e9, "x1", 9) == 0
+        txn = Transaction(ops=[Operation.read("x1")], home_site=home_name)
+        process = instance.submit(txn)
+        crash_at = instance.sim.now + 5
+        instance.sim.defer(5, home.crash)
+        instance.sim.run(until=crash_at + 50)
+
+        home_reads = [
+            span
+            for span in instance.span_tracer.txn_spans(txn.txn_id)
+            if span.name == "ccp.read" and span.site == home_name
+        ]
+        assert len(home_reads) == 1
+        assert home_reads[0].start < crash_at
+        assert home_reads[0].end == crash_at
+        assert process.ok  # no exception escaped the coordinator
+        assert txn.status == TxnStatus.ABORTED
+        assert txn.abort_cause == "SYSTEM"

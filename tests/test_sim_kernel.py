@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.kernel import AllOf, Event, Interrupt, Simulator, Timeout
 from tests.conftest import drive
+from tests.tie_order import fuzzed_simulator
 
 
 class TestEvent:
@@ -357,6 +358,66 @@ class TestRun:
             return log
 
         assert build() == build()
+
+
+#: FIFO ties (the kernel's own) and two fuzzed tie orders.
+TIE_ORDERS = [Simulator, fuzzed_simulator(1), fuzzed_simulator(2)]
+
+
+@pytest.mark.parametrize("make_sim", TIE_ORDERS, ids=["fifo", "tie-seed-1", "tie-seed-2"])
+class TestOrderContract:
+    """The kernel's two ordering promises hold whatever breaks same-instant ties."""
+
+    def test_bootstrap_runs_before_first_resume(self, make_sim):
+        sim = make_sim()
+        log = []
+
+        def proc(index, event):
+            log.append(("start", index))
+            value = yield event
+            log.append(("resume", index, value))
+
+        for index in range(20):
+            event = sim.event()
+            sim.process(proc(index, event))
+            event.succeed(index)  # queued in the same instant as the bootstrap
+        sim.run()
+        for index in range(20):
+            assert log.index(("start", index)) < log.index(("resume", index, index))
+
+    def test_one_events_callbacks_run_in_registration_order(self, make_sim):
+        sim = make_sim()
+        seen: dict[int, list[int]] = {}
+        for event_index in range(10):
+            event = sim.timeout(1.0)
+            for callback_index in range(5):
+                event.add_callback(
+                    lambda _ev, e=event_index, c=callback_index: seen.setdefault(e, []).append(c)
+                )
+        sim.run()
+        assert seen == {event_index: [0, 1, 2, 3, 4] for event_index in range(10)}
+
+    def test_same_seed_same_run(self, make_sim):
+        def run_once():
+            sim = make_sim()
+            order = []
+            for index in range(20):
+                sim.defer(0, order.append, index)
+            sim.run()
+            return order
+
+        assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("tie_seed", [1, 2])
+def test_fuzzed_ties_reorder_same_instant_work(tie_seed):
+    sim = fuzzed_simulator(tie_seed)()
+    order = []
+    for index in range(20):
+        sim.defer(0, order.append, index)
+    sim.run()
+    assert sorted(order) == list(range(20))
+    assert order != list(range(20))
 
 
 class TestCancel:
