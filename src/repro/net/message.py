@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.obs.spans import Span
+from repro.obs.spans import SpanRef
 
 __all__ = ["Message", "MessageType"]
 
@@ -99,10 +99,11 @@ class Message:
     size: int = 1
     msg_id: int = field(default_factory=_message_ids.__next__)
     sent_at: float = 0.0
-    # Causal trace context: the sender's active span, so the network and
-    # the receiving site can parent their spans under the coordinator's.
+    # Causal trace context: a handle to the sender's active span, so the
+    # network and the receiving site can parent their spans under the
+    # coordinator's.
     # Stays None whenever tracing is disabled.
-    span: Optional[Span] = None
+    span: Optional[SpanRef] = None
 
     def reply(self, mtype: str, payload: Any = None, size: int = 1) -> "Message":
         """Build the reply message for this request (swaps src/dst)."""

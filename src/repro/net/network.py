@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Optional
 from repro.errors import NetworkError, RpcTimeout, SimulationError
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
-from repro.obs.spans import Span
+from repro.obs.spans import SpanRef
 from repro.sim.kernel import Event, Simulator
 
 __all__ = ["Network", "Endpoint", "NetworkStats"]
@@ -156,7 +156,7 @@ class Endpoint:
         reply_to: Optional[int] = None,
         txn_id: Optional[int] = None,
         size: int = 1,
-        span: Optional[Span] = None,
+        span: Optional[SpanRef] = None,
     ) -> Message:
         """Fire-and-forget send.  Returns the message (for correlation)."""
         msg = Message(
@@ -187,7 +187,7 @@ class Endpoint:
         timeout: float = 50.0,
         txn_id: Optional[int] = None,
         size: int = 1,
-        span: Optional[Span] = None,
+        span: Optional[SpanRef] = None,
     ) -> Event:
         """Request/reply exchange with a timeout.
 

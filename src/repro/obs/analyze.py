@@ -20,9 +20,10 @@ Two different sums are exposed on purpose:
 
 from __future__ import annotations
 
+from math import isnan
 from typing import Iterable, Optional
 
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.spans import Span, SpanColumns, SpanTracer
 
 __all__ = [
     "PHASES",
@@ -60,25 +61,30 @@ def phase_of(name: str) -> Optional[str]:
 
 
 def aggregate_phase_stats(
-    spans: Iterable[Span],
+    spans: SpanColumns,
     txn_ids: Optional[Iterable[int]] = None,
 ) -> dict[str, dict[str, float]]:
     """Per-phase ``{mean_per_txn, max_per_txn}`` over traced transactions.
 
+    ``spans`` is a tracer's ``spans`` columns, summed in one pass that
+    builds no views.
     ``txn_ids`` restricts the aggregate (e.g. to finished transactions);
     by default every traced transaction counts.  Returns ``{}`` when
     nothing qualifies, so flag-off output is unchanged.
     """
     wanted = None if txn_ids is None else set(txn_ids)
     totals: dict[int, dict[str, float]] = {}
-    for span in spans:
-        phase = phase_of(span.name)
+    rows = zip(spans.txn, spans.name, spans.start, spans.end)
+    for txn_id, name, start, end in rows:
+        phase = _PHASE_BY_NAME.get(name)
         if phase is None:
             continue
-        if wanted is not None and span.txn_id not in wanted:
+        if wanted is not None and txn_id not in wanted:
             continue
-        per_txn = totals.setdefault(span.txn_id, dict.fromkeys(PHASES, 0.0))
-        per_txn[phase] += span.duration
+        per_txn = totals.get(txn_id)
+        if per_txn is None:
+            per_txn = totals[txn_id] = dict.fromkeys(PHASES, 0.0)
+        per_txn[phase] += 0.0 if isnan(end) else end - start
     if not totals:
         return {}
     ordered = [totals[txn_id] for txn_id in sorted(totals)]
@@ -101,6 +107,23 @@ def _clamped_duration(span: Span, window_start: float, window_end: float) -> flo
     return max(0.0, hi - lo)
 
 
+def _span_tree(
+    tracer: SpanTracer, txn_id: int
+) -> tuple[Optional[Span], dict[Span, list[Span]]]:
+    """One transaction's root span and each span's direct children.
+
+    Reads only that transaction's rows; children keep recording order.
+    """
+    root = None
+    children: dict[Span, list[Span]] = {}
+    for span in tracer.txn_spans(txn_id):
+        if root is None and span.name == "txn":
+            root = span
+        if span.parent is not None:
+            children.setdefault(span.parent, []).append(span)
+    return root, children
+
+
 def txn_phase_breakdown(
     tracer: SpanTracer, txn_id: int
 ) -> Optional[dict[str, float]]:
@@ -113,13 +136,13 @@ def txn_phase_breakdown(
     it should: post-decision time is not response time).  The remainder
     is reported as ``other``, so the values sum to the root duration.
     """
-    root = tracer.root(txn_id)
+    root, children = _span_tree(tracer, txn_id)
     if root is None or root.end is None:
         return None
     breakdown = dict.fromkeys(PHASES, 0.0)
     breakdown["other"] = 0.0
     covered = 0.0
-    for child in tracer.children(root):
+    for child in children.get(root, ()):
         clamped = _clamped_duration(child, root.start, root.end)
         covered += clamped
         breakdown[phase_of(child.name) or "other"] += clamped
@@ -138,21 +161,21 @@ def critical_path(
     time is its own duration minus the chosen child's — the latency that
     hop added on the critical path.  Returns ``[]`` for untraced txns.
     """
-    root = tracer.root(txn_id)
+    root, children = _span_tree(tracer, txn_id)
     if root is None:
         return []
     path: list[tuple[Span, float]] = []
     current = root
     while True:
-        children = [
+        finished = [
             child
-            for child in tracer.children(current)
+            for child in children.get(current, ())
             if child.end is not None
         ]
-        if not children:
+        if not finished:
             path.append((current, current.duration))
             break
-        last = max(children, key=lambda child: (child.end, child.span_id))
+        last = max(finished, key=lambda child: (child.end, child.span_id))
         path.append((current, max(0.0, current.duration - last.duration)))
         current = last
     return path
@@ -160,7 +183,7 @@ def critical_path(
 
 def render_span_tree(tracer: SpanTracer, txn_id: int) -> list[str]:
     """Indented text rendering of one transaction's span tree."""
-    root = tracer.root(txn_id)
+    root, children = _span_tree(tracer, txn_id)
     if root is None:
         return [f"(no spans recorded for transaction {txn_id})"]
     lines: list[str] = []
@@ -179,10 +202,10 @@ def render_span_tree(tracer: SpanTracer, txn_id: int) -> list[str]:
     while stack:
         span, depth = stack.pop()
         lines.append("  " * depth + fmt(span))
-        children = sorted(
-            tracer.children(span),
+        below = sorted(
+            children.get(span, ()),
             key=lambda child: (child.start, child.span_id),
             reverse=True,
         )
-        stack.extend((child, depth + 1) for child in children)
+        stack.extend((child, depth + 1) for child in below)
     return lines

@@ -7,6 +7,12 @@ control, and atomic-commit layers open children; the network records one
 span per delivered (or dropped) message.  Together they form a causal
 DAG whose root-to-leaf paths explain where a transaction's latency went.
 
+A session retains every span it records, so the store keeps no object
+per span: each span is one row of :class:`SpanColumns`, and recording
+hands back a :class:`SpanRef` (transaction id and row) for later
+``finish`` and ``parent=`` arguments.  :class:`Span` objects are read
+views, built only when the spans are read.
+
 Determinism contract (enforced by rainbow-lint rule RB106): span ids are
 derived purely from ``(txn_id, site, sequence)`` — never from ``id()``,
 RNG draws, or the wall clock — and spans are appended in simulator
@@ -17,22 +23,24 @@ of the seed.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from math import isnan
 from typing import Any, Optional
 
-__all__ = ["Span", "SpanTracer"]
+__all__ = ["Span", "SpanColumns", "SpanRef", "SpanTracer"]
 
 
 @dataclass(slots=True, eq=False)
 class Span:
     """One named interval in a transaction's causal timeline.
 
-    A session retains every span it records, so a span stores only what
-    cannot be derived: its ``(txn_id, site, seq)`` identity, its parent
-    *span* (not the parent's id), its times, and its attributes as two
-    tuples — ``attr_keys``, shared by every span with the same key set,
-    and ``attr_values``.  ``span_id``, ``parent_id`` and ``attrs`` are
-    read-only views computed from those fields.
+    Reading a tracer's spans builds these views from its columns: the
+    ``(txn_id, site, seq)`` identity, the parent *view* (not the parent's
+    id), the times, and the attributes as two shared tuples —
+    ``attr_keys`` and ``attr_values``.  ``span_id``, ``parent_id`` and
+    ``attrs`` are read-only views computed from those fields.
     """
 
     txn_id: int
@@ -68,22 +76,125 @@ class Span:
         return self.end - self.start
 
 
+class SpanRef:
+    """Handle to a recorded span: its transaction and its row."""
+
+    __slots__ = ("txn_id", "row")
+
+    def __init__(self, txn_id: int, row: int) -> None:
+        self.txn_id = txn_id
+        self.row = row
+
+
+class SpanColumns(Sequence):
+    """A session's spans as rows of flat columns, read as :class:`Span` views.
+
+    Numbers live in ``array`` columns (``end`` is NaN while a span is
+    open, ``parent`` is -1 for a root); ``site``, ``name``, ``attr_keys``
+    and ``attr_values`` are lists of references to objects shared across
+    rows.  ``len()`` counts rows; indexing and iteration build views, each
+    linked to its parent's view.
+
+    Recording fills only those columns.  The first read indexes the rows
+    recorded since the last one: each transaction's rows, and each row's
+    ``seq``, its ordinal among its transaction's rows at its site.
+    """
+
+    def __init__(self) -> None:
+        self.txn = array("q")
+        self.parent = array("q")
+        self.start = array("d")
+        self.end = array("d")
+        self.site: list[str] = []
+        self.name: list[str] = []
+        self.attr_keys: list[tuple[str, ...]] = []
+        self.attr_values: list[tuple[Any, ...]] = []
+        # Read-side index, extended by each read to the rows recorded since.
+        self.seq = array("i")
+        self._by_txn: dict[int, array] = {}
+        self._per_site: dict[tuple[int, str], int] = {}
+
+    def __len__(self) -> int:
+        return len(self.txn)
+
+    def __getitem__(self, index):
+        rows = range(len(self.txn))
+        if isinstance(index, slice):
+            return list(self.views(rows[index]))
+        row = rows[index]
+        self._index()
+        parent = self.parent[row]
+        return self._view(row, None if parent < 0 else self[parent])
+
+    def __iter__(self) -> Iterator[Span]:
+        yield from self.views(range(len(self.txn)))
+
+    def _index(self) -> None:
+        by_txn, per_site = self._by_txn, self._per_site
+        for row in range(len(self.seq), len(self.txn)):
+            txn_id = self.txn[row]
+            rows = by_txn.get(txn_id)
+            if rows is None:
+                rows = by_txn[txn_id] = array("q")
+            rows.append(row)
+            key = (txn_id, self.site[row])
+            seq = per_site[key] = per_site.get(key, 0) + 1
+            self.seq.append(seq)
+
+    def _view(self, row: int, parent: Optional[Span]) -> Span:
+        end = self.end[row]
+        return Span(
+            self.txn[row],
+            self.site[row],
+            self.seq[row],
+            self.name[row],
+            parent,
+            self.start[row],
+            None if isnan(end) else end,
+            self.attr_keys[row],
+            self.attr_values[row],
+        )
+
+    def views(self, rows: Iterable[int]) -> Iterator[Span]:
+        """Views of ``rows``, each linked to one shared view of its parent."""
+        self._index()
+        built: dict[int, Span] = {}
+        for row in rows:
+            parent_row = self.parent[row]
+            parent = None
+            if parent_row >= 0:
+                parent = built.get(parent_row)
+                if parent is None:
+                    parent = built[parent_row] = self[parent_row]
+            view = built[row] = self._view(row, parent)
+            yield view
+
+    def rows_of(self, txn_id: int) -> Sequence[int]:
+        """One transaction's rows, in recording order."""
+        self._index()
+        return self._by_txn.get(txn_id, ())
+
+
 class SpanTracer:
     """Collects spans for one simulation session.
 
     One tracer is shared by the network, every site, and every
     coordinator context of a :class:`~repro.core.instance.RainbowInstance`
     (see ``RainbowInstance.enable_tracing``).  Ids follow the scheme
-    ``t{txn_id}:{site}:{seq}`` where ``seq`` is a per-(txn, site) counter,
-    so they are stable across processes and across ``-j N``.
+    ``t{txn_id}:{site}:{seq}`` where ``seq`` counts the transaction's
+    spans at that site in recording order, so they are stable across
+    processes and across ``-j N``.
     """
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self.spans: list[Span] = []
-        self._seq: dict[tuple[int, str], int] = {}
-        # One keys tuple per distinct attribute key set, shared by spans.
+        self.spans = SpanColumns()
+        # One keys tuple per distinct attribute key set, and one values
+        # tuple per distinct value set, shared by every row that has it.
+        # Values intern by type as well as value: ``(True,)`` == ``(1,)``,
+        # but one exports as ``True`` and the other as ``1``.
         self._keys: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._values: dict[tuple[Any, ...], tuple[Any, ...]] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -92,28 +203,26 @@ class SpanTracer:
         txn_id: int,
         site: str,
         name: str,
-        parent: Optional[Span],
+        parent: Optional[SpanRef],
         start: float,
-        end: Optional[float],
+        end: float,
         attrs: dict[str, Any],
-    ) -> Span:
-        key = (txn_id, site)
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
+    ) -> SpanRef:
         keys = tuple(attrs)
-        span = Span(
-            txn_id,
-            site,
-            seq,
-            name,
-            parent,
-            start,
-            end,
-            self._keys.setdefault(keys, keys),
-            tuple(attrs.values()),
+        values = tuple(attrs.values())
+        columns = self.spans
+        row = len(columns.txn)
+        columns.txn.append(txn_id)
+        columns.parent.append(-1 if parent is None else parent.row)
+        columns.start.append(start)
+        columns.end.append(end)
+        columns.site.append(site)
+        columns.name.append(name)
+        columns.attr_keys.append(self._keys.setdefault(keys, keys))
+        columns.attr_values.append(
+            self._values.setdefault((values, *map(type, values)), values)
         )
-        self.spans.append(span)
-        return span
+        return SpanRef(txn_id, row)
 
     def begin(
         self,
@@ -121,18 +230,24 @@ class SpanTracer:
         site: str,
         name: str,
         *,
-        parent: Optional[Span] = None,
+        parent: Optional[SpanRef] = None,
         start: Optional[float] = None,
         **attrs: Any,
-    ) -> Span:
+    ) -> SpanRef:
         """Open a span; close it later with :meth:`finish`."""
         return self._make(
-            txn_id, site, name, parent, self.sim.now if start is None else start, None, attrs
+            txn_id,
+            site,
+            name,
+            parent,
+            self.sim.now if start is None else start,
+            float("nan"),
+            attrs,
         )
 
-    def finish(self, span: Span, end: Optional[float] = None) -> None:
+    def finish(self, span: SpanRef, end: Optional[float] = None) -> None:
         """Close an open span at ``end`` (default: simulated now)."""
-        span.end = self.sim.now if end is None else end
+        self.spans.end[span.row] = self.sim.now if end is None else end
 
     def record(
         self,
@@ -142,9 +257,9 @@ class SpanTracer:
         *,
         start: float,
         end: float,
-        parent: Optional[Span] = None,
+        parent: Optional[SpanRef] = None,
         **attrs: Any,
-    ) -> Span:
+    ) -> SpanRef:
         """Record an already-complete span (e.g. a message flight)."""
         return self._make(txn_id, site, name, parent, start, end, attrs)
 
@@ -152,19 +267,17 @@ class SpanTracer:
 
     def txn_ids(self) -> list[int]:
         """Traced transaction ids, ascending."""
-        return sorted({span.txn_id for span in self.spans})
+        return sorted(set(self.spans.txn))
 
     def txn_spans(self, txn_id: int) -> list[Span]:
         """All spans of one transaction, in recording order."""
-        return [span for span in self.spans if span.txn_id == txn_id]
+        columns = self.spans
+        return list(columns.views(columns.rows_of(txn_id)))
 
     def root(self, txn_id: int) -> Optional[Span]:
         """The transaction's root (``txn``) span, if it was traced."""
-        for span in self.spans:
-            if span.txn_id == txn_id and span.name == "txn":
-                return span
+        columns = self.spans
+        for row in columns.rows_of(txn_id):
+            if columns.name[row] == "txn":
+                return columns[row]
         return None
-
-    def children(self, parent: Span) -> list[Span]:
-        """Direct children of a span, in recording order."""
-        return [span for span in self.spans if span.parent is parent]

@@ -43,13 +43,16 @@ from repro.net.message import Message, MessageType
 from repro.site.deadlock import ProbeTypes as _ProbeTypesModule
 
 from repro.net.network import Network
-from repro.obs.spans import Span
+from repro.obs.spans import SpanRef
 from repro.protocols.base import Wait, follow, make_ccp
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
 from repro.sim.kernel import Process, Simulator
 
 _PROBE_TYPES = _ProbeTypesModule.ALL
+
+#: One name string per local access kind, shared by every span of it.
+_CCP_SPAN_NAMES = {"read": "ccp.read", "prewrite": "ccp.prewrite"}
 
 __all__ = ["Site", "SiteStats", "PreparedState"]
 
@@ -443,7 +446,7 @@ class Site:
         self.spawn_home_transaction(_run_and_report(), name=f"txn@{self.name}")
 
     # ------------------------------------------------------------------ local ops
-    def local_read(self, txn: int, ts: float, item: str, span: Optional[Span] = None) -> Any:
+    def local_read(self, txn: int, ts: float, item: str, span: Optional[SpanRef] = None) -> Any:
         """CCP-mediated read of the local copy.
 
         Returns ``(value, version)``, raises :class:`ConcurrencyAbort`, or
@@ -456,7 +459,7 @@ class Site:
         return self._local("read", txn, item, None, span, partial(self.cc.read, txn, ts, item))
 
     def local_prewrite(
-        self, txn: int, ts: float, item: str, value: Any, span: Optional[Span] = None
+        self, txn: int, ts: float, item: str, value: Any, span: Optional[SpanRef] = None
     ) -> Any:
         """CCP-mediated pre-write of the local copy; the current version.
 
@@ -471,7 +474,9 @@ class Site:
         self._touch(txn)
         opened = None
         if self.tracer is not None:
-            opened = self.tracer.begin(txn, self.name, f"ccp.{op}", parent=span, item=item)
+            opened = self.tracer.begin(
+                txn, self.name, _CCP_SPAN_NAMES[op], parent=span, item=item
+            )
         return self._settle(call, self.stats.crashes, opened, op, txn, item, value)
 
     def _settle(self, step, crashes: int, opened, op: str, txn: int, item: str, value) -> Any:
@@ -517,7 +522,7 @@ class Site:
         ts: float,
         acp: str = "2PC",
         peers: Optional[list[str]] = None,
-        span: Optional[Span] = None,
+        span: Optional[SpanRef] = None,
     ) -> tuple[bool, str]:
         """Participant prepare: force the PREPARE record and vote.
 

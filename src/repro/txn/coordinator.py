@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.errors import CommitAbort, ConcurrencyAbort, TransactionAborted
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
-from repro.obs.spans import Span
+from repro.obs.spans import SpanRef
 from repro.protocols.base import CommitProtocol, ReplicationController, follow
 from repro.sim.kernel import Countdown, Interrupt
 from repro.site.site import Site
@@ -93,10 +93,11 @@ class TxnContext:
         # here until collect_votes consumes them.
         self._piggyback_armed = False
         self._pending_votes: dict[str, tuple[bool, str]] = {}
-        # Causal tracing: the instance's span tracer (None = tracing off),
-        # the transaction's root span, and the innermost open span.  The
-        # current span rides on every outgoing message so network and site
-        # spans nest under the coordinator phase that caused them.
+        # Causal tracing: the instance's span tracer (None = tracing off)
+        # and handles to the transaction's root span and the innermost open
+        # span.  The current handle rides on every outgoing message so
+        # network and site spans nest under the coordinator phase that
+        # caused them.
         self.tracer = home.tracer
         self.root_span = None
         self.current_span = None
@@ -130,8 +131,8 @@ class TxnContext:
         self.tracer.finish(span)
         self.current_span = previous
 
-    def trace_context(self) -> Optional[Span]:
-        """Span to stamp on outgoing messages (None when tracing is off)."""
+    def trace_context(self) -> Optional[SpanRef]:
+        """Handle of the span to stamp on outgoing messages (None when off)."""
         return self.current_span or self.root_span
 
     @property

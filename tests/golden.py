@@ -3,8 +3,9 @@
 Each case is one ``python -m repro`` invocation.  Its stdout, minus the
 lines that read the host clock, is kept byte for byte under
 ``tests/fixtures/golden/<case>.txt``; ``tests/test_golden.py`` replays every
-case and compares.  A ``trace`` case also records the sha256 of the JSON it
-writes with ``--out``, so the Perfetto export is pinned too.
+case and compares.  A whole-session ``trace`` case (no ``--txn``) also
+records the sha256 of the JSON it writes with ``--out`` and of the CSV it
+writes with ``--csv``, so both exports are pinned too.
 
 Regenerate the fixtures (only for an intended output change, and say which
 outputs changed and why in the change log)::
@@ -32,6 +33,9 @@ ECONOMY_FLAGS = [
 
 CASES: dict[str, list[str]] = {
     "trace_seed7": ["trace", "--seed", "7"],
+    # The slowest committed transaction of ``trace_seed7``: pins the span
+    # tree rendering and the exact per-transaction breakdown.
+    "trace_seed7_txn22": ["trace", "--seed", "7", "--txn", "22"],
     "quickstart_flags_off": ["quickstart", "--transactions", "300"],
     "quickstart_flags_on": ["quickstart", "--transactions", "300", *ECONOMY_FLAGS],
     "chaos_flags_on": ["chaos", "--seeds", "10", "-j", "1", "--no-shrink", *ECONOMY_FLAGS],
@@ -63,9 +67,13 @@ def render(case: str) -> str:
         part for part in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if part
     )
     with tempfile.TemporaryDirectory() as scratch:
-        out = Path(scratch) / "trace.json" if argv[0] == "trace" else None
-        if out is not None:
-            argv += ["--out", str(out)]
+        # A ``--txn`` case reruns the same session, so its exports would
+        # repeat the hashes its full-session case already pins.
+        traced = argv[0] == "trace" and "--txn" not in argv
+        out = Path(scratch) / "trace.json"
+        csv = Path(scratch) / "trace.csv"
+        if traced:
+            argv += ["--out", str(out), "--csv", str(csv)]
         completed = subprocess.run(
             [sys.executable, "-m", "repro", *argv],
             cwd=REPO_ROOT,
@@ -82,9 +90,10 @@ def render(case: str) -> str:
             for line in completed.stdout.splitlines(keepends=True)
             if not any(marker in line for marker in HOST_CLOCK_MARKERS)
         ]
-        if out is not None:
-            digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            lines.append(f"sha256(--out JSON) {digest}\n")
+        if traced:
+            for label, path in (("--out JSON", out), ("--csv CSV", csv)):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                lines.append(f"sha256({label}) {digest}\n")
         if completed.returncode:
             lines.append(f"exit status {completed.returncode}\n")
     return "".join(lines)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -63,13 +65,55 @@ class TestSpanModel:
             assert span.start >= parent.start - 1e-9
 
     def test_message_reply_propagates_span(self):
-        span = obs.Span(1, "site1", 3, "rcp.wave")
+        tracer = obs.SpanTracer(sim=None)
+        span = tracer.record(1, "site1", "rcp.wave", start=0.0, end=1.0)
         msg = Message(
             mtype=MessageType.READ, src="a/s1", dst="b/s2",
             payload={}, span=span,
         )
         assert msg.reply(MessageType.READ_REPLY, {}).span is span
-        assert span.span_id == "t1:site1:3"
+        assert tracer.spans[span.row].span_id == "t1:site1:1"
+
+    def test_spans_read_as_a_sequence_of_linked_views(self, session):
+        instance, _result = session
+        spans = instance.span_tracer.spans
+        listed = list(spans)
+        assert len(listed) == len(spans)
+        for index in (0, 1, len(spans) // 2, -1):
+            view = spans[index]
+            assert view.span_id == listed[index].span_id
+            assert view.parent_id == listed[index].parent_id
+        assert [view.span_id for view in spans[3:9]] == [
+            view.span_id for view in listed[3:9]
+        ]
+        with pytest.raises(IndexError):
+            spans[len(spans)]
+        children = [view for view in listed if view.parent is not None]
+        assert all(view.parent in listed for view in children[:50])
+
+    def test_per_txn_lookups_match_a_full_scan(self, session):
+        instance, _result = session
+        tracer = instance.span_tracer
+        listed = list(tracer.spans)
+        assert tracer.txn_ids() == sorted({view.txn_id for view in listed})
+        for txn_id in tracer.txn_ids():
+            scanned = [view for view in listed if view.txn_id == txn_id]
+            own = tracer.txn_spans(txn_id)
+            assert [(v.span_id, v.parent_id, v.start, v.end) for v in own] == [
+                (v.span_id, v.parent_id, v.start, v.end) for v in scanned
+            ]
+            root = next(view for view in scanned if view.name == "txn")
+            assert tracer.root(txn_id).span_id == root.span_id
+        assert tracer.root(max(tracer.txn_ids()) + 1) is None
+        assert tracer.txn_spans(max(tracer.txn_ids()) + 1) == []
+
+    def test_values_intern_by_type_as_well_as_value(self):
+        tracer = obs.SpanTracer(sim=None)
+        tracer.record(1, "site1", "txn", start=0.0, end=1.0, attempt=1)
+        tracer.record(1, "site1", "ccp.prepare", start=1.0, end=1.0, vote=True)
+        tracer.record(1, "site1", "ccp.prepare", start=1.0, end=1.0, vote=1.0)
+        values = [view.attr_values[0] for view in tracer.spans]
+        assert [type(value) for value in values] == [int, bool, float]
 
 
 class TestPhaseAccounting:
@@ -188,6 +232,20 @@ class TestExporters:
         lines = text.strip().splitlines()
         assert lines[0].startswith("txn_id,span_id,parent_id,name,phase")
         assert len(lines) == len(instance.span_tracer.spans) + 1
+
+    def test_votes_export_as_booleans(self, session):
+        instance, _result = session
+        spans = instance.span_tracer.spans
+        payload = json.loads(obs.spans_to_chrome_json(spans))
+        votes = [
+            event["args"]["vote"]
+            for event in payload["traceEvents"]
+            if event["name"] == "ccp.prepare"
+        ]
+        assert votes and set(votes) <= {"True", "False"}
+        rows = csv.DictReader(io.StringIO(obs.spans_to_csv(spans)))
+        votes = [json.loads(row["attrs"])["vote"] for row in rows if row["name"] == "ccp.prepare"]
+        assert votes and all(isinstance(vote, bool) for vote in votes)
 
     def test_multi_session_export_gets_one_pid_each(self):
         first, _ = traced_session(seed=3, n_transactions=5)

@@ -3,26 +3,31 @@
 A session keeps every span until it ends, and the WAL keeps each record
 until its transaction is decided (and some decisions longer), so their
 representation bounds a traced session's memory.  These tests pin the
-compact forms: slotted objects, attribute keys shared per key set, and
-WAL records that share their empty containers.
+compact forms: spans as rows of flat columns with no object per span,
+attribute tuples shared across rows, and WAL records that share their
+empty containers.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+from array import array
 
 import pytest
 
 from repro.experiments.common import build_instance
+from repro.obs.spans import SpanRef
 from repro.site.wal import LogRecord
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import record_wal_appends
 
 #: Upper bound on tracemalloc bytes that ``repro/obs/spans.py`` retains
-#: per recorded span (CPython 3.11, 64-bit).  The slotted span measures
-#: ~180 B; the dataclass with a per-span ``attrs`` dict and id string
-#: measured ~334 B.
-MAX_BYTES_PER_SPAN = 240
+#: per recorded span (CPython 3.11, 64-bit).  The column store measures
+#: ~80 B here and ~66 B over a 2000-transaction session; one slotted
+#: ``Span`` object per span measured ~180 B, and the dataclass with a
+#: per-span ``attrs`` dict and id string ~334 B.
+MAX_BYTES_PER_SPAN = 120
 
 _SPEC = WorkloadSpec(
     n_transactions=40,
@@ -34,12 +39,12 @@ _SPEC = WorkloadSpec(
 )
 
 
-def traced_3pc_session():
-    """One small traced 3PC session (PRECOMMIT and END records appear).
+def traced_3pc_session(tracing: bool = True):
+    """One small 3PC session (PRECOMMIT and END records appear).
 
     Returns the instance and every ``(site, record)`` its WALs appended.
     """
-    instance = build_instance(4, 32, 3, acp="3PC", seed=5, tracing=True)
+    instance = build_instance(4, 32, 3, acp="3PC", seed=5, tracing=tracing)
     appended = record_wal_appends(instance.sites.values())
     instance.run_workload(_SPEC)
     return instance, appended
@@ -61,9 +66,21 @@ def forced(traced_run) -> list[LogRecord]:
     return [record for _site, record in traced_run[1]]
 
 
+def test_spans_are_columns_of_shared_references(session):
+    columns = session.span_tracer.spans
+    rows = len(columns)
+    assert rows > 1000
+    for numbers in (columns.txn, columns.parent, columns.start, columns.end):
+        assert isinstance(numbers, array) and len(numbers) == rows
+    for references in (columns.site, columns.name, columns.attr_keys, columns.attr_values):
+        assert len(references) == rows
+        assert len({id(shared) for shared in references}) * 10 < rows
+
+
 def test_spans_and_records_have_no_instance_dict(session, forced):
     spans = session.span_tracer.spans
     assert spans and forced
+    assert not hasattr(SpanRef(1, 0), "__dict__")
     assert not any(hasattr(span, "__dict__") for span in spans)
     assert not any(hasattr(record, "__dict__") for record in forced)
 
@@ -90,10 +107,13 @@ def test_prepare_records_keep_their_own_writes_and_peers(forced):
 
 
 def test_message_spans_share_one_keys_tuple(session):
-    flights = [span for span in session.span_tracer.spans if span.name == "net.msg"]
+    columns = session.span_tracer.spans
+    flights = [
+        keys for keys, name in zip(columns.attr_keys, columns.name) if name == "net.msg"
+    ]
     assert flights
-    assert len({id(span.attr_keys) for span in flights}) == 1
-    assert flights[0].attr_keys == ("mtype", "src", "dst")
+    assert len({id(keys) for keys in flights}) == 1
+    assert flights[0] == ("mtype", "src", "dst")
 
 
 def test_derived_views_are_read_only(session):
@@ -124,3 +144,23 @@ def test_retained_bytes_per_span_stay_bounded():
     per_span = held / len(spans)
     assert per_span < MAX_BYTES_PER_SPAN, f"{per_span:.0f} B retained per span"
 
+
+
+def _tracked_objects_added(tracing: bool) -> tuple[object, int]:
+    """A session and how many GC-tracked objects outlive it with it."""
+    gc.collect()
+    before = len(gc.get_objects())
+    instance, _appended = traced_3pc_session(tracing)
+    gc.collect()
+    return instance, len(gc.get_objects()) - before
+
+
+def test_tracer_holds_no_tracked_object_per_span():
+    _tracked_objects_added(True)  # warm-up: imports and module caches
+    _plain, untraced = _tracked_objects_added(False)
+    traced, with_spans = _tracked_objects_added(True)
+    spans = len(traced.span_tracer.spans)
+    assert spans > 1000
+    assert with_spans - untraced < 0.05 * spans, (
+        f"{with_spans - untraced} more tracked objects for {spans} spans"
+    )
