@@ -22,7 +22,7 @@ import json
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.obs.analyze import phase_of
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.spans import Span, SpanColumns, SpanTracer
 
 __all__ = [
     "normalize_spans",
@@ -44,14 +44,22 @@ def _span_list(spans: SpansLike) -> list[Span]:
 
 
 def normalize_spans(spans: SpansLike) -> list[Span]:
-    """Copy spans with txn ids densely renumbered by first appearance.
+    """Spans with txn ids densely renumbered by first appearance.
 
-    Each copy keeps its site and sequence, so its ``span_id`` is the
+    Each span keeps its site and sequence, so its ``span_id`` is the
     original's with the txn part renumbered, and it is linked to its
-    parent's copy.  A parent outside ``spans`` stays the original span,
-    so its id renders un-normalized.
+    parent's renumbered span.  A tracer's spans are read from its columns
+    straight into renumbered views.  A list of views is copied; a parent
+    outside the list stays the original span, so its id renders
+    un-normalized.
     """
-    originals = _span_list(spans)
+    if isinstance(spans, SpanTracer):
+        spans = spans.spans
+    if isinstance(spans, SpanColumns):
+        first_seen = dict.fromkeys(spans.txn)
+        renumber = {txn_id: n for n, txn_id in enumerate(first_seen, start=1)}
+        return list(spans.views(range(len(spans)), renumber))
+    originals = list(spans)
     txn_map: dict[int, int] = {}
     for span in originals:
         if span.txn_id not in txn_map:

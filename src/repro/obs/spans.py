@@ -24,7 +24,7 @@ of the seed.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from math import isnan
 from typing import Any, Optional
@@ -124,7 +124,7 @@ class SpanColumns(Sequence):
         row = rows[index]
         self._index()
         parent = self.parent[row]
-        return self._view(row, None if parent < 0 else self[parent])
+        return self._view(row, None if parent < 0 else self[parent], self.txn[row])
 
     def __iter__(self) -> Iterator[Span]:
         yield from self.views(range(len(self.txn)))
@@ -141,10 +141,10 @@ class SpanColumns(Sequence):
             seq = per_site[key] = per_site.get(key, 0) + 1
             self.seq.append(seq)
 
-    def _view(self, row: int, parent: Optional[Span]) -> Span:
+    def _view(self, row: int, parent: Optional[Span], txn_id: int) -> Span:
         end = self.end[row]
         return Span(
-            self.txn[row],
+            txn_id,
             self.site[row],
             self.seq[row],
             self.name[row],
@@ -155,9 +155,17 @@ class SpanColumns(Sequence):
             self.attr_values[row],
         )
 
-    def views(self, rows: Iterable[int]) -> Iterator[Span]:
-        """Views of ``rows``, each linked to one shared view of its parent."""
+    def views(
+        self, rows: Iterable[int], renumber: Optional[Mapping[int, int]] = None
+    ) -> Iterator[Span]:
+        """Views of ``rows``, each linked to one shared view of its parent.
+
+        ``renumber`` maps each row's transaction id to the id its view
+        carries, as the exporters' normalization does; a parent outside
+        ``rows`` keeps its own id.
+        """
         self._index()
+        txn = self.txn
         built: dict[int, Span] = {}
         for row in rows:
             parent_row = self.parent[row]
@@ -166,7 +174,8 @@ class SpanColumns(Sequence):
                 parent = built.get(parent_row)
                 if parent is None:
                     parent = built[parent_row] = self[parent_row]
-            view = built[row] = self._view(row, parent)
+            txn_id = txn[row] if renumber is None else renumber[txn[row]]
+            view = built[row] = self._view(row, parent, txn_id)
             yield view
 
     def rows_of(self, txn_id: int) -> Sequence[int]:

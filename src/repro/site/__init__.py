@@ -2,20 +2,18 @@
 
 from repro.site.deadlock import DeadlockDetector, ProbeTypes
 from repro.site.locks import LockManager, LockMode, LockStats
-from repro.site.site import PreparedState, Site, SiteStats
+from repro.site.site import Site, SiteStats
 from repro.site.storage import Copy, LocalStore
-from repro.site.wal import InDoubt, LogRecord, WriteAheadLog
+from repro.site.wal import LogRecord, WriteAheadLog
 
 __all__ = [
     "Copy",
     "DeadlockDetector",
-    "InDoubt",
     "LocalStore",
     "LockManager",
     "LockMode",
     "LockStats",
     "LogRecord",
-    "PreparedState",
     "ProbeTypes",
     "Site",
     "SiteStats",

@@ -18,7 +18,10 @@ A :class:`Site` owns:
   copies;
 * the *participant* halves of 2PC and 3PC, including uncertainty timeouts,
   decision requests with presumed abort, recovery of in-doubt transactions
-  from the WAL, and the simplified 3PC termination protocol;
+  from the WAL, and the simplified 3PC termination protocol.  A prepared
+  participant is its PREPARE record: the site reads whether a transaction
+  is prepared, precommitted or in doubt from the WAL, up or recovering, and
+  keeps in memory only which of them it is asking about;
 * a garbage sweeper that unilaterally aborts unprepared transactions whose
   coordinator has stopped driving them (their home site crashed).
 
@@ -34,8 +37,9 @@ records each completed operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from repro.errors import ConcurrencyAbort, NetworkError, RpcTimeout
@@ -54,22 +58,7 @@ _PROBE_TYPES = _ProbeTypesModule.ALL
 #: One name string per local access kind, shared by every span of it.
 _CCP_SPAN_NAMES = {"read": "ccp.read", "prewrite": "ccp.prewrite"}
 
-__all__ = ["Site", "SiteStats", "PreparedState"]
-
-
-@dataclass
-class PreparedState:
-    """Volatile record of a transaction this site has voted YES on."""
-
-    txn_id: int
-    ts: float
-    versions: dict[str, int]
-    coordinator: Optional[str]
-    acp: str = "2PC"
-    peers: list[str] = field(default_factory=list)
-    prepared_at: float = 0.0
-    precommitted: bool = False
-    resolving: bool = False
+__all__ = ["Site", "SiteStats"]
 
 
 @dataclass
@@ -134,7 +123,8 @@ class Site:
         # one arrives via TXN_SUBMIT (the WLGlet dispatch path).
         self.coordinator_factory: Optional[Callable[["Site", Any], Any]] = None
 
-        self._prepared: dict[int, PreparedState] = {}
+        # In-doubt transactions whose decision this site is asking for.
+        self._resolving: set[int] = set()
         self._activity: dict[int, float] = {}
         # Live processes of this site, in spawn order: a crash interrupts
         # them in that order, so teardown is the same in every run.
@@ -178,8 +168,12 @@ class Site:
         return self.endpoint.address
 
     def in_doubt_count(self) -> int:
-        """Transactions currently prepared with no known decision (orphans)."""
-        return len(self._prepared)
+        """Transactions currently prepared with no known decision (orphans).
+
+        A down site holds none: it learns its in-doubt transactions again
+        when it recovers.
+        """
+        return len(self.wal.in_doubt()) if self.up else 0
 
     # -------------------------------------------------------- deadlock support
     def _wire_detector(self) -> None:
@@ -235,7 +229,7 @@ class Site:
             process.interrupt("site crash")
         self._handlers.clear()
         self.cc.clear()
-        self._prepared.clear()
+        self._resolving.clear()
         self._activity.clear()
         self._home_ctxs.clear()
         self._txn_home.clear()
@@ -253,22 +247,10 @@ class Site:
         self.stats.recoveries += 1
         self.endpoint.set_up()
         self.cc = make_ccp(self.ccp_name, self.sim, self.store, **self._ccp_options)
-        for doubt in self.wal.recover_state():
-            writes = {item: value for item, (value, _version) in doubt.writes.items()}
-            versions = {item: version for item, (_value, version) in doubt.writes.items()}
-            self.cc.reinstate(doubt.txn_id, doubt.ts, writes)
-            state = PreparedState(
-                txn_id=doubt.txn_id,
-                ts=doubt.ts,
-                versions=versions,
-                coordinator=doubt.coordinator,
-                acp=doubt.acp,
-                peers=list(doubt.peers),
-                prepared_at=self.sim.now,
-                precommitted=doubt.precommitted,
-            )
-            self._prepared[doubt.txn_id] = state
-            self._begin_resolution(state)
+        for prepare in sorted(self.wal.in_doubt(), key=attrgetter("txn_id")):
+            writes = {item: value for item, (value, _version) in prepare.writes.items()}
+            self.cc.reinstate(prepare.txn_id, prepare.ts, writes)
+            self._begin_resolution(prepare.txn_id)
 
         self._start_background()
         if self.deadlock_detector is not None:
@@ -527,7 +509,10 @@ class Site:
         """Participant prepare: force the PREPARE record and vote.
 
         Returns ``(vote, reason)``.  A NO vote locally aborts right away
-        (the coordinator will abort globally anyway).
+        (the coordinator will abort globally anyway).  A transaction
+        prepared here already (a duplicated VOTE_REQ, explicit or
+        piggybacked) is voted YES again without a check or a record: the
+        forced vote stands, and so does any PRECOMMIT that followed it.
         """
         vote, reason = self._prepare_vote(txn, versions, coordinator, ts, acp, peers)
         if self.tracer is not None:
@@ -549,6 +534,9 @@ class Site:
         peers: Optional[list[str]],
     ) -> tuple[bool, str]:
         self._touch(txn)
+        if self.wal.prepared(txn) is not None:
+            self.stats.votes_yes += 1
+            return True, "yes"
         if self.cc.is_doomed(txn):
             self.cc.abort(txn)
             self.stats.votes_no += 1
@@ -567,24 +555,13 @@ class Site:
         self.wal.log_prepare(
             txn, writes, coordinator, self.sim.now, ts=ts, acp=acp, peers=list(peers or [])
         )
-        self._prepared[txn] = PreparedState(
-            txn_id=txn,
-            ts=ts,
-            versions=dict(versions),
-            coordinator=coordinator,
-            acp=acp,
-            peers=list(peers or []),
-            prepared_at=self.sim.now,
-        )
         self.stats.votes_yes += 1
         return True, "yes"
 
     def local_precommit(self, txn: int) -> None:
         """3PC pre-commit: durable, moves the participant out of uncertainty."""
-        state = self._prepared.get(txn)
-        if state is not None:
+        if self.wal.prepared(txn) is not None:
             self.wal.log_precommit(txn, self.sim.now)
-            state.precommitted = True
         if self.history is not None:
             self.history.record("precommit", self.name, txn)
 
@@ -597,39 +574,44 @@ class Site:
         applied and released already, so it is acknowledged and otherwise
         ignored.
         """
-        state = self._prepared.pop(txn, None)
-        if state is not None:
+        prepare = self.wal.prepared(txn)
+        if prepare is not None:
             # Tag the record as a participant's copy of the decision: the
             # release that follows keeps it only under 3PC (see
             # WriteAheadLog.release), as it does an ABORT.
             self.wal.log_commit(
-                txn, self.sim.now, coordinator=state.coordinator, acp=state.acp
+                txn, self.sim.now, coordinator=prepare.coordinator, acp=prepare.acp
             )
-            self.cc.commit(txn, state.versions)
+            versions = {item: version for item, (_value, version) in prepare.writes.items()}
+            self.cc.commit(txn, versions)
             self.wal.release(txn)
             self._forget(txn)
             self.stats.commits_applied += 1
-            if state.resolving:
+            if txn in self._resolving:
+                self._resolving.remove(txn)
                 self.stats.orphans_resolved += 1
         if self.history is not None:
             self.history.record("commit", self.name, txn)
 
     def local_abort(self, txn: int) -> None:
         """Apply the global ABORT decision (idempotent, presumed abort)."""
-        state = self._prepared.pop(txn, None)
-        if state is not None:
-            self.wal.log_abort(txn, self.sim.now, coordinator=state.coordinator, acp=state.acp)
+        prepare = self.wal.prepared(txn)
+        if prepare is not None:
+            self.wal.log_abort(
+                txn, self.sim.now, coordinator=prepare.coordinator, acp=prepare.acp
+            )
             self.wal.release(txn)
         self.cc.abort(txn)
         self._forget(txn)
         self.stats.aborts_applied += 1
-        if state is not None and state.resolving:
+        if txn in self._resolving:
+            self._resolving.remove(txn)
             self.stats.orphans_resolved += 1
         if self.history is not None:
             self.history.record("abort", self.name, txn)
 
     def decision_of(self, txn: int, presume_abort: bool = False) -> str:
-        """Answer a DECISION_REQ about ``txn`` from durable + volatile state.
+        """Answer a DECISION_REQ about ``txn`` from the WAL.
 
         ``presume_abort`` queries are directed at the transaction's
         *coordinator*: no logged decision means the coordinator never
@@ -641,12 +623,11 @@ class Site:
         decision = self.wal.decision_for(txn)
         if decision is not None:
             return decision
-        state = self._prepared.get(txn)
-        if state is not None and state.precommitted:
+        if self.wal.precommitted(txn):
             return "PRECOMMITTED"
         if presume_abort:
             return "ABORT"
-        if state is not None:
+        if self.wal.prepared(txn) is not None:
             return "UNCERTAIN"
         return "UNKNOWN"
 
@@ -659,7 +640,7 @@ class Site:
                 return
             horizon = self.sim.now - self.gc_timeout
             for txn in sorted(self.cc.active_transactions()):
-                if txn in self._prepared:
+                if self.wal.prepared(txn) is not None:
                     continue  # prepared: must wait for the decision
                 if self._activity.get(txn, self.sim.now) < horizon:
                     self.cc.abort(txn)
@@ -673,16 +654,16 @@ class Site:
             if not self.up:
                 return
             horizon = self.sim.now - (self.uncertainty_timeout or 0.0)
-            for state in list(self._prepared.values()):
-                if not state.resolving and state.prepared_at < horizon:
-                    self._begin_resolution(state)
+            for prepare in self.wal.in_doubt():
+                if prepare.txn_id not in self._resolving and prepare.at < horizon:
+                    self._begin_resolution(prepare.txn_id)
 
-    def _begin_resolution(self, state: PreparedState) -> None:
-        state.resolving = True
+    def _begin_resolution(self, txn: int) -> None:
+        self._resolving.add(txn)
         self.stats.orphan_events += 1
-        self._spawn(self._resolve(state), name=f"site:{self.name}:resolve:{state.txn_id}")
+        self._spawn(self._resolve(txn), name=f"site:{self.name}:resolve:{txn}")
 
-    def _resolve(self, state: PreparedState):
+    def _resolve(self, txn: int):
         """Learn the decision for an in-doubt transaction.
 
         2PC: poll the coordinator (presumed abort) until it answers — the
@@ -691,22 +672,21 @@ class Site:
         fail-stop) termination protocol over the peers: any decision is
         adopted; any PRECOMMITTED means commit; all-uncertain means abort.
         """
-        txn = state.txn_id
-        while self.up and txn in self._prepared:
-            answer = yield from self._ask(state.coordinator, txn, presume_abort=True)
+        while self.up and (prepare := self.wal.prepared(txn)) is not None:
+            answer = yield from self._ask(prepare.coordinator, txn, presume_abort=True)
             if answer == "COMMIT":
                 self.local_commit(txn)
                 return
             if answer == "ABORT":
                 self.local_abort(txn)
                 return
-            if state.acp == "3PC":
-                decided = yield from self._terminate_3pc(state)
+            if prepare.acp == "3PC":
+                decided = yield from self._terminate_3pc(txn, prepare.peers)
                 if decided:
                     return
             yield self.sim.timeout(self.decision_retry)
 
-    def _terminate_3pc(self, state: PreparedState):
+    def _terminate_3pc(self, txn: int, peers: tuple[str, ...]):
         """Simplified (fail-stop) 3PC termination over the reachable peers.
 
         * Any peer with a decision → adopt it.
@@ -718,10 +698,9 @@ class Site:
           no-partition assumption of 3PC; crashed peers adopt the outcome
           via their own recovery resolution.)
         """
-        txn = state.txn_id
-        saw_precommit = state.precommitted
+        saw_precommit = self.wal.precommitted(txn)
         reached_any = False
-        for peer in state.peers:
+        for peer in peers:
             if peer == self.address:
                 continue
             answer = yield from self._ask(peer, txn, presume_abort=False)
@@ -738,7 +717,7 @@ class Site:
         if saw_precommit:
             self.local_commit(txn)
             return True
-        if reached_any or len([p for p in state.peers if p != self.address]) == 0:
+        if reached_any or len([p for p in peers if p != self.address]) == 0:
             self.local_abort(txn)
             return True
         return False  # total isolation: keep retrying

@@ -1,4 +1,4 @@
-"""Per-site write-ahead log and the participant decision table.
+"""Per-site write-ahead log: the participant's state and its decisions.
 
 The original Rainbow keeps everything in Java objects; for the classroom
 exercises about atomicity and recovery we model the durable half explicitly.
@@ -11,9 +11,14 @@ transaction:
 * ``COMMIT`` / ``ABORT`` — the final decision (coordinator or participant);
 * ``END`` — the coordinator collected every acknowledgement of its decision.
 
-After a crash, :meth:`WriteAheadLog.recover_state` lists the transactions
-that prepared but saw no decision: they are *in doubt* — Rainbow's "orphan
-transactions" until the decision is re-learned from the coordinator.
+The PREPARE record *is* the participant's state: the site keeps no copy of
+it.  :meth:`WriteAheadLog.prepared` finds a transaction's undecided PREPARE,
+:meth:`WriteAheadLog.precommitted` its PRECOMMIT, and
+:meth:`WriteAheadLog.in_doubt` lists every undecided PREPARE — the
+transactions that voted YES and know no decision, Rainbow's "orphan
+transactions" until the decision is re-learned from the coordinator.  The
+site asks the same questions while it is up and after a crash, so the
+answers cannot differ between the two.
 
 The log forgets what recovery no longer needs as soon as a transaction is
 decided (:meth:`WriteAheadLog.release`, the one way a record leaves the
@@ -35,7 +40,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
-__all__ = ["LogRecord", "WriteAheadLog", "InDoubt"]
+__all__ = ["LogRecord", "WriteAheadLog"]
 
 #: The ``writes`` of every record that carries none (read-only, shared).
 NO_WRITES: Mapping[str, tuple[Any, int]] = MappingProxyType({})
@@ -53,8 +58,7 @@ class LogRecord:
 
     Records are slotted, and those without writes or peers share
     :data:`NO_WRITES` and ``()`` instead of holding empty containers of
-    their own.  Records are never mutated after they are appended; recovery
-    copies what it needs.
+    their own.  Records are never mutated after they are appended.
     """
 
     lsn: int
@@ -66,19 +70,6 @@ class LogRecord:
     ts: float = 0.0  # transaction timestamp (needed to reinstate TO state)
     acp: str = "2PC"  # protocol in force (recovery follows its rules)
     peers: tuple[str, ...] = ()  # 3PC termination set
-
-
-@dataclass
-class InDoubt:
-    """A transaction left uncertain by a crash (prepared, no decision)."""
-
-    txn_id: int
-    writes: dict[str, tuple[Any, int]]
-    coordinator: Optional[str]
-    precommitted: bool = False
-    ts: float = 0.0
-    acp: str = "2PC"
-    peers: list[str] = field(default_factory=list)
 
 
 def _retains(record: LogRecord) -> bool:
@@ -244,38 +235,34 @@ class WriteAheadLog:
         """The logged decision ("COMMIT"/"ABORT") for a transaction, if any."""
         return self._decision(txn_id, self._live.get(txn_id, ()))
 
-    def recover_state(self) -> list[InDoubt]:
-        """The in-doubt transactions after a crash, by transaction id.
+    def prepared(self, txn_id: int) -> Optional[LogRecord]:
+        """The latest PREPARE of ``txn_id`` that no participant decision follows.
 
-        A transaction is in doubt when it has a PREPARE but no decision;
-        its buffered writes and coordinator address come from the log.  A
-        decided transaction has no PREPARE left: the site applies a COMMIT
-        (or an ABORT) and releases the transaction in one step, so no crash
-        falls between them and nothing is left to redo.
+        A participant decision record (one with a ``coordinator`` address)
+        is released at once with the PREPARE it decides, so this is the
+        latest live PREPARE.  The coordinator's own decision record (no
+        address) does not decide the home site's participant: its PREPARE
+        stays prepared until the participant applies the decision.
         """
-        in_doubt: list[InDoubt] = []
-        for txn_id, records in self._live.items():
-            prepare = None
-            precommitted = False
-            for record in records:
-                if record.kind == "PREPARE":
-                    prepare = record
-                elif record.kind == "PRECOMMIT":
-                    precommitted = True
-            if prepare is None or self._decision(txn_id, records) is not None:
-                continue
-            in_doubt.append(
-                InDoubt(
-                    txn_id=txn_id,
-                    writes=dict(prepare.writes),
-                    coordinator=prepare.coordinator,
-                    precommitted=precommitted,
-                    ts=prepare.ts,
-                    acp=prepare.acp,
-                    peers=list(prepare.peers),
-                )
-            )
-        in_doubt.sort(key=attrgetter("txn_id"))
+        for record in reversed(self._live.get(txn_id, ())):
+            if record.kind == "PREPARE":
+                return record
+            if record.kind in _DECISIONS and record.coordinator is not None:
+                return None
+        return None
+
+    def precommitted(self, txn_id: int) -> bool:
+        """Whether ``txn_id`` has a live PRECOMMIT record."""
+        return any(record.kind == "PRECOMMIT" for record in self._live.get(txn_id, ()))
+
+    def in_doubt(self) -> list[LogRecord]:
+        """Every transaction's :meth:`prepared` record, in the order the
+        transactions entered the log."""
+        in_doubt = []
+        for txn_id in self._live:
+            prepare = self.prepared(txn_id)
+            if prepare is not None:
+                in_doubt.append(prepare)
         return in_doubt
 
     def __len__(self) -> int:

@@ -53,10 +53,10 @@ class TestWalCheckpoint:
         assert wal.decision_for(1) == "COMMIT"
         assert wal.decision_for(2) is None
 
-    def test_checkpoint_keeps_in_doubt(self):
+    def test_release_keeps_in_doubt_prepare(self):
         wal = WriteAheadLog("s")
-        wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, ts=3.0, acp="3PC",
-                        peers=["p"])
+        prepare = wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, ts=3.0, acp="3PC",
+                                  peers=["p"])
         wal.log_precommit(1, at=0.5)
         wal.log_prepare(2, {"y": (2, 2)}, None, at=0.0)
         wal.log_commit(2, at=1.0)
@@ -66,14 +66,10 @@ class TestWalCheckpoint:
         truncated = wal.release(2)
         assert truncated == 1
         assert len(wal) == 3
-        [doubt] = wal.recover_state()
-        assert doubt.txn_id == 1
-        assert doubt.writes == {"x": (1, 1)}
-        assert doubt.coordinator == "coord/a"
-        assert doubt.precommitted
-        assert doubt.ts == 3.0
-        assert doubt.acp == "3PC"
-        assert doubt.peers == ["p"]
+        assert wal.in_doubt() == [prepare]
+        assert wal.precommitted(1)
+        assert (prepare.writes, prepare.coordinator) == ({"x": (1, 1)}, "coord/a")
+        assert (prepare.ts, prepare.acp, prepare.peers) == (3.0, "3PC", ("p",))
         assert wal.decision_for(1) is None
         assert wal.decision_for(2) == "COMMIT"
 

@@ -2,17 +2,22 @@
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RainbowConfig
+from repro.errors import ConcurrencyAbort
 from repro.nameserver.catalog import Catalog
+from repro.net.latency import ConstantLatency
+from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.randoms import zipf_weights
 from repro.site.locks import LockManager, LockMode
+from repro.site.site import Site
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
 from repro.txn.history import HistoryRecorder, SerializationGraph
+from tests.conftest import settle
 
 # ---------------------------------------------------------------------------
 # Distributions
@@ -316,6 +321,8 @@ def test_store_version_never_regresses(writes):
 def test_wal_recovery_partitions_transactions(ops):
     """Every prepared txn is either in doubt or decided, released or not.
 
+    The site coordinates every transaction and is its home participant: a
+    decision is the coordinator's record, then the participant's copy.
     Half the decisions are released at once, as sites do: the in-doubt
     set is the same, and a released COMMIT (coordinator's, no END yet)
     still answers its decision.
@@ -324,23 +331,78 @@ def test_wal_recovery_partitions_transactions(ops):
     prepared, decided = set(), {}
     for txn, kind in ops:
         if kind == "P" and txn not in prepared:
-            wal.log_prepare(txn, {"x": (1, 1)}, None, at=0.0)
+            wal.log_prepare(txn, {"x": (1, 1)}, "home", at=0.0)
             prepared.add(txn)
         elif kind == "C" and txn in prepared and txn not in decided:
             wal.log_commit(txn, at=1.0)
+            wal.log_commit(txn, at=1.0, coordinator="home")
             decided[txn] = "COMMIT"
         elif kind == "A" and txn in prepared and txn not in decided:
             wal.log_abort(txn, at=1.0)
+            wal.log_abort(txn, at=1.0, coordinator="home")
             decided[txn] = "ABORT"
         if txn in decided and txn % 2:
             wal.release(txn)
-    in_doubt_ids = {d.txn_id for d in wal.recover_state()}
+    in_doubt_ids = {prepare.txn_id for prepare in wal.in_doubt()}
     assert in_doubt_ids == prepared - set(decided)
     for txn, decision in decided.items():
         if decision == "COMMIT" or txn % 2 == 0:
             assert wal.decision_for(txn) == decision
         else:
             assert wal.decision_for(txn) is None  # presumed abort
+
+
+_PARTICIPANT_STEPS = st.lists(
+    st.tuples(st.sampled_from(["W", "P", "PC", "C", "A"]), st.integers(1, 3)), max_size=25
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(acp=st.sampled_from(["2PC", "3PC"]), ccp=st.sampled_from(["2PL", "MVTO"]),
+       steps=_PARTICIPANT_STEPS)
+@example(acp="3PC", ccp="2PL", steps=[("W", 1), ("P", 1), ("PC", 1), ("P", 1)])
+def test_crash_changes_no_participant_answer(acp, ccp, steps):
+    """A crash and recovery change no answer a participant gives.
+
+    Steps arrive in any order and any number of times, as duplicated and
+    late messages do: prewrites, prepares (a repeat is a duplicated
+    VOTE_REQ), precommits, commits and aborts.  Every transaction writes
+    its own item, so nothing waits.  What the site answers about each
+    transaction, and how many it holds in doubt, is the same just before
+    the crash and just after recovery.
+    """
+    sim = Simulator()
+    site = Site(sim, Network(sim, ConstantLatency(1.0)), "s1", "h1", ccp=ccp,
+                gc_interval=0, uncertainty_timeout=None)
+    for txn in range(1, 4):
+        site.store.create_copy(f"x{txn}", initial_value=0)
+    peers = ["h2/s2"] if acp == "3PC" else []
+    for step, txn in steps:
+        if step == "W":
+            try:
+                settle(sim, site.local_prewrite(txn, float(txn), f"x{txn}", txn))
+            except ConcurrencyAbort:
+                pass
+        elif step == "P":
+            site.local_prepare(txn, {f"x{txn}": 1}, "h0/coord", float(txn), acp=acp,
+                               peers=peers)
+        elif step == "PC":
+            site.local_precommit(txn)
+        elif step == "C":
+            site.local_commit(txn)
+        else:
+            site.local_abort(txn)
+
+    def answers():
+        return site.in_doubt_count(), [
+            (site.decision_of(txn), site.decision_of(txn, presume_abort=True))
+            for txn in range(1, 4)
+        ]
+
+    before = answers()
+    site.crash()
+    site.recover()
+    assert answers() == before
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConcurrencyAbort
 from repro.net.message import MessageType
+from repro.protocols.base import Wait
 from repro.sim.kernel import Process
 from repro.site.site import Site
 from tests.conftest import drive, follow_waits, record_wal_appends, settle
@@ -123,6 +124,37 @@ class TestLocalOperations:
         assert site.wal.records == kept
         assert site.stats.commits_applied == 1
         assert site.store.read("x") == (9, 1)
+
+
+class TestDuplicatePrepare:
+    """A duplicated VOTE_REQ finds the transaction prepared: the vote stands."""
+
+    def test_duplicate_after_precommit_stays_precommitted(self, sim, site):
+        appended = record_wal_appends([site])
+        settle(sim, site.local_prewrite(1, 1.0, "x", 9))
+        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp="3PC", peers=["p"])
+        site.local_precommit(1)
+        vote = site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp="3PC", peers=["p"])
+        assert vote == (True, "yes")
+        assert [r.kind for _s, r in appended] == ["PREPARE", "PRECOMMIT"]
+        assert site.decision_of(1) == "PRECOMMITTED"
+        site.crash()
+        site.recover()
+        assert site.decision_of(1) == "PRECOMMITTED"
+
+    def test_duplicate_to_wounded_participant_keeps_its_write(self, sim, network):
+        site = Site(sim, network, "s9", "h9", gc_interval=0, uncertainty_timeout=None,
+                    ccp_options={"deadlock_strategy": "wound_wait"})
+        site.store.create_copy("x", initial_value=0)
+        settle(sim, site.local_prewrite(2, 2.0, "x", 9))
+        assert site.local_prepare(2, {"x": 1}, "coord/a", 2.0) == (True, "yes")
+        # An older writer wounds the prepared holder and waits for its lock.
+        assert isinstance(site.local_prewrite(1, 1.0, "x", 7), Wait)
+        assert site.local_prepare(2, {"x": 1}, "coord/a", 2.0) == (True, "yes")
+        # The coordinator decided COMMIT on the first YES.
+        site.local_commit(2)
+        assert site.store.read("x") == (9, 1)
+        assert site.stats.commits_applied == 1
 
 
 class TestDecisionOf:

@@ -101,40 +101,65 @@ class TestWriteAheadLog:
 
     def test_recover_classifies_in_doubt(self):
         wal = WriteAheadLog("s1")
-        wal.log_prepare(1, {"x": (5, 1)}, "coord/a", at=0.0, ts=3.5, acp="3PC",
-                        peers=["p1", "p2"])
+        prepare = wal.log_prepare(1, {"x": (5, 1)}, "coord/a", at=0.0, ts=3.5, acp="3PC",
+                                  peers=["p1", "p2"])
         wal.log_prepare(2, {"y": (7, 2)}, "coord/b", at=1.0)
-        wal.log_commit(2, at=2.0)
-        in_doubt = wal.recover_state()
-        assert [d.txn_id for d in in_doubt] == [1]
-        doubt = in_doubt[0]
-        assert doubt.writes == {"x": (5, 1)}
-        assert doubt.coordinator == "coord/a"
-        assert doubt.ts == 3.5
-        assert doubt.acp == "3PC"
-        assert doubt.peers == ["p1", "p2"]
-        assert not doubt.precommitted
+        wal.log_commit(2, at=2.0, coordinator="coord/b")
+        assert wal.in_doubt() == [prepare]
+        assert wal.prepared(1) is prepare
+        assert wal.prepared(2) is None
+        assert prepare.writes == {"x": (5, 1)}
+        assert prepare.coordinator == "coord/a"
+        assert prepare.ts == 3.5
+        assert prepare.acp == "3PC"
+        assert prepare.peers == ("p1", "p2")
+        assert not wal.precommitted(1)
 
     def test_recover_marks_precommitted(self):
         wal = WriteAheadLog("s1")
         wal.log_prepare(1, {}, None, at=0.0)
+        assert not wal.precommitted(1)
         wal.log_precommit(1, at=0.5)
-        assert wal.recover_state()[0].precommitted
+        assert wal.precommitted(1)
+        assert not wal.precommitted(2)
 
     def test_committed_transactions_not_in_doubt(self):
         wal = WriteAheadLog("s1")
-        wal.log_prepare(2, {"y": (1, 1)}, None, at=0.0)
-        wal.log_prepare(1, {"x": (1, 1)}, None, at=0.0)
-        wal.log_commit(1, at=1.0)
-        assert [d.txn_id for d in wal.recover_state()] == [2]
-        wal.log_commit(2, at=1.0)
-        assert wal.recover_state() == []
+        wal.log_prepare(2, {"y": (1, 1)}, "coord/a", at=0.0)
+        wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0)
+        wal.log_commit(1, at=1.0, coordinator="coord/a")
+        assert [p.txn_id for p in wal.in_doubt()] == [2]
+        wal.log_commit(2, at=1.0, coordinator="coord/a")
+        assert wal.in_doubt() == []
 
     def test_aborted_transactions_not_in_doubt(self):
         wal = WriteAheadLog("s1")
-        wal.log_prepare(1, {}, None, at=0.0)
-        wal.log_abort(1, at=1.0)
-        assert wal.recover_state() == []
+        wal.log_prepare(1, {}, "coord/a", at=0.0)
+        wal.log_abort(1, at=1.0, coordinator="coord/a")
+        assert wal.in_doubt() == []
+
+    def test_coordinator_decision_does_not_decide_its_participant(self):
+        """The home site's own COMMIT record (no coordinator address) is
+        logged before the home participant applies it: until then the
+        participant's PREPARE is still prepared."""
+        wal = WriteAheadLog("s1")
+        prepare = wal.log_prepare(1, {"x": (1, 1)}, "home/a", at=0.0)
+        wal.log_commit(1, at=1.0)
+        assert wal.decision_for(1) == "COMMIT"
+        assert wal.prepared(1) is prepare
+        wal.log_commit(1, at=1.0, coordinator="home/a")
+        assert wal.prepared(1) is None
+
+    def test_in_doubt_follows_log_order(self):
+        wal = WriteAheadLog("s1")
+        wal.log_prepare(3, {}, "coord/a", at=0.0)
+        wal.log_prepare(1, {}, "coord/a", at=1.0)
+        latest = wal.log_prepare(3, {}, "coord/a", at=2.0)
+        assert [(p.txn_id, p.at) for p in wal.in_doubt()] == [(3, 2.0), (1, 1.0)]
+        assert wal.prepared(3) is latest
 
     def test_empty_log_recovers_empty(self):
-        assert WriteAheadLog("s1").recover_state() == []
+        wal = WriteAheadLog("s1")
+        assert wal.in_doubt() == []
+        assert wal.prepared(1) is None
+        assert not wal.precommitted(1)

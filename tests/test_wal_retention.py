@@ -86,7 +86,7 @@ class TestRelease:
         wal.release(2)
         assert wal.records == [commit, abort]
         assert (wal.decision_for(1), wal.decision_for(2)) == ("COMMIT", "ABORT")
-        assert wal.recover_state() == []
+        assert wal.in_doubt() == []
 
     def test_2pc_abort_is_presumed(self):
         wal = WriteAheadLog("s")
@@ -106,9 +106,8 @@ class TestRelease:
         wal.log_abort(1, at=1.0)
         wal.release(1)
         assert wal.records == [prepare, precommit]
-        [doubt] = wal.recover_state()
-        assert (doubt.txn_id, doubt.writes, doubt.coordinator) == (2, {"y": (1, 1)}, "coord/a")
-        assert (doubt.precommitted, doubt.ts, doubt.acp, doubt.peers) == (True, 3.0, "3PC", ["p"])
+        assert wal.in_doubt() == [prepare]
+        assert wal.precommitted(2)
 
 
 class TestIndexedCost:
@@ -142,7 +141,7 @@ class TestRecovery:
         instance.sim.run(until=instance.submit(txn))
         site = instance.sites["site1"]
         # The commit was applied and released in one step: nothing to redo.
-        assert site.wal.recover_state() == []
+        assert site.wal.in_doubt() == []
         site.crash()
         site.recover()
         instance.sim.run(until=instance.sim.now + 30)
@@ -208,7 +207,7 @@ class TestBoundedLog:
         # any session length, and no site keeps per-transaction state.
         for site in instance.sites.values():
             assert len(site.wal) == 0
-            assert (site._txn_home, site._activity, site._prepared) == ({}, {}, {})
+            assert (site._txn_home, site._activity, site._resolving) == ({}, {}, set())
 
     def test_rejected_lock_requests_leave_no_lock_state(self):
         # Deadlock victims, wait timeouts and distributed-deadlock aborts
