@@ -225,16 +225,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             for span, self_time in obs.critical_path(tracer, slowest.txn_id):
                 print(f"  {span.name:<14} @{span.site:<8} self {self_time:.3f}")
 
-    if args.out or args.csv:
-        # Both exports read the same normalized copies, built once.
-        spans = obs.normalize_spans(tracer.spans)
     if args.out:
         from pathlib import Path
 
-        Path(args.out).write_text(obs.spans_to_chrome_json(spans, normalize=False))
+        Path(args.out).write_text(obs.spans_to_chrome_json(tracer.spans))
         print(f"wrote {args.out}", file=sys.stderr)
     if args.csv:
-        obs.spans_to_csv(spans, args.csv, normalize=False)
+        obs.spans_to_csv(tracer.spans, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 

@@ -98,6 +98,7 @@ class RainbowInstance:
                 site_config.host,
                 ccp=protocols.ccp,
                 ccp_options=dict(protocols.ccp_options),
+                acp=self.acp,
                 uncertainty_timeout=config.uncertainty_timeout,
                 decision_retry=config.decision_retry,
                 gc_interval=config.gc_interval,

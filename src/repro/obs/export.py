@@ -1,9 +1,9 @@
 """Trace exporters: Chrome trace-event JSON (Perfetto) and flat CSV.
 
-Both exporters *normalize* ids by default: transaction ids are remapped
-to a dense ``1..n`` by order of first appearance, and span ids are
-rewritten accordingly (``t{txn}:{site}:{seq}`` keeps its site and
-sequence parts).  Raw transaction ids come from a process-global counter
+Both exporters take a tracer or its span columns and always *normalize*
+ids: transaction ids are remapped to a dense ``1..n`` by order of first
+appearance, and span ids are rewritten accordingly
+(``t{txn}:{site}:{seq}`` keeps its site and sequence parts).  Raw transaction ids come from a process-global counter
 — normalizing makes the exported bytes a pure function of the session's
 seed, independent of what else ran earlier in the process or of which
 worker executed the session under ``-j N``.
@@ -31,58 +31,24 @@ __all__ = [
     "tracers_to_chrome_json",
 ]
 
-SpansLike = Union[SpanTracer, Sequence[Span]]
+SpansLike = Union[SpanTracer, SpanColumns]
 
 #: One simulated time unit = 1 ms; Chrome trace timestamps are in µs.
 _US_PER_UNIT = 1000.0
 
 
-def _span_list(spans: SpansLike) -> list[Span]:
-    if isinstance(spans, SpanTracer):
-        return list(spans.spans)
-    return list(spans)
-
-
 def normalize_spans(spans: SpansLike) -> list[Span]:
     """Spans with txn ids densely renumbered by first appearance.
 
-    Each span keeps its site and sequence, so its ``span_id`` is the
+    The spans are read from a tracer's columns straight into renumbered
+    views.  Each keeps its site and sequence, so its ``span_id`` is the
     original's with the txn part renumbered, and it is linked to its
-    parent's renumbered span.  A tracer's spans are read from its columns
-    straight into renumbered views.  A list of views is copied; a parent
-    outside the list stays the original span, so its id renders
-    un-normalized.
+    parent's renumbered view.
     """
-    if isinstance(spans, SpanTracer):
-        spans = spans.spans
-    if isinstance(spans, SpanColumns):
-        first_seen = dict.fromkeys(spans.txn)
-        renumber = {txn_id: n for n, txn_id in enumerate(first_seen, start=1)}
-        return list(spans.views(range(len(spans)), renumber))
-    originals = list(spans)
-    txn_map: dict[int, int] = {}
-    for span in originals:
-        if span.txn_id not in txn_map:
-            txn_map[span.txn_id] = len(txn_map) + 1
-    copies = [
-        Span(
-            txn_map[span.txn_id],
-            span.site,
-            span.seq,
-            span.name,
-            span.parent,
-            span.start,
-            span.end,
-            span.attr_keys,
-            span.attr_values,
-        )
-        for span in originals
-    ]
-    copy_of = {span.span_id: copy for span, copy in zip(originals, copies)}
-    for copy in copies:
-        if copy.parent is not None:
-            copy.parent = copy_of.get(copy.parent.span_id, copy.parent)
-    return copies
+    columns = spans.spans if isinstance(spans, SpanTracer) else spans
+    first_seen = dict.fromkeys(columns.txn)
+    renumber = {txn_id: n for n, txn_id in enumerate(first_seen, start=1)}
+    return list(columns.views(range(len(columns)), renumber))
 
 
 def _chrome_events(spans: Iterable[Span], pid: int) -> list[dict]:
@@ -111,20 +77,15 @@ def _chrome_events(spans: Iterable[Span], pid: int) -> list[dict]:
     return events
 
 
-def spans_to_chrome_json(
-    spans: SpansLike, *, normalize: bool = True, label: str = "rainbow"
-) -> str:
+def spans_to_chrome_json(spans: SpansLike, *, label: str = "rainbow") -> str:
     """Chrome trace-event JSON for one session's spans."""
-    return tracers_to_chrome_json([(label, spans)], normalize=normalize)
+    return tracers_to_chrome_json([(label, spans)])
 
 
-def tracers_to_chrome_json(
-    labeled: Sequence[tuple[str, SpansLike]], *, normalize: bool = True
-) -> str:
+def tracers_to_chrome_json(labeled: Sequence[tuple[str, SpansLike]]) -> str:
     """Chrome trace-event JSON for several sessions (one pid each)."""
     events: list[dict] = []
     for pid, (label, spans) in enumerate(labeled, start=1):
-        span_list = normalize_spans(spans) if normalize else _span_list(spans)
         events.append(
             {
                 "name": "process_name",
@@ -133,7 +94,7 @@ def tracers_to_chrome_json(
                 "args": {"name": label},
             }
         )
-        events.extend(_chrome_events(span_list, pid))
+        events.extend(_chrome_events(normalize_spans(spans), pid))
     return json.dumps(
         {"displayTimeUnit": "ms", "traceEvents": events},
         sort_keys=True,
@@ -141,11 +102,8 @@ def tracers_to_chrome_json(
     )
 
 
-def spans_to_csv(
-    spans: SpansLike, path: Optional[str] = None, *, normalize: bool = True
-) -> str:
+def spans_to_csv(spans: SpansLike, path: Optional[str] = None) -> str:
     """Flat per-span CSV (one row per span, attrs as sorted JSON)."""
-    span_list = normalize_spans(spans) if normalize else _span_list(spans)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
@@ -162,7 +120,7 @@ def spans_to_csv(
             "attrs",
         ]
     )
-    for span in span_list:
+    for span in normalize_spans(spans):
         writer.writerow(
             [
                 span.txn_id,

@@ -7,12 +7,18 @@ failure never blocks participants: the termination protocol implemented in
 :meth:`repro.site.site.Site._terminate_3pc` lets them decide among
 themselves (any PRECOMMITTED ⇒ commit; all uncertain ⇒ abort).
 
-The coordinator side here:
+3PC is :class:`~repro.protocols.acp.two_phase_commit.CentralisedCommit`
+with ``precommit_round`` set; that one attribute is all the rest of the
+system reads.  The coordinator side:
 
-1. VOTE_REQ round (as in 2PC; any NO or silence ⇒ abort).
+1. VOTE_REQ round (as in 2PC; any NO or silence ⇒ abort).  The vote is
+   never piggybacked on the final access.
 2. PRECOMMIT round — participants force a PRECOMMIT record and ack.
    Silent participants are tolerated (they will terminate correctly).
 3. Force the COMMIT record, broadcast COMMIT.
+
+On the participant side, a site in doubt runs the termination protocol
+over its peers, and its WAL keeps each decision for the peers' queries.
 
 EXP-ACP contrasts the two protocols under coordinator crashes: 2PC leaves
 orphans blocked for the whole outage; 3PC resolves them within the
@@ -21,28 +27,13 @@ termination timeout.
 
 from __future__ import annotations
 
-from typing import Generator
-
-from repro.errors import CommitAbort
-from repro.net.message import MessageType
-from repro.protocols.base import CommitProtocol
+from repro.protocols.acp.two_phase_commit import CentralisedCommit
 
 __all__ = ["ThreePhaseCommit"]
 
 
-class ThreePhaseCommit(CommitProtocol):
+class ThreePhaseCommit(CentralisedCommit):
     """Centralised 3PC with the participant-side termination protocol."""
 
     name = "3PC"
-
-    def run(self, ctx) -> Generator:
-        all_yes, detail = yield from ctx.collect_votes(self.name)
-        if not all_yes:
-            ctx.log_decision("ABORT")
-            yield from ctx.broadcast(MessageType.ABORT)
-            raise CommitAbort(f"vote phase failed: {detail}")
-        yield from ctx.broadcast(MessageType.PRECOMMIT)
-        ctx.log_decision("COMMIT")
-        acked = yield from ctx.broadcast(MessageType.COMMIT)
-        ctx.log_end_if_complete(acked)
-        return "COMMIT"
+    precommit_round = True

@@ -14,6 +14,10 @@ DECISION_REQ (presumed abort).  Any NO ⇒ force ABORT and broadcast it.
 are *blocked* while the coordinator is down — they are Rainbow's "orphan
 transactions" until the coordinator site recovers and answers decision
 requests.
+
+:class:`CentralisedCommit` is that round for every centralised ACP: with
+``precommit_round`` set (3PC) a PRECOMMIT round runs between the votes and
+the decision.
 """
 
 from __future__ import annotations
@@ -24,21 +28,27 @@ from repro.errors import CommitAbort
 from repro.net.message import MessageType
 from repro.protocols.base import CommitProtocol
 
-__all__ = ["TwoPhaseCommit"]
+__all__ = ["CentralisedCommit", "TwoPhaseCommit"]
 
 
-class TwoPhaseCommit(CommitProtocol):
-    """Centralised presumed-abort 2PC."""
-
-    name = "2PC"
+class CentralisedCommit(CommitProtocol):
+    """The coordinator's rounds of a centralised presumed-abort commit."""
 
     def run(self, ctx) -> Generator:
-        all_yes, detail = yield from ctx.collect_votes(self.name)
+        all_yes, detail = yield from ctx.collect_votes()
         if not all_yes:
             ctx.log_decision("ABORT")
             yield from ctx.broadcast(MessageType.ABORT)
             raise CommitAbort(f"vote phase failed: {detail}")
+        if self.precommit_round:
+            yield from ctx.broadcast(MessageType.PRECOMMIT)
         ctx.log_decision("COMMIT")
         acked = yield from ctx.broadcast(MessageType.COMMIT)
         ctx.log_end_if_complete(acked)
         return "COMMIT"
+
+
+class TwoPhaseCommit(CentralisedCommit):
+    """Centralised presumed-abort 2PC."""
+
+    name = "2PC"

@@ -7,8 +7,10 @@ with minimum system-wide modifications."  Concretely:
 * Every protocol family has one small interface —
   :class:`ConcurrencyController` (CCP, site-local),
   :class:`ReplicationController` (RCP, coordinator-side) and
-  :class:`CommitProtocol` (ACP, coordinator-side; the participant half lives
-  in the site's message handlers).
+  :class:`CommitProtocol` (ACP).  An ACP object runs the coordinator side;
+  the participant half lives in the site's message handlers and its WAL,
+  which ask the instance's one ACP object what it needs
+  (:attr:`CommitProtocol.precommit_round`), never its name.
 * Implementations self-register in a per-family *registry* keyed by a short
   name (``"2PL"``, ``"QC"``, ``"2PC"`` …), which is exactly what the GUI's
   Protocols Configuration window (paper Figure 4) lists in its drop-downs.
@@ -200,6 +202,12 @@ class CommitProtocol:
     """
 
     name = "abstract"
+    #: True when a PRECOMMIT round separates the votes from the decision
+    #: (3PC).  It is the one fact the rest of the system asks of an ACP: the
+    #: coordinator arms the piggybacked prepare only without it, and with it
+    #: a participant in doubt runs peer termination and the WAL keeps
+    #: decisions for the peers' queries.
+    precommit_round = False
 
     def run(self, ctx) -> Generator:
         """Yield until the decision is reached and propagated."""

@@ -24,7 +24,9 @@ Wounding a transaction that is *not* currently waiting cannot unwind it
 synchronously; instead the wounded id is reported through ``on_wound`` and
 the concurrency controller dooms it, so its next operation (or its 2PC
 vote) fails.  This mirrors how real wound-wait implementations deliver
-asynchronous aborts.
+asynchronous aborts.  A holder that has already voted YES (the site wires
+``prepared`` to its WAL) is not wounded: a prepared participant waits for
+the global decision, so a doom could not act, and the requester waits.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ class _ItemLock:
 _by_rank = attrgetter("rank")
 
 
+def _never_prepared(txn_id: int) -> None:
+    """The ``prepared`` answer of a lock manager no site has wired."""
+    return None
+
+
 @dataclass
 class LockStats:
     """Counters the progress monitor samples."""
@@ -109,6 +116,8 @@ class LockManager:
         self.wait_timeout = wait_timeout
         self.on_wound = on_wound
         self.on_block = on_block  # distributed-deadlock probe hook
+        # Whether a transaction has voted YES here (wound-wait spares it).
+        self.prepared: Callable[[int], object] = _never_prepared
         self.stats = LockStats()
         self._table: dict[str, _ItemLock] = {}
         self._ts_of: dict[int, float] = {}
@@ -329,10 +338,11 @@ class LockManager:
                 self._forget_if_idle(request.txn_id)
                 return request.event
         elif self.strategy == "wound_wait":
-            # Older requester wounds every younger holder, then waits for
-            # older ones; wounded holders abort asynchronously.
+            # Older requester wounds every younger unprepared holder, then
+            # waits for the rest; wounded holders abort asynchronously.
             for blocker in list(blockers):
-                if self._ts_of.get(blocker, float("-inf")) > request.ts:
+                younger = self._ts_of.get(blocker, float("-inf")) > request.ts
+                if younger and not self.prepared(blocker):
                     self._wound(blocker)
 
         entry.queue.append(request)

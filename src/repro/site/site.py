@@ -16,9 +16,12 @@ A :class:`Site` owns:
   :class:`~repro.site.wal.WriteAheadLog` (the simulated disk);
 * a pluggable concurrency controller (2PL / TSO / MVTO) guarding the local
   copies;
-* the *participant* halves of 2PC and 3PC, including uncertainty timeouts,
-  decision requests with presumed abort, recovery of in-doubt transactions
-  from the WAL, and the simplified 3PC termination protocol.  A prepared
+* the *participant* half of the instance's ACP, including uncertainty
+  timeouts, decision requests with presumed abort, recovery of in-doubt
+  transactions from the WAL, and, when the ACP has a precommit round
+  (3PC), the simplified termination protocol over the peers.  The site
+  holds the instance's one ACP object, as it holds its CCP, and asks it
+  only for ``precommit_round``, never its name.  A prepared
   participant is its PREPARE record: the site reads whether a transaction
   is prepared, precommitted or in doubt from the WAL, up or recovering, and
   keeps in memory only which of them it is asking about;
@@ -48,7 +51,7 @@ from repro.site.deadlock import ProbeTypes as _ProbeTypesModule
 
 from repro.net.network import Network
 from repro.obs.spans import SpanRef
-from repro.protocols.base import Wait, follow, make_ccp
+from repro.protocols.base import CommitProtocol, Wait, follow, make_acp, make_ccp
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
 from repro.sim.kernel import Process, Simulator
@@ -92,6 +95,7 @@ class Site:
         *,
         ccp: str = "2PL",
         ccp_options: Optional[dict] = None,
+        acp: Optional[CommitProtocol] = None,
         uncertainty_timeout: Optional[float] = 80.0,
         decision_retry: float = 25.0,
         gc_interval: float = 60.0,
@@ -106,7 +110,9 @@ class Site:
         self.host = host
         self.endpoint = network.endpoint(host, name)
         self.store = LocalStore(name)
-        self.wal = WriteAheadLog(name)
+        # The instance's one ACP object (2PC when none is given).
+        self.acp = acp if acp is not None else make_acp("2PC")
+        self.wal = WriteAheadLog(name, keep_decisions=self.acp.precommit_round)
         self.ccp_name = ccp.upper()
         self._ccp_options = dict(ccp_options or {})
         self.cc = make_ccp(self.ccp_name, sim, self.store, **self._ccp_options)
@@ -160,7 +166,7 @@ class Site:
             self.deadlock_detector = DeadlockDetector(
                 self, probe_interval=probe_interval
             )
-            self._wire_detector()
+        self._wire_locks()
 
     @property
     def address(self) -> str:
@@ -176,8 +182,17 @@ class Site:
         return len(self.wal.in_doubt()) if self.up else 0
 
     # -------------------------------------------------------- deadlock support
-    def _wire_detector(self) -> None:
-        if self.cc.lock_based and self.deadlock_detector is not None:
+    def _wire_locks(self) -> None:
+        """Hook a lock-based CCP's lock manager to this site.
+
+        Wound-wait asks the WAL whether a holder is prepared, and the
+        distributed-deadlock detector hears of every block.  ``recover``
+        builds a fresh CCP, so it wires again.
+        """
+        if not self.cc.lock_based:
+            return
+        self.cc.locks.prepared = self.wal.prepared
+        if self.deadlock_detector is not None:
             self.cc.locks.on_block = self.deadlock_detector.on_block
 
     def register_home_txn(self, txn_id: int, ctx) -> None:
@@ -253,8 +268,8 @@ class Site:
             self._begin_resolution(prepare.txn_id)
 
         self._start_background()
+        self._wire_locks()
         if self.deadlock_detector is not None:
-            self._wire_detector()
             self._spawn(
                 self.deadlock_detector._reprobe_loop(), name=f"ddd:{self.name}"
             )
@@ -364,7 +379,6 @@ class Site:
                     prepare.get("versions", {}),
                     prepare.get("coordinator"),
                     ts,
-                    acp=prepare.get("acp", "2PC"),
                     peers=prepare.get("peers", []),
                     span=msg.span,
                 )
@@ -392,7 +406,6 @@ class Site:
             payload.get("versions", {}),
             payload.get("coordinator"),
             payload.get("ts", 0.0),
-            acp=payload.get("acp", "2PC"),
             peers=payload.get("peers", []),
             span=msg.span,
         )
@@ -502,7 +515,6 @@ class Site:
         versions: dict[str, int],
         coordinator: Optional[str],
         ts: float,
-        acp: str = "2PC",
         peers: Optional[list[str]] = None,
         span: Optional[SpanRef] = None,
     ) -> tuple[bool, str]:
@@ -514,7 +526,7 @@ class Site:
         piggybacked) is voted YES again without a check or a record: the
         forced vote stands, and so does any PRECOMMIT that followed it.
         """
-        vote, reason = self._prepare_vote(txn, versions, coordinator, ts, acp, peers)
+        vote, reason = self._prepare_vote(txn, versions, coordinator, ts, peers)
         if self.tracer is not None:
             now = self.sim.now
             self.tracer.record(
@@ -530,7 +542,6 @@ class Site:
         versions: dict[str, int],
         coordinator: Optional[str],
         ts: float,
-        acp: str,
         peers: Optional[list[str]],
     ) -> tuple[bool, str]:
         self._touch(txn)
@@ -552,9 +563,7 @@ class Site:
             self.stats.votes_no += 1
             return False, f"validation failed: {validation_reason}"
         writes = {item: (buffered[item], versions[item]) for item in versions}
-        self.wal.log_prepare(
-            txn, writes, coordinator, self.sim.now, ts=ts, acp=acp, peers=list(peers or [])
-        )
+        self.wal.log_prepare(txn, writes, coordinator, self.sim.now, ts=ts, peers=list(peers or []))
         self.stats.votes_yes += 1
         return True, "yes"
 
@@ -577,11 +586,9 @@ class Site:
         prepare = self.wal.prepared(txn)
         if prepare is not None:
             # Tag the record as a participant's copy of the decision: the
-            # release that follows keeps it only under 3PC (see
-            # WriteAheadLog.release), as it does an ABORT.
-            self.wal.log_commit(
-                txn, self.sim.now, coordinator=prepare.coordinator, acp=prepare.acp
-            )
+            # release that follows keeps it only for an ACP with a precommit
+            # round (see WriteAheadLog.release), as it does an ABORT.
+            self.wal.log_commit(txn, self.sim.now, coordinator=prepare.coordinator)
             versions = {item: version for item, (_value, version) in prepare.writes.items()}
             self.cc.commit(txn, versions)
             self.wal.release(txn)
@@ -597,9 +604,7 @@ class Site:
         """Apply the global ABORT decision (idempotent, presumed abort)."""
         prepare = self.wal.prepared(txn)
         if prepare is not None:
-            self.wal.log_abort(
-                txn, self.sim.now, coordinator=prepare.coordinator, acp=prepare.acp
-            )
+            self.wal.log_abort(txn, self.sim.now, coordinator=prepare.coordinator)
             self.wal.release(txn)
         self.cc.abort(txn)
         self._forget(txn)
@@ -666,11 +671,12 @@ class Site:
     def _resolve(self, txn: int):
         """Learn the decision for an in-doubt transaction.
 
-        2PC: poll the coordinator (presumed abort) until it answers — the
+        Poll the coordinator (presumed abort) until it answers — the
         blocking window of 2PC is exactly the time spent in this loop.
-        3PC: after a failed coordinator round, run the (simplified,
-        fail-stop) termination protocol over the peers: any decision is
-        adopted; any PRECOMMITTED means commit; all-uncertain means abort.
+        When the ACP has a precommit round (3PC), a failed coordinator round
+        is followed by the (simplified, fail-stop) termination protocol over
+        the peers: any decision is adopted; any PRECOMMITTED means commit;
+        all-uncertain means abort.
         """
         while self.up and (prepare := self.wal.prepared(txn)) is not None:
             answer = yield from self._ask(prepare.coordinator, txn, presume_abort=True)
@@ -680,7 +686,7 @@ class Site:
             if answer == "ABORT":
                 self.local_abort(txn)
                 return
-            if prepare.acp == "3PC":
+            if self.acp.precommit_round:
                 decided = yield from self._terminate_3pc(txn, prepare.peers)
                 if decided:
                     return

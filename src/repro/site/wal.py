@@ -26,9 +26,12 @@ log), by presumed-abort retention rules.  A decided transaction's
 PREPARE/PRECOMMIT records go: the store is the durable image of a commit
 (a fail-stop crash never loses it), and an abort is presumed.  Only a
 decision that someone may still ask about stays — the coordinator's COMMIT
-until its END, and under 3PC one decision (COMMIT or ABORT) for the peers'
-termination queries, which presume nothing.  A fault-free 2PC session
-therefore leaves only the records of the transactions still in flight.
+until its END, and, when the site's ACP has a precommit round (3PC), one
+decision (COMMIT or ABORT) for the peers' termination queries, which
+presume nothing.  That is the log's one ACP setting, ``keep_decisions``,
+fixed when the site builds it; no record names its protocol.  A
+fault-free 2PC session therefore leaves only the records of the
+transactions still in flight.
 The log is indexed by transaction, so a release and a decision lookup cost
 what the transaction holds, not the history.
 """
@@ -68,21 +71,7 @@ class LogRecord:
     writes: Mapping[str, tuple[Any, int]] = field(default_factory=_no_writes)
     coordinator: Optional[str] = None  # address to ask for the decision
     ts: float = 0.0  # transaction timestamp (needed to reinstate TO state)
-    acp: str = "2PC"  # protocol in force (recovery follows its rules)
     peers: tuple[str, ...] = ()  # 3PC termination set
-
-
-def _retains(record: LogRecord) -> bool:
-    """Whether a decision record may be asked about after its decision.
-
-    3PC peers ask each other with no presumption, so any decision of a 3PC
-    transaction answers its termination queries.  Otherwise only the
-    coordinator's COMMIT (no ``coordinator`` address) is asked about, by
-    DECISION_REQ until END; a missing ABORT is presumed.
-    """
-    if record.acp == "3PC":
-        return True
-    return record.kind == "COMMIT" and record.coordinator is None
 
 
 class WriteAheadLog:
@@ -91,10 +80,15 @@ class WriteAheadLog:
     ``_live`` maps a transaction to its records still in the log, in LSN
     order; ``_retained`` maps a transaction whose records have been released
     to the one decision record the retention rules keep.
+
+    ``keep_decisions`` is set under an ACP with a precommit round: its peers
+    ask each other with no presumption, so any decision answers their
+    termination queries.
     """
 
-    def __init__(self, site_name: str):
+    def __init__(self, site_name: str, keep_decisions: bool = False):
         self.site_name = site_name
+        self.keep_decisions = keep_decisions
         self._live: dict[int, list[LogRecord]] = {}
         self._retained: dict[int, LogRecord] = {}
         self._next_lsn = 1
@@ -107,53 +101,31 @@ class WriteAheadLog:
         coordinator: Optional[str],
         at: float,
         ts: float = 0.0,
-        acp: str = "2PC",
         peers: Optional[list[str]] = None,
     ) -> LogRecord:
         """Force a PREPARE record (participant voted YES)."""
         return self._append(
-            "PREPARE",
-            txn_id,
-            at,
-            writes=writes,
-            coordinator=coordinator,
-            ts=ts,
-            acp=acp,
-            peers=peers,
+            "PREPARE", txn_id, at, writes=writes, coordinator=coordinator, ts=ts, peers=peers
         )
 
     def log_precommit(self, txn_id: int, at: float) -> LogRecord:
         """Force a PRECOMMIT record (3PC only)."""
         return self._append("PRECOMMIT", txn_id, at)
 
-    def log_commit(
-        self,
-        txn_id: int,
-        at: float,
-        *,
-        coordinator: Optional[str] = None,
-        acp: str = "2PC",
-    ) -> LogRecord:
+    def log_commit(self, txn_id: int, at: float, *, coordinator: Optional[str] = None) -> LogRecord:
         """Force a COMMIT decision record.
 
         ``coordinator`` distinguishes the record's role: ``None`` marks the
         coordinator's own decision record, an address marks a participant's
         copy of the decision.  The retention rules use the role (and
-        ``acp``) to decide how long the record must outlive the decision —
-        see :meth:`release`.
+        ``keep_decisions``) to decide how long the record must outlive the
+        decision — see :meth:`release`.
         """
-        return self._append("COMMIT", txn_id, at, coordinator=coordinator, acp=acp)
+        return self._append("COMMIT", txn_id, at, coordinator=coordinator)
 
-    def log_abort(
-        self,
-        txn_id: int,
-        at: float,
-        *,
-        coordinator: Optional[str] = None,
-        acp: str = "2PC",
-    ) -> LogRecord:
+    def log_abort(self, txn_id: int, at: float, *, coordinator: Optional[str] = None) -> LogRecord:
         """Force an ABORT decision record (roles as in :meth:`log_commit`)."""
-        return self._append("ABORT", txn_id, at, coordinator=coordinator, acp=acp)
+        return self._append("ABORT", txn_id, at, coordinator=coordinator)
 
     def log_end(self, txn_id: int, at: float) -> LogRecord:
         """Mark a decided transaction fully acknowledged (presumed-abort END).
@@ -165,7 +137,7 @@ class WriteAheadLog:
         return self._append("END", txn_id, at)
 
     def _append(
-        self, kind, txn_id, at, writes=None, coordinator=None, ts=0.0, acp="2PC", peers=None
+        self, kind, txn_id, at, writes=None, coordinator=None, ts=0.0, peers=None
     ) -> LogRecord:
         record = LogRecord(
             lsn=self._next_lsn,
@@ -175,7 +147,6 @@ class WriteAheadLog:
             writes=dict(writes) if writes else NO_WRITES,
             coordinator=coordinator,
             ts=ts,
-            acp=acp,
             peers=tuple(peers) if peers else (),
         )
         self._next_lsn += 1
@@ -193,9 +164,9 @@ class WriteAheadLog:
         Presumed abort means a missing record answers ABORT, so everything
         goes except one decision record that someone may still ask about:
         the coordinator's COMMIT until an END marks the decision round fully
-        acknowledged, or under 3PC the first decision record, because the
-        termination protocol queries peers without presuming abort (END
-        releases that too).  PREPARE and PRECOMMIT records go — the store
+        acknowledged, or with ``keep_decisions`` the first decision record,
+        because the termination protocol queries peers without presuming
+        abort (END releases that too).  PREPARE and PRECOMMIT records go — the store
         is the durable image of a commit.  Costs O(the transaction's
         records); returns the number of records dropped.
         """
@@ -205,12 +176,21 @@ class WriteAheadLog:
         for record in records:
             if record.kind == "END":
                 return dropped
-            if kept is None and record.kind in _DECISIONS and _retains(record):
+            if kept is None and record.kind in _DECISIONS and self._retains(record):
                 kept = record
         if kept is None:
             return dropped
         self._retained[txn_id] = kept
         return dropped - 1
+
+    def _retains(self, record: LogRecord) -> bool:
+        """Whether a decision record may be asked about after its decision.
+
+        With ``keep_decisions`` every decision answers its peers.  Otherwise
+        only the coordinator's COMMIT (no ``coordinator`` address) is asked
+        about, by DECISION_REQ until END; a missing ABORT is presumed.
+        """
+        return self.keep_decisions or (record.kind == "COMMIT" and record.coordinator is None)
 
     # -- queries -------------------------------------------------------------
     @property

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.errors import CommitAbort, ConcurrencyAbort, TransactionAborted
+from repro.errors import CommitAbort, ConcurrencyAbort, SystemAbort, TransactionAborted
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
 from repro.obs.spans import SpanRef
@@ -365,13 +365,11 @@ class TxnContext:
     def arm_piggyback(self) -> None:
         """Arm prepare piggybacking for the transaction's final operation.
 
-        Only 2PC benefits (3PC's extra PRECOMMIT round dominates either
-        way), so other ACPs leave the flag unarmed and keep the explicit
-        vote round.
+        Only an ACP without a precommit round benefits (3PC's extra
+        PRECOMMIT round dominates either way), so one with it leaves the
+        flag unarmed and keeps the explicit vote round.
         """
-        self._piggyback_armed = (
-            self.config.piggyback_prepare and self.config.acp.upper() == "2PC"
-        )
+        self._piggyback_armed = self.config.piggyback_prepare and not self.acp.precommit_round
 
     def _piggyback_payload(self, site: str, item: str, write: bool) -> Optional[dict]:
         """VOTE_REQ payload to ride on a final-operation access (or None).
@@ -393,7 +391,6 @@ class TxnContext:
         return {
             "versions": versions,
             "coordinator": self.home.address,
-            "acp": self.config.acp,
             "peers": self.participant_addresses(),
         }
 
@@ -439,21 +436,21 @@ class TxnContext:
         return [p.address for p in self.participants.values()]
 
     # -- ACP primitives -----------------------------------------------------------------
-    def collect_votes(self, acp_name: str):
+    def collect_votes(self):
         """Phase 1: VOTE_REQ to every participant; returns (all_yes, detail).
 
         The home participant votes via a direct call; remote participants
         via messages.  A vote that does not arrive within ``vote_timeout``
         counts as NO (the classic timeout action).
         """
-        span = self.begin_span("acp.vote", acp=acp_name)
+        span = self.begin_span("acp.vote", acp=self.acp.name)
         try:
-            result = yield from self._collect_votes(acp_name)
+            result = yield from self._collect_votes()
         finally:
             self.end_span(span)
         return result
 
-    def _collect_votes(self, acp_name: str):
+    def _collect_votes(self):
         peers = self.participant_addresses()
         remote = []
         all_yes = True
@@ -465,7 +462,6 @@ class TxnContext:
                     participant.versions,
                     self.home.address,
                     self.txn.ts,
-                    acp=acp_name,
                     peers=peers,
                     span=self.trace_context(),
                 )
@@ -495,7 +491,6 @@ class TxnContext:
                         "ts": self.txn.ts,
                         "versions": participant.versions,
                         "coordinator": self.home.address,
-                        "acp": acp_name,
                         "peers": peers,
                     },
                     timeout=self.config.vote_timeout,
@@ -611,14 +606,15 @@ class TxnContext:
         """Force the coordinator's decision record at the home site.
 
         A COMMIT stays until END.  An ABORT is released at once: presumed
-        abort answers a missing record with ABORT (3PC keeps it for its
-        peers' termination queries, see WriteAheadLog.release).
+        abort answers a missing record with ABORT (a WAL that keeps
+        decisions keeps it for the peers' termination queries, see
+        WriteAheadLog.release).
         """
         wal = self.home.wal
         if decision == "COMMIT":
             wal.log_commit(self.txn.txn_id, self.sim.now)
         else:
-            wal.log_abort(self.txn.txn_id, self.sim.now, acp=self.acp.name)
+            wal.log_abort(self.txn.txn_id, self.sim.now)
             wal.release(self.txn.txn_id)
         self.txn.decided_at = self.sim.now
 
@@ -724,7 +720,7 @@ def run_transaction(ctx: TxnContext):
             # The paper's orphan statistic: the coordinator died before a
             # decision was logged, stranding prepared participants in doubt.
             txn.orphaned = txn.decided_at is None
-            _mark_aborted(txn, None, sim.now, cause="SYSTEM", detail="home site crashed")
+            _mark_aborted(txn, SystemAbort("home site crashed"), sim.now)
     finally:
         txn.finished_at = sim.now
         if txn.decided_at is None:
@@ -736,9 +732,9 @@ def run_transaction(ctx: TxnContext):
     return txn.status
 
 
-def _mark_aborted(txn, abort, now, cause=None, detail=None):
+def _mark_aborted(txn, abort, now):
     txn.status = TxnStatus.ABORTED
-    txn.abort_cause = cause if cause is not None else abort.cause
-    txn.abort_detail = detail if detail is not None else abort.detail or str(abort)
+    txn.abort_cause = abort.cause
+    txn.abort_detail = abort.detail or str(abort)
     if txn.decided_at is None:
         txn.decided_at = now

@@ -11,7 +11,7 @@ def commit_handler(ctx):
 
 
 def vote_phase(ctx, sim):
-    ctx.collect_votes("2PC")  # RB101: generator never driven
+    ctx.collect_votes()  # RB101: generator never driven
     sim.timeout(5.0)  # RB101: timeout event dropped on the floor
     done = yield sim.event("done")
     return done

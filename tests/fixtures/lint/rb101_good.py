@@ -8,7 +8,7 @@ def commit_handler(ctx):
 
 
 def vote_phase(ctx, sim):
-    all_yes, detail = yield from ctx.collect_votes("2PC")  # driven
+    all_yes, detail = yield from ctx.collect_votes()  # driven
     grant = sim.timeout(5.0)  # bound for later yielding
     yield grant
     done = yield sim.event("done")

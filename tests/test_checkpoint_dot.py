@@ -40,23 +40,25 @@ class TestWalCheckpoint:
 
     def test_checkpoint_retains_participant_commits_under_3pc(self):
         """3PC peers answer termination queries from their decision record,
-        so a participant's COMMIT copy survives; under 2PC nobody ever asks
-        a participant, so its copy is dropped."""
-        wal = WriteAheadLog("s")
-        wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, acp="3PC")
-        commit = wal.log_commit(1, at=1.0, coordinator="coord/a", acp="3PC")
-        wal.log_prepare(2, {"y": (2, 2)}, "coord/a", at=0.0)
-        wal.log_commit(2, at=1.0, coordinator="coord/a", acp="2PC")
-        wal.release(1)
-        wal.release(2)
-        assert wal.records == [commit]
-        assert wal.decision_for(1) == "COMMIT"
-        assert wal.decision_for(2) is None
+        so a participant's COMMIT copy survives in a log that keeps
+        decisions; under 2PC nobody ever asks a participant, so its copy is
+        dropped."""
+        wal_3pc = WriteAheadLog("s", keep_decisions=True)
+        wal_3pc.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0)
+        commit = wal_3pc.log_commit(1, at=1.0, coordinator="coord/a")
+        wal_3pc.release(1)
+        assert wal_3pc.records == [commit]
+        assert wal_3pc.decision_for(1) == "COMMIT"
+        wal_2pc = WriteAheadLog("s")
+        wal_2pc.log_prepare(2, {"y": (2, 2)}, "coord/a", at=0.0)
+        wal_2pc.log_commit(2, at=1.0, coordinator="coord/a")
+        wal_2pc.release(2)
+        assert wal_2pc.records == []
+        assert wal_2pc.decision_for(2) is None
 
     def test_release_keeps_in_doubt_prepare(self):
         wal = WriteAheadLog("s")
-        prepare = wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, ts=3.0, acp="3PC",
-                                  peers=["p"])
+        prepare = wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, ts=3.0, peers=["p"])
         wal.log_precommit(1, at=0.5)
         wal.log_prepare(2, {"y": (2, 2)}, None, at=0.0)
         wal.log_commit(2, at=1.0)
@@ -69,7 +71,7 @@ class TestWalCheckpoint:
         assert wal.in_doubt() == [prepare]
         assert wal.precommitted(1)
         assert (prepare.writes, prepare.coordinator) == ({"x": (1, 1)}, "coord/a")
-        assert (prepare.ts, prepare.acp, prepare.peers) == (3.0, "3PC", ("p",))
+        assert (prepare.ts, prepare.peers) == (3.0, ("p",))
         assert wal.decision_for(1) is None
         assert wal.decision_for(2) == "COMMIT"
 

@@ -199,7 +199,7 @@ def _prepare_remote_write(ctx, sites, item):
     assert all(result.ok for result in results)
     for result in results:
         ctx.note_prewrite(result.site, item, 1)
-    all_yes, _detail = yield from ctx.collect_votes("2PC")
+    all_yes, _detail = yield from ctx.collect_votes()
     assert all_yes
     ctx.log_decision("COMMIT")
 

@@ -253,7 +253,7 @@ class TestPiggybackedPrepare:
         )
         ctx._register("site2")
         ctx._pending_votes["site2"] = (False, "validation failed")
-        all_yes, detail = drive(instance.sim, ctx.collect_votes("2PC"))
+        all_yes, detail = drive(instance.sim, ctx.collect_votes())
         assert all_yes is False
         assert "site2: validation failed" in detail
 

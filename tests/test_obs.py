@@ -192,26 +192,6 @@ class TestDeterminismAndPerturbation:
         for span in normalized:
             assert span.span_id.startswith(f"t{span.txn_id}:")
 
-    def test_normalize_subset_keeps_outside_parent_ids(self, session):
-        instance, _result = session
-        tracer = instance.span_tracer
-        txn_id = tracer.txn_ids()[1]
-        subset = [span for span in tracer.txn_spans(txn_id) if span.name != "txn"]
-        original_ids = [(span.span_id, span.parent_id) for span in subset]
-        normalized = obs.normalize_spans(subset)
-        renamed = {span.span_id: copy.span_id for span, copy in zip(subset, normalized)}
-        outside = 0
-        for (span_id, parent_id), copy in zip(original_ids, normalized):
-            assert copy.txn_id == 1
-            assert copy.span_id == "t1:" + span_id.partition(":")[2]
-            if parent_id in renamed:
-                assert copy.parent_id == renamed[parent_id]
-            else:
-                outside += 1
-                assert copy.parent_id == parent_id
-        assert 0 < outside < len(subset)
-        assert [(span.span_id, span.parent_id) for span in subset] == original_ids
-
 
 class TestExporters:
     def test_chrome_json_shape(self, session):

@@ -10,6 +10,7 @@ from repro.errors import ConcurrencyAbort
 from repro.nameserver.catalog import Catalog
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
+from repro.protocols.base import make_acp
 from repro.sim.kernel import Simulator
 from repro.sim.randoms import zipf_weights
 from repro.site.locks import LockManager, LockMode
@@ -373,7 +374,7 @@ def test_crash_changes_no_participant_answer(acp, ccp, steps):
     """
     sim = Simulator()
     site = Site(sim, Network(sim, ConstantLatency(1.0)), "s1", "h1", ccp=ccp,
-                gc_interval=0, uncertainty_timeout=None)
+                acp=make_acp(acp), gc_interval=0, uncertainty_timeout=None)
     for txn in range(1, 4):
         site.store.create_copy(f"x{txn}", initial_value=0)
     peers = ["h2/s2"] if acp == "3PC" else []
@@ -384,8 +385,7 @@ def test_crash_changes_no_participant_answer(acp, ccp, steps):
             except ConcurrencyAbort:
                 pass
         elif step == "P":
-            site.local_prepare(txn, {f"x{txn}": 1}, "h0/coord", float(txn), acp=acp,
-                               peers=peers)
+            site.local_prepare(txn, {f"x{txn}": 1}, "h0/coord", float(txn), peers=peers)
         elif step == "PC":
             site.local_precommit(txn)
         elif step == "C":

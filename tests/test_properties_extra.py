@@ -73,28 +73,27 @@ def test_every_strategy_preserves_mutual_exclusion(strategy, seed, n_txns, n_ste
         st.tuples(st.integers(1, 5), st.sampled_from(["P", "PC", "C", "A", "E"])),
         max_size=30,
     ),
-    roles=st.lists(
-        st.tuples(st.sampled_from(["2PC", "3PC"]), st.booleans()), min_size=5, max_size=5
-    ),
+    acp=st.sampled_from(["2PC", "3PC"]),
+    roles=st.lists(st.booleans(), min_size=5, max_size=5),
 )
-def test_release_at_decision_preserves_recovery_semantics(ops, roles):
-    """``roles[txn - 1]`` is the transaction's ACP and whether this site is
-    its coordinator (decision records without a coordinator address).  A
-    coordinating site that also prepared applies its own decision as the
-    home participant, with a copy of the record, as ``Site.local_commit``
-    does."""
+def test_release_at_decision_preserves_recovery_semantics(ops, acp, roles):
+    """``acp`` is the site's one ACP (a 3PC log keeps decisions), and
+    ``roles[txn - 1]`` whether this site is the transaction's coordinator
+    (decision records without a coordinator address).  A coordinating site
+    that also prepared applies its own decision as the home participant,
+    with a copy of the record, as ``Site.local_commit`` does."""
 
     def build(release):
-        wal = WriteAheadLog("s")
+        wal = WriteAheadLog("s", keep_decisions=acp == "3PC")
         prepared, decided, ended = set(), {}, set()
         for txn, kind in ops:
-            acp, coordinating = roles[txn - 1]
+            coordinating = roles[txn - 1]
             coordinator = f"c/{txn}"
             if txn in ended:
                 continue
             if kind == "P" and txn not in prepared and txn not in decided:
                 wal.log_prepare(
-                    txn, {"x": (txn, txn)}, coordinator, at=0.0, ts=txn, acp=acp,
+                    txn, {"x": (txn, txn)}, coordinator, at=0.0, ts=txn,
                     peers=["p"] if acp == "3PC" else None,
                 )
                 prepared.add(txn)
@@ -103,9 +102,9 @@ def test_release_at_decision_preserves_recovery_semantics(ops, roles):
             elif kind in ("C", "A") and txn not in decided:
                 log = wal.log_commit if kind == "C" else wal.log_abort
                 if coordinating:
-                    log(txn, at=0.0, acp=acp)
+                    log(txn, at=0.0)
                 if not coordinating or txn in prepared:
-                    log(txn, at=0.0, coordinator=coordinator, acp=acp)
+                    log(txn, at=0.0, coordinator=coordinator)
                 decided[txn] = "COMMIT" if kind == "C" else "ABORT"
                 if release:
                     wal.release(txn)
@@ -122,7 +121,7 @@ def test_release_at_decision_preserves_recovery_semantics(ops, roles):
     # Who may still ask: 3PC peers, which presume nothing, and in-doubt
     # participants asking a coordinator that has not logged END.
     for txn, decision in decided.items():
-        acp, coordinating = roles[txn - 1]
+        coordinating = roles[txn - 1]
         if txn in ended:
             continue
         if acp == "3PC" or (coordinating and decision == "COMMIT"):

@@ -6,18 +6,29 @@ import pytest
 
 from repro.errors import ConcurrencyAbort
 from repro.net.message import MessageType
-from repro.protocols.base import Wait
+from repro.protocols.base import Wait, make_acp
 from repro.sim.kernel import Process
 from repro.site.site import Site
 from tests.conftest import drive, follow_waits, record_wal_appends, settle
 
 
-@pytest.fixture
-def site(sim, network):
-    site = Site(sim, network, "s1", "h1", gc_interval=0, uncertainty_timeout=None)
+def make_site(sim, network, acp="2PC"):
+    site = Site(
+        sim, network, "s1", "h1", acp=make_acp(acp), gc_interval=0, uncertainty_timeout=None
+    )
     site.store.create_copy("x", initial_value=0)
     site.store.create_copy("y", initial_value=5)
     return site
+
+
+@pytest.fixture
+def site(sim, network):
+    return make_site(sim, network)
+
+
+@pytest.fixture
+def site_3pc(sim, network):
+    return make_site(sim, network, "3PC")
 
 
 def record_spawns(sim):
@@ -56,9 +67,10 @@ class TestLocalOperations:
         assert site.wal.decision_for(1) is None
         assert len(site.wal) == 0
 
-    def test_local_commit_under_3pc_retains_the_decision(self, sim, site):
+    def test_local_commit_under_3pc_retains_the_decision(self, sim, site_3pc):
+        site = site_3pc
         settle(sim, site.local_prewrite(1, 1.0, "x", 9))
-        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp="3PC", peers=["p"])
+        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, peers=["p"])
         site.local_precommit(1)
         site.local_commit(1)
         # 3PC peers may still ask: only the COMMIT copy stays.
@@ -112,9 +124,10 @@ class TestLocalOperations:
         assert site.stats.commits_applied == 1
 
     @pytest.mark.parametrize("acp", ["2PC", "3PC"])
-    def test_duplicate_commit_after_release_logs_nothing(self, sim, site, acp):
+    def test_duplicate_commit_after_release_logs_nothing(self, sim, network, acp):
+        site = make_site(sim, network, acp)
         settle(sim, site.local_prewrite(1, 1.0, "x", 9))
-        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp=acp, peers=["p"])
+        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, peers=["p"])
         site.local_commit(1)
         appended = record_wal_appends([site])
         kept = site.wal.records
@@ -129,12 +142,13 @@ class TestLocalOperations:
 class TestDuplicatePrepare:
     """A duplicated VOTE_REQ finds the transaction prepared: the vote stands."""
 
-    def test_duplicate_after_precommit_stays_precommitted(self, sim, site):
+    def test_duplicate_after_precommit_stays_precommitted(self, sim, site_3pc):
+        site = site_3pc
         appended = record_wal_appends([site])
         settle(sim, site.local_prewrite(1, 1.0, "x", 9))
-        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp="3PC", peers=["p"])
+        site.local_prepare(1, {"x": 1}, "coord/a", 1.0, peers=["p"])
         site.local_precommit(1)
-        vote = site.local_prepare(1, {"x": 1}, "coord/a", 1.0, acp="3PC", peers=["p"])
+        vote = site.local_prepare(1, {"x": 1}, "coord/a", 1.0, peers=["p"])
         assert vote == (True, "yes")
         assert [r.kind for _s, r in appended] == ["PREPARE", "PRECOMMIT"]
         assert site.decision_of(1) == "PRECOMMITTED"
@@ -148,13 +162,49 @@ class TestDuplicatePrepare:
         site.store.create_copy("x", initial_value=0)
         settle(sim, site.local_prewrite(2, 2.0, "x", 9))
         assert site.local_prepare(2, {"x": 1}, "coord/a", 2.0) == (True, "yes")
-        # An older writer wounds the prepared holder and waits for its lock.
+        # An older writer waits for the prepared holder's lock.
         assert isinstance(site.local_prewrite(1, 1.0, "x", 7), Wait)
         assert site.local_prepare(2, {"x": 1}, "coord/a", 2.0) == (True, "yes")
         # The coordinator decided COMMIT on the first YES.
         site.local_commit(2)
         assert site.store.read("x") == (9, 1)
         assert site.stats.commits_applied == 1
+
+
+class TestWoundWait:
+    """Wound-wait waits for a holder that has voted YES instead of wounding it."""
+
+    @staticmethod
+    def wound_wait_site(sim, network):
+        site = Site(sim, network, "s9", "h9", gc_interval=0, uncertainty_timeout=None,
+                    ccp_options={"deadlock_strategy": "wound_wait"})
+        site.store.create_copy("x", initial_value=0)
+        return site
+
+    def test_prepared_holder_is_not_wounded(self, sim, network):
+        site = self.wound_wait_site(sim, network)
+        settle(sim, site.local_prewrite(2, 2.0, "x", 9))
+        site.local_prepare(2, {"x": 1}, "coord/a", 2.0)
+        assert isinstance(site.local_prewrite(1, 1.0, "x", 7), Wait)
+        assert not site.cc.is_doomed(2)
+        assert (site.cc.locks.stats.wounds, site.cc.locks.stats.waits) == (0, 1)
+
+    def test_unprepared_holder_is_wounded(self, sim, network):
+        site = self.wound_wait_site(sim, network)
+        settle(sim, site.local_prewrite(2, 2.0, "x", 9))
+        assert isinstance(site.local_prewrite(1, 1.0, "x", 7), Wait)
+        assert site.cc.is_doomed(2)
+        assert site.cc.locks.stats.wounds == 1
+
+    def test_recovered_prepared_holder_is_not_wounded(self, sim, network):
+        site = self.wound_wait_site(sim, network)
+        settle(sim, site.local_prewrite(2, 2.0, "x", 9))
+        site.local_prepare(2, {"x": 1}, "coord/a", 2.0)
+        site.crash()
+        site.recover()  # a fresh CCP reinstates txn 2's lock
+        assert isinstance(site.local_prewrite(1, 1.0, "x", 7), Wait)
+        assert not site.cc.is_doomed(2)
+        assert site.cc.locks.stats.wounds == 0
 
 
 class TestDecisionOf:
@@ -630,7 +680,7 @@ class TestAccessesArePlainCalls:
         sibling.store.create_copy("x", initial_value=0)
         settle(sim, sibling.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds X on x
         client = network.endpoint("hc", "client")
-        prepare = {"versions": {}, "coordinator": client.address, "acp": "2PC", "peers": []}
+        prepare = {"versions": {}, "coordinator": client.address, "peers": []}
         request = client.request(
             gateway.address, MessageType.BATCH_ACCESS,
             {"txn": 2, "ts": 2.0, "item": "x", "kind": "R", "sites": ["s2"],

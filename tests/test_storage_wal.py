@@ -101,7 +101,7 @@ class TestWriteAheadLog:
 
     def test_recover_classifies_in_doubt(self):
         wal = WriteAheadLog("s1")
-        prepare = wal.log_prepare(1, {"x": (5, 1)}, "coord/a", at=0.0, ts=3.5, acp="3PC",
+        prepare = wal.log_prepare(1, {"x": (5, 1)}, "coord/a", at=0.0, ts=3.5,
                                   peers=["p1", "p2"])
         wal.log_prepare(2, {"y": (7, 2)}, "coord/b", at=1.0)
         wal.log_commit(2, at=2.0, coordinator="coord/b")
@@ -111,7 +111,6 @@ class TestWriteAheadLog:
         assert prepare.writes == {"x": (5, 1)}
         assert prepare.coordinator == "coord/a"
         assert prepare.ts == 3.5
-        assert prepare.acp == "3PC"
         assert prepare.peers == ("p1", "p2")
         assert not wal.precommitted(1)
 

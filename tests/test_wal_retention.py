@@ -44,11 +44,11 @@ def lines_run(call) -> int:
 
 def retained_3pc_log(n: int) -> WriteAheadLog:
     """A participant log of ``n`` committed 3PC transactions, released."""
-    wal = WriteAheadLog("s")
+    wal = WriteAheadLog("s", keep_decisions=True)
     for txn in range(1, n + 1):
-        wal.log_prepare(txn, {"x": (txn, txn)}, "coord/a", at=0.0, acp="3PC", peers=["p"])
+        wal.log_prepare(txn, {"x": (txn, txn)}, "coord/a", at=0.0, peers=["p"])
         wal.log_precommit(txn, at=0.5)
-        wal.log_commit(txn, at=1.0, coordinator="coord/a", acp="3PC")
+        wal.log_commit(txn, at=1.0, coordinator="coord/a")
         wal.release(txn)
     return wal
 
@@ -76,12 +76,12 @@ class TestRelease:
         assert wal.decision_for(1) is None
 
     def test_3pc_keeps_one_decision_for_its_peers(self):
-        wal = WriteAheadLog("s")
-        wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, acp="3PC", peers=["p"])
+        wal = WriteAheadLog("s", keep_decisions=True)
+        wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0, peers=["p"])
         wal.log_precommit(1, at=0.5)
-        commit = wal.log_commit(1, at=1.0, coordinator="coord/a", acp="3PC")
-        wal.log_prepare(2, {"y": (1, 1)}, "coord/a", at=0.0, acp="3PC", peers=["p"])
-        abort = wal.log_abort(2, at=1.0, coordinator="coord/a", acp="3PC")
+        commit = wal.log_commit(1, at=1.0, coordinator="coord/a")
+        wal.log_prepare(2, {"y": (1, 1)}, "coord/a", at=0.0, peers=["p"])
+        abort = wal.log_abort(2, at=1.0, coordinator="coord/a")
         wal.release(1)
         wal.release(2)
         assert wal.records == [commit, abort]
@@ -97,15 +97,13 @@ class TestRelease:
         assert len(wal) == 0
 
     def test_release_leaves_other_transactions_alone(self):
-        wal = WriteAheadLog("s")
-        prepare = wal.log_prepare(
-            2, {"y": (1, 1)}, "coord/a", at=0.0, ts=3.0, acp="3PC", peers=["p"]
-        )
+        wal = WriteAheadLog("s", keep_decisions=True)
+        prepare = wal.log_prepare(2, {"y": (1, 1)}, "coord/a", at=0.0, ts=3.0, peers=["p"])
         precommit = wal.log_precommit(2, at=0.5)
         wal.log_prepare(1, {"x": (1, 1)}, "coord/a", at=0.0)
-        wal.log_abort(1, at=1.0)
+        abort = wal.log_abort(1, at=1.0)
         wal.release(1)
-        assert wal.records == [prepare, precommit]
+        assert wal.records == [prepare, precommit, abort]
         assert wal.in_doubt() == [prepare]
         assert wal.precommitted(2)
 
@@ -125,8 +123,8 @@ class TestIndexedCost:
     def test_release_work_does_not_grow_with_retained_commits(self):
         small, large = retained_3pc_log(10), retained_3pc_log(400)
         for wal in (small, large):
-            wal.log_prepare(10_000, {"x": (1, 1)}, "coord/a", at=3.0, acp="3PC")
-            wal.log_commit(10_000, at=4.0, coordinator="coord/a", acp="3PC")
+            wal.log_prepare(10_000, {"x": (1, 1)}, "coord/a", at=3.0)
+            wal.log_commit(10_000, at=4.0, coordinator="coord/a")
         assert lines_run(lambda: small.release(10_000)) == lines_run(
             lambda: large.release(10_000)
         )
@@ -225,19 +223,22 @@ class TestBoundedLog:
         samples = []
         instance = _session("3PC", 500, samples)
         for in_flight, logged in samples:
-            # Everything but the retained decisions belongs to a running
-            # transaction.
+            # Everything but the participants' retained decisions belongs
+            # to a running transaction; a coordinator's own COMMIT (no
+            # ``coordinator`` address) stays only until its END.
             unsettled = {
                 record.txn_id
                 for record in logged
-                if record.kind not in ("COMMIT", "ABORT") or record.acp != "3PC"
+                if record.kind not in ("COMMIT", "ABORT")
+                or (record.kind == "COMMIT" and record.coordinator is None)
             }
             assert unsettled <= in_flight
         committed = {record.txn_id for record in instance.monitor.records
                      if record.status == "COMMITTED"}
         for site in instance.sites.values():
             records = site.wal.records
-            assert all(record.acp == "3PC" for record in records)
+            # Every home transaction reached END: no coordinator COMMIT is left.
+            assert not any(r.kind == "COMMIT" and r.coordinator is None for r in records)
             assert {record.kind for record in records} <= {"COMMIT", "ABORT"}
             assert len({record.txn_id for record in records}) == len(records)
             assert {r.txn_id for r in records if r.kind == "COMMIT"} <= committed
