@@ -17,7 +17,10 @@ catalog there.  Trace code is:
   (``_trace_flight``, ``begin_span``, ``render_span_tree``, ...);
 * the argument expressions of tracer-API calls — ``*.begin_span(...)`` /
   ``*.end_span(...)`` anywhere, and ``begin``/``finish``/``record``
-  called on a receiver whose dotted path mentions ``tracer``.
+  called on a receiver whose dotted path mentions ``tracer``;
+* what reaches an execution stream: each loop over a site's or the
+  network's ``*.subscribers`` list, and the arguments of calls to a method
+  of the module that holds one (the site's ``_emit``).
 
 Inside that scope it flags:
 
@@ -112,18 +115,35 @@ class TraceHygieneRule(Rule):
     )
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+        # Each function's loops over a ``*.subscribers`` list: its emission.
+        streams = {
+            func: [
+                loop for loop in ast.walk(func)
+                if isinstance(loop, ast.For) and _dotted(loop.iter).endswith(".subscribers")
+            ]
+            for func in ast.walk(module.tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        emitters = {func.name for func, loops in streams.items() if loops}
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _SCOPE_NAME.search(node.name):
                     yield from self._check_scope(module, node, node)
-            elif isinstance(node, ast.Call) and _is_tracer_call(node):
-                # Arguments of a tracer-API call are trace code even when
-                # the enclosing function's name says nothing about it.
+                else:
+                    for loop in streams[node]:
+                        yield from self._check_scope(module, node, loop)
+            elif isinstance(node, ast.Call) and (
+                _is_tracer_call(node)
+                or isinstance(node.func, ast.Attribute) and node.func.attr in emitters
+            ):
+                # Arguments of a tracer-API or stream-emitting call are
+                # trace code even when the enclosing function's name says
+                # nothing about it.
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
                     if _is_set_expr(arg):
                         yield self.finding(
                             module, arg,
-                            "unordered set passed into a tracer call: its "
+                            "unordered set passed into a tracer or stream call: its "
                             "rendering/iteration order depends on "
                             "PYTHONHASHSEED; pass `sorted(...)`",
                         )
@@ -135,7 +155,7 @@ class TraceHygieneRule(Rule):
     ) -> Iterator[Finding]:
         set_names = {
             target.id
-            for node in ast.walk(root)
+            for node in ast.walk(func)
             if isinstance(node, ast.Assign) and _is_set_expr(node.value)
             for target in node.targets
             if isinstance(target, ast.Name)

@@ -139,8 +139,7 @@ def run_chaos_case(
     # is unchanged); enable span tracing only on request — the resulting
     # Chrome JSON is carried inside the picklable report, so traces stay
     # byte-identical across ``-j N`` worker placements.
-    tracer = ExecutionTracer(instance.sim)
-    tracer.attach_all(instance)
+    tracer = ExecutionTracer(instance)
     span_tracer = instance.enable_tracing() if trace else None
     if chunks is None:
         plan = generate_plan(

@@ -60,8 +60,7 @@ def assignment_deadlock() -> AssignmentReport:
     """Two transactions lock the same two items in opposite orders."""
     instance = _instance()
     instance.start()
-    tracer = ExecutionTracer(instance.sim)
-    tracer.attach_all(instance)
+    tracer = ExecutionTracer(instance)
     t1 = Transaction(
         ops=[Operation.write("x1", 1), Operation.write("x5", 1)], home_site="site1"
     )

@@ -140,8 +140,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     instance = build_instance(4, 64, 3, seed=args.seed, sample_interval=25.0)
     instance.start()
-    tracer = ExecutionTracer(instance.sim)
-    tracer.attach_all(instance)
+    tracer = ExecutionTracer(instance)
     result = instance.run_workload(
         WorkloadSpec(
             n_transactions=args.transactions,

@@ -9,9 +9,9 @@ lock manager supports:
 * ``wait_die`` — non-preemptive timestamp priority;
 * ``wound_wait`` — preemptive timestamp priority.
 
-Expected shape: detection aborts the fewest transactions (only real local
-cycles die); timeout over-aborts under load; wait-die restarts many young
-transactions; wound-wait trades young holders' work for short waits.
+Expected shape: each strategy exercises only its own mechanism; wait-die
+restarts many young transactions; wound-wait trades young holders' work
+for short waits; detection keeps the timeout backstop for distributed cycles.
 """
 
 from __future__ import annotations

@@ -229,7 +229,7 @@ class ProgressMonitor:
         # txn_finished.  Later messages (the TXN_RESULT reply, a late
         # DECISION_REQ) are not the transaction's work and leave no entry.
         self._txn_messages: dict[int, int] = {}
-        network.add_observer(self._observe_message)
+        network.subscribers.append(self._observe_message)
         self.series: dict[str, list[float]] = {
             "t": [],
             "committed": [],

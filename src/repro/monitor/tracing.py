@@ -2,9 +2,10 @@
 
 Rainbow lets the user "observe local as well as global executions (history
 and measured behavior and performance)".  The :class:`ExecutionTracer`
-subscribes to site-level operation events and records, per site, the local
-history of CCP-mediated operations — and, by merging on simulated time, the
-global history of the whole instance.
+subscribes to every site's execution stream (``Site.subscribers``) and
+records, per site, the local history of CCP-mediated operations — and, by
+merging on simulated time, the global history of the whole instance.  Any
+number of tracers (or other subscribers) can watch one instance at once.
 
 Histories render in the textbook notation students know::
 
@@ -61,42 +62,23 @@ def format_history(events: Iterable[TraceEvent], max_events: int | None = None) 
 
 
 class ExecutionTracer:
-    """Collects local histories from instrumented sites.
+    """Collects local histories from every site of one instance.
 
-    Attach with :meth:`attach`: the site then reports every CCP-mediated
-    operation and every termination event through :meth:`record`.  Tracing
-    is opt-in (it costs memory) — sessions that only need statistics skip
-    it.
+    Constructing one subscribes its :meth:`record` to each site's execution
+    stream: the site then reports every CCP-mediated operation and every
+    termination event.  Tracing is opt-in (it costs memory) — sessions that
+    only need statistics skip it.
     """
 
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self, instance):
+        self.sim = instance.sim
         self.events: list[TraceEvent] = []
-
-    # -- instrumentation ----------------------------------------------------
-    def attach(self, site) -> None:
-        """Record the local history of one site (idempotent)."""
-        site.history = self
-
-    def attach_all(self, instance) -> None:
-        """Instrument every site of a RainbowInstance."""
         for site in instance.sites.values():
-            self.attach(site)
+            site.subscribers.append(self.record)
 
-    def record(self, kind: str, site: str, txn_id: int, item=None, value=None,
-               version=None) -> None:
-        """Append one event (public so custom protocols can trace too)."""
-        self.events.append(
-            TraceEvent(
-                at=self.sim.now,
-                site=site,
-                kind=kind,
-                txn_id=txn_id,
-                item=item,
-                value=value,
-                version=version,
-            )
-        )
+    def record(self, kind: str, site: str, txn_id: int, item, value, version) -> None:
+        """Append one event: the tracer's subscription to a site's stream."""
+        self.events.append(TraceEvent(self.sim.now, site, kind, txn_id, item, value, version))
 
     # -- views -------------------------------------------------------------------
     def local_events(self, site: str) -> list[TraceEvent]:

@@ -268,7 +268,10 @@ class Network:
         #: host-pair -> (loss, duplicate) probabilities overriding the
         #: network-wide rates for messages crossing that link.
         self._flaky_links: dict[frozenset[str], tuple[float, float]] = {}
-        self._observers: list[Callable[[Message, str], None]] = []
+        #: Every send is handed, in order, to each ``subscriber(msg,
+        #: outcome)``: ``outcome`` is ``"delivered"`` (scheduled for
+        #: delivery) or the drop reason.  The progress monitor subscribes.
+        self.subscribers: list[Callable[[Message, str], None]] = []
         #: Span tracer (``repro.obs.SpanTracer``) set by
         #: ``RainbowInstance.enable_tracing``; None keeps sends hook-free.
         self.tracer = None
@@ -299,14 +302,6 @@ class Network:
     def hosts(self) -> list[str]:
         """All hosts with at least one endpoint (sorted)."""
         return sorted({endpoint.host for endpoint in self._endpoints.values()})
-
-    def add_observer(self, observer: Callable[[Message, str], None]) -> None:
-        """Register a callback ``observer(msg, outcome)`` for every send.
-
-        ``outcome`` is ``"delivered"`` (scheduled for delivery) or the drop
-        reason.  The progress monitor uses this for time-series sampling.
-        """
-        self._observers.append(observer)
 
     # -- fault surface --------------------------------------------------------
     def partition(self, groups: Iterable[Iterable[str]]) -> None:
@@ -432,8 +427,8 @@ class Network:
             stats.duplicated_by_type[msg.mtype] += 1
             extra_delay = self.latency.delay(src_host, dst.host, msg.size, self.rng)
             sim.defer(extra_delay, dst._deliver, msg)
-        if self._observers:
-            self._notify(msg, "delivered")
+        for subscriber in self.subscribers:
+            subscriber(msg, "delivered")
 
     def _account_drop(self, msg: Message, reason: str) -> None:
         self.stats.dropped += 1
@@ -452,7 +447,8 @@ class Network:
                 dst=msg.dst,
                 outcome=reason,
             )
-        self._notify(msg, reason)
+        for subscriber in self.subscribers:
+            subscriber(msg, reason)
 
     def _trace_flight(self, msg: Message, delay: float) -> None:
         """Record one delivered message as a complete ``net.msg`` span."""
@@ -474,7 +470,3 @@ class Network:
         if name is None:
             name = self._site_names[address] = address.rsplit("/", 1)[-1]
         return name
-
-    def _notify(self, msg: Message, outcome: str) -> None:
-        for observer in self._observers:
-            observer(msg, outcome)

@@ -6,7 +6,8 @@ when enabled on a :class:`~repro.core.instance.RainbowInstance` (via
 the coordinator, replica control, concurrency control, atomic commit,
 and network layers record a causal span DAG per transaction.  Tracing is
 strictly observational — it never changes protocol behavior — and is
-zero-cost when disabled (every hook is a single ``is None`` check).
+zero-cost when disabled (every span hook is one ``tracer is None`` check;
+the sites' execution streams carry no spans).
 
 The module also hosts a tiny process-global registry used by
 ``repro experiment --trace``: sweeps build their instances deep inside

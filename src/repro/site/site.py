@@ -33,9 +33,9 @@ GUI — talks to sites only through messages; the coordinator for a *home*
 transaction runs as a process on its site and uses the ``local_*`` methods
 directly (no self-messages, so message counts match the real system).
 Those methods are also where the site is observed: with tracing on they
-open ``ccp.*`` spans under the caller's explicit ``span`` argument, and an
-attached :class:`~repro.monitor.tracing.ExecutionTracer` (``history``)
-records each completed operation.
+open ``ccp.*`` spans under the caller's explicit ``span`` argument, and
+each completed operation goes to every callable in ``subscribers``, the
+site's one execution stream (an ``ExecutionTracer`` subscribes).
 """
 
 from __future__ import annotations
@@ -151,13 +151,13 @@ class Site:
         # the instance's one schema object (shared, never copied).
         self.directory: dict[str, str] = {}
         self.catalog = None
-        # The two observers of local operations, both off by default: the
-        # causal span tracer (``RainbowInstance.enable_tracing``), which
-        # nests each CCP operation under the span passed in by its caller,
-        # and the textbook history (``ExecutionTracer.attach``), which
-        # records every operation that completed.
+        # Local operations are observed two ways, both off by default: the
+        # causal span tracer (``RainbowInstance.enable_tracing``) nests each
+        # CCP operation under the span passed in by its caller, and each
+        # ``subscriber(kind, site, txn, item, value, version)`` is handed
+        # every completed operation, in order.
         self.tracer = None
-        self.history = None
+        self.subscribers: list[Callable[..., None]] = []
         self._start_background()
         self.deadlock_detector = None
         if distributed_deadlock:
@@ -478,7 +478,7 @@ class Site:
         """Take one step of a local access; end it with the one epilogue.
 
         An answer and a rejection share the epilogue: the ``ccp.*`` span
-        closes, then the operation goes into the history (an answer) or a
+        closes, then the operation goes to the subscribers (an answer) or a
         transaction left holding nothing here is forgotten (a rejection).
         A :class:`Wait` is handed on with this method as its continuation.
         An access whose site crashed while it waited ends rejected, and only
@@ -501,13 +501,18 @@ class Site:
             )
         if opened is not None:
             self.tracer.finish(opened)
-        if self.history is not None:
+        if self.subscribers:
             if op == "read":
                 value, version = outcome
             else:
                 version = outcome
-            self.history.record(op, self.name, txn, item=item, value=value, version=version)
+            self._emit(op, txn, item, value, version)
         return outcome
+
+    def _emit(self, kind: str, txn: int, item=None, value=None, version=None) -> None:
+        """Hand one completed operation to every subscriber, in order."""
+        for subscriber in self.subscribers:
+            subscriber(kind, self.name, txn, item, value, version)
 
     def local_prepare(
         self,
@@ -532,8 +537,8 @@ class Site:
             self.tracer.record(
                 txn, self.name, "ccp.prepare", start=now, end=now, parent=span, vote=vote
             )
-        if vote and self.history is not None:
-            self.history.record("prepare", self.name, txn)
+        if vote and self.subscribers:
+            self._emit("prepare", txn)
         return vote, reason
 
     def _prepare_vote(
@@ -571,8 +576,8 @@ class Site:
         """3PC pre-commit: durable, moves the participant out of uncertainty."""
         if self.wal.prepared(txn) is not None:
             self.wal.log_precommit(txn, self.sim.now)
-        if self.history is not None:
-            self.history.record("precommit", self.name, txn)
+        if self.subscribers:
+            self._emit("precommit", txn)
 
     def local_commit(self, txn: int) -> None:
         """Apply the global COMMIT decision at this participant.
@@ -597,8 +602,8 @@ class Site:
             if txn in self._resolving:
                 self._resolving.remove(txn)
                 self.stats.orphans_resolved += 1
-        if self.history is not None:
-            self.history.record("commit", self.name, txn)
+        if self.subscribers:
+            self._emit("commit", txn)
 
     def local_abort(self, txn: int) -> None:
         """Apply the global ABORT decision (idempotent, presumed abort)."""
@@ -612,8 +617,8 @@ class Site:
         if txn in self._resolving:
             self._resolving.remove(txn)
             self.stats.orphans_resolved += 1
-        if self.history is not None:
-            self.history.record("abort", self.name, txn)
+        if self.subscribers:
+            self._emit("abort", txn)
 
     def decision_of(self, txn: int, presume_abort: bool = False) -> str:
         """Answer a DECISION_REQ about ``txn`` from the WAL.

@@ -33,13 +33,10 @@ RUNNER_NAME = "servletrunner"
 
 
 class Servlet:
-    """Base class: a named server-side handler living in a ServletRunner."""
+    """Base class: a named server-side handler living in ``runner``."""
 
     name = "servlet"
-
-    def attach(self, runner: "ServletRunner") -> None:
-        """Called when the servlet is installed into its runner."""
-        self.runner = runner
+    runner: "ServletRunner"  # set by ServletRunner.install
 
     def handle(self, request: WebRequest) -> Generator:
         """Process ``request``; generator returning a :class:`WebResponse`."""
@@ -89,7 +86,7 @@ class ServletRunner:
         """Install a servlet; names are unique per runner."""
         if servlet.name in self.servlets:
             raise WebTierError(f"servlet {servlet.name!r} already on host {self.host}")
-        servlet.attach(self)
+        servlet.runner = self
         self.servlets[servlet.name] = servlet
 
     def has(self, name: str) -> bool:

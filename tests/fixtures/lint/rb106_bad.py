@@ -2,7 +2,8 @@
 
 Every hazard here is one RB102 cannot see (RNG drawn through an object,
 a from-imported clock, name-indirected set iteration, a set expression
-fed straight to a tracer call).  Never imported; analyzed as source only.
+fed straight to a tracer call, an address or a set order handed to an
+execution stream's subscribers).  Never imported; analyzed as source only.
 """
 
 from time import perf_counter
@@ -36,3 +37,10 @@ def render_trace(spans):
 
 def begin_wave(tracer, txn, active):
     return tracer.begin(txn, "rcp.wave", sites=set(active))  # RB106: set arg
+
+
+def publish_reads(site, txn, items):
+    pending = set(items)
+    for subscriber in site.subscribers:
+        for item in pending:  # RB106: local set orders the stream's events
+            subscriber("read", site.name, id(txn), item, None, None)  # RB106: id()

@@ -35,3 +35,10 @@ def render_trace(spans):
 
 def begin_wave(tracer, txn, active):
     return tracer.begin(txn, "rcp.wave", sites=sorted(active))
+
+
+def publish_reads(site, txn, items):
+    pending = sorted(set(items))
+    for subscriber in site.subscribers:
+        for item in pending:
+            subscriber("read", site.name, txn.txn_id, item, None, None)

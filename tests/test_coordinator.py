@@ -263,7 +263,7 @@ class TestDecisionBroadcast:
     def _decision_log(self, instance):
         """(time, src, dst, outcome) of every COMMIT/ACK send."""
         log = []
-        instance.network.add_observer(
+        instance.network.subscribers.append(
             lambda msg, outcome: log.append((instance.sim.now, msg.src, msg.dst, outcome))
             if msg.mtype in (MessageType.COMMIT, MessageType.ACK)
             else None
@@ -317,7 +317,7 @@ class TestDecisionBroadcast:
         ctx, holders = self._committed_context(instance)
         home = ctx.home
         sent = []
-        instance.network.add_observer(
+        instance.network.subscribers.append(
             lambda msg, _outcome: sent.append((instance.sim.now, msg.src, msg.mtype))
         )
         instance.network.cut_link("host4", "host2")

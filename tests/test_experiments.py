@@ -5,6 +5,8 @@ that every experiment runs end-to-end at reduced scale and produces
 well-formed tables.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -82,3 +84,21 @@ class TestExperimentRuns:
         assert result.statistics.finished == 20
         assert "Tx Processing Output" in panel
         assert instance.monitor.series["t"]
+
+
+def _markdown_rows(table: ExperimentTable) -> str:
+    """A table's rows as EXPERIMENTS.md writes them (floats as ``to_text``)."""
+
+    def fmt(value) -> str:
+        return f"{value:.3f}" if isinstance(value, float) else str(value)
+
+    return "\n".join(
+        "| " + " | ".join(fmt(row[col]) for col in table.columns) + " |"
+        for row in table.rows
+    )
+
+
+def test_ablation_table_matches_experiments_md():
+    """EXP-ABL in EXPERIMENTS.md is the output of ``repro experiment abl``."""
+    document = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
+    assert _markdown_rows(ablation.run()) in document

@@ -28,8 +28,7 @@ def test_full_semester(tmp_path):
     config.settle_time = 60.0
     instance = RainbowInstance(config)
     instance.start()
-    tracer = ExecutionTracer(instance.sim)
-    tracer.attach_all(instance)
+    tracer = ExecutionTracer(instance)
     tier = RainbowWebTier(instance)
 
     # --- Students log in and poke around --------------------------------

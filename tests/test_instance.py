@@ -90,7 +90,7 @@ class TestOneSchema:
     def test_one_from_dict_per_instance_and_none_per_site(self, conversions):
         instance = build_instance(8, 24, 3, seed=3)
         sent = Counter()
-        instance.network.add_observer(
+        instance.network.subscribers.append(
             lambda msg, _outcome: sent.update([(msg.mtype, msg.size)])
         )
         instance.start()

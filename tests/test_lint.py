@@ -31,7 +31,7 @@ EXPECTED_MIN_FINDINGS = {
     "RB103": 2,
     "RB104": 3,
     "RB105": 4,
-    "RB106": 4,
+    "RB106": 8,
 }
 
 
@@ -75,6 +75,29 @@ def test_generator_ccp_call_is_rejected():
     assert all("plain call" in f.message for f in bad.findings)
     good = lint_fixture("rb103_ccp_good.py")
     assert good.ok, render_text(good)
+
+
+@pytest.mark.parametrize(
+    "module, emission",
+    [
+        ("site/site.py", "self._emit(op, txn, item, value, version)"),
+        ("site/site.py", 'self._emit("commit", txn)'),
+        ("net/network.py", 'subscriber(msg, "delivered")'),
+    ],
+    ids=["site-access", "site-decision", "network-send"],
+)
+def test_execution_stream_is_trace_code(tmp_path, module, emission):
+    """RB106: an ``id()`` that reaches a stream's subscribers is flagged.
+
+    The site emits through ``_emit`` (a function that loops over
+    ``subscribers``); the network calls its subscribers in the loop.
+    """
+    source = (SRC / "repro" / module).read_text()
+    assert source.count(emission) == 1
+    broken = tmp_path / "mod.py"
+    broken.write_text(source.replace(emission, emission.replace("(", "(id(self), ", 1)))
+    findings = run_lint([str(broken)], select=["RB106"]).findings
+    assert len(findings) == 1 and findings[0].message.startswith("`id(...)` in trace code")
 
 
 # -- the rb: ignore escape hatch ---------------------------------------------

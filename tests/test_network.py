@@ -512,7 +512,7 @@ class TestLossAndStats:
 
     def test_observer_sees_outcomes(self, sim, network):
         seen = []
-        network.add_observer(lambda msg, outcome: seen.append((msg.mtype, outcome)))
+        network.subscribers.append(lambda msg, outcome: seen.append((msg.mtype, outcome)))
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
         b.set_down()

@@ -17,8 +17,7 @@ class TestSessionReport:
         instance.config.faults.schedule.crashes.append(("site3", 20.0))
         instance.config.faults.schedule.recoveries.append(("site3", 40.0))
         instance.start()
-        tracer = ExecutionTracer(instance.sim)
-        tracer.attach_all(instance)
+        tracer = ExecutionTracer(instance)
         result = instance.run_workload(
             WorkloadSpec(n_transactions=10, arrival_rate=0.5)
         )

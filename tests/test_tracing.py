@@ -32,8 +32,7 @@ class TestTracerWithInstance:
     def _traced_instance(self):
         instance = quick_instance(n_items=8, settle_time=20)
         instance.start()
-        tracer = ExecutionTracer(instance.sim)
-        tracer.attach_all(instance)
+        tracer = ExecutionTracer(instance)
         return instance, tracer
 
     def test_committed_txn_leaves_full_trace(self):
@@ -86,20 +85,6 @@ class TestTracerWithInstance:
         kinds = [event.kind for event in tracer.txn_events(txn.txn_id)]
         assert "commit" not in kinds
 
-    def test_attach_idempotent(self):
-        instance, tracer = self._traced_instance()
-        tracer.attach(instance.sites["site1"])  # second attach: no double wrap
-        txn = Transaction(ops=[Operation.read("x1")], home_site="site1")
-        process = instance.submit(txn)
-        instance.sim.run(until=process)
-        # One read event at the home site (QC also reads a second site,
-        # which is a different event, not a double-trace).
-        reads_at_home = [
-            e for e in tracer.txn_events(txn.txn_id)
-            if e.kind == "read" and e.site == "site1"
-        ]
-        assert len(reads_at_home) == 1
-
     def test_operation_counts(self):
         instance, tracer = self._traced_instance()
         txn = Transaction(ops=[Operation.write("x1", 5)], home_site="site1")
@@ -111,7 +96,7 @@ class TestTracerWithInstance:
 
 
 class TestAttachHook:
-    """``attach`` sets ``site.history``; the site reports to it directly."""
+    """A tracer subscribes to each site's stream; the site calls it directly."""
 
     LOCAL_OPS = (
         "local_read",
@@ -138,10 +123,9 @@ class TestAttachHook:
 
     def test_attach_leaves_site_methods_alone(self):
         instance = quick_instance(n_items=8, settle_time=20)
-        tracer = ExecutionTracer(instance.sim)
-        tracer.attach_all(instance)
+        tracer = ExecutionTracer(instance)
         for site in instance.sites.values():
-            assert site.history is tracer
+            assert site.subscribers == [tracer.record]
             for name in self.LOCAL_OPS:
                 assert name not in vars(site)
 
@@ -150,8 +134,7 @@ class TestAttachHook:
 
         instance = quick_instance(n_items=8, settle_time=20)
         instance.start()
-        tracer = ExecutionTracer(instance.sim)
-        tracer.attach_all(instance)
+        tracer = ExecutionTracer(instance)
         calls = {"read": 0, "commit": 0}
         local_read, local_commit = Site.local_read, Site.local_commit
 
@@ -170,12 +153,8 @@ class TestAttachHook:
         assert calls["read"] == counts["read"] == 4
         assert calls["commit"] == counts["commit"] == 6
 
-    def test_recorded_history(self):
-        instance = quick_instance(n_items=8, settle_time=20)
-        instance.start()
-        tracer = ExecutionTracer(instance.sim)
-        tracer.attach_all(instance)
-        a, b = (txn.txn_id for txn in self._two_txns(instance))
+    @staticmethod
+    def _assert_pinned_histories(tracer, a, b):
         assert tracer.local_history("site1") == (
             f"r{a}[x1]  w{b}[x3=6]  p{b}  w{a}[x3=5]  c{b}  p{a}  c{a}"
         )
@@ -186,3 +165,25 @@ class TestAttachHook:
             f"w{b}[x3=6]  r{b}[x2]  p{b}  w{a}[x3=5]  c{b}  p{a}  c{a}"
         )
         assert tracer.local_history("site4") == ""
+
+    def test_recorded_history(self):
+        instance = quick_instance(n_items=8, settle_time=20)
+        instance.start()
+        tracer = ExecutionTracer(instance)
+        a, b = (txn.txn_id for txn in self._two_txns(instance))
+        self._assert_pinned_histories(tracer, a, b)
+
+    def test_two_subscribers_share_one_stream(self):
+        """Two tracers, and two network subscribers, watch one session."""
+        instance = quick_instance(n_items=8, settle_time=20)
+        sends = ([], [])
+        for seen in sends:
+            instance.network.subscribers.append(
+                lambda msg, outcome, seen=seen: seen.append((msg.mtype, outcome))
+            )
+        instance.start()
+        first, second = ExecutionTracer(instance), ExecutionTracer(instance)
+        a, b = (txn.txn_id for txn in self._two_txns(instance))
+        for tracer in (first, second):
+            self._assert_pinned_histories(tracer, a, b)
+        assert sends[0] and sends[0] == sends[1]

@@ -172,7 +172,7 @@ class TestRouting:
         instance, tier = domain
         applet = logged_in_applet(tier)
         seen = []
-        instance.network.add_observer(
+        instance.network.subscribers.append(
             lambda msg, outcome: seen.append(msg.dst)
             if msg.mtype == MessageType.WEB_REQUEST and msg.src == applet.endpoint.address
             else None
