@@ -125,13 +125,16 @@ class TraceHygieneRule(Rule):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         emitters = {func.name for func, loops in streams.items() if loops}
+        # Scopes nest (a helper defined inside ``render_trace``, a tracer
+        # call inside a trace function), so each node is checked once.
+        checked: set[ast.AST] = set()
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _SCOPE_NAME.search(node.name):
-                    yield from self._check_scope(module, node, node)
+                    yield from self._check_scope(module, node, node, checked)
                 else:
                     for loop in streams[node]:
-                        yield from self._check_scope(module, node, loop)
+                        yield from self._check_scope(module, node, loop, checked)
             elif isinstance(node, ast.Call) and (
                 _is_tracer_call(node)
                 or isinstance(node.func, ast.Attribute) and node.func.attr in emitters
@@ -147,11 +150,11 @@ class TraceHygieneRule(Rule):
                             "rendering/iteration order depends on "
                             "PYTHONHASHSEED; pass `sorted(...)`",
                         )
-                    yield from self._check_entropy(module, arg)
+                    yield from self._check_entropy(module, arg, checked)
 
     # -- scoped function bodies ----------------------------------------------
     def _check_scope(
-        self, module: ModuleInfo, func: ast.AST, root: ast.AST
+        self, module: ModuleInfo, func: ast.AST, root: ast.AST, checked: set[ast.AST]
     ) -> Iterator[Finding]:
         set_names = {
             target.id
@@ -161,8 +164,11 @@ class TraceHygieneRule(Rule):
             if isinstance(target, ast.Name)
         }
         for node in ast.walk(root):
+            if node in checked:
+                continue
+            checked.add(node)
             if isinstance(node, ast.Call):
-                yield from self._check_entropy(module, node, walk=False)
+                yield from self._check_call(module, node)
             elif isinstance(node, ast.For):
                 yield from self._check_iter(module, node.iter, set_names)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -182,15 +188,17 @@ class TraceHygieneRule(Rule):
 
     # -- entropy sources ------------------------------------------------------
     def _check_entropy(
-        self, module: ModuleInfo, node: ast.expr, walk: bool = True
+        self, module: ModuleInfo, node: ast.expr, checked: set[ast.AST]
     ) -> Iterator[Finding]:
-        nodes = ast.walk(node) if walk else [node]
-        for sub in nodes:
-            if not isinstance(sub, ast.Call):
-                continue
-            message = self._entropy_message(sub)
-            if message is not None:
-                yield self.finding(module, sub, message)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and sub not in checked:
+                checked.add(sub)
+                yield from self._check_call(module, sub)
+
+    def _check_call(self, module: ModuleInfo, call: ast.Call) -> Iterator[Finding]:
+        message = self._entropy_message(call)
+        if message is not None:
+            yield self.finding(module, call, message)
 
     @staticmethod
     def _entropy_message(call: ast.Call) -> Optional[str]:

@@ -104,15 +104,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"note: experiment {args.id!r} is not a sweep; running serially",
               file=sys.stderr)
     if args.trace:
-        from pathlib import Path
-
         from repro import obs
 
         obs.enable_global_tracing()
         try:
             table = run(**kwargs)
             tracers = obs.collected_tracers()
-            Path(args.trace).write_text(obs.tracers_to_chrome_json(tracers))
+            with open(args.trace, "w", encoding="utf-8") as handle:
+                handle.writelines(obs.chrome_json_chunks(tracers))
         finally:
             obs.disable_global_tracing()
         print(f"wrote {args.trace} ({len(tracers)} traced sessions)",
@@ -225,9 +224,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 print(f"  {span.name:<14} @{span.site:<8} self {self_time:.3f}")
 
     if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(obs.spans_to_chrome_json(tracer.spans))
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.writelines(obs.chrome_json_chunks([("rainbow", tracer.spans)]))
         print(f"wrote {args.out}", file=sys.stderr)
     if args.csv:
         obs.spans_to_csv(tracer.spans, args.csv)

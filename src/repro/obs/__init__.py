@@ -26,6 +26,7 @@ from repro.obs.analyze import (
     txn_phase_breakdown,
 )
 from repro.obs.export import (
+    chrome_json_chunks,
     normalize_spans,
     spans_to_chrome_json,
     spans_to_csv,
@@ -42,6 +43,7 @@ __all__ = [
     "txn_phase_breakdown",
     "critical_path",
     "render_span_tree",
+    "chrome_json_chunks",
     "normalize_spans",
     "spans_to_chrome_json",
     "spans_to_csv",

@@ -67,16 +67,17 @@ def aggregate_phase_stats(
     """Per-phase ``{mean_per_txn, max_per_txn}`` over traced transactions.
 
     ``spans`` is a tracer's ``spans`` columns, summed in one pass that
-    builds no views.
+    builds no views; each tag's phase is looked up once.
     ``txn_ids`` restricts the aggregate (e.g. to finished transactions);
     by default every traced transaction counts.  Returns ``{}`` when
     nothing qualifies, so flag-off output is unchanged.
     """
     wanted = None if txn_ids is None else set(txn_ids)
     totals: dict[int, dict[str, float]] = {}
-    rows = zip(spans.txn, spans.name, spans.start, spans.end)
-    for txn_id, name, start, end in rows:
-        phase = _PHASE_BY_NAME.get(name)
+    phases = [_PHASE_BY_NAME.get(name) for _site, name, *_attrs in spans.tags]
+    rows = zip(spans.txn, spans.tag, spans.start, spans.end)
+    for txn_id, tag, start, end in rows:
+        phase = phases[tag]
         if phase is None:
             continue
         if wanted is not None and txn_id not in wanted:

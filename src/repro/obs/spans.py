@@ -8,10 +8,11 @@ span per delivered (or dropped) message.  Together they form a causal
 DAG whose root-to-leaf paths explain where a transaction's latency went.
 
 A session retains every span it records, so the store keeps no object
-per span: each span is one row of :class:`SpanColumns`, and recording
-hands back a :class:`SpanRef` (transaction id and row) for later
-``finish`` and ``parent=`` arguments.  :class:`Span` objects are read
-views, built only when the spans are read.
+per span: each span is one 28-byte row of :class:`SpanColumns` (two
+4-byte ids, two times and a 4-byte tag naming its site, name and
+attributes), and recording hands back a :class:`SpanRef` (transaction id
+and row) for later ``finish`` and ``parent=`` arguments.  :class:`Span`
+objects are read views, built only when the spans are read.
 
 Determinism contract (enforced by rainbow-lint rule RB106): span ids are
 derived purely from ``(txn_id, site, sequence)`` — never from ``id()``,
@@ -30,6 +31,9 @@ from math import isnan
 from typing import Any, Optional
 
 __all__ = ["Span", "SpanColumns", "SpanRef", "SpanTracer"]
+
+#: A row's site, name, attribute keys, attribute values and value types.
+Tag = tuple[str, str, tuple[str, ...], tuple[Any, ...], tuple[type, ...]]
 
 
 @dataclass(slots=True, eq=False)
@@ -89,11 +93,20 @@ class SpanRef:
 class SpanColumns(Sequence):
     """A session's spans as rows of flat columns, read as :class:`Span` views.
 
-    Numbers live in ``array`` columns (``end`` is NaN while a span is
-    open, ``parent`` is -1 for a root); ``site``, ``name``, ``attr_keys``
-    and ``attr_values`` are lists of references to objects shared across
-    rows.  ``len()`` counts rows; indexing and iteration build views, each
-    linked to its parent's view.
+    A row is five numbers: ``txn`` and ``parent`` (-1 for a root) in
+    4-byte ``array`` columns, ``start`` and ``end`` (NaN while a span is
+    open) as doubles, and ``tag``, an index into ``tags``.  An id or row
+    outside a column's range raises ``OverflowError``; nothing wraps.
+    ``len()`` counts rows; indexing and iteration build views, each linked
+    to its parent's view.
+
+    A session has few distinct ``(site, name, attributes)`` combinations,
+    so each is stored once, as a tag: the plain tuple ``(site, name,
+    attr_keys, attr_values, value_types)``.  The values' types are part of
+    a tag because ``(True,) == (1,)``: without them a ``vote=True`` row
+    would share an ``attempt=1`` tag and export as ``1``.  A tag holds
+    strings, numbers, tuples of them and built-in types, so the garbage
+    collector stops tracking it.
 
     Recording fills only those columns.  The first read indexes the rows
     recorded since the last one: each transaction's rows, and each row's
@@ -101,14 +114,12 @@ class SpanColumns(Sequence):
     """
 
     def __init__(self) -> None:
-        self.txn = array("q")
-        self.parent = array("q")
+        self.txn = array("I")
+        self.parent = array("i")
         self.start = array("d")
         self.end = array("d")
-        self.site: list[str] = []
-        self.name: list[str] = []
-        self.attr_keys: list[tuple[str, ...]] = []
-        self.attr_values: list[tuple[Any, ...]] = []
+        self.tag = array("I")
+        self.tags: list[Tag] = []
         # Read-side index, extended by each read to the rows recorded since.
         self.seq = array("i")
         self._by_txn: dict[int, array] = {}
@@ -130,29 +141,30 @@ class SpanColumns(Sequence):
         yield from self.views(range(len(self.txn)))
 
     def _index(self) -> None:
-        by_txn, per_site = self._by_txn, self._per_site
+        by_txn, per_site, tags = self._by_txn, self._per_site, self.tags
         for row in range(len(self.seq), len(self.txn)):
             txn_id = self.txn[row]
             rows = by_txn.get(txn_id)
             if rows is None:
-                rows = by_txn[txn_id] = array("q")
+                rows = by_txn[txn_id] = array("i")
             rows.append(row)
-            key = (txn_id, self.site[row])
+            key = (txn_id, tags[self.tag[row]][0])
             seq = per_site[key] = per_site.get(key, 0) + 1
             self.seq.append(seq)
 
     def _view(self, row: int, parent: Optional[Span], txn_id: int) -> Span:
+        site, name, keys, values, _types = self.tags[self.tag[row]]
         end = self.end[row]
         return Span(
             txn_id,
-            self.site[row],
+            site,
             self.seq[row],
-            self.name[row],
+            name,
             parent,
             self.start[row],
             None if isnan(end) else end,
-            self.attr_keys[row],
-            self.attr_values[row],
+            keys,
+            values,
         )
 
     def views(
@@ -198,12 +210,10 @@ class SpanTracer:
     def __init__(self, sim) -> None:
         self.sim = sim
         self.spans = SpanColumns()
-        # One keys tuple per distinct attribute key set, and one values
-        # tuple per distinct value set, shared by every row that has it.
-        # Values intern by type as well as value: ``(True,)`` == ``(1,)``,
-        # but one exports as ``True`` and the other as ``1``.
-        self._keys: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._values: dict[tuple[Any, ...], tuple[Any, ...]] = {}
+        # Each distinct tag's row in ``spans.tags``, keyed by the tag itself.
+        self._tag_of: dict[Tag, int] = {}
+        # Keys and value-type tuples, shared by every tag that has them.
+        self._shared: dict[tuple, tuple] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -217,21 +227,36 @@ class SpanTracer:
         end: float,
         attrs: dict[str, Any],
     ) -> SpanRef:
-        keys = tuple(attrs)
         values = tuple(attrs.values())
+        key = (site, name, tuple(attrs), values, tuple(map(type, values)))
+        tag = self._tag_of.get(key)
+        if tag is None:
+            tag = self._new_tag(*key)
         columns = self.spans
         row = len(columns.txn)
         columns.txn.append(txn_id)
         columns.parent.append(-1 if parent is None else parent.row)
         columns.start.append(start)
         columns.end.append(end)
-        columns.site.append(site)
-        columns.name.append(name)
-        columns.attr_keys.append(self._keys.setdefault(keys, keys))
-        columns.attr_values.append(
-            self._values.setdefault((values, *map(type, values)), values)
-        )
+        columns.tag.append(tag)
         return SpanRef(txn_id, row)
+
+    def _new_tag(
+        self,
+        site: str,
+        name: str,
+        keys: tuple[str, ...],
+        values: tuple[Any, ...],
+        types: tuple[type, ...],
+    ) -> int:
+        shared = self._shared
+        keys = shared.setdefault(keys, keys)
+        types = shared.setdefault(types, types)
+        entry = (site, name, keys, values, types)
+        tags = self.spans.tags
+        tag = self._tag_of[entry] = len(tags)
+        tags.append(entry)
+        return tag
 
     def begin(
         self,
@@ -286,7 +311,8 @@ class SpanTracer:
     def root(self, txn_id: int) -> Optional[Span]:
         """The transaction's root (``txn``) span, if it was traced."""
         columns = self.spans
+        tag, tags = columns.tag, columns.tags
         for row in columns.rows_of(txn_id):
-            if columns.name[row] == "txn":
+            if tags[tag[row]][1] == "txn":
                 return columns[row]
         return None

@@ -100,6 +100,23 @@ def test_execution_stream_is_trace_code(tmp_path, module, emission):
     assert len(findings) == 1 and findings[0].message.startswith("`id(...)` in trace code")
 
 
+def test_nested_trace_helper_is_reported_once(tmp_path):
+    """RB106: a helper defined inside a trace function is in two scopes.
+
+    ``check_module`` visits both function definitions, and the outer
+    scope's walk covers the inner body too; the ``id()`` is one finding.
+    """
+    probe = tmp_path / "mod.py"
+    probe.write_text(
+        "def render_trace(spans):\n"
+        "    def span_key(span):\n"
+        "        return id(span)\n"
+        "    return sorted(spans, key=span_key)\n"
+    )
+    findings = run_lint([str(probe)], select=["RB106"]).findings
+    assert [(f.line, f.col) for f in findings] == [(3, 16)]
+
+
 # -- the rb: ignore escape hatch ---------------------------------------------
 
 def test_inline_ignore_suppresses_finding(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,13 @@ from repro import obs
 from repro.experiments.common import build_instance
 from repro.net.message import Message, MessageType
 from repro.workload.spec import WorkloadSpec
+
+
+#: Upper bound on the tracemalloc peak, per span, of writing a session's
+#: Chrome JSON and CSV to files (CPython 3.11, 64-bit).  Written 64 events
+#: at a time, an export holds one view per span: ~510-600 B here.  Building
+#: every event dict and then one string measured ~3,200 B.
+MAX_EXPORT_BYTES_PER_SPAN = 1000
 
 
 def traced_session(seed: int = 7, n_transactions: int = 15):
@@ -114,6 +122,28 @@ class TestSpanModel:
         tracer.record(1, "site1", "ccp.prepare", start=1.0, end=1.0, vote=1.0)
         values = [view.attr_values[0] for view in tracer.spans]
         assert [type(value) for value in values] == [int, bool, float]
+        for attempt in (1, True, 1.0, 1, True):
+            tracer.record(2, "site1", "txn", start=0.0, end=1.0, attempt=attempt)
+        columns = tracer.spans
+        tags = [columns.tags[tag] for tag in columns.tag[3:]]
+        assert len(set(map(id, tags))) == 3
+        values = [attr_values for _site, _name, _keys, attr_values, _types in tags]
+        assert [type(value) for value, in values] == [int, bool, float, int, bool]
+        assert [type(view.attr_values[0]) for view in columns[3:]] == [
+            int, bool, float, int, bool
+        ]
+
+    def test_txn_id_beyond_the_column_raises(self):
+        tracer = obs.SpanTracer(sim=None)
+        columns = tracer.spans
+        top = 2 ** (8 * columns.txn.itemsize) - 1
+        tracer.record(top, "site1", "txn", start=0.0, end=1.0)
+        with pytest.raises(OverflowError):
+            tracer.record(top + 1, "site1", "txn", start=1.0, end=2.0)
+        assert tracer.txn_ids() == [top]
+        assert tracer.root(top).span_id == f"t{top}:site1:1"
+        numbers = (columns.txn, columns.parent, columns.start, columns.end, columns.tag)
+        assert [len(column) for column in numbers] == [1] * 5
 
 
 class TestPhaseAccounting:
@@ -226,6 +256,30 @@ class TestExporters:
         rows = csv.DictReader(io.StringIO(obs.spans_to_csv(spans)))
         votes = [json.loads(row["attrs"])["vote"] for row in rows if row["name"] == "ccp.prepare"]
         assert votes and all(isinstance(vote, bool) for vote in votes)
+
+    def test_chunks_join_to_one_indented_dump(self, session):
+        instance, _result = session
+        spans = instance.span_tracer.spans
+        for labeled in ([], [("rainbow", spans)], [("a", spans), ("b", instance.span_tracer)]):
+            text = "".join(obs.chrome_json_chunks(labeled))
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
+
+    def test_exports_to_files_hold_no_copy_of_the_trace(self, session, tmp_path):
+        instance, _result = session
+        spans = instance.span_tracer.spans
+        out, table = tmp_path / "trace.json", tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.writelines(obs.chrome_json_chunks([("rainbow", spans)]))
+            assert obs.spans_to_csv(spans, str(table)) is None
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_span = peak / len(spans)
+        assert per_span < MAX_EXPORT_BYTES_PER_SPAN, f"{per_span:.0f} B peak per span"
+        assert out.read_text(encoding="utf-8") == obs.spans_to_chrome_json(spans)
+        assert table.read_text(encoding="utf-8") == obs.spans_to_csv(spans)
 
     def test_multi_session_export_gets_one_pid_each(self):
         first, _ = traced_session(seed=3, n_transactions=5)

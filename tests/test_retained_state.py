@@ -3,16 +3,18 @@
 A session keeps every span until it ends, and the WAL keeps each record
 until its transaction is decided (and some decisions longer), so their
 representation bounds a traced session's memory.  These tests pin the
-compact forms: spans as rows of flat columns with no object per span,
-attribute tuples shared across rows, and WAL records that share their
-empty containers.
+compact forms: spans as rows of five numeric columns with no object per
+span, a tag table of (site, name, attributes) shared across rows, and
+WAL records that share their empty containers.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -23,11 +25,18 @@ from repro.workload.spec import WorkloadSpec
 from tests.conftest import record_wal_appends
 
 #: Upper bound on tracemalloc bytes that ``repro/obs/spans.py`` retains
-#: per recorded span (CPython 3.11, 64-bit).  The column store measures
-#: ~80 B here and ~66 B over a 2000-transaction session; one slotted
-#: ``Span`` object per span measured ~180 B, and the dataclass with a
-#: per-span ``attrs`` dict and id string ~334 B.
-MAX_BYTES_PER_SPAN = 120
+#: per recorded span over a 400-transaction session (CPython 3.11,
+#: 64-bit).  A span is one 28-byte row plus its share of the tag table,
+#: which stops growing once every (site, name, attributes) combination
+#: has been seen: ~39 B here.  Per-row lists of shared site, name, keys
+#: and values references measured ~68 B; one slotted ``Span`` object per
+#: span ~180 B.  A 40-transaction session, before the table fills, holds
+#: ~83 B per span.
+MAX_BYTES_PER_SPAN = 48
+
+#: Upper bound on the ``sys.getsizeof`` bytes of the five numeric columns
+#: per row: 4 + 4 + 8 + 8 + 4 = 28 B, plus the arrays' over-allocation.
+MAX_COLUMN_BYTES_PER_ROW = 32
 
 _SPEC = WorkloadSpec(
     n_transactions=40,
@@ -39,14 +48,14 @@ _SPEC = WorkloadSpec(
 )
 
 
-def traced_3pc_session(tracing: bool = True):
+def traced_3pc_session(tracing: bool = True, n_transactions: int = 40):
     """One small 3PC session (PRECOMMIT and END records appear).
 
     Returns the instance and every ``(site, record)`` its WALs appended.
     """
     instance = build_instance(4, 32, 3, acp="3PC", seed=5, tracing=tracing)
     appended = record_wal_appends(instance.sites.values())
-    instance.run_workload(_SPEC)
+    instance.run_workload(replace(_SPEC, n_transactions=n_transactions))
     return instance, appended
 
 
@@ -66,15 +75,43 @@ def forced(traced_run) -> list[LogRecord]:
     return [record for _site, record in traced_run[1]]
 
 
-def test_spans_are_columns_of_shared_references(session):
+@pytest.fixture(scope="module")
+def long_run():
+    """A 400-transaction session, and the bytes ``obs/spans.py`` holds after it."""
+    tracemalloc.start()
+    try:
+        instance, _appended = traced_3pc_session(n_transactions=400)
+        # A full collection empties the interpreter's free lists, whose
+        # cached tuples tracemalloc would charge to the line that first
+        # allocated them though no span refers to them.
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        stat.size
+        for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.endswith("repro/obs/spans.py")
+    )
+    return instance, held
+
+
+def test_spans_are_five_numeric_columns(session):
     columns = session.span_tracer.spans
     rows = len(columns)
     assert rows > 1000
-    for numbers in (columns.txn, columns.parent, columns.start, columns.end):
-        assert isinstance(numbers, array) and len(numbers) == rows
-    for references in (columns.site, columns.name, columns.attr_keys, columns.attr_values):
-        assert len(references) == rows
-        assert len({id(shared) for shared in references}) * 10 < rows
+    numbers = (columns.txn, columns.parent, columns.start, columns.end, columns.tag)
+    for column in numbers:
+        assert isinstance(column, array) and len(column) == rows
+    per_row = sum(map(sys.getsizeof, numbers)) / rows
+    assert per_row <= MAX_COLUMN_BYTES_PER_ROW, f"{per_row:.1f} column bytes per row"
+
+
+def test_tag_table_stays_small(long_run):
+    columns = long_run[0].span_tracer.spans
+    assert len(columns) > 10_000
+    assert len(columns.tags) * 10 < len(columns)
+    assert set(columns.tag) == set(range(len(columns.tags)))
 
 
 def test_spans_and_records_have_no_instance_dict(session, forced):
@@ -108,12 +145,11 @@ def test_prepare_records_keep_their_own_writes_and_peers(forced):
 
 def test_message_spans_share_one_keys_tuple(session):
     columns = session.span_tracer.spans
-    flights = [
-        keys for keys, name in zip(columns.attr_keys, columns.name) if name == "net.msg"
-    ]
-    assert flights
-    assert len({id(keys) for keys in flights}) == 1
-    assert flights[0] == ("mtype", "src", "dst")
+    tags = [columns.tags[tag] for tag in columns.tag]
+    flights = [tag for tag in tags if tag[1] == "net.msg"]
+    assert len(set(map(id, flights))) > 1
+    keys = {id(attr_keys): attr_keys for _site, _name, attr_keys, *_values in flights}
+    assert list(keys.values()) == [("mtype", "src", "dst")]
 
 
 def test_derived_views_are_read_only(session):
@@ -127,23 +163,12 @@ def test_derived_views_are_read_only(session):
             setattr(span, view, None)
 
 
-def test_retained_bytes_per_span_stay_bounded():
-    tracemalloc.start()
-    try:
-        instance, _appended = traced_3pc_session()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
+def test_retained_bytes_per_span_stay_bounded(long_run):
+    instance, held = long_run
     spans = instance.span_tracer.spans
-    held = sum(
-        stat.size
-        for stat in snapshot.statistics("filename")
-        if stat.traceback[0].filename.endswith("repro/obs/spans.py")
-    )
-    assert len(spans) > 1000
+    assert len(spans) > 10_000
     per_span = held / len(spans)
     assert per_span < MAX_BYTES_PER_SPAN, f"{per_span:.0f} B retained per span"
-
 
 
 def _tracked_objects_added(tracing: bool) -> tuple[object, int]:
