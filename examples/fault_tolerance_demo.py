@@ -55,8 +55,8 @@ def scenario_coordinator_crash(acp: str) -> None:
     config.uncertainty_timeout = 20.0
     config.decision_retry = 10.0
     instance = RainbowInstance(config)
-    instance.config.protocols.failpoint = "after_votes"
-    instance.config.protocols.failpoint_arms = 1
+    # Crash the home site before ACP step 2, the first after the votes.
+    instance.injector.crash_before_step("site1", 2)
     instance.start()
 
     txn = Transaction(

@@ -106,8 +106,7 @@ def assignment_deadlock() -> AssignmentReport:
 def assignment_2pc_blocking() -> AssignmentReport:
     """Crash the coordinator after the votes: watch 2PC block."""
     instance = _instance(settle_time=0.0)
-    instance.config.protocols.failpoint = "after_votes"
-    instance.config.protocols.failpoint_arms = 1
+    instance.injector.crash_before_step("site1", 2)  # the first step after the votes
     instance.start()
     txn = Transaction(
         ops=[Operation.write("x1", 7), Operation.write("x2", 8)], home_site="site1"

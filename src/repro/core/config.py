@@ -86,20 +86,6 @@ class ProtocolConfig:
     batch_site_ops: bool = False  # coalesce same-host copy accesses
     piggyback_prepare: bool = False  # fold VOTE_REQ into the final access
     latency_aware_routing: bool = False  # rank copy holders by expected delay
-    # Deterministic failure scenarios ("crash the coordinator right after
-    # the votes are in"): the classic classroom exercise about 2PC blocking
-    # and the driver of the EXP-ACP benchmark.  ``failpoint`` is one of
-    # ``"after_votes"`` or ``"after_precommit"``; each armed transaction
-    # that reaches it crashes its home site at that instant.
-    failpoint: Optional[str] = None
-    failpoint_arms: int = 0
-
-    def hit_failpoint(self, point: str) -> bool:
-        """Consume one arm if ``point`` is the configured failpoint."""
-        if self.failpoint == point and self.failpoint_arms > 0:
-            self.failpoint_arms -= 1
-            return True
-        return False
 
     def validate(self) -> None:
         from repro.protocols.base import acp_registry, ccp_registry, rcp_registry
@@ -117,10 +103,6 @@ class ProtocolConfig:
         ):
             if value <= 0:
                 raise ConfigurationError(f"{label} must be positive")
-        if self.failpoint not in (None, "after_votes", "after_precommit"):
-            raise ConfigurationError(f"unknown failpoint {self.failpoint!r}")
-        if self.failpoint_arms < 0:
-            raise ConfigurationError("failpoint_arms must not be negative")
 
 
 @dataclass

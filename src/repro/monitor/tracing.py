@@ -78,7 +78,8 @@ class ExecutionTracer:
 
     def record(self, kind: str, site: str, txn_id: int, item, value, version) -> None:
         """Append one event: the tracer's subscription to a site's stream."""
-        self.events.append(TraceEvent(self.sim.now, site, kind, txn_id, item, value, version))
+        if kind != "step":  # a coordinator's ACP step is no operation
+            self.events.append(TraceEvent(self.sim.now, site, kind, txn_id, item, value, version))
 
     # -- views -------------------------------------------------------------------
     def local_events(self, site: str) -> list[TraceEvent]:

@@ -103,6 +103,24 @@ class FaultInjector:
         self.target(name).recover()
         self.log.append(FaultEvent(self.sim.now, "recover", name))
 
+    def crash_before_step(self, name: str, step: int) -> None:
+        """Crash site ``name`` once, as a coordinator there starts ACP ``step`` (from 1).
+
+        The plan counts each transaction's ``"step"`` events on the site's stream.
+        """
+        site = self.target(name)
+        taken: dict[int, int] = {}
+
+        def watch(kind: str, _site: str, txn: int, *_event) -> None:
+            if kind == "step":
+                taken[txn] = taken.get(txn, 0) + 1
+                if taken[txn] == step:
+                    # A new list: this emission still reaches the others.
+                    site.subscribers = [s for s in site.subscribers if s is not watch]
+                    self.crash_now(name)
+
+        site.subscribers.append(watch)
+
     # -- scheduled faults -----------------------------------------------------
     def schedule_crash(self, name: str, at: float) -> None:
         """Crash target ``name`` at simulated time ``at``."""

@@ -25,7 +25,7 @@ of the seed.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from math import isnan
 from typing import Any, Optional
@@ -168,26 +168,33 @@ class SpanColumns(Sequence):
         )
 
     def views(
-        self, rows: Iterable[int], renumber: Optional[Mapping[int, int]] = None
+        self, rows: Sequence[int], renumber: Optional[Mapping[int, int]] = None
     ) -> Iterator[Span]:
         """Views of ``rows``, each linked to one shared view of its parent.
 
         ``renumber`` maps each row's transaction id to the id its view
         carries, as the exporters' normalization does; a parent outside
-        ``rows`` keeps its own id.
+        ``rows`` keeps its own id.  A parent's view is kept only until its
+        last child in ``rows`` is built, so a streamed export holds the
+        views of the open parents, not of every span.
         """
         self._index()
-        txn = self.txn
+        txn, parents = self.txn, self.parent
+        last_child = {parents[row]: row for row in rows}
         built: dict[int, Span] = {}
         for row in rows:
-            parent_row = self.parent[row]
+            parent_row = parents[row]
             parent = None
             if parent_row >= 0:
                 parent = built.get(parent_row)
                 if parent is None:
                     parent = built[parent_row] = self[parent_row]
+                if last_child[parent_row] == row:
+                    del built[parent_row]
             txn_id = txn[row] if renumber is None else renumber[txn[row]]
-            view = built[row] = self._view(row, parent, txn_id)
+            view = self._view(row, parent, txn_id)
+            if row in last_child:
+                built[row] = view
             yield view
 
     def rows_of(self, txn_id: int) -> Sequence[int]:

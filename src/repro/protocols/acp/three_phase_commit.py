@@ -20,9 +20,9 @@ system reads.  The coordinator side:
 On the participant side, a site in doubt runs the termination protocol
 over its peers, and its WAL keeps each decision for the peers' queries.
 
-EXP-ACP contrasts the two protocols under coordinator crashes: 2PC leaves
-orphans blocked for the whole outage; 3PC resolves them within the
-termination timeout.
+EXP-ACP contrasts the two protocols under coordinator crashes before ACP
+step 2 or, under 3PC, 3: 2PC leaves orphans blocked for the whole outage;
+3PC resolves them within the termination timeout.
 """
 
 from __future__ import annotations

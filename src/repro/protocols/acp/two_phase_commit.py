@@ -17,7 +17,7 @@ requests.
 
 :class:`CentralisedCommit` is that round for every centralised ACP: with
 ``precommit_round`` set (3PC) a PRECOMMIT round runs between the votes and
-the decision.
+the decision.  Each round and force is a numbered ``TxnContext.step``.
 """
 
 from __future__ import annotations

@@ -155,7 +155,7 @@ class Site:
         # causal span tracer (``RainbowInstance.enable_tracing``) nests each
         # CCP operation under the span passed in by its caller, and each
         # ``subscriber(kind, site, txn, item, value, version)`` is handed
-        # every completed operation, in order.
+        # every completed operation and each home coordinator's ACP "step", in order.
         self.tracer = None
         self.subscribers: list[Callable[..., None]] = []
         self._start_background()

@@ -436,6 +436,17 @@ class TxnContext:
         return [p.address for p in self.participants.values()]
 
     # -- ACP primitives -----------------------------------------------------------------
+    def step(self, name: str) -> None:
+        """Start the next numbered ACP step: a ``"step"`` event on the home's stream.
+
+        A crash plan there may crash the home first; then nothing is forced or sent.
+        """
+        home = self.home
+        for subscriber in home.subscribers:
+            subscriber("step", home.name, self.txn.txn_id, name, None, None)
+        if not home.up:
+            raise Interrupt("home site crashed")
+
     def collect_votes(self):
         """Phase 1: VOTE_REQ to every participant; returns (all_yes, detail).
 
@@ -443,6 +454,7 @@ class TxnContext:
         via messages.  A vote that does not arrive within ``vote_timeout``
         counts as NO (the classic timeout action).
         """
+        self.step("acp.vote")
         span = self.begin_span("acp.vote", acp=self.acp.name)
         try:
             result = yield from self._collect_votes()
@@ -512,12 +524,6 @@ class TxnContext:
                 if not payload.get("vote"):
                     all_yes = False
                     detail.append(f"{participant.site}: {payload.get('reason', 'NO')}")
-        if all_yes and self.config.hit_failpoint("after_votes"):
-            # Crash before the decision is logged: participants that voted
-            # YES are left uncertain and the decision is *presumed abort*
-            # once the coordinator recovers.
-            self.home.crash()
-            raise Interrupt("failpoint: after_votes")
         return all_yes, "; ".join(detail)
 
     def broadcast(self, mtype: str, *, retries: Optional[int] = None):
@@ -529,6 +535,7 @@ class TxnContext:
         Returns the number of participants that acknowledged.
         """
         name = "acp.precommit" if mtype == MessageType.PRECOMMIT else "acp.decision"
+        self.step(name)
         span = self.begin_span(name, decision=mtype)
         try:
             result = yield from self._broadcast(mtype, retries=retries)
@@ -553,13 +560,7 @@ class TxnContext:
         for participant in remote:
             self._deliver(participant.address, mtype, attempts, crashes, join, acks)
         yield join
-        acked += len(acks)
-        if mtype == MessageType.PRECOMMIT and self.config.hit_failpoint("after_precommit"):
-            # Crash between PRECOMMIT and COMMIT: under 3PC the termination
-            # protocol lets the precommitted participants commit without us.
-            self.home.crash()
-            raise Interrupt("failpoint: after_precommit")
-        return acked
+        return acked + len(acks)
 
     def _local_decision(self, mtype: str) -> None:
         if mtype == MessageType.COMMIT:
@@ -610,6 +611,7 @@ class TxnContext:
         decisions keeps it for the peers' termination queries, see
         WriteAheadLog.release).
         """
+        self.step("force.decision")
         wal = self.home.wal
         if decision == "COMMIT":
             wal.log_commit(self.txn.txn_id, self.sim.now)
@@ -628,6 +630,7 @@ class TxnContext:
         participants resolve through DECISION_REQ.
         """
         if acked == len(self.participants):
+            self.step("force.end")
             wal = self.home.wal
             wal.log_end(self.txn.txn_id, self.sim.now)
             wal.release(self.txn.txn_id)

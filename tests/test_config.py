@@ -56,21 +56,6 @@ class TestProtocolConfig:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(op_timeout=0).validate()
 
-    @pytest.mark.parametrize("point", ["after_precommit", "after_votes", None])
-    def test_known_failpoints_accepted(self, point):
-        ProtocolConfig(failpoint=point, failpoint_arms=1).validate()
-
-    def test_misspelt_failpoint_rejected(self):
-        data = RainbowConfig.quick(n_sites=2, n_items=4).to_dict()
-        data["protocols"]["failpoint"] = "after_vote"
-        data["protocols"]["failpoint_arms"] = 1
-        with pytest.raises(ConfigurationError, match="after_vote"):
-            RainbowConfig.from_dict(data).validate()
-
-    def test_negative_failpoint_arms_rejected(self):
-        with pytest.raises(ConfigurationError, match="failpoint_arms"):
-            ProtocolConfig(failpoint="after_votes", failpoint_arms=-1).validate()
-
 
 class TestQuickBuilder:
     def test_quick_shape(self):
@@ -200,16 +185,6 @@ class TestPersistence:
             RainbowConfig.from_dict(data)
         with pytest.raises(ConfigurationError, match=key):
             RainbowConfig.quick(n_sites=2, n_items=4, **{key: 50.0})
-
-    def test_failpoint_round_trips(self):
-        config = RainbowConfig.quick(n_sites=2, n_items=4)
-        config.protocols.failpoint = "after_votes"
-        config.protocols.failpoint_arms = 2
-        clone = RainbowConfig.from_dict(config.to_dict())
-        assert (clone.protocols.failpoint, clone.protocols.failpoint_arms) == (
-            "after_votes",
-            2,
-        )
 
     def test_save_load_file(self, tmp_path):
         config = RainbowConfig.quick(n_sites=2, n_items=4, seed=77)

@@ -350,7 +350,6 @@ class TestConfig:
         config = ProtocolConfig()
         assert config.rcp == "QC"
         assert config.acp == "2PC"
-        assert config.failpoint is None
 
     def test_access_result_defaults(self):
         result = AccessResult(ok=True, site="s1", value=3, version=2)

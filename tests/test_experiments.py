@@ -71,6 +71,15 @@ class TestExperimentRuns:
         assert len(table.rows) == 3
         assert table.rows[0]["acp"] == "2PC"
 
+    def test_acp_coordinator_crash_is_in_the_injector_log(self):
+        """The home site's crash is an injected fault: logged, and its outage measured."""
+        acp, failpoint, step = acp_blocking.SCENARIOS[0]
+        instance, row = acp_blocking.scenario(acp, failpoint, step, outage=300.0)
+        assert (row["acp"], row["failpoint"]) == ("2PC", "after_votes")
+        assert instance.injector.crash_count() == 1
+        assert [event.kind for event in instance.injector.log] == ["crash", "recover"]
+        assert instance.injector.downtime_report()["site1"] == 300.0
+
     def test_load_balance_tiny(self):
         table = load_balance.run(n_txns=24)
         assert {row["policy"] for row in table.rows} == {"round_robin", "weighted"}
@@ -98,7 +107,10 @@ def _markdown_rows(table: ExperimentTable) -> str:
     )
 
 
-def test_ablation_table_matches_experiments_md():
-    """EXP-ABL in EXPERIMENTS.md is the output of ``repro experiment abl``."""
+@pytest.mark.parametrize(
+    "experiment", [ablation, acp_blocking], ids=["ablation", "acp_blocking"]
+)
+def test_ablation_table_matches_experiments_md(experiment):
+    """EXP-ABL and EXP-ACP in EXPERIMENTS.md are ``repro experiment abl``/``acp`` output."""
     document = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
-    assert _markdown_rows(ablation.run()) in document
+    assert _markdown_rows(experiment.run()) in document

@@ -274,3 +274,41 @@ class TestDowntimeReport:
 
     def test_empty_log_empty_report(self, injector):
         assert injector.downtime_report() == {}
+
+
+class SteppingTarget(FakeTarget):
+    """A FakeTarget with an execution stream its test drives by hand."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.subscribers = []
+
+    def emit(self, kind, txn):
+        for subscriber in self.subscribers:
+            subscriber(kind, self.name, txn, None, None, None)
+
+
+class TestCrashBeforeStep:
+    def test_crashes_once_at_the_kth_step_of_one_transaction(self, injector):
+        target = SteppingTarget("s1")
+        injector.register(target)
+        injector.crash_before_step("s1", 2)
+        seen = []
+        target.subscribers.append(lambda kind, _site, txn, *_: seen.append((kind, txn)))
+        target.emit("prepare", 1)  # not a step
+        target.emit("step", 1)
+        target.emit("step", 2)  # the first step of each transaction
+        assert target.transitions == []
+        target.emit("step", 2)
+        assert target.transitions == ["crash"]
+        assert [event.kind for event in injector.log] == ["crash"]
+        # The later subscriber still saw the step the plan crashed before.
+        assert seen == [("prepare", 1), ("step", 1), ("step", 2), ("step", 2)]
+        injector.recover_now("s1")
+        target.emit("step", 1)  # the plan is spent
+        assert target.transitions == ["crash", "recover"]
+        assert len(target.subscribers) == 1
+
+    def test_unknown_site_rejected(self, injector):
+        with pytest.raises(ConfigurationError):
+            injector.crash_before_step("ghost", 1)

@@ -83,14 +83,16 @@ def test_generator_ccp_call_is_rejected():
         ("site/site.py", "self._emit(op, txn, item, value, version)"),
         ("site/site.py", 'self._emit("commit", txn)'),
         ("net/network.py", 'subscriber(msg, "delivered")'),
+        ("txn/coordinator.py", 'subscriber("step", home.name, self.txn.txn_id, name, None, None)'),
     ],
-    ids=["site-access", "site-decision", "network-send"],
+    ids=["site-access", "site-decision", "network-send", "coordinator-step"],
 )
 def test_execution_stream_is_trace_code(tmp_path, module, emission):
     """RB106: an ``id()`` that reaches a stream's subscribers is flagged.
 
     The site emits through ``_emit`` (a function that loops over
-    ``subscribers``); the network calls its subscribers in the loop.
+    ``subscribers``); the network and the coordinator's ACP steps (on the
+    home site's stream) call their subscribers in the loop.
     """
     source = (SRC / "repro" / module).read_text()
     assert source.count(emission) == 1

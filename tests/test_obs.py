@@ -17,9 +17,11 @@ from repro.workload.spec import WorkloadSpec
 
 #: Upper bound on the tracemalloc peak, per span, of writing a session's
 #: Chrome JSON and CSV to files (CPython 3.11, 64-bit).  Written 64 events
-#: at a time, an export holds one view per span: ~510-600 B here.  Building
-#: every event dict and then one string measured ~3,200 B.
-MAX_EXPORT_BYTES_PER_SPAN = 1000
+#: at a time, keeping only the views of parents whose children are still
+#: to come, an export peaks at ~420-445 B here; keeping one view per span
+#: measured ~600 B, and building every event dict and then one string
+#: ~3,200 B.
+MAX_EXPORT_BYTES_PER_SPAN = 600
 
 
 def traced_session(seed: int = 7, n_transactions: int = 15):

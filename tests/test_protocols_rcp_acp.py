@@ -222,20 +222,17 @@ class TestAtomicCommit:
 
 
 class TestFailpoints:
-    def test_failpoint_consumes_arms(self):
-        from repro.core.config import ProtocolConfig
+    """Coordinator crashes from the fault injector's ACP-step crash plan.
 
-        config = ProtocolConfig(failpoint="after_votes", failpoint_arms=2)
-        assert config.hit_failpoint("after_votes")
-        assert config.hit_failpoint("after_votes")
-        assert not config.hit_failpoint("after_votes")
-        assert not config.hit_failpoint("after_precommit")
+    Steps count from 1: the vote round, under 3PC the PRECOMMIT round,
+    then the decision force.  Step 2 is ``after_votes`` under either ACP,
+    step 3 ``after_precommit`` under 3PC.
+    """
 
     def test_2pc_blocking_until_recovery(self):
         instance = quick_instance(n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.config.protocols.failpoint = "after_votes"
-        instance.config.protocols.failpoint_arms = 1
+        instance.injector.crash_before_step("site1", 2)
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
@@ -258,8 +255,7 @@ class TestFailpoints:
         both recover, and presumed abort resolves the orphan consistently."""
         instance = quick_instance(n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.config.protocols.failpoint = "after_votes"
-        instance.config.protocols.failpoint_arms = 1
+        instance.injector.crash_before_step("site1", 2)
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
@@ -286,8 +282,7 @@ class TestFailpoints:
         participant learns COMMIT from its peers' retained decisions."""
         instance = quick_instance(acp="3PC", n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.config.protocols.failpoint = "after_precommit"
-        instance.config.protocols.failpoint_arms = 1
+        instance.injector.crash_before_step("site1", 3)
         instance.start()
         txn = Transaction(ops=[Operation.write("x1", 1)], home_site="site1")
         process = instance.submit(txn)
@@ -309,8 +304,7 @@ class TestFailpoints:
     def test_3pc_terminates_without_coordinator(self):
         instance = quick_instance(acp="3PC", n_items=8, uncertainty_timeout=20.0,
                                   decision_retry=10.0, settle_time=0)
-        instance.config.protocols.failpoint = "after_precommit"
-        instance.config.protocols.failpoint_arms = 1
+        instance.injector.crash_before_step("site1", 3)
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1)],
@@ -331,3 +325,64 @@ class TestFailpoints:
             if value == 1
         ]
         assert len(committed_copies) >= 1
+
+
+class TestCrashBeforeEveryStep:
+    """Crash the coordinator before each ACP step it takes, recover it later.
+
+    One ROWA/2PL write transaction homed at site1, message-economy flags
+    off.  Whatever the step, the session ends with no transaction in
+    doubt, every copy of a written item equal, and nothing forced at the
+    home site while it was down.
+    """
+
+    STEPS = {
+        "2PC": ["acp.vote", "force.decision", "acp.decision", "force.end"],
+        "3PC": ["acp.vote", "acp.precommit", "force.decision", "acp.decision", "force.end"],
+    }
+    OUTAGE = 50.0  # longer than the uncertainty timeout: 3PC terminates meanwhile
+
+    @staticmethod
+    def _session(acp):
+        instance = quick_instance(rcp="ROWA", acp=acp, n_items=8, uncertainty_timeout=20.0,
+                                  decision_retry=10.0, settle_time=0)
+        txn = Transaction(ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
+                          home_site="site1")
+        return instance, instance.sites["site1"], txn
+
+    @pytest.mark.parametrize("acp", ["2PC", "3PC"])
+    def test_crash_before_every_step(self, acp):
+        from repro.chaos.engine import QUIESCE_TIME
+
+        instance, home, txn = self._session(acp)
+        steps = []
+
+        def record(kind, _site, _txn, item, *_event):
+            if kind == "step":
+                steps.append(item)
+
+        home.subscribers.append(record)
+        instance.start()
+        assert run_txn(instance, txn).committed
+        assert steps == self.STEPS[acp]
+        for k in range(1, len(steps) + 1):
+            instance, home, txn = self._session(acp)
+            forced = record_wal_appends([home])
+            instance.injector.crash_before_step("site1", k)
+            forced_at_crash = []
+
+            def at_crash(kind, *_event):
+                if kind == "step" and not home.up:
+                    forced_at_crash.append(len(forced))
+
+            home.subscribers.append(at_crash)  # after the plan: sees the crashed home
+            instance.start()
+            run_txn(instance, txn)
+            instance.sim.run(until=instance.sim.now + self.OUTAGE)
+            assert not home.up and instance.injector.crash_count() == 1
+            assert forced_at_crash == [len(forced)], f"step {k}: the down home forced"
+            instance.injector.recover_now("site1")
+            instance.sim.run(until=instance.sim.now + QUIESCE_TIME)
+            assert [site.in_doubt_count() for site in instance.sites.values()] == [0] * 4, k
+            for item in ("x1", "x2"):
+                assert len(set(copies_of(instance, item).values())) == 1, (k, item)

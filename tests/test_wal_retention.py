@@ -150,8 +150,7 @@ class TestRecovery:
         from its PREPARE and resolves it once the coordinator is back."""
         instance = quick_instance(n_items=8, settle_time=0,
                                   uncertainty_timeout=20.0, decision_retry=10.0)
-        instance.config.protocols.failpoint = "after_votes"
-        instance.config.protocols.failpoint_arms = 1
+        instance.injector.crash_before_step("site1", 2)
         instance.start()
         txn = Transaction(
             ops=[Operation.write("x1", 1), Operation.write("x2", 2)],
