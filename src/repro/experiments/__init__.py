@@ -1,30 +1,13 @@
-"""Experiment definitions — one module per table/figure in EXPERIMENTS.md."""
+"""Experiment definitions — one module per table/figure in EXPERIMENTS.md.
 
-from repro.experiments import (
-    ablation,
-    acp_blocking,
-    availability,
-    ccp_contention,
-    load_balance,
-    message_economy,
-    protocol_matrix,
-    quorum_traffic,
-    scalability,
-    session,
-)
+The package itself loads only :mod:`repro.experiments.common`, whose
+``ExperimentTable`` and ``build_instance`` it re-exports.  The experiment
+modules and the process-pool runner (``multiprocessing``,
+``concurrent.futures``) load when a caller names them, as in
+``from repro.experiments import ablation``, so a session process that only
+builds an instance does not carry them.
+"""
+
 from repro.experiments.common import ExperimentTable, build_instance
 
-__all__ = [
-    "ExperimentTable",
-    "ablation",
-    "acp_blocking",
-    "availability",
-    "build_instance",
-    "ccp_contention",
-    "load_balance",
-    "message_economy",
-    "protocol_matrix",
-    "quorum_traffic",
-    "scalability",
-    "session",
-]
+__all__ = ["ExperimentTable", "build_instance"]

@@ -5,15 +5,31 @@ perturb the network-latency draws, and adding a site must not shift the
 failure schedule.  :class:`RandomStreams` therefore derives an independent
 ``random.Random`` per named purpose from one master seed, so each subsystem
 consumes its own stream.
+
+A stream's seed is the first 8 bytes, big-endian, of the SHA-256 of
+``"seed:name"`` (a child family's of ``"seed/child/name"``).  The digest
+comes from the interpreter's own SHA-256 module (``_sha2`` on 3.12+,
+``_sha256`` before) rather than through OpenSSL, whose binding would add
+megabytes of resident memory to every session process; the OpenSSL-backed
+standard module is only the fallback where neither is built.  All three
+give the same digest, so every seed, draw and simulated event is the same
+whichever is loaded.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterator
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "RandomStreams",
@@ -43,14 +59,14 @@ class RandomStreams:
         """Return the stream for ``name``, creating it deterministically."""
         stream = self._streams.get(name)
         if stream is None:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+            digest = sha256(f"{self.seed}:{name}".encode()).digest()
             stream = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = stream
         return stream
 
     def spawn(self, name: str) -> "RandomStreams":
         """Derive a child family (e.g. one per experiment repetition)."""
-        digest = hashlib.sha256(f"{self.seed}/child/{name}".encode()).digest()
+        digest = sha256(f"{self.seed}/child/{name}".encode()).digest()
         return RandomStreams(int.from_bytes(digest[:8], "big"))
 
 

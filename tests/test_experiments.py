@@ -108,9 +108,11 @@ def _markdown_rows(table: ExperimentTable) -> str:
 
 
 @pytest.mark.parametrize(
-    "experiment", [ablation, acp_blocking], ids=["ablation", "acp_blocking"]
+    "experiment",
+    [ablation, acp_blocking, load_balance],
+    ids=["ablation", "acp_blocking", "load_balance"],
 )
 def test_ablation_table_matches_experiments_md(experiment):
-    """EXP-ABL and EXP-ACP in EXPERIMENTS.md are ``repro experiment abl``/``acp`` output."""
+    """EXP-ABL, EXP-ACP and EXP-LB in EXPERIMENTS.md are ``repro experiment abl/acp/lb`` output."""
     document = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
     assert _markdown_rows(experiment.run()) in document

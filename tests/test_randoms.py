@@ -1,11 +1,15 @@
 """Unit tests for deterministic random streams and distributions."""
 
+import hashlib
+import importlib
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.sim
 from repro.sim.randoms import (
     RandomStreams,
     cumulative_weights,
@@ -47,6 +51,55 @@ class TestRandomStreams:
         streams2 = RandomStreams(3)
         streams2.get("faults")  # extra stream created first
         assert streams2.get("workload").random() == first_draw
+
+
+def reference_stream(key: str) -> random.Random:
+    """The stream the seeding contract names: SHA-256 of ``key``, first 8 bytes."""
+    digest = hashlib.sha256(key.encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+SEEDS = st.integers(min_value=-(2**80), max_value=2**80) | st.sampled_from(
+    [0, -1, 2**63 - 1, 2**63, 2**64 + 5]
+)
+
+
+class TestSeedIdentity:
+    """Stream seeds from the built-in SHA-256 equal the OpenSSL-backed ones."""
+
+    @given(seed=SEEDS, name=st.text())
+    def test_get_matches_reference(self, seed, name):
+        stream = RandomStreams(seed).get(name)
+        reference = reference_stream(f"{seed}:{name}")
+        assert stream.getstate() == reference.getstate()
+        assert stream.random() == reference.random()
+
+    @given(seed=SEEDS, name=st.text(), child=st.text())
+    def test_spawn_matches_reference(self, seed, name, child):
+        spawned = RandomStreams(seed).spawn(child)
+        digest = hashlib.sha256(f"{seed}/child/{child}".encode()).digest()
+        assert spawned.seed == int.from_bytes(digest[:8], "big")
+        stream = spawned.get(name)
+        assert stream.getstate() == reference_stream(f"{spawned.seed}:{name}").getstate()
+
+    def test_fallback_without_builtin_modules(self, monkeypatch):
+        """With ``_sha2`` and ``_sha256`` hidden the module falls back and seeds agree."""
+        keys = [(seed, name) for seed in (0, -7, 2**63, 2**70 + 1) for name in ("net", "", "wörk")]
+
+        def seeds(module):
+            return (
+                [module.RandomStreams(seed).get(name).getstate() for seed, name in keys],
+                [module.RandomStreams(seed).spawn(name).seed for seed, name in keys],
+            )
+
+        builtin = seeds(repro.sim.randoms)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.delitem(sys.modules, "repro.sim.randoms")
+        monkeypatch.setattr(repro.sim, "randoms", repro.sim.randoms)
+        fallback = importlib.import_module("repro.sim.randoms")
+        assert fallback.sha256 is hashlib.sha256
+        assert seeds(fallback) == builtin
 
 
 class TestZipfWeights:
