@@ -34,37 +34,29 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.experiments import (
-    ablation,
-    acp_blocking,
-    availability,
-    ccp_contention,
-    load_balance,
-    message_economy,
-    protocol_matrix,
-    quorum_traffic,
-    scalability,
-    session,
-)
-
-EXPERIMENTS: dict[str, Callable] = {
-    "qcmsg": quorum_traffic.run,
-    "avail": availability.run,
-    "ccp": ccp_contention.run,
-    "scale": scalability.run,
-    "acp": acp_blocking.run,
-    "lb": load_balance.run,
-    "abl": ablation.run,
-    "matrix": protocol_matrix.run,
-    "msgecon": message_economy.run,
+#: Experiment id -> its module in :mod:`repro.experiments`, imported only
+#: when ``experiment <id>`` runs it (each module's ``run`` builds the table).
+EXPERIMENTS: dict[str, str] = {
+    "qcmsg": "quorum_traffic",
+    "avail": "availability",
+    "ccp": "ccp_contention",
+    "scale": "scalability",
+    "acp": "acp_blocking",
+    "lb": "load_balance",
+    "abl": "ablation",
+    "matrix": "protocol_matrix",
+    "msgecon": "message_economy",
 }
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
+    from repro.experiments import session
+
     result, panel, instance = session.run(
         n_txns=args.transactions,
         sites_per_host=args.sites_per_host,
@@ -86,10 +78,11 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import inspect
 
-    run = EXPERIMENTS.get(args.id)
-    if run is None:
+    module = EXPERIMENTS.get(args.id)
+    if module is None:
         print(f"unknown experiment {args.id!r}; try: {', '.join(sorted(EXPERIMENTS))}")
         return 2
+    run = importlib.import_module(f"repro.experiments.{module}").run
     jobs = args.jobs
     if args.trace and jobs != 1:
         # Worker processes would each collect their own tracer registry;

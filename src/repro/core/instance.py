@@ -241,10 +241,7 @@ class RainbowInstance:
             monitor=self.monitor,
             name=f"wlg{session}",
         )
-        process = generator.run()
-        self.sim.run(until=process)
-        self._settle()
-        return self.session_result(generator.outcomes)
+        return self._run_session(generator)
 
     def manual_workload(self) -> ManualWorkload:
         """A manual-mode workload bound to this instance (Figure A-2 path)."""
@@ -259,10 +256,13 @@ class RainbowInstance:
 
     def run_manual(self, manual: ManualWorkload) -> SessionResult:
         """Dispatch a prepared manual workload and collect the results."""
-        process = manual.run()
-        self.sim.run(until=process)
+        return self._run_session(manual)
+
+    def _run_session(self, client) -> SessionResult:
+        """Run ``client``'s workload to its end, settle, and collect."""
+        self.sim.run(until=client.run())
         self._settle()
-        return self.session_result(manual.outcomes)
+        return self.session_result(client.outcomes)
 
     def submit(self, txn: Transaction) -> Process:
         """Directly start ``txn`` at its home site (library/testing path).

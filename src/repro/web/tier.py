@@ -19,11 +19,10 @@ from dataclasses import asdict
 from typing import Optional
 
 from repro.core.instance import RainbowInstance
-from repro.errors import AuthorizationError, NetworkError, RpcTimeout, WebTierError
-from repro.net.message import MessageType
+from repro.errors import AuthorizationError, NetworkError, RpcTimeout, WebTierError, WorkloadError
 from repro.web.requests import WebRequest, WebResponse
 from repro.web.servlets import RUNNER_NAME, Servlet, ServletRunner
-from repro.workload.generator import WorkloadGenerator
+from repro.workload.generator import WorkloadGenerator, submit_request
 from repro.workload.spec import WorkloadSpec
 
 __all__ = ["RainbowWebTier", "DEFAULT_USERS"]
@@ -215,18 +214,16 @@ class WLGlet(Servlet):
         instance = self.tier.instance
         if request.action == "submit_txn":
             txn = request.args["txn"]
-            address = instance.directory.get(txn.home_site)
-            if address is None:
-                return WebResponse.failure(f"unknown home site {txn.home_site!r}")
-            instance.monitor.txn_submitted(txn)
             try:
-                reply = yield self.runner.endpoint.request(
-                    address,
-                    MessageType.TXN_SUBMIT,
-                    {"txn_spec": txn},
-                    timeout=request.args.get("timeout", 600.0),
-                    txn_id=txn.txn_id,
+                reply = yield submit_request(
+                    self.runner.endpoint,
+                    instance.directory,
+                    instance.monitor,
+                    txn,
+                    request.args.get("timeout", 600.0),
                 )
+            except WorkloadError as error:
+                return WebResponse.failure(str(error))
             except (RpcTimeout, NetworkError) as failure:
                 return WebResponse.failure(f"no TXN_RESULT: {failure}")
             return WebResponse.success((reply.payload or {}).get("outcome"))

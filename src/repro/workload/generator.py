@@ -1,39 +1,43 @@
-"""The workload generator (WLG).
+"""The workload generator (WLG): one client, two modes.
 
 Rainbow offers "either the manual or the simulated workload generation
-panel to compose and submit transactions".  Both paths dispatch through the
-network: the generator owns an endpoint (the WLGlet's position in the
-middle tier) and submits each transaction to its home site as a
-``TXN_SUBMIT`` message; the site dedicates a coordinator process to it and
-answers with ``TXN_RESULT``.
+panel to compose and submit transactions".  Both modes are one client
+(:class:`_Client`): it owns an endpoint (the WLGlet's position in the
+middle tier) and sends each transaction to its home site as one
+``TXN_SUBMIT`` request (:func:`submit_request`, which the WLGlet's own
+``submit_txn`` also calls); the site dedicates a coordinator process to it
+and answers with ``TXN_RESULT``.  Each submission runs as its own process,
+restarting an aborted transaction if the spec says so, and ends with one
+:class:`SubmissionOutcome` row.  A session waits on a count of finished
+submissions, so a finished submission's process is freed at once; the
+first submission that raises ends the session with that exception.
 
-*Simulated mode* synthesises transactions from a :class:`WorkloadSpec`
-(arrival process, size, read/write mix, access skew, home-site policy) and
-optionally restarts aborted ones.  *Manual mode*
-(:class:`ManualWorkload`) submits hand-written transactions at chosen
-times — the classroom path for stepping through a scenario.
+*Simulated mode* (:class:`WorkloadGenerator`) synthesises transactions
+from a :class:`WorkloadSpec` (arrival process, size, read/write mix, access
+skew, home-site policy) and submits them as an open stream or from a closed
+set of terminals.  *Manual mode* (:class:`ManualWorkload`) submits
+hand-written transactions at chosen times — the classroom path for
+stepping through a scenario.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import NetworkError, RpcTimeout, WorkloadError
 from repro.nameserver.catalog import Catalog
 from repro.net.message import MessageType
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
+from repro.net.network import Endpoint, Network
+from repro.sim.kernel import Event, Process, Simulator
 from repro.sim.randoms import cumulative_weights, weighted_choice, zipf_weights
 from repro.txn.transaction import Operation, Transaction
 from repro.workload.spec import WorkloadSpec
 
-__all__ = ["WorkloadGenerator", "ManualWorkload", "SubmissionOutcome"]
+__all__ = ["WorkloadGenerator", "ManualWorkload", "SubmissionOutcome", "submit_request"]
 
 
-@dataclass
-class SubmissionOutcome:
+class SubmissionOutcome(NamedTuple):
     """What the WLG learned about one submitted transaction."""
 
     txn_id: int
@@ -43,56 +47,65 @@ class SubmissionOutcome:
     attempts: int = 1
 
 
-class _Submitter:
-    """Shared submit-and-maybe-restart machinery for both WLG modes."""
+def submit_request(
+    endpoint: Endpoint, directory: dict[str, str], monitor, txn: Transaction, timeout: float
+) -> Event:
+    """Send ``txn`` to its home site as one ``TXN_SUBMIT`` request.
 
-    def __init__(self, sim, endpoint, directory, monitor, spec):
+    Stamps the submission on the monitor and returns the request's reply
+    event.  Raises :class:`WorkloadError` for a home site not in
+    ``directory``.
+    """
+    address = directory.get(txn.home_site)
+    if address is None:
+        raise WorkloadError(f"unknown home site {txn.home_site!r}")
+    monitor.txn_submitted(txn)
+    return endpoint.request(
+        address, MessageType.TXN_SUBMIT, {"txn_spec": txn}, timeout=timeout, txn_id=txn.txn_id
+    )
+
+
+class _Client:
+    """The WLG client both modes share: submit, restart, count, join.
+
+    A client runs one workload: its ``run`` starts the submissions and
+    ends when all of them have.
+    """
+
+    def __init__(self, sim, network, directory, monitor, spec, host, name):
         self.sim = sim
-        self.endpoint = endpoint
+        self.endpoint = network.endpoint(host, name)
         self.directory = directory
         self.monitor = monitor
         self.spec = spec
         self.outcomes: list[SubmissionOutcome] = []
+        # A run sets the number of submissions it will start; the join
+        # fires when that many have finished.
+        self._unfinished = 0
+        self._joined = sim.event()
 
     def submit_tracked(self, txn: Transaction):
         """Submit ``txn``; on abort, restart per the spec (generator)."""
         attempts = 0
-        current = txn
         while True:
             attempts += 1
-            status, cause = yield from self._submit_once(current)
+            status, cause = yield from self._submit_once(txn)
             restartable = (
                 status == "ABORTED"
                 and self.spec.restart_on_abort
                 and attempts <= self.spec.max_restarts
             )
             if not restartable:
-                outcome = SubmissionOutcome(
-                    txn_id=current.txn_id,
-                    template_id=current.template_id,
-                    status=status,
-                    cause=cause,
-                    attempts=attempts,
-                )
+                outcome = SubmissionOutcome(txn.txn_id, txn.template_id, status, cause, attempts)
                 self.outcomes.append(outcome)
                 return outcome
             yield self.sim.timeout(self.spec.restart_delay)
-            current = current.restarted()
+            txn = txn.restarted()
 
     def _submit_once(self, txn: Transaction):
-        if txn.home_site not in self.directory:
-            raise WorkloadError(f"unknown home site {txn.home_site!r}")
-        if self.monitor is not None:
-            self.monitor.txn_submitted(txn)
-        else:
-            txn.submitted_at = self.sim.now
         try:
-            reply = yield self.endpoint.request(
-                self.directory[txn.home_site],
-                MessageType.TXN_SUBMIT,
-                {"txn_spec": txn},
-                timeout=self.spec.result_timeout,
-                txn_id=txn.txn_id,
+            reply = yield submit_request(
+                self.endpoint, self.directory, self.monitor, txn, self.spec.result_timeout
             )
         except (RpcTimeout, NetworkError):
             # The home site crashed (or is unreachable): the WLG never
@@ -103,8 +116,50 @@ class _Submitter:
         outcome = payload.get("outcome") or {}
         return outcome.get("status", "LOST"), outcome.get("cause")
 
+    # -- the join --------------------------------------------------------------
+    def _start(self, submission, name: str) -> None:
+        """Run ``submission`` (a generator) as one process the join counts."""
+        self.sim.process(submission, name=name).add_callback(self._finished)
 
-class WorkloadGenerator:
+    def _finished(self, submission: Process) -> None:
+        if self._joined.triggered:
+            return
+        if not submission.ok:
+            self._joined.fail(submission.value)
+            return
+        self._unfinished -= 1
+        if not self._unfinished:
+            self._joined.succeed()
+
+    def _join(self):
+        """Wait for the ``_unfinished`` submissions a run set out to start.
+
+        Re-raises the first one's exception; waits on nothing (and pushes
+        no event) when the run starts none.
+        """
+        if self._unfinished:
+            yield self._joined
+        return self.outcomes
+
+
+def _home_weights(spec: WorkloadSpec, directory) -> tuple[list[str], list[float]]:
+    """Site names and cumulative weights of the weighted home policy."""
+    if spec.home_policy != "weighted":
+        return [], []
+    weights = spec.home_weights
+    names = sorted(weights)
+    for name in names:
+        if name not in directory:
+            raise WorkloadError(f"home_weights names unknown site {name!r}")
+        if weights[name] < 0:
+            raise WorkloadError(f"home_weights[{name!r}] is negative: {weights[name]}")
+    total = sum(weights[name] for name in names)
+    if total <= 0:
+        raise WorkloadError(f"home_weights sum to zero: {weights}")
+    return names, cumulative_weights([weights[name] / total for name in names])
+
+
+class WorkloadGenerator(_Client):
     """Simulated workload generation over a catalog and a site directory."""
 
     def __init__(
@@ -115,31 +170,24 @@ class WorkloadGenerator:
         catalog: Catalog,
         spec: WorkloadSpec,
         rng: random.Random,
-        monitor=None,
+        monitor,
         host: str = "wlg-host",
         name: str = "wlg",
     ):
         spec.validate()
         if not directory:
             raise WorkloadError("empty site directory")
-        self.sim = sim
-        self.spec = spec
         self.rng = rng
         self.catalog = catalog
         self.items = catalog.item_names()
         if not self.items:
             raise WorkloadError("catalog has no items to generate accesses for")
         self.sites = sorted(directory)
-        self.endpoint = network.endpoint(host, name)
-        self._submitter = _Submitter(sim, self.endpoint, directory, monitor, spec)
+        self._home_names, self._home_weights = _home_weights(spec, directory)
+        super().__init__(sim, network, directory, monitor, spec, host, name)
         self._home_cursor = 0
         self._access_weights = self._build_access_weights()
         self._value_counter = 0
-
-    @property
-    def outcomes(self) -> list[SubmissionOutcome]:
-        """Per-transaction outcomes observed so far."""
-        return self._submitter.outcomes
 
     # -- synthesis -----------------------------------------------------------
     def _build_access_weights(self) -> Optional[list[float]]:
@@ -170,11 +218,7 @@ class WorkloadGenerator:
             return site
         if policy == "random":
             return self.rng.choice(self.sites)
-        weights = self.spec.home_weights or {}
-        names = sorted(weights)
-        total = sum(weights[name] for name in names)
-        normalised = [weights[name] / total for name in names]
-        return names[weighted_choice(self.rng, cumulative_weights(normalised))]
+        return self._home_names[weighted_choice(self.rng, self._home_weights)]
 
     def _pick_mix_class(self):
         """Draw a mix class (or None for a homogeneous workload)."""
@@ -225,14 +269,14 @@ class WorkloadGenerator:
         return Transaction(ops=ops, home_site=self._pick_home())
 
     # -- execution -----------------------------------------------------------
-    def run(self):
+    def run(self) -> Process:
         """Start the workload; returns a process that ends when all done."""
         if self.spec.arrival == "closed":
             return self.sim.process(self._closed_loop(), name="wlg:closed")
         return self.sim.process(self._open_loop(), name="wlg:open")
 
     def _open_loop(self):
-        trackers = []
+        self._unfinished = self.spec.n_transactions
         for _index in range(self.spec.n_transactions):
             if self.spec.arrival == "poisson":
                 gap = self.rng.expovariate(self.spec.arrival_rate)
@@ -240,37 +284,26 @@ class WorkloadGenerator:
                 gap = 1.0 / self.spec.arrival_rate
             yield self.sim.timeout(gap)
             txn = self.make_transaction()
-            trackers.append(
-                self.sim.process(
-                    self._submitter.submit_tracked(txn), name=f"wlg:t{txn.txn_id}"
-                )
-            )
-        if trackers:
-            yield self.sim.all_of(trackers)
-        return self.outcomes
+            self._start(self.submit_tracked(txn), f"wlg:t{txn.txn_id}")
+        return (yield from self._join())
 
     def _closed_loop(self):
         total = self.spec.n_transactions
-        mpl = min(self.spec.mpl, max(total, 1))
-        quotas = [total // mpl + (1 if index < total % mpl else 0) for index in range(mpl)]
-        terminals = [
-            self.sim.process(self._terminal(quota), name=f"wlg:term{index}")
-            for index, quota in enumerate(quotas)
-            if quota > 0
-        ]
-        if terminals:
-            yield self.sim.all_of(terminals)
-        return self.outcomes
+        mpl = self._unfinished = min(self.spec.mpl, total)
+        for index in range(mpl):
+            quota = total // mpl + (1 if index < total % mpl else 0)
+            self._start(self._terminal(quota), f"wlg:term{index}")
+        return (yield from self._join())
 
     def _terminal(self, quota: int):
         for _index in range(quota):
             txn = self.make_transaction()
-            yield from self._submitter.submit_tracked(txn)
+            yield from self.submit_tracked(txn)
             if self.spec.think_time > 0:
                 yield self.sim.timeout(self.spec.think_time)
 
 
-class ManualWorkload:
+class ManualWorkload(_Client):
     """Manual workload generation: submit hand-composed transactions.
 
     This is the programmatic face of the paper's Manual Workload Generation
@@ -283,42 +316,28 @@ class ManualWorkload:
         sim: Simulator,
         network: Network,
         directory: dict[str, str],
-        monitor=None,
+        monitor,
         spec: Optional[WorkloadSpec] = None,
         host: str = "wlg-host",
         name: str = "wlg-manual",
     ):
-        self.sim = sim
-        self.endpoint = network.endpoint(host, name)
-        self._submitter = _Submitter(
-            sim, self.endpoint, directory, monitor, spec or WorkloadSpec()
-        )
+        super().__init__(sim, network, directory, monitor, spec or WorkloadSpec(), host, name)
         self._queue: list[tuple[float, Transaction]] = []
-
-    @property
-    def outcomes(self) -> list[SubmissionOutcome]:
-        """Outcomes of the submitted transactions, in completion order."""
-        return self._submitter.outcomes
 
     def add(self, txn: Transaction, at: float = 0.0) -> "ManualWorkload":
         """Queue ``txn`` for submission at simulated time ``at`` (chainable)."""
         self._queue.append((at, txn))
         return self
 
-    def run(self):
+    def run(self) -> Process:
         """Dispatch the queued transactions; process ends when all finish."""
         return self.sim.process(self._dispatch(), name="wlg:manual")
 
     def _dispatch(self):
-        trackers = []
-        for at, txn in sorted(self._queue, key=lambda pair: pair[0]):
+        queue = sorted(self._queue, key=lambda pair: pair[0])
+        self._unfinished = len(queue)
+        for at, txn in queue:
             if at > self.sim.now:
                 yield self.sim.timeout(at - self.sim.now)
-            trackers.append(
-                self.sim.process(
-                    self._submitter.submit_tracked(txn), name=f"wlg:m{txn.txn_id}"
-                )
-            )
-        if trackers:
-            yield self.sim.all_of(trackers)
-        return self.outcomes
+            self._start(self.submit_tracked(txn), f"wlg:m{txn.txn_id}")
+        return (yield from self._join())

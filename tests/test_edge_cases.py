@@ -151,7 +151,7 @@ class TestWorkloadOdds:
         spec = WorkloadSpec(min_ops=3, max_ops=3)
         generator = WorkloadGenerator(
             instance.sim, instance.network, instance.directory, instance.catalog,
-            spec, random.Random(0), name="wlg-eq",
+            spec, random.Random(0), monitor=instance.monitor, name="wlg-eq",
         )
         assert all(len(generator.make_transaction().ops) <= 3 for _ in range(10))
 
@@ -197,10 +197,11 @@ class TestPanelsOdds:
 class TestCliOdds:
     def test_experiment_matrix_via_cli(self, capsys, monkeypatch):
         from repro import cli
+        from repro.experiments import load_balance, protocol_matrix
 
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "matrix",
-            lambda: cli.EXPERIMENTS["lb"](n_txns=10),
+        # The CLI imports the experiment's module and calls its ``run``.
+        monkeypatch.setattr(
+            protocol_matrix, "run", lambda: load_balance.run(n_txns=10)
         )
         assert cli.main(["experiment", "matrix"]) == 0
         assert "EXP-LB" in capsys.readouterr().out

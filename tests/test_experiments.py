@@ -109,10 +109,10 @@ def _markdown_rows(table: ExperimentTable) -> str:
 
 @pytest.mark.parametrize(
     "experiment",
-    [ablation, acp_blocking, load_balance],
-    ids=["ablation", "acp_blocking", "load_balance"],
+    [ablation, acp_blocking, load_balance, scalability],
+    ids=["ablation", "acp_blocking", "load_balance", "scalability"],
 )
 def test_ablation_table_matches_experiments_md(experiment):
-    """EXP-ABL, EXP-ACP and EXP-LB in EXPERIMENTS.md are ``repro experiment abl/acp/lb`` output."""
+    """EXP-ABL, -ACP, -LB and -SCALE in EXPERIMENTS.md are ``repro experiment`` output."""
     document = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
     assert _markdown_rows(experiment.run()) in document

@@ -160,7 +160,7 @@ class TestWorkloadIncrements:
         spec = WorkloadSpec(read_fraction=0.0, increment_fraction=1.0)
         generator = WorkloadGenerator(
             instance.sim, instance.network, instance.directory, instance.catalog,
-            spec, random.Random(0), name="wlg-inc",
+            spec, random.Random(0), monitor=instance.monitor, name="wlg-inc",
         )
         txn = generator.make_transaction()
         assert all(op.kind == OpKind.INCREMENT for op in txn.ops)

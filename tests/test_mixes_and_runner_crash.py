@@ -16,7 +16,7 @@ from tests.conftest import quick_instance
 def make_generator(instance, spec, seed=0):
     return WorkloadGenerator(
         instance.sim, instance.network, instance.directory, instance.catalog,
-        spec, random.Random(seed), name=f"wlg-mix{seed}",
+        spec, random.Random(seed), monitor=instance.monitor, name=f"wlg-mix{seed}",
     )
 
 

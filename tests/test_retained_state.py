@@ -20,7 +20,9 @@ import pytest
 
 from repro.experiments.common import build_instance
 from repro.obs.spans import SpanRef
+from repro.sim.kernel import Process
 from repro.site.wal import LogRecord
+from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import record_wal_appends
 
@@ -189,3 +191,23 @@ def test_tracer_holds_no_tracked_object_per_span():
     assert with_spans - untraced < 0.05 * spans, (
         f"{with_spans - untraced} more tracked objects for {spans} spans"
     )
+
+
+def test_finished_submissions_are_freed_mid_session():
+    """The WLG keeps no finished submission's process until the session ends."""
+    instance = build_instance(4, 32, 3, seed=5)
+    instance.start()
+    generator = WorkloadGenerator(
+        instance.sim, instance.network, instance.directory, instance.catalog,
+        replace(_SPEC, n_transactions=200), instance.streams.get("workload-1"),
+        instance.monitor,
+    )
+    workload = generator.run()
+    instance.sim.run(until=200.0)  # about half of the 200 arrivals at rate 0.5
+    assert workload.is_alive
+    assert 50 < len(generator.outcomes) < 200
+    kept = [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, Process) and obj.name.startswith("wlg:t") and not obj.is_alive
+    ]
+    assert kept == []

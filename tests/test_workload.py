@@ -202,7 +202,7 @@ class TestSynthesis:
         with pytest.raises(WorkloadError):
             WorkloadGenerator(
                 instance.sim, instance.network, {}, instance.catalog,
-                WorkloadSpec(), random.Random(0), name="bad1",
+                WorkloadSpec(), random.Random(0), monitor=instance.monitor, name="bad1",
             )
 
     def test_empty_catalog_rejected(self):
@@ -210,8 +210,23 @@ class TestSynthesis:
         with pytest.raises(WorkloadError):
             WorkloadGenerator(
                 instance.sim, instance.network, instance.directory, Catalog(),
-                WorkloadSpec(), random.Random(0), name="bad2",
+                WorkloadSpec(), random.Random(0), monitor=instance.monitor, name="bad2",
             )
+
+    @pytest.mark.parametrize(
+        "weights,named",
+        [
+            ({"ghost": 1.0}, "ghost"),
+            ({"site1": 0.0, "site2": 0.0}, "site1"),
+            ({"site1": -1.0, "site2": 2.0}, "site1"),
+        ],
+        ids=["unknown-site", "all-zero", "negative"],
+    )
+    def test_bad_home_weights_rejected_at_construction(self, weights, named):
+        instance = quick_instance()
+        spec = WorkloadSpec(home_policy="weighted", home_weights=weights)
+        with pytest.raises(WorkloadError, match=named):
+            self._generator(instance, spec)
 
 
 class TestExecutionModes:
@@ -257,6 +272,25 @@ class TestExecutionModes:
         attempts = [outcome.attempts for outcome in result.outcomes]
         assert max(attempts) > 1  # at least one restart happened
         assert len(result.outcomes) == 12
+
+    @pytest.mark.parametrize("arrival", ["poisson", "closed"])
+    def test_a_raising_submission_fails_the_session(self, arrival, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        submit_once = WorkloadGenerator._submit_once
+        submissions = iter(range(1000))
+
+        def third_raises(self, txn):
+            if next(submissions) == 2:
+                raise Boom(f"T{txn.txn_id}")
+            return (yield from submit_once(self, txn))
+
+        monkeypatch.setattr(WorkloadGenerator, "_submit_once", third_raises)
+        instance = quick_instance(n_items=32, settle_time=30)
+        spec = WorkloadSpec(n_transactions=8, arrival=arrival, mpl=3)
+        with pytest.raises(Boom):
+            instance.run_workload(spec)
 
     def test_outcomes_track_status_and_template(self):
         instance = quick_instance(n_items=32, settle_time=30)
