@@ -262,7 +262,7 @@ class RainbowInstance:
         """Run ``client``'s workload to its end, settle, and collect."""
         self.sim.run(until=client.run())
         self._settle()
-        return self.session_result(client.outcomes)
+        return self.session_result(client.outcome_rows)
 
     def submit(self, txn: Transaction) -> Process:
         """Directly start ``txn`` at its home site (library/testing path).
@@ -286,23 +286,25 @@ class RainbowInstance:
         if processes:
             self.sim.run(until=self.sim.all_of(processes))
         self._settle()
-        return self.session_result([])
+        return self.session_result()
 
     def _settle(self) -> None:
         if self.config.settle_time > 0:
             self.sim.run(until=self.sim.now + self.config.settle_time)
 
     # -- results ---------------------------------------------------------------------
-    def session_result(
-        self, outcomes: Optional[list[SubmissionOutcome]] = None
-    ) -> SessionResult:
-        """Package the monitor's view of the session so far."""
+    def session_result(self, outcomes: Iterable[tuple] = ()) -> SessionResult:
+        """Package the monitor's view of the session so far.
+
+        ``outcomes`` are the WLG's outcome rows or :class:`SubmissionOutcome`
+        views; the result's views are built after the 1SR check.
+        """
         serializable, order_or_cycle = self.monitor.check_serializable()
         witness = order_or_cycle if serializable else None
         cycle = None if serializable else order_or_cycle
         return SessionResult(
             statistics=self.monitor.output_statistics(),
-            outcomes=list(outcomes or []),
+            outcomes=list(map(SubmissionOutcome._make, outcomes)),
             serializable=serializable,
             serialization_witness=witness,
             serialization_cycle=cycle,

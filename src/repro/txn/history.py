@@ -17,24 +17,39 @@ one-copy execution (view serializability over the version order).  With
 correct RCP+CCP+ACP implementations the check always passes — which makes
 it the central *property test* of the whole stack: any protocol bug that
 lets a non-serializable interleaving commit trips the cycle detector.
+
+The check runs at the end of every session over the whole history, so
+neither side of it is made of per-transaction objects.  The recorder keeps
+each footprint as one flat tuple of atomics, ``(txn_id, committed_at,
+n_reads, item, version, item, version, …)`` with the reads first, which
+the garbage collector stops tracking.  The graph numbers its nodes by
+position in the ascending transaction ids and keeps its edges as integer
+arrays, compacted once into per-node runs of ascending, distinct
+successors; the DFS colours live in a ``bytearray``.  Its memory grows
+with the number of edges, not with Python objects per transaction.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple, Optional
+from heapq import heappop, heappush
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional
 
 __all__ = ["CommittedTxn", "HistoryRecorder", "SerializationGraph"]
 
 _INITIAL_WRITER = 0  # pseudo-transaction that wrote version 0 of everything
+_WHITE, _GREY, _BLACK = 0, 1, 2
 
 
 class CommittedTxn(NamedTuple):
     """The version footprint of one committed transaction.
 
     ``reads`` and ``writes`` are tuples of ``(item, version)`` pairs.  The
-    recorder stores each footprint as a plain tuple of atomics, which the
-    garbage collector stops tracking; this named view is built on demand.
+    recorder stores each footprint as one flat tuple of atomics; this named
+    view is built on demand.
     """
 
     txn_id: int
@@ -43,58 +58,144 @@ class CommittedTxn(NamedTuple):
     committed_at: float = 0.0
 
 
-class SerializationGraph:
-    """Conflict graph over committed transactions with cycle detection."""
+def _zeros(n: int) -> array:
+    return array("i", bytes(4 * n))
 
-    def __init__(self):
-        self.edges: dict[int, set[int]] = {}
-        self.nodes: set[int] = set()
+
+class SerializationGraph:
+    """Conflict graph over committed transactions with cycle detection.
+
+    Node ``u`` is the ``u``-th smallest transaction id in ``_ids``; its
+    successors are ``_targets[_offsets[u]:_offsets[u + 1]]``, ascending and
+    distinct (compressed sparse rows).  :meth:`add_node` and
+    :meth:`add_edge` collect additions that the next query merges in.
+    """
+
+    def __init__(
+        self,
+        ids: Iterable[int] = (),
+        offsets: Optional[array] = None,
+        targets: Optional[array] = None,
+    ):
+        """``offsets``/``targets``: the rows of the ascending ``ids``, as
+        ``array("i")`` (kept, not copied)."""
+        self._ids = list(ids)
+        self._offsets = array("i", [0]) if offsets is None else offsets
+        self._targets = array("i") if targets is None else targets
+        self._added_nodes: list[int] = []
+        self._added_edges: list[tuple[int, int]] = []
 
     def add_node(self, txn: int) -> None:
-        self.nodes.add(txn)
-        self.edges.setdefault(txn, set())
+        self._added_nodes.append(txn)
 
     def add_edge(self, before: int, after: int) -> None:
         """Record that ``before`` must serialize before ``after``."""
-        if before == after:
-            return
-        self.add_node(before)
-        self.add_node(after)
-        self.edges[before].add(after)
+        if before != after:
+            self._added_edges.append((before, after))
 
+    def _adjacency(self) -> tuple[list[int], array, array]:
+        """``(ids, offsets, targets)``, with the additions merged in."""
+        if self._added_nodes or self._added_edges:
+            self._merge()
+        return self._ids, self._offsets, self._targets
+
+    def _merge(self) -> None:
+        ids, offsets, targets = self._ids, self._offsets, self._targets
+        successors = {
+            txn: {ids[target] for target in targets[offsets[node] : offsets[node + 1]]}
+            for node, txn in enumerate(ids)
+        }
+        for txn in self._added_nodes:
+            successors.setdefault(txn, set())
+        for before, after in self._added_edges:
+            successors.setdefault(before, set()).add(after)
+            successors.setdefault(after, set())
+        self._added_nodes, self._added_edges = [], []
+        self._ids = sorted(successors)
+        position = {txn: node for node, txn in enumerate(self._ids)}
+        self._offsets, self._targets = array("i", [0]), array("i")
+        for txn in self._ids:
+            self._targets.extend(sorted(position[after] for after in successors[txn]))
+            self._offsets.append(len(self._targets))
+
+    # -- views -------------------------------------------------------------------
+    @property
+    def nodes(self) -> frozenset[int]:
+        """The transaction ids in the graph."""
+        return frozenset(self._adjacency()[0])
+
+    @property
+    def edges(self) -> dict[int, tuple[int, ...]]:
+        """Each node's successors, ascending (a fresh dict, ascending keys)."""
+        ids, offsets, targets = self._adjacency()
+        return {
+            node_id: tuple(ids[target] for target in targets[offsets[node] : offsets[node + 1]])
+            for node, node_id in enumerate(ids)
+        }
+
+    # -- checks ------------------------------------------------------------------
     def find_cycle(self) -> Optional[list[int]]:
-        """Return one cycle as a node list, or None if the graph is acyclic."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {node: WHITE for node in self.nodes}
-        parent: dict[int, int] = {}
+        """Return one cycle as a node list, or None if the graph is acyclic.
 
-        for root in sorted(self.nodes):
-            if colour[root] != WHITE:
+        Depth-first from each unvisited node in ascending id order, visiting
+        successors in ascending order; the first edge back to a node on the
+        path closes the cycle, which starts and ends at that node.
+        """
+        ids, offsets, targets = self._adjacency()
+        colour = bytearray(len(ids))
+        parent = _zeros(len(ids))
+        cursor = offsets[:]  # each node's next successor to visit
+        for root in range(len(ids)):
+            if colour[root] != _WHITE:
                 continue
-            stack = [(root, iter(sorted(self.edges.get(root, ()))))]
-            colour[root] = GREY
+            colour[root] = _GREY
+            stack = [root]
             while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if colour[child] == WHITE:
-                        colour[child] = GREY
+                node = stack[-1]
+                position, end = cursor[node], offsets[node + 1]
+                while position < end:
+                    child = targets[position]
+                    position += 1
+                    if colour[child] == _WHITE:
+                        colour[child] = _GREY
                         parent[child] = node
-                        stack.append((child, iter(sorted(self.edges.get(child, ())))))
-                        advanced = True
+                        stack.append(child)
                         break
-                    if colour[child] == GREY:
+                    if colour[child] == _GREY:
                         cycle = [child, node]
                         walk = node
                         while walk != child:
                             walk = parent[walk]
                             cycle.append(walk)
                         cycle.reverse()
-                        return cycle
-                if not advanced:
-                    colour[node] = BLACK
+                        return [ids[member] for member in cycle]
+                cursor[node] = position
+                if stack[-1] == node:
+                    colour[node] = _BLACK
                     stack.pop()
         return None
+
+    def topological_order(self) -> Optional[list[int]]:
+        """A serial order witnessing serializability, or None if cyclic.
+
+        Kahn's algorithm, always taking the smallest ready id.
+        """
+        ids, offsets, targets = self._adjacency()
+        in_degree = _zeros(len(ids))
+        for target in targets:
+            in_degree[target] += 1
+        ready = [node for node in range(len(ids)) if not in_degree[node]]  # a heap
+        order: list[int] = []
+        while ready:
+            node = heappop(ready)
+            order.append(ids[node])
+            for target in targets[offsets[node] : offsets[node + 1]]:
+                in_degree[target] -= 1
+                if not in_degree[target]:
+                    heappush(ready, target)
+        if len(order) != len(ids):
+            return None
+        return order
 
     def to_dot(self, highlight: Optional[list[int]] = None) -> str:
         """Graphviz DOT rendering of the serialization graph.
@@ -102,13 +203,15 @@ class SerializationGraph:
         ``highlight`` (e.g. a cycle from :meth:`find_cycle`) is drawn in
         red — handy for lab reports: ``dot -Tpng graph.dot -o graph.png``.
         """
+        ids, offsets, targets = self._adjacency()
         hot = set(highlight or [])
         lines = ["digraph serialization {", "  rankdir=LR;"]
-        for node in sorted(self.nodes):
+        for node in ids:
             style = ' [color=red, fontcolor=red]' if node in hot else ""
             lines.append(f'  "T{node}"{style};')
-        for node in sorted(self.edges):
-            for successor in sorted(self.edges[node]):
+        for index, node in enumerate(ids):
+            for target in targets[offsets[index] : offsets[index + 1]]:
+                successor = ids[target]
                 style = (
                     " [color=red]" if node in hot and successor in hot else ""
                 )
@@ -116,29 +219,17 @@ class SerializationGraph:
         lines.append("}")
         return "\n".join(lines)
 
-    def topological_order(self) -> Optional[list[int]]:
-        """A serial order witnessing serializability, or None if cyclic."""
-        in_degree = {node: 0 for node in self.nodes}
-        for node, successors in self.edges.items():
-            for successor in successors:
-                in_degree[successor] += 1
-        ready = sorted(node for node, degree in in_degree.items() if degree == 0)
-        order: list[int] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            for successor in sorted(self.edges.get(node, ())):
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    ready.append(successor)
-            ready.sort()
-        if len(order) != len(self.nodes):
-            return None
-        return order
+
+def _pairs(row: tuple, start: int, end: int) -> tuple[tuple, ...]:
+    return tuple(zip(row[start:end:2], row[start + 1 : end : 2]))
 
 
 class HistoryRecorder:
-    """Collects the committed global history of a Rainbow session."""
+    """Collects the committed global history of a Rainbow session.
+
+    Each footprint is one row ``(txn_id, committed_at, n_reads, item,
+    version, …)``: ``n_reads`` read pairs, then the write pairs.
+    """
 
     def __init__(self):
         self._committed: list[tuple] = []
@@ -152,13 +243,19 @@ class HistoryRecorder:
     ) -> None:
         """Record the version footprint of a committed transaction."""
         self._committed.append(
-            (txn_id, tuple(reads.items()), tuple(writes.items()), committed_at)
+            (txn_id, committed_at, len(reads), *chain(*reads.items(), *writes.items()))
         )
 
     @property
     def committed(self) -> list[CommittedTxn]:
         """The committed footprints in commit order (a fresh list of views)."""
-        return list(map(CommittedTxn._make, self._committed))
+        views = []
+        for row in self._committed:
+            split = 3 + 2 * row[2]
+            views.append(
+                CommittedTxn(row[0], _pairs(row, 3, split), _pairs(row, split, len(row)), row[1])
+            )
+        return views
 
     def __len__(self) -> int:
         return len(self._committed)
@@ -166,46 +263,83 @@ class HistoryRecorder:
     # -- graph construction ----------------------------------------------------
     def build_graph(self) -> SerializationGraph:
         """Build the wr/ww/rw conflict graph of the committed history."""
-        graph = SerializationGraph()
-        writers: dict[str, list[tuple[float, int]]] = {}
-        readers: dict[str, list[tuple[float, int]]] = {}
+        rows = sorted(self._committed, key=itemgetter(0))
+        ids: list[int] = []
+        # item -> (versions, nodes) of its readers and of its writers
+        readers: dict[str, tuple[list, array]] = {}
+        writers: dict[str, tuple[list, array]] = {}
+        for node, (txn_id, footprints) in enumerate(groupby(rows, itemgetter(0))):
+            ids.append(txn_id)
+            for row in footprints:
+                split = 3 + 2 * row[2]
+                for table, start, end in ((readers, 3, split), (writers, split, len(row))):
+                    for item, version in zip(row[start:end:2], row[start + 1 : end : 2]):
+                        entry = table.get(item) or table.setdefault(item, ([], array("i")))
+                        entry[0].append(version)
+                        entry[1].append(node)
+        for table in (readers, writers):
+            for item, (versions, nodes) in table.items():
+                # Ascending versions, ties in node order: the ww chain keeps
+                # duplicate-version writers (NOCC) in transaction order.
+                order = sorted(range(len(versions)), key=versions.__getitem__)
+                table[item] = (
+                    [versions[index] for index in order],
+                    array("i", [nodes[index] for index in order]),
+                )
 
-        for txn_id, reads, writes, _at in self._committed:
-            graph.add_node(txn_id)
-            for item, version in writes:
-                writers.setdefault(item, []).append((version, txn_id))
-            for item, version in reads:
-                readers.setdefault(item, []).append((version, txn_id))
-
-        for item, write_list in writers.items():
-            write_list.sort()
-            # ww edges along the version chain
-            for (v1, t1), (v2, t2) in zip(write_list, write_list[1:]):
-                graph.add_edge(t1, t2)
-
-        for item, read_list in readers.items():
-            write_list = writers.get(item, [])  # sorted above
-            versions = [v for v, _txn in write_list]
-            for version_read, reader in read_list:
-                # wr edge: the writer of the version read comes first
-                # (version 0, the initial state, has none).
-                index = bisect_left(versions, version_read)
-                if index < len(versions) and versions[index] == version_read:
-                    graph.add_edge(write_list[index][1], reader)
-                # rw edge: the reader precedes the next overwrite.
-                index = bisect_right(versions, version_read, index)
-                if index < len(versions):
-                    graph.add_edge(reader, write_list[index][1])
-        return graph
+        offsets, targets = array("i", [0]), array("i")
+        none = ((), ())
+        for node, (_txn_id, footprints) in enumerate(groupby(rows, itemgetter(0))):
+            successors = set()
+            for row in footprints:
+                split = 3 + 2 * row[2]
+                for item, version in zip(row[3:split:2], row[4:split:2]):
+                    # rw: the reader precedes the next overwrite.
+                    versions, nodes = writers.get(item, none)
+                    at = bisect_right(versions, version)
+                    if at < len(nodes):
+                        successors.add(nodes[at])
+                for item, version in zip(row[split::2], row[split + 1 :: 2]):
+                    versions, nodes = writers[item]
+                    at = first = bisect_left(versions, version)
+                    while nodes[at] != node:
+                        at += 1
+                    if at == first:
+                        # wr: the (first) writer of a version precedes its
+                        # readers; version 0, the initial state, has none.
+                        read_versions, read_nodes = readers.get(item, none)
+                        low = bisect_left(read_versions, version)
+                        successors.update(
+                            read_nodes[low : bisect_right(read_versions, version, low)]
+                        )
+                    # ww: the writer precedes the next writer in the chain.
+                    while at < len(nodes) and nodes[at] == node:
+                        at += 1
+                    if at < len(nodes):
+                        successors.add(nodes[at])
+            successors.discard(node)
+            targets.extend(sorted(successors))
+            offsets.append(len(targets))
+        return SerializationGraph(ids, offsets, targets)
 
     # -- checks -----------------------------------------------------------------
     def check_serializable(self) -> tuple[bool, Optional[list[int]]]:
-        """``(True, serial_order)`` if 1SR holds, else ``(False, cycle)``."""
+        """``(True, serial_order)`` if 1SR holds, else ``(False, cycle)``.
+
+        A graph with a serial order has no cycle, so the cycle search runs
+        only when there is none.
+        """
         graph = self.build_graph()
-        cycle = graph.find_cycle()
-        if cycle is not None:
-            return False, cycle
-        return True, graph.topological_order()
+        order = graph.topological_order()
+        if order is not None:
+            return True, order
+        return False, graph.find_cycle()
+
+    def _writes(self):
+        """``(txn_id, item, version)`` for every committed write, in order."""
+        for row in self._committed:
+            for index in range(3 + 2 * row[2], len(row), 2):
+                yield row[0], row[index], row[index + 1]
 
     def version_collisions(self) -> list[str]:
         """Detect two committed writers installing the same version.
@@ -217,15 +351,12 @@ class HistoryRecorder:
         """
         seen: dict[tuple[str, float], int] = {}
         problems = []
-        for txn_id, _reads, writes, _at in self._committed:
-            for key in writes:
-                if key in seen:
-                    item, version = key
-                    problems.append(
-                        f"{item}@{version} written by both T{seen[key]} and T{txn_id}"
-                    )
-                else:
-                    seen[key] = txn_id
+        for txn_id, item, version in self._writes():
+            key = (item, version)
+            if key in seen:
+                problems.append(f"{item}@{version} written by both T{seen[key]} and T{txn_id}")
+            else:
+                seen[key] = txn_id
         return problems
 
     def reads_see_committed_versions(self) -> list[str]:
@@ -234,14 +365,14 @@ class HistoryRecorder:
         Returns a list of violation descriptions (empty when clean).
         """
         written: dict[str, set[float]] = {}
-        for _txn_id, _reads, writes, _at in self._committed:
-            for item, version in writes:
-                written.setdefault(item, set()).add(version)
+        for _txn_id, item, version in self._writes():
+            written.setdefault(item, set()).add(version)
         problems = []
-        for txn_id, reads, _writes, _at in self._committed:
-            for item, version in reads:
-                if version != _INITIAL_WRITER and version not in written.get(item, set()):
+        for row in self._committed:
+            for index in range(3, 3 + 2 * row[2], 2):
+                item, version = row[index], row[index + 1]
+                if version != _INITIAL_WRITER and version not in written.get(item, ()):
                     problems.append(
-                        f"T{txn_id} read {item}@{version} which no committed txn wrote"
+                        f"T{row[0]} read {item}@{version} which no committed txn wrote"
                     )
         return problems

@@ -8,9 +8,10 @@ middle tier) and sends each transaction to its home site as one
 ``submit_txn`` also calls); the site dedicates a coordinator process to it
 and answers with ``TXN_RESULT``.  Each submission runs as its own process,
 restarting an aborted transaction if the spec says so, and ends with one
-:class:`SubmissionOutcome` row.  A session waits on a count of finished
-submissions, so a finished submission's process is freed at once; the
-first submission that raises ends the session with that exception.
+outcome row, a plain tuple read through :class:`SubmissionOutcome`.  A
+session waits on a count of finished submissions, so a finished
+submission's process is freed at once; the first submission that raises
+ends the session with that exception.
 
 *Simulated mode* (:class:`WorkloadGenerator`) synthesises transactions
 from a :class:`WorkloadSpec` (arrival process, size, read/write mix, access
@@ -38,7 +39,11 @@ __all__ = ["WorkloadGenerator", "ManualWorkload", "SubmissionOutcome", "submit_r
 
 
 class SubmissionOutcome(NamedTuple):
-    """What the WLG learned about one submitted transaction."""
+    """What the WLG learned about one submitted transaction.
+
+    The client keeps each outcome as a plain tuple of atomics, which the
+    garbage collector stops tracking; this named view is built on demand.
+    """
 
     txn_id: int
     template_id: int
@@ -78,7 +83,7 @@ class _Client:
         self.directory = directory
         self.monitor = monitor
         self.spec = spec
-        self.outcomes: list[SubmissionOutcome] = []
+        self.outcome_rows: list[tuple] = []  # SubmissionOutcome fields, as plain tuples
         # A run sets the number of submissions it will start; the join
         # fires when that many have finished.
         self._unfinished = 0
@@ -96,11 +101,16 @@ class _Client:
                 and attempts <= self.spec.max_restarts
             )
             if not restartable:
-                outcome = SubmissionOutcome(txn.txn_id, txn.template_id, status, cause, attempts)
-                self.outcomes.append(outcome)
-                return outcome
+                outcome = (txn.txn_id, txn.template_id, status, cause, attempts)
+                self.outcome_rows.append(outcome)
+                return SubmissionOutcome._make(outcome)
             yield self.sim.timeout(self.spec.restart_delay)
             txn = txn.restarted()
+
+    @property
+    def outcomes(self) -> list[SubmissionOutcome]:
+        """Finished submissions in finishing order (a fresh list of views)."""
+        return list(map(SubmissionOutcome._make, self.outcome_rows))
 
     def _submit_once(self, txn: Transaction):
         try:
@@ -139,7 +149,6 @@ class _Client:
         """
         if self._unfinished:
             yield self._joined
-        return self.outcomes
 
 
 def _home_weights(spec: WorkloadSpec, directory) -> tuple[list[str], list[float]]:
@@ -285,7 +294,7 @@ class WorkloadGenerator(_Client):
             yield self.sim.timeout(gap)
             txn = self.make_transaction()
             self._start(self.submit_tracked(txn), f"wlg:t{txn.txn_id}")
-        return (yield from self._join())
+        yield from self._join()
 
     def _closed_loop(self):
         total = self.spec.n_transactions
@@ -293,7 +302,7 @@ class WorkloadGenerator(_Client):
         for index in range(mpl):
             quota = total // mpl + (1 if index < total % mpl else 0)
             self._start(self._terminal(quota), f"wlg:term{index}")
-        return (yield from self._join())
+        yield from self._join()
 
     def _terminal(self, quota: int):
         for _index in range(quota):
@@ -340,4 +349,4 @@ class ManualWorkload(_Client):
             if at > self.sim.now:
                 yield self.sim.timeout(at - self.sim.now)
             self._start(self.submit_tracked(txn), f"wlg:m{txn.txn_id}")
-        return (yield from self._join())
+        yield from self._join()

@@ -1,8 +1,16 @@
 """Tests for what the WAL keeps past a decision, and the DOT graph exports."""
 
+import hashlib
+
+from repro.experiments import session
 from repro.site.locks import LockManager, LockMode
 from repro.site.wal import WriteAheadLog
 from repro.txn.history import HistoryRecorder, SerializationGraph
+from repro.txn.transaction import txn_id_scope
+
+#: sha256 of the serialization graph's DOT text for the seeded 300-txn
+#: quickstart session below (198 committed transactions, 1069 edges).
+SESSION_DOT_SHA256 = "78f826076b22da015ecb37c32b7a59d909d600bc3d0c7745694dd7850bede680"
 
 
 class TestWalCheckpoint:
@@ -91,6 +99,14 @@ class TestDotExports:
         recorder.record_commit(2, reads={"x": 1}, writes={})
         dot = recorder.build_graph().to_dot()
         assert '"T1" -> "T2"' in dot
+
+    def test_session_graph_dot_is_pinned(self):
+        """The lab's export of a whole session's graph keeps its exact text."""
+        with txn_id_scope():
+            _result, _panel, instance = session.run(n_txns=300)
+        dot = instance.monitor.history.build_graph().to_dot()
+        assert dot.count(" -> ") == 1069
+        assert hashlib.sha256(dot.encode()).hexdigest() == SESSION_DOT_SHA256
 
     def test_wait_for_graph_dot(self, sim):
         locks = LockManager(sim, wait_timeout=None)

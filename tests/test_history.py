@@ -36,6 +36,91 @@ def _linear_scan_graph(recorder: HistoryRecorder) -> SerializationGraph:
 _footprint = st.dictionaries(st.sampled_from("xyz"), st.integers(0, 6), max_size=3)
 
 
+def _oracle_check(history) -> tuple[bool, list[int]]:
+    """The 1SR verdict by the textbook rules over a dict-of-sets graph.
+
+    ``history`` is a list of ``(txn_id, reads, writes)``.  The cycle comes
+    from a DFS over ascending roots and ascending children, closed by the
+    first edge back to the path; the witness is Kahn's order taking the
+    smallest ready transaction.
+    """
+    successors: dict[int, set[int]] = {}
+    writers: dict[str, list] = {}
+    for txn_id, _reads, writes in history:
+        successors.setdefault(txn_id, set())
+        for item, version in writes.items():
+            writers.setdefault(item, []).append((version, txn_id))
+
+    def edge(before, after):
+        if before != after:
+            successors[before].add(after)
+
+    for chain in writers.values():
+        chain.sort()
+        for (_v1, before), (_v2, after) in zip(chain, chain[1:]):
+            edge(before, after)
+    for txn_id, reads, _writes in history:
+        for item, version in reads.items():
+            chain = writers.get(item, [])
+            writer = next((t for v, t in chain if v == version), None)
+            if writer is not None:
+                edge(writer, txn_id)
+            overwriter = next((t for v, t in chain if v > version), None)
+            if overwriter is not None:
+                edge(txn_id, overwriter)
+
+    colour = dict.fromkeys(successors, "white")
+    parent: dict[int, int] = {}
+
+    def visit(node):
+        colour[node] = "grey"
+        for child in sorted(successors[node]):
+            if colour[child] == "white":
+                parent[child] = node
+                cycle = visit(child)
+                if cycle:
+                    return cycle
+            elif colour[child] == "grey":
+                path = [node]
+                while path[-1] != child:
+                    path.append(parent[path[-1]])
+                return path[::-1] + [child]
+        colour[node] = "black"
+        return None
+
+    for root in sorted(successors):
+        if colour[root] == "white":
+            cycle = visit(root)
+            if cycle:
+                return False, cycle
+    in_degree = dict.fromkeys(successors, 0)
+    for after in successors.values():
+        for node in after:
+            in_degree[node] += 1
+    ready = [node for node, degree in in_degree.items() if degree == 0]
+    order = []
+    while ready:
+        node = min(ready)
+        ready.remove(node)
+        order.append(node)
+        for child in successors[node]:
+            in_degree[child] -= 1
+            if in_degree[child] == 0:
+                ready.append(child)
+    return True, order
+
+
+# Integer (counter) and float (timestamp) versions, repeated across writers
+# on purpose: duplicate versions are what NOCC commits.
+_version = st.one_of(st.integers(0, 5), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.25, 3.0]))
+_accesses = st.dictionaries(st.sampled_from("wxyz"), _version, max_size=3)
+_history = st.lists(
+    st.tuples(st.integers(1, 60), _accesses, _accesses | st.just({})),  # read-only too
+    max_size=16,
+    unique_by=lambda footprint: footprint[0],
+)
+
+
 class TestSerializationGraph:
     def test_empty_graph_acyclic(self):
         graph = SerializationGraph()
@@ -192,3 +277,28 @@ class TestGraphMatchesLinearScan:
         reference = _linear_scan_graph(recorder)
         assert list(graph.edges.items()) == list(reference.edges.items())
         assert graph.nodes == reference.nodes
+
+
+class TestCheckMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_history)
+    def test_verdict_cycle_and_witness_match_oracle(self, history):
+        recorder = HistoryRecorder()
+        for txn_id, reads, writes in history:
+            recorder.record_commit(txn_id, reads=reads, writes=writes)
+        assert recorder.check_serializable() == _oracle_check(history)
+
+    def test_nocc_duplicate_versions_give_the_oracle_cycle(self):
+        history = [
+            (7, {"x": 0}, {"x": 1}),
+            (3, {"x": 0}, {"x": 1}),  # the same version, as NOCC commits it
+            (5, {"x": 1, "y": 0.5}, {"y": 1.5}),
+            (4, {"y": 1.5}, {}),
+        ]
+        recorder = HistoryRecorder()
+        for txn_id, reads, writes in history:
+            recorder.record_commit(txn_id, reads=reads, writes=writes)
+        ok, cycle = recorder.check_serializable()
+        assert not ok
+        assert (ok, cycle) == _oracle_check(history)
+        assert cycle[0] == cycle[-1]

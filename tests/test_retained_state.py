@@ -5,12 +5,16 @@ until its transaction is decided (and some decisions longer), so their
 representation bounds a traced session's memory.  These tests pin the
 compact forms: spans as rows of five numeric columns with no object per
 span, a tag table of (site, name, attributes) shared across rows, and
-WAL records that share their empty containers.
+WAL records that share their empty containers.  The session-end 1SR check
+runs over the whole committed history, so its transient is bounded too,
+and the history and the workload generator keep one untracked tuple of
+atomics per transaction.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import tracemalloc
 from array import array
@@ -22,6 +26,7 @@ from repro.experiments.common import build_instance
 from repro.obs.spans import SpanRef
 from repro.sim.kernel import Process
 from repro.site.wal import LogRecord
+from repro.txn.history import HistoryRecorder
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import record_wal_appends
@@ -39,6 +44,12 @@ MAX_BYTES_PER_SPAN = 48
 #: Upper bound on the ``sys.getsizeof`` bytes of the five numeric columns
 #: per row: 4 + 4 + 8 + 8 + 4 = 28 B, plus the arrays' over-allocation.
 MAX_COLUMN_BYTES_PER_ROW = 32
+
+#: Upper bound on the tracemalloc peak of ``check_serializable`` over the
+#: synthetic 3000-transaction history below.  The compact graph peaks near
+#: 0.4 MB (CPython 3.11, 64-bit); a dict-of-sets graph with one
+#: ``(version, txn)`` tuple per access peaked near 3.0 MB.
+MAX_CHECK_PEAK_BYTES = 750_000
 
 _SPEC = WorkloadSpec(
     n_transactions=40,
@@ -211,3 +222,57 @@ def test_finished_submissions_are_freed_mid_session():
         if isinstance(obj, Process) and obj.name.startswith("wlg:t") and not obj.is_alive
     ]
     assert kept == []
+
+
+def synthetic_history(n_txns: int = 3000, n_items: int = 200, seed: int = 11) -> HistoryRecorder:
+    """A serial history of ``n_txns`` transactions of 3-6 accesses, 70% reads.
+
+    Each transaction reads the current version of an item or installs the
+    next one, so the history is serializable and every read has a writer
+    or is of version 0.
+    """
+    rng = random.Random(seed)
+    names = [f"x{index}" for index in range(n_items)]
+    current = [0] * n_items
+    recorder = HistoryRecorder()
+    for txn_id in range(1, n_txns + 1):
+        reads, writes = {}, {}
+        for item in rng.sample(range(n_items), rng.randint(3, 6)):
+            if rng.random() < 0.7:
+                reads[names[item]] = current[item]
+            else:
+                current[item] += 1
+                writes[names[item]] = current[item]
+        recorder.record_commit(txn_id, reads, writes, committed_at=float(txn_id))
+    return recorder
+
+
+def test_serializability_check_peak_is_bounded():
+    recorder = synthetic_history()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ok, order = recorder.check_serializable()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and len(order) == 3000
+    assert peak <= MAX_CHECK_PEAK_BYTES, f"check peaked at {peak / 1e6:.2f} MB"
+
+
+def test_history_and_outcome_rows_are_untracked():
+    """After a collection no committed footprint or WLG outcome is GC-tracked."""
+    instance = build_instance(4, 32, 3, seed=5)
+    instance.start()
+    generator = WorkloadGenerator(
+        instance.sim, instance.network, instance.directory, instance.catalog,
+        replace(_SPEC, n_transactions=60), instance.streams.get("workload-1"),
+        instance.monitor,
+    )
+    instance.sim.run(until=generator.run())
+    rows = instance.monitor.history._committed + synthetic_history(200)._committed
+    outcomes = generator.outcome_rows
+    gc.collect()
+    assert len(rows) > 200 and len(outcomes) == 60
+    assert not any(map(gc.is_tracked, rows))
+    assert not any(map(gc.is_tracked, outcomes))
