@@ -23,9 +23,9 @@ neither side of it is made of per-transaction objects.  The recorder keeps
 each footprint as one flat tuple of atomics, ``(txn_id, committed_at,
 n_reads, item, version, item, version, …)`` with the reads first, which
 the garbage collector stops tracking.  The graph numbers its nodes by
-position in the ascending transaction ids and keeps its edges as integer
-arrays, compacted once into per-node runs of ascending, distinct
-successors; the DFS colours live in a ``bytearray``.  Its memory grows
+position in the ascending transaction ids and holds its edges in integer
+arrays, one run of ascending, distinct successors per node (compressed
+sparse rows); the DFS colours live in a ``bytearray``.  Its memory grows
 with the number of edges, not with Python objects per transaction.
 """
 
@@ -306,7 +306,8 @@ class HistoryRecorder:
                         at += 1
                     if at == first:
                         # wr: the (first) writer of a version precedes its
-                        # readers; version 0, the initial state, has none.
+                        # readers; reads of version 0, the initial state,
+                        # have no writer.
                         read_versions, read_nodes = readers.get(item, none)
                         low = bisect_left(read_versions, version)
                         successors.update(
