@@ -62,6 +62,7 @@ class ClassRecord:
     bases: tuple[str, ...]           # base names as written (dotted tail only)
     methods: frozenset[str]          # names of functions defined in the body
     has_slots: bool                  # body assigns __slots__
+    returns: dict[str, ast.expr | None] = field(default_factory=dict)  # method -> annotation
 
 
 def _base_name(expr: ast.expr) -> str | None:
@@ -98,11 +99,12 @@ class Project:
                 bases = tuple(
                     name for name in (_base_name(b) for b in node.bases) if name
                 )
-                methods = frozenset(
-                    stmt.name
+                returns = {
+                    stmt.name: stmt.returns
                     for stmt in node.body
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                )
+                }
+                methods = frozenset(returns)
                 has_slots = any(
                     isinstance(stmt, ast.Assign)
                     and any(
@@ -111,7 +113,9 @@ class Project:
                     )
                     for stmt in node.body
                 )
-                record = ClassRecord(node.name, module, node, bases, methods, has_slots)
+                record = ClassRecord(
+                    node.name, module, node, bases, methods, has_slots, returns
+                )
                 self.classes.setdefault(node.name, []).append(record)
                 self.base_names.update(bases)
             elif isinstance(node, ast.Call):
@@ -149,6 +153,28 @@ class Project:
                 continue
             yield parent
             frontier.extend(parent.bases)
+
+    def method_returns(self, class_name: str | None, method: str) -> list[ast.expr | None]:
+        """Return annotations ``method`` may have.
+
+        With a class, the nearest definition on it or a resolvable
+        ancestor (empty if none is visible); with ``None`` (the receiver's
+        class is unknown), every definition of that name in the project.
+        """
+        if class_name is None:
+            return [
+                record.returns[method]
+                for records in self.classes.values()
+                for record in records
+                if method in record.returns
+            ]
+        record = self.resolve(class_name)
+        if record is None:
+            return []
+        for candidate in (record, *self.ancestry(record)):
+            if method in candidate.returns:
+                return [candidate.returns[method]]
+        return []
 
     def descends_from(self, record: ClassRecord, root_names: Iterable[str]) -> bool:
         """True if ``record`` names any of ``root_names`` in its static MRO."""

@@ -22,7 +22,6 @@ from repro.chaos import invariants
 from repro.chaos.nemesis import ChaosPlan, FaultChunk, generate_plan, schedule_from_chunks
 from repro.experiments.common import build_instance
 from repro.monitor.tracing import ExecutionTracer, format_history
-from repro.txn.transaction import txn_id_scope
 from repro.workload.spec import WorkloadSpec
 
 __all__ = ["ChaosCaseReport", "run_chaos_case"]
@@ -153,13 +152,10 @@ def run_chaos_case(
         plan = ChaosPlan(seed=seed, chunks=list(chunks))
     instance.config.faults.schedule = plan.schedule()
 
-    # A chaos case is self-contained, so scope txn ids to it: raw ids (and
-    # with them invariant messages, histories, and traces) become a pure
-    # function of the seed, byte-identical for every -j worker placement.
-    with txn_id_scope():
-        result = instance.run_workload(
-            _chaos_workload(seed, n_transactions, arrival_rate)
-        )
+    # The instance numbers its own transactions, so raw ids (and with them
+    # invariant messages, histories, and traces) are a pure function of the
+    # seed, byte-identical for every -j worker placement.
+    result = instance.run_workload(_chaos_workload(seed, n_transactions, arrival_rate))
 
     # Heal phase: undo every fault category, recover everything still down.
     instance.network.heal_partition()

@@ -38,8 +38,6 @@ from repro.workload.spec import WorkloadSpec
 
 __all__ = ["SessionResult", "RainbowInstance"]
 
-_wlg_counter = itertools.count(1)
-
 
 @dataclass
 class SessionResult:
@@ -128,14 +126,19 @@ class RainbowInstance:
                 }
 
         self.directory = {name: site.address for name, site in self.sites.items()}
+        # The session numbers its own transactions and sessions: ids are a
+        # function of this instance's seed, not of what else ran in the
+        # process.  The monitor stamps every submission from ``txn_ids``.
+        self.txn_ids = itertools.count(1)
+        self._session_counter = itertools.count(1)
         self.monitor = ProgressMonitor(
             self.sim,
             self.network,
             sites=self.sites.values(),
             sample_interval=config.sample_interval,
+            txn_ids=self.txn_ids,
         )
         self._started = False
-        self._session_counter = itertools.count(1)
         self.span_tracer = None
         # ``repro experiment --trace``: sweeps build their instances deep
         # inside experiment modules, so a process-global flag tells every
@@ -251,7 +254,7 @@ class RainbowInstance:
             self.network,
             self.directory,
             monitor=self.monitor,
-            name=f"wlg-manual{next(_wlg_counter)}",
+            name=f"wlg-manual{next(self._session_counter)}",
         )
 
     def run_manual(self, manual: ManualWorkload) -> SessionResult:
@@ -268,7 +271,8 @@ class RainbowInstance:
         """Directly start ``txn`` at its home site (library/testing path).
 
         Bypasses the WLG messages; the returned process ends with the
-        transaction's coordinator.
+        transaction's coordinator.  A transaction without an id gets the
+        session's next one here.
         """
         self.start()
         try:

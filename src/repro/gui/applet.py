@@ -17,7 +17,6 @@ the simulator until the reply arrives (for scripts and notebooks).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from repro.errors import AuthorizationError, NetworkError, RpcTimeout, WebTierError
@@ -26,8 +25,6 @@ from repro.web.requests import WebRequest, WebResponse
 from repro.web.tier import RainbowWebTier
 
 __all__ = ["GuiApplet", "rainbow_url"]
-
-_applet_counter = itertools.count(1)
 
 
 def rainbow_url(home_host: str, port: int = 8080) -> str:
@@ -45,7 +42,7 @@ class GuiApplet:
         self.home_address = tier.home_address
         self.url = rainbow_url(tier.home_host)
         self.endpoint = tier.instance.network.endpoint(
-            user_host, f"applet{next(_applet_counter)}"
+            user_host, f"applet{next(tier.applet_numbers)}"
         )
         self.token: Optional[str] = None
         self.role: Optional[str] = None

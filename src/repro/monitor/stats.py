@@ -18,11 +18,12 @@ sessions can plot progress over simulated time (the GUI's Display menu).
 
 from __future__ import annotations
 
+import itertools
 import statistics as stats_lib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -199,10 +200,15 @@ class ProgressMonitor:
         network: Network,
         sites=None,
         sample_interval: Optional[float] = None,
+        txn_ids: Optional[Iterator[int]] = None,
     ):
         self.sim = sim
         self.network = network
         self.sites = list(sites or [])
+        # The session's transaction ids (the instance hands over its own
+        # counter); every submission path stamps from it.  A monitor built
+        # alone numbers from 1.
+        self.txn_ids = itertools.count(1) if txn_ids is None else txn_ids
         self.history = HistoryRecorder()
         self._records: list[tuple] = []  # TxnRecord fields, as plain tuples
         self.submitted = 0
@@ -246,7 +252,11 @@ class ProgressMonitor:
 
     # -- event intake ---------------------------------------------------------
     def txn_submitted(self, txn: Transaction) -> None:
-        """A transaction entered the system (workload generator event)."""
+        """A transaction entered the system (workload generator event).
+
+        Stamps a transaction that has no id yet with the session's next.
+        """
+        txn.stamp(self.txn_ids)
         self.submitted += 1
         txn.submitted_at = self.sim.now
         self._txn_messages.setdefault(txn.txn_id, 0)

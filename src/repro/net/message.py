@@ -10,15 +10,12 @@ requests and count round trips.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.obs.spans import SpanRef
 
 __all__ = ["Message", "MessageType"]
-
-_message_ids = itertools.count(1)
 
 
 class MessageType:
@@ -97,7 +94,7 @@ class Message:
     reply_to: Optional[int] = None
     txn_id: Optional[int] = None
     size: int = 1
-    msg_id: int = field(default_factory=_message_ids.__next__)
+    msg_id: int = 0  # numbered by the network that sends it
     sent_at: float = 0.0
     # Causal trace context: a handle to the sender's active span, so the
     # network and the receiving site can parent their spans under the

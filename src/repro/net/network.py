@@ -214,12 +214,14 @@ class Endpoint:
 
 
 class Network:
-    """Simulated message-passing network with latency, partitions and loss."""
+    """Simulated message-passing network with latency, partitions and loss.
 
-    #: Counter decorrelating the default RNGs of networks built without an
-    #: explicit ``rng``/``seed``: every instantiation draws a fresh seed, so
-    #: two networks in one process never share loss/latency decisions.
-    _default_seed_counter = itertools.count()
+    A network built without an ``rng`` or ``seed`` draws from one fixed
+    seed, so such a network behaves the same wherever it is built.
+    """
+
+    #: Seed of the stream a network built without ``rng``/``seed`` uses.
+    DEFAULT_SEED = 0x52414E42
 
     def __init__(
         self,
@@ -244,13 +246,10 @@ class Network:
         self.sim = sim
         self.latency = latency or ConstantLatency(1.0)
         if rng is None:
-            # No caller-supplied stream: derive a per-instance seed instead
-            # of the old shared ``Random(0)`` fallback, which silently
-            # correlated the loss decisions of every network in a process.
-            if seed is None:
-                seed = 0x52414E42 + next(Network._default_seed_counter)
-            rng = random.Random(seed)
+            rng = random.Random(self.DEFAULT_SEED if seed is None else seed)
         self.rng = rng
+        # Message ids, numbered per network in send order.
+        self._message_ids = itertools.count(1)
         self.loss_rate = loss_rate
         self.duplication_rate = duplication_rate
         # Receiver-side serialisation: each host processes incoming
@@ -371,10 +370,11 @@ class Network:
 
     # -- transmission -----------------------------------------------------------
     def send(self, msg: Message) -> None:
-        """Submit a message for (possibly unsuccessful) delivery."""
+        """Number a message and submit it for (possibly unsuccessful) delivery."""
         sim = self.sim
         stats = self.stats
         endpoints = self._endpoints
+        msg.msg_id = next(self._message_ids)
         msg.sent_at = sim._now
         stats.sent += 1
         stats.by_type[msg.mtype] += 1

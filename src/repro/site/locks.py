@@ -6,7 +6,10 @@ upgrades, and a pluggable deadlock strategy:
 * ``"detect"`` (default) — on every block, search the local wait-for
   edges reachable from the new waiter for a cycle through it and abort the
   *youngest* transaction on the cycle (largest timestamp — it has done the
-  least work).
+  least work).  The search takes each node's edges in a fixed order (lock
+  table, then holders, then queue), never in the order of the ids'
+  values, so the cycle and the victim do not depend on how ids are
+  numbered; wound-wait wounds in that order too.
 * ``"timeout"`` — no graph; a waiter that exceeds ``wait_timeout`` is
   aborted.  This is also the backstop for *distributed* deadlocks, which a
   single site's graph cannot see, so ``wait_timeout`` stays armed under
@@ -218,7 +221,7 @@ class LockManager:
                         request.txn_id,
                         request.ts,
                         entry.item,
-                        self._blockers_of(entry, request),
+                        set(self._blockers_of(entry, request)),
                         request.enqueued_at,
                     )
                 )
@@ -230,12 +233,7 @@ class LockManager:
 
     def blockers_of(self, txn_id: int) -> set[int]:
         """Union of blockers over all of ``txn_id``'s queued requests."""
-        blockers: set[int] = set()
-        for entry in self._entries_of(txn_id):
-            for request in entry.queue:
-                if request.txn_id == txn_id:
-                    blockers |= self._blockers_of(entry, request)
-        return blockers
+        return set(self._waits_for(txn_id))
 
     def wait_for_graph_dot(self) -> str:
         """Graphviz DOT rendering of the current local wait-for graph."""
@@ -340,7 +338,7 @@ class LockManager:
         elif self.strategy == "wound_wait":
             # Older requester wounds every younger unprepared holder, then
             # waits for the rest; wounded holders abort asynchronously.
-            for blocker in list(blockers):
+            for blocker in blockers:
                 younger = self._ts_of.get(blocker, float("-inf")) > request.ts
                 if younger and not self.prepared(blocker):
                     self._wound(blocker)
@@ -350,7 +348,7 @@ class LockManager:
         self._waiting[entry] = None
         self.stats.waits += 1
         if self.on_block is not None:
-            self.on_block(request.txn_id, request.ts, self._blockers_of(entry, request))
+            self.on_block(request.txn_id, request.ts, set(self._blockers_of(entry, request)))
 
         if self.strategy == "detect":
             victim = self._find_deadlock_victim(request.txn_id)
@@ -372,9 +370,13 @@ class LockManager:
         if request.expiry is not None:
             self.sim.cancel(request.expiry)
 
-    def _blockers_of(self, entry: _ItemLock, request: _Request) -> set[int]:
+    def _blockers_of(self, entry: _ItemLock, request: _Request) -> dict[int, None]:
+        """The transactions ``request`` waits for: holders, then queue order.
+
+        A dict's keys keep that order; a set of ints would iterate by value.
+        """
         blockers = {
-            holder
+            holder: None
             for holder, held in entry.holders.items()
             if holder != request.txn_id and not LockMode.compatible(held, request.mode)
         }
@@ -389,7 +391,16 @@ class LockManager:
             if not LockMode.compatible(queued.mode, request.mode) or not LockMode.compatible(
                 request.mode, queued.mode
             ):
-                blockers.add(queued.txn_id)
+                blockers[queued.txn_id] = None
+        return blockers
+
+    def _waits_for(self, txn_id: int) -> dict[int, None]:
+        """:meth:`blockers_of` in table, holder and queue order (dict keys)."""
+        blockers: dict[int, None] = {}
+        for entry in self._entries_of(txn_id):
+            for request in entry.queue:
+                if request.txn_id == txn_id:
+                    blockers.update(self._blockers_of(entry, request))
         return blockers
 
     def _grant_from_queue(self, entry: _ItemLock) -> None:
@@ -433,15 +444,16 @@ class LockManager:
         """Find a cycle through ``start``; return the youngest member or None.
 
         An iterative depth-first search over the wait-for edges.  It asks
-        :meth:`blockers_of` for the edges of each node it reaches and of no
+        :meth:`_waits_for` for the edges of each node it reaches and of no
         other, so a block costs the waits it can reach, not the whole table.
-        Each blocker set is built in table and queue order, so nodes are
-        visited in a fixed order and the same cycle gives the same victim.
+        Each node's edges come in table, holder and queue order, never in
+        the order of the ids' values, so the walk, the cycle it finds and
+        its victim do not change when every id is shifted by a constant.
         """
         path = [start]
         on_path = {start}
         visited: set[int] = set()
-        pending = [iter(self.blockers_of(start))]  # unexplored edges per level
+        pending = [iter(self._waits_for(start))]  # unexplored edges per level
         while pending:
             for succ in pending[-1]:
                 if succ == start:
@@ -449,7 +461,7 @@ class LockManager:
                 if succ not in on_path and succ not in visited:
                     path.append(succ)
                     on_path.add(succ)
-                    pending.append(iter(self.blockers_of(succ)))
+                    pending.append(iter(self._waits_for(succ)))
                     break
             else:
                 node = path.pop()

@@ -7,7 +7,7 @@ from repro.txn.coordinator import (
     run_transaction,
 )
 from repro.txn.history import CommittedTxn, HistoryRecorder, SerializationGraph
-from repro.txn.transaction import Operation, OpKind, Transaction, TxnStatus, next_txn_id
+from repro.txn.transaction import Operation, OpKind, Transaction, TxnStatus
 
 __all__ = [
     "AccessResult",
@@ -20,6 +20,5 @@ __all__ = [
     "Transaction",
     "TxnContext",
     "TxnStatus",
-    "next_txn_id",
     "run_transaction",
 ]

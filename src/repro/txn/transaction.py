@@ -9,42 +9,25 @@ site initiates a two-phase commit session").
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import WorkloadError
 
-__all__ = ["OpKind", "Operation", "TxnStatus", "Transaction", "next_txn_id",
-           "txn_id_scope"]
-
-_txn_ids = itertools.count(1)
-
-
-def next_txn_id() -> int:
-    """Globally unique transaction id."""
-    return next(_txn_ids)
+__all__ = ["OpKind", "Operation", "TxnStatus", "Transaction", "txn_id_scope"]
 
 
 @contextmanager
 def txn_id_scope(start: int = 1):
-    """Allocate txn ids from a fresh counter within the ``with`` block.
+    """A no-op kept for callers written when ids were process-global.
 
-    The process-global counter keeps ids unique across every instance in
-    one process — but that makes raw ids depend on what ran earlier, so a
-    self-contained session (one instance, nothing else allocating ids,
-    e.g. a chaos case) scopes itself to get ids that are a pure function
-    of its own seed: identical for every worker placement under ``-j N``.
-    The outer counter is restored on exit.
+    Each session (:class:`~repro.core.instance.RainbowInstance`) numbers
+    its own transactions from 1, so there is no counter left to scope.
+    ``perfbench/session.py`` still wraps its sessions in this block; drop
+    both together.
     """
-    global _txn_ids
-    saved = _txn_ids
-    _txn_ids = itertools.count(start)
-    try:
-        yield
-    finally:
-        _txn_ids = saved
+    yield
 
 
 class OpKind:
@@ -115,7 +98,7 @@ class Transaction:
 
     ops: list[Operation]
     home_site: str
-    txn_id: int = field(default_factory=next_txn_id)
+    txn_id: int = 0  # 0 until the session admits it (see ``stamp``)
     ts: float = 0.0
     status: str = TxnStatus.PENDING
     abort_cause: Optional[str] = None  # "RCP" | "CCP" | "ACP" | "SYSTEM"
@@ -136,8 +119,20 @@ class Transaction:
     def __post_init__(self):
         if not self.ops:
             raise WorkloadError("transaction must have at least one operation")
-        if self.template_id is None:
+        if self.template_id is None and self.txn_id:
             self.template_id = self.txn_id
+
+    def stamp(self, txn_ids: Iterator[int]) -> "Transaction":
+        """Take the next id from the session's ``txn_ids`` unless numbered.
+
+        A first attempt's template id is its own id; a restart keeps the
+        template it was built with.
+        """
+        if not self.txn_id:
+            self.txn_id = next(txn_ids)
+            if self.template_id is None:
+                self.template_id = self.txn_id
+        return self
 
     @property
     def committed(self) -> bool:

@@ -33,9 +33,6 @@ DEFAULT_USERS = {
     "student": ("student", "student"),
 }
 
-_token_counter = itertools.count(1)
-_workload_counter = itertools.count(1)
-
 
 class AuthServlet(Servlet):
     """The Rainbow access authorization of RainbowDemo.html."""
@@ -60,7 +57,7 @@ class AuthServlet(Servlet):
             entry = self.tier.users.get(user)
             if entry is None or entry[0] != password:
                 return WebResponse.failure("access denied")
-            token = f"tok{next(_token_counter)}-{user}"
+            token = f"tok{next(self.tier.token_numbers)}-{user}"
             self.tier.sessions[token] = entry[1]
             return WebResponse.success({"token": token, "role": entry[1]})
         if request.action == "logout":
@@ -239,7 +236,7 @@ class WLGlet(Servlet):
                         for entry in spec["mix"]
                     ]
                 spec = WorkloadSpec(**spec)
-            workload_id = next(_workload_counter)
+            workload_id = next(self.tier.workload_numbers)
             generator = WorkloadGenerator(
                 instance.sim,
                 instance.network,
@@ -311,6 +308,11 @@ class RainbowWebTier:
         self.ns_host = instance.nameserver.host
         self.users = dict(users or DEFAULT_USERS)
         self.sessions: dict[str, str] = {}  # token -> role
+        # Login tokens, web workloads and downloaded applets are numbered
+        # per tier, so names depend on this session alone.
+        self.token_numbers = itertools.count(1)
+        self.workload_numbers = itertools.count(1)
+        self.applet_numbers = itertools.count(1)
         self.site_hosts = {name: site.host for name, site in instance.sites.items()}
 
         hosts = {home_host, self.ns_host, *self.site_hosts.values()}

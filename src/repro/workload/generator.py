@@ -57,7 +57,8 @@ def submit_request(
 ) -> Event:
     """Send ``txn`` to its home site as one ``TXN_SUBMIT`` request.
 
-    Stamps the submission on the monitor and returns the request's reply
+    Stamps the submission on the monitor (which gives a transaction
+    without an id the session's next) and returns the request's reply
     event.  Raises :class:`WorkloadError` for a home site not in
     ``directory``.
     """
@@ -105,7 +106,7 @@ class _Client:
                 self.outcome_rows.append(outcome)
                 return SubmissionOutcome._make(outcome)
             yield self.sim.timeout(self.spec.restart_delay)
-            txn = txn.restarted()
+            txn = txn.restarted().stamp(self.monitor.txn_ids)
 
     @property
     def outcomes(self) -> list[SubmissionOutcome]:
@@ -275,7 +276,7 @@ class WorkloadGenerator(_Client):
                 ops.append(Operation.write(item, self._value_counter))
         if not ops:
             ops.append(Operation.read(self._pick_item()))
-        return Transaction(ops=ops, home_site=self._pick_home())
+        return Transaction(ops=ops, home_site=self._pick_home()).stamp(self.monitor.txn_ids)
 
     # -- execution -----------------------------------------------------------
     def run(self) -> Process:
@@ -348,5 +349,6 @@ class ManualWorkload(_Client):
         for at, txn in queue:
             if at > self.sim.now:
                 yield self.sim.timeout(at - self.sim.now)
+            txn.stamp(self.monitor.txn_ids)
             self._start(self.submit_tracked(txn), f"wlg:m{txn.txn_id}")
         yield from self._join()

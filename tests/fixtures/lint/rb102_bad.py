@@ -3,6 +3,7 @@
 Never imported; analyzed as source only.
 """
 
+import itertools
 import random
 import time
 from random import choice
@@ -33,3 +34,13 @@ def drain(pending):
 
 def victims(sites):
     return [site for site in {"s1", "s2", "s3"}]  # RB102: set literal iteration
+
+
+_ids = itertools.count(1)  # RB102: a process-global id counter
+
+
+class Session:
+    numbers = itertools.count(1)  # RB102: class scope is process-global too
+
+    def order(self, waiting: set[int]):
+        return tuple(waiting)  # RB102: annotated set, iterated by value

@@ -1,5 +1,6 @@
 """Fixture: the corrected counterpart of rb102_bad — RB102 must stay quiet."""
 
+import itertools
 import random
 
 
@@ -26,3 +27,11 @@ def drain(pending):
 
 def victims(sites):
     return [site for site in sorted({"s1", "s2", "s3"})]
+
+
+class Session:
+    def __init__(self):
+        self.numbers = itertools.count(1)  # the session owns its counter
+
+    def order(self, waiting: set[int]):
+        return tuple(sorted(waiting))

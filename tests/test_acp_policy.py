@@ -15,7 +15,6 @@ from repro.chaos.engine import run_chaos_case
 from repro.experiments.common import build_instance
 from repro.protocols import base
 from repro.protocols.acp import ThreePhaseCommit, TwoPhaseCommit
-from repro.txn.transaction import txn_id_scope
 from repro.workload.spec import WorkloadSpec
 
 #: Output statistics read from the host clock (differ on every run).
@@ -55,8 +54,7 @@ def test_renamed_3pc_gives_the_3pc_chaos_report(renamed, seed):
 def _flags_on_statistics(acp: str) -> dict:
     instance = build_instance(8, 24, 3, rcp="QC", ccp="MVTO", acp=acp, seed=3, **FLAGS_ON)
     spec = WorkloadSpec(n_transactions=120, arrival="poisson", arrival_rate=0.5)
-    with txn_id_scope():
-        result = instance.run_workload(spec)
+    result = instance.run_workload(spec)
     stats = asdict(result.statistics)
     for name in HOST_CLOCK_FIELDS:
         stats.pop(name)

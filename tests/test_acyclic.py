@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.common import build_instance
-from repro.txn.transaction import txn_id_scope
 from repro.workload.spec import WorkloadSpec
 
 _WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -54,15 +53,10 @@ def unreachable() -> tuple[int, list[tuple[str, int]]]:
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_finished_transactions_leave_no_cyclic_garbage(name, collector_off):
     workload = workloads.WORKLOADS[name]
-    with txn_id_scope():
-        instance = build_instance(
-            workloads.N_SITES, workloads.N_ITEMS, seed=3, **workload.instance
-        )
-        instance.start()
-        gc.collect()  # whatever bring-up left is not the transactions'
-        result = instance.run_workload(
-            WorkloadSpec(n_transactions=TRANSACTIONS, **workload.spec)
-        )
+    instance = build_instance(workloads.N_SITES, workloads.N_ITEMS, seed=3, **workload.instance)
+    instance.start()
+    gc.collect()  # whatever bring-up left is not the transactions'
+    result = instance.run_workload(WorkloadSpec(n_transactions=TRANSACTIONS, **workload.spec))
     found, kinds = unreachable()
     assert result.statistics.finished == TRANSACTIONS
     assert found == 0, f"{found} objects left in reference cycles: {kinds}"

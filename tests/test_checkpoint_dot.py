@@ -6,7 +6,6 @@ from repro.experiments import session
 from repro.site.locks import LockManager, LockMode
 from repro.site.wal import WriteAheadLog
 from repro.txn.history import HistoryRecorder, SerializationGraph
-from repro.txn.transaction import txn_id_scope
 
 #: sha256 of the serialization graph's DOT text for the seeded 300-txn
 #: quickstart session below (198 committed transactions, 1069 edges).
@@ -102,8 +101,7 @@ class TestDotExports:
 
     def test_session_graph_dot_is_pinned(self):
         """The lab's export of a whole session's graph keeps its exact text."""
-        with txn_id_scope():
-            _result, _panel, instance = session.run(n_txns=300)
+        _result, _panel, instance = session.run(n_txns=300)
         dot = instance.monitor.history.build_graph().to_dot()
         assert dot.count(" -> ") == 1069
         assert hashlib.sha256(dot.encode()).hexdigest() == SESSION_DOT_SHA256

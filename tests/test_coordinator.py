@@ -64,7 +64,7 @@ class TestLifecycle:
     def test_abort_classification_ccp(self):
         instance = quick_instance(n_items=8)
         instance.start()
-        txn = Transaction(ops=[Operation.write("x1", 1)], home_site="site1")
+        txn = Transaction(ops=[Operation.write("x1", 1)], home_site="site1", txn_id=1)
         instance.sites["site1"].cc.doom(txn.txn_id)
         run_txn(instance, txn)
         assert txn.status == TxnStatus.ABORTED
@@ -76,6 +76,7 @@ class TestLifecycle:
         txn = Transaction(
             ops=[Operation.write("x2", 1), Operation.write("x1", 1)],
             home_site="site1",
+            txn_id=1,
         )
         # Doom at home so the second op fails after the first prewrote
         # remotely (x2 lives on site2..site4).

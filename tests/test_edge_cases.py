@@ -160,7 +160,7 @@ class TestMonitorOdds:
     def test_aborted_txn_still_gets_message_count(self):
         instance = quick_instance(n_items=8, settle_time=20)
         instance.start()
-        txn = Transaction(ops=[Operation.write("x2", 1)], home_site="site1")
+        txn = Transaction(ops=[Operation.write("x2", 1)], home_site="site1", txn_id=1)
         instance.sites["site2"].cc.doom(txn.txn_id)
         process = instance.submit(txn)
         instance.sim.run(until=process)

@@ -27,7 +27,7 @@ RULE_IDS = ["RB100", "RB101", "RB102", "RB103", "RB104", "RB105", "RB106"]
 EXPECTED_MIN_FINDINGS = {
     "RB100": 1,
     "RB101": 3,
-    "RB102": 7,
+    "RB102": 10,
     "RB103": 2,
     "RB104": 3,
     "RB105": 4,
@@ -74,6 +74,21 @@ def test_generator_ccp_call_is_rejected():
     assert [(f.rule_id, f.line) for f in bad.findings] == [("RB103", 15), ("RB103", 19)]
     assert all("plain call" in f.message for f in bad.findings)
     good = lint_fixture("rb103_ccp_good.py")
+    assert good.ok, render_text(good)
+
+
+def test_value_ordered_wait_for_walk_is_flagged():
+    """RB102: a walk over a method's ``set[int]`` follows the ids' values.
+
+    The bad twin is shaped like the lock manager's old deadlock search; the
+    good twin returns an insertion-ordered dict instead.
+    """
+    bad = lint_fixture("rb102_walk_bad.py")
+    assert [(f.rule_id, f.line) for f in bad.findings] == [
+        ("RB102", 19), ("RB102", 25), ("RB102", 34)
+    ]
+    assert all("depends on the element values" in f.message for f in bad.findings)
+    good = lint_fixture("rb102_walk_good.py")
     assert good.ok, render_text(good)
 
 

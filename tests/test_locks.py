@@ -178,12 +178,14 @@ def whole_graph_victim(locks, start):
     """The reference search: the site's whole wait-for graph, then a recursive DFS.
 
     This is how the lock manager searched before it walked only what the
-    blocked transaction reaches; the two must agree on every victim.
+    blocked transaction reaches; the two must agree on every victim.  Each
+    node's blockers are united in table, holder and queue order (dict
+    keys), the order the lock manager walks.
     """
     graph = {}
     for entry in locks._waiting_entries():
         for request in entry.queue:
-            graph.setdefault(request.txn_id, set()).update(locks._blockers_of(entry, request))
+            graph.setdefault(request.txn_id, {}).update(locks._blockers_of(entry, request))
     path, on_path, visited = [], set(), set()
 
     def dfs(node):
@@ -240,15 +242,23 @@ class TestDeadlockSearchMatchesWholeGraph:
             max_size=60,
         ),
         ages=st.permutations(range(len(_TXNS))),
+        k=st.integers(1, 2048),
     )
-    def test_same_victim_or_none(self, steps, ages):
-        locks = CheckedLocks(Simulator())
+    def test_same_victim_or_none(self, steps, ages, k):
+        """Each search agrees with the reference, and shifting every id by
+        ``k`` shifts every victim by ``k``: the walk never follows id values."""
         ts = {txn: float(age) for txn, age in zip(_TXNS, ages)}
-        for op, txn, item, mode in steps:
-            if op == "release":
-                locks.release_all(txn)
-            else:
-                locks.acquire(txn, ts[txn], item, mode)
+        victims = []
+        for offset in (0, k):
+            locks = CheckedLocks(Simulator())
+            for op, txn, item, mode in steps:
+                if op == "release":
+                    locks.release_all(txn + offset)
+                else:
+                    locks.acquire(txn + offset, ts[txn], item, mode)
+            victims.append(locks.victims)
+        unshifted, shifted = victims
+        assert shifted == [None if victim is None else victim + k for victim in unshifted]
 
     def test_reference_check_runs_on_a_cycle(self):
         locks = CheckedLocks(Simulator())

@@ -21,9 +21,13 @@ from tests.conftest import drive
 
 class TestMessage:
     def test_ids_unique_and_increasing(self):
-        a = Message(src="x", dst="y", mtype="T")
-        b = Message(src="x", dst="y", mtype="T")
-        assert b.msg_id > a.msg_id
+        network = Network(Simulator())
+        sender = network.endpoint("h", "a")
+        a = sender.send("h/b", "T")
+        b = sender.send("h/b", "T")
+        assert (a.msg_id, b.msg_id) == (1, 2)
+        # Each network numbers its own messages.
+        assert Network(Simulator()).endpoint("h", "a").send("h/b", "T").msg_id == 1
 
     def test_reply_swaps_endpoints_and_links(self):
         request = Message(src="a/1", dst="b/2", mtype=MessageType.READ, txn_id=9)

@@ -174,7 +174,7 @@ class TestAtomicCommit:
     def test_vote_no_aborts_globally(self):
         instance = quick_instance(n_items=8)
         instance.start()
-        txn = Transaction(ops=[Operation.write("x1", 1)], home_site="site1")
+        txn = Transaction(ops=[Operation.write("x1", 1)], home_site="site1", txn_id=1)
 
         # Doom the transaction at a remote participant before it prepares:
         # intercept by pre-dooming at site2 (a holder of x1).

@@ -16,7 +16,6 @@ from repro.protocols.rcp import (
     QuorumConsensusController,
     RowaController,
 )
-from repro.txn.transaction import txn_id_scope
 from repro.workload.spec import WorkloadSpec
 
 #: Output statistics read from the host clock (differ on every run).
@@ -50,8 +49,7 @@ def _session(rcp: str, *, rowa_quorums: bool = False):
         restart_on_abort=False,
         result_timeout=250.0,
     )
-    with txn_id_scope():
-        result = instance.run_workload(spec)
+    result = instance.run_workload(spec)
     stats = asdict(result.statistics)
     for name in HOST_CLOCK_FIELDS:
         stats.pop(name)

@@ -77,7 +77,7 @@ class TestTracerWithInstance:
 
     def test_aborted_txn_traces_abort(self):
         instance, tracer = self._traced_instance()
-        txn = Transaction(ops=[Operation.write("x1", 5)], home_site="site1")
+        txn = Transaction(ops=[Operation.write("x1", 5)], home_site="site1", txn_id=1)
         instance.sites["site1"].cc.doom(txn.txn_id)
         process = instance.submit(txn)
         instance.sim.run(until=process)

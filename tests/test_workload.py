@@ -1,5 +1,6 @@
 """Unit tests for workload specs and the generator."""
 
+import itertools
 import random
 
 import pytest
@@ -88,13 +89,16 @@ class TestTransactionModel:
         assert txn.write_set == ["b"]
 
     def test_txn_ids_unique(self):
-        t1 = Transaction(ops=[Operation.read("a")], home_site="s1")
-        t2 = Transaction(ops=[Operation.read("a")], home_site="s1")
-        assert t1.txn_id != t2.txn_id
+        ids = itertools.count(1)
+        t1 = Transaction(ops=[Operation.read("a")], home_site="s1").stamp(ids)
+        t2 = Transaction(ops=[Operation.read("a")], home_site="s1").stamp(ids)
+        assert (t1.txn_id, t2.txn_id) == (1, 2)
+        assert t1.stamp(ids).txn_id == 1  # a numbered transaction keeps its id
 
     def test_restart_keeps_template_id(self):
-        t1 = Transaction(ops=[Operation.read("a")], home_site="s1")
-        t2 = t1.restarted()
+        ids = itertools.count(1)
+        t1 = Transaction(ops=[Operation.read("a")], home_site="s1").stamp(ids)
+        t2 = t1.restarted().stamp(ids)
         assert t2.template_id == t1.template_id == t1.txn_id
         assert t2.attempt == 2
         assert t2.txn_id != t1.txn_id
